@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro``.
 
-Nine subcommands:
+Seven subcommands:
 
 * ``list`` — enumerate the implemented attacks with their threat-model
   cells (the paper's Fig. 1 matrix, as a table);
@@ -25,19 +25,11 @@ Nine subcommands:
 * ``report [<ledger.jsonl>] [--cache-dir DIR]`` — render a previously
   recorded run ledger back into the benches' table format
   (``--profile`` adds the per-span self-time ranking), and/or print
-  result-cache statistics; and
+  result-cache statistics;
 * ``top <ledger.jsonl> [--metrics snapshots.jsonl]`` — a compact live
   view of a running or completed run: event mix, timeline, latest
   metric snapshot.  ``--follow`` redraws every ``--interval`` seconds,
-  tolerating torn mid-write lines, so it can watch a sweep in flight;
-* ``serve`` — run the resilient attack-lab service: a journaled job
-  store (accepted jobs survive ``kill -9`` and replay exactly once on
-  restart), admission control (bounded queue, per-client token-bucket
-  rate limits, resource budgets), a circuit breaker that degrades a
-  crashing worker pool to serial in-process execution, and SIGTERM
-  graceful drain (see EXPERIMENTS.md, "Service mode"); and
-* ``submit <attack> [--param ...] --seeds LIST`` — submit a sweep job
-  to a running service, optionally ``--wait`` for its result; and
+  tolerating torn mid-write lines, so it can watch a sweep in flight; and
 * ``scenarios list|describe|run`` — the scenario registry: named,
   content-addressed attack × workload × fault bindings with pinned
   golden report hashes.  ``run --verify`` recomputes a scenario and
@@ -46,9 +38,7 @@ Nine subcommands:
 
 Exit codes: 0 success, 1 attack failed (or gave up after retries),
 2 usage errors, 3 malformed ``--faults`` spec, 4 unreadable or
-mismatched ``--resume`` checkpoint, 5 submission explicitly rejected
-by service admission control (queue full, rate limited, over budget,
-or draining), 6 golden report-hash mismatch under
+mismatched ``--resume`` checkpoint, 6 golden report-hash mismatch under
 ``scenarios run --verify``.
 
 The CLI is a thin veneer over the library; every number it prints is
@@ -607,108 +597,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.core.errors import ReproError
-    from repro.service.server import AttackLabService, ServiceConfig
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        journal_path=args.journal,
-        cache_dir=args.cache_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        queue_limit=args.queue_limit,
-        rate=args.rate,
-        burst=args.burst,
-        max_timeout_s=args.max_timeout,
-        default_timeout_s=args.default_timeout,
-        max_retries=args.max_retries,
-        max_cells=args.max_cells,
-        jobs=args.jobs,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        seed=args.seed,
-        metrics_out=args.metrics_out,
-        drain_timeout_s=args.drain_timeout,
-        rotate_after_records=args.rotate_after,
-        crash_flag=args.crash_flag,
-    )
-    try:
-        service = AttackLabService(config)
-        summary = asyncio.run(service.serve_forever())
-    except ReproError as exc:
-        print(f"service failed: {exc}", file=sys.stderr)
-        return 2
-    jobs = summary.get("journal", {})
-    print(
-        "drained: %d done, %d failed, %d job(s) left for restart"
-        % (
-            jobs.get("done", 0),
-            jobs.get("failed", 0),
-            summary.get("jobs_left_for_restart", 0),
-        )
-    )
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.core.errors import ServiceError
-    from repro.service.admission import REJECTED_EXIT_CODE
-    from repro.service.client import ServiceClient
-
-    params = _parse_params(args.param or [])
-    try:
-        seeds = [int(s) for s in (args.seeds or "").split(",") if s.strip()]
-    except ValueError:
-        print(f"--seeds must be comma-separated integers: {args.seeds!r}", file=sys.stderr)
-        return 2
-    if not seeds:
-        print("submit needs --seeds with at least one seed", file=sys.stderr)
-        return 2
-    try:
-        with ServiceClient(args.host, args.port) as client:
-            response = client.submit(
-                args.attack,
-                params=params,
-                seeds=seeds,
-                client=args.client,
-                timeout_s=args.timeout,
-                retries=args.retries,
-            )
-            if response.get("status") == "rejected":
-                print(
-                    "rejected (%s): %s"
-                    % (response.get("reason"), response.get("detail", "")),
-                    file=sys.stderr,
-                )
-                return REJECTED_EXIT_CODE
-            if not response.get("ok"):
-                print(
-                    "submit failed (%s): %s"
-                    % (response.get("reason"), response.get("detail", "")),
-                    file=sys.stderr,
-                )
-                return 2
-            job_id = response["job_id"]
-            if not args.wait:
-                print(json.dumps(response, indent=2, sort_keys=True))
-                return 0
-            status = client.wait(job_id, timeout_s=args.wait_timeout)
-            if status.get("state") == "done":
-                result = client.result(job_id)
-                print(json.dumps(result, indent=2, sort_keys=True))
-                return 0
-            print(
-                "job %s failed: %s" % (job_id, status.get("error")), file=sys.stderr
-            )
-            return 1
-    except ServiceError as exc:
-        print(f"submit failed: {exc}", file=sys.stderr)
-        return 2
-
-
 #: ``scenarios run --verify`` exit code for a golden-hash mismatch.
 GOLDEN_MISMATCH_EXIT_CODE = 6
 
@@ -1258,192 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="timeline sparkline width (clamped to [1, 400])",
     )
     top_parser.set_defaults(func=cmd_top)
-
-    serve_parser = sub.add_parser(
-        "serve", help="run the resilient attack-lab job service"
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve_parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="bind port (default 0: ephemeral; the bound port is printed)",
-    )
-    serve_parser.add_argument(
-        "--journal",
-        default="service-journal.jsonl",
-        metavar="PATH",
-        help="append-only job journal (accepted jobs survive kill -9)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="shared content-addressed result cache for job sweeps",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-dir",
-        metavar="PATH",
-        help="per-job sweep checkpoints (crash recovery resumes, not recomputes)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        metavar="N",
-        help="max jobs pending+running before queue-full rejections (default 64)",
-    )
-    serve_parser.add_argument(
-        "--rate",
-        type=float,
-        default=20.0,
-        metavar="R",
-        help="per-client token-bucket refill rate, submissions/s (default 20)",
-    )
-    serve_parser.add_argument(
-        "--burst",
-        type=float,
-        default=40.0,
-        metavar="B",
-        help="per-client token-bucket capacity (default 40)",
-    )
-    serve_parser.add_argument(
-        "--max-timeout",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="largest per-job wall-clock budget grantable (default 300)",
-    )
-    serve_parser.add_argument(
-        "--default-timeout",
-        type=float,
-        default=60.0,
-        metavar="S",
-        help="budget granted when the client asks for none (default 60)",
-    )
-    serve_parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="largest per-cell retry count grantable (default 3)",
-    )
-    serve_parser.add_argument(
-        "--max-cells",
-        type=int,
-        default=256,
-        metavar="N",
-        help="largest seed grid accepted in one job (default 256)",
-    )
-    serve_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sweep worker processes (default: $REPRO_JOBS, then CPU count)",
-    )
-    serve_parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive worker crashes that trip the breaker (default 3)",
-    )
-    serve_parser.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="base open dwell before a half-open probe (default 5)",
-    )
-    serve_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="service seed (backoff + breaker probe jitter; default 0)",
-    )
-    serve_parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help="flush a final metric snapshot on drain (.prom/.txt: "
-        "Prometheus text, otherwise appended JSONL)",
-    )
-    serve_parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help="SIGTERM grace for in-flight sweeps before checkpoint-and-exit "
-        "(default 30)",
-    )
-    serve_parser.add_argument(
-        "--rotate-after",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="journal records between compacting rotations (0 disables)",
-    )
-    serve_parser.add_argument(
-        "--crash-flag",
-        metavar="PATH",
-        help="chaos drills: a flag file one pool worker consumes and dies on",
-    )
-    serve_parser.set_defaults(func=cmd_serve)
-
-    submit_parser = sub.add_parser(
-        "submit", help="submit a sweep job to a running service"
-    )
-    submit_parser.add_argument("attack", help="attack name (aliases accepted)")
-    submit_parser.add_argument("--host", default="127.0.0.1", help="service address")
-    submit_parser.add_argument(
-        "--port", type=int, required=True, help="service port"
-    )
-    submit_parser.add_argument(
-        "--param",
-        "-p",
-        action="append",
-        metavar="key=value",
-        help="attack parameter (repeatable)",
-    )
-    submit_parser.add_argument(
-        "--seeds",
-        required=True,
-        metavar="LIST",
-        help="comma-separated seeds (one sweep cell per seed)",
-    )
-    submit_parser.add_argument(
-        "--client",
-        default="cli",
-        metavar="NAME",
-        help="client id for rate limiting (default: cli)",
-    )
-    submit_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="requested per-job wall-clock budget (subject to the service cap)",
-    )
-    submit_parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="requested per-cell retries (subject to the service cap)",
-    )
-    submit_parser.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the job finishes and print its result",
-    )
-    submit_parser.add_argument(
-        "--wait-timeout",
-        type=float,
-        default=300.0,
-        metavar="S",
-        help="--wait patience before giving up polling (default 300)",
-    )
-    submit_parser.set_defaults(func=cmd_submit)
 
     scenarios_parser = sub.add_parser(
         "scenarios",

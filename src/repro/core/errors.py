@@ -52,8 +52,7 @@ class WorkerCrashError(SimulationError):
     Raised by the parallel executor when the process pool reports a
     broken worker (``kill -9``, OOM, an ``os._exit`` chaos fault).
     Subclasses :class:`SimulationError` so retry policies treat a
-    crashed worker as transient; the service's circuit breaker counts
-    these towards tripping open and degrading to serial execution.
+    crashed worker as transient.
     """
 
 
@@ -79,23 +78,6 @@ class ShardCrashError(SimulationError):
     ):
         super().__init__(message, sim_time=sim_time)
         self.shard = shard
-
-
-class AdmissionRejected(ReproError):
-    """The attack-lab service declined a submission.
-
-    ``reason`` is one of the documented rejection codes (``queue-full``,
-    ``rate-limited``, ``draining``, ``over-budget``); clients map it to
-    exit code 5.
-    """
-
-    def __init__(self, message: str, reason: str = ""):
-        super().__init__(message)
-        self.reason = reason
-
-
-class ServiceError(ReproError):
-    """The attack-lab service (or its journal/protocol) is unusable."""
 
 
 class FaultSpecError(ConfigurationError):

@@ -1,19 +1,18 @@
-"""Process-plane fault injection: killing sweep workers on demand.
+"""Process-plane fault injection: killing shard workers on demand.
 
 The link/clock/telemetry injectors in this package break the *simulated*
-planes; chaos drills for the attack-lab service also need to break the
-*host* plane — a worker process dying mid-cell, exactly what a ``kill
+planes; chaos drills for the sharded engines also need to break the
+*host* plane — a worker process dying mid-run, exactly what a ``kill
 -9`` or an OOM kill does in production.  The mechanism is a **crash
-flag file**: the chaos harness creates the file, the next pool worker
-that starts a cell consumes it (an atomic :func:`os.unlink` — exactly
-one worker wins the race) and dies via :func:`os._exit`, and every run
-after that proceeds normally because the flag is gone.  One flag, one
-crash, deterministic recovery.
+flag file**: the drill creates the file, the next shard worker that
+checks it consumes it (an atomic :func:`os.unlink` — exactly one worker
+wins the race) and dies via :func:`os._exit`, and every run after that
+proceeds normally because the flag is gone.  One flag, one crash,
+deterministic recovery.
 
-The flag is honoured only inside pool workers (``in_worker=True``,
-threaded through by :class:`~repro.runner.parallel.ParallelSweepExecutor`):
-consuming it in the parent would kill the service itself, which is the
-failure mode the circuit breaker exists to *prevent*, not to cause.
+Only shard worker processes call :func:`consume_crash_flag`:
+consuming the flag in the coordinator would kill the run it is meant
+to exercise.
 """
 
 from __future__ import annotations
@@ -24,16 +23,15 @@ import os
 CRASH_EXIT_STATUS = 137
 
 
-def consume_crash_flag(flag_path: str, in_worker: bool) -> bool:
+def consume_crash_flag(flag_path: str) -> bool:
     """Die via ``os._exit`` iff ``flag_path`` exists and we won its race.
 
-    Returns ``False`` when there is nothing to do: no flag path, the
-    flag is absent (already consumed), or this process is not a pool
-    worker.  Returns never (the process exits) on a consumed flag; the
-    ``True`` annotation below keeps the signature honest for tests that
-    monkeypatch :func:`os._exit`.
+    Returns ``False`` when there is nothing to do: no flag path, or the
+    flag is absent (already consumed).  Returns never (the process
+    exits) on a consumed flag; the ``True`` annotation below keeps the
+    signature honest for tests that monkeypatch :func:`os._exit`.
     """
-    if not flag_path or not in_worker:
+    if not flag_path:
         return False
     try:
         os.unlink(flag_path)

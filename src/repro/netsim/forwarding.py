@@ -1,13 +1,12 @@
 """Internet-scale sharded forwarding: multiprocess full-network coordinator.
 
-This module promotes the in-process :class:`~repro.netsim.sharded.ShardedNetworkSim`
-windowing algebra to forked worker processes: each shard owns a full
-forwarding :class:`~repro.netsim.network.Network` partition (routing
-tables, multi-hop paths, TTL/ICMP handling, link faults) and an
-:class:`~repro.netsim.events.EventLoop`, advanced in conservative
-lookahead windows by a coordinator that exchanges *boundary packets* —
-packets leaving one shard over a cut link — as kernels-packed
-struct-of-arrays records over ``multiprocessing`` pipes.
+This module splits a forwarding network over forked worker processes:
+each shard owns a full forwarding :class:`~repro.netsim.network.Network`
+partition (routing tables, multi-hop paths, TTL/ICMP handling, link
+faults) and an :class:`~repro.netsim.events.EventLoop`, advanced in
+conservative lookahead windows by a coordinator that exchanges
+*boundary packets* — packets leaving one shard over a cut link — as
+kernels-packed struct-of-arrays records over ``multiprocessing`` pipes.
 
 Architecture
 ============
@@ -518,7 +517,7 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
                     raise SimulationError(
                         f"shard {shard}: unexpected {message[0]!r}"
                     )
-                consume_crash_flag(crash_flag, in_worker=True)
+                consume_crash_flag(crash_flag)
                 _verb, target, inject = message
                 if inject:
                     for row in _unpack_rows(backend, inject, BOUNDARY_COLUMNS):
@@ -608,11 +607,11 @@ def _hash_deliveries(columns: Sequence[Sequence[float]]) -> str:
 class ShardedForwardingSim(ShardPipeMixin):
     """Multiprocess coordinator for a partitioned forwarding network.
 
-    The promotion of :class:`~repro.netsim.sharded.ShardedNetworkSim`
-    to forked workers: same partitioning, same conservative-window
-    algebra, but each shard's network runs in its own process and
-    boundary packets travel as SoA records over pipes (see the module
-    docstring for the full safety argument).
+    The topology is split by
+    :func:`~repro.netsim.topology.partition_nodes`; each shard's network
+    runs in its own process and boundary packets travel as SoA records
+    over pipes (see the module docstring for the full safety argument).
+    A cut link with zero delay leaves no lookahead and is rejected.
 
     ``processes=False`` drives the identical shard states in-process —
     the fallback for platforms without ``fork``, and a debugging aid;

@@ -1,31 +1,20 @@
 """Sharded multi-core discrete-event simulation with conservative lookahead.
 
-Two engines live here, sharing the same synchronisation algorithm:
-
-* :class:`ShardedPacketEngine` — the process-parallel driver behind the
-  packet-level Blink experiment.  Flows are deterministically assigned
-  to shards (via the sha256-seeded topology partitioner over a star
-  fan-in topology), each shard runs its own
-  :class:`~repro.netsim.events.EventLoop` in a forked worker process,
-  and the coordinator advances all shards in lockstep *lookahead
-  windows*, null-message style: each ``("advance", T)`` message promises
-  the worker that no input will ever arrive before ``T``, and each ack
-  returns the worker's own conservative bound on its next event so the
-  coordinator can fast-forward across quiet regions.  Emitted packets
-  cross back as compact struct-of-arrays records (four float64 columns
-  packed by the ``kernels`` backends) over ``multiprocessing`` pipes.
-
-* :class:`ShardedNetworkSim` — the topology-partitioned reference
-  implementation of the same windowed protocol for a full
-  :class:`~repro.netsim.network.Network`: nodes are split by
-  :func:`~repro.netsim.topology.partition_nodes`, the minimum
-  cut-link latency is the safe horizon
-  (:func:`~repro.netsim.topology.partition_lookahead`), and boundary
-  packets are exchanged at window barriers with analytically computed
-  arrival times (:meth:`~repro.netsim.link.Link.transmit_remote`).  It
-  steps its shard loops in-process — it exists to pin the windowing
-  algebra against the monolithic simulator, while the process-parallel
-  fan-out (where the win is) lives in the packet engine.
+:class:`ShardedPacketEngine` is the process-parallel driver behind the
+packet-level Blink experiment.  Flows are deterministically assigned
+to shards (via the sha256-seeded topology partitioner over a star
+fan-in topology), each shard runs its own
+:class:`~repro.netsim.events.EventLoop` in a forked worker process,
+and the coordinator advances all shards in lockstep *lookahead
+windows*, null-message style: each ``("advance", T)`` message promises
+the worker that no input will ever arrive before ``T``, and each ack
+returns the worker's own conservative bound on its next event so the
+coordinator can fast-forward across quiet regions.  Emitted packets
+cross back as compact struct-of-arrays records (four float64 columns
+packed by the ``kernels`` backends) over ``multiprocessing`` pipes.
+The same windowed protocol over a full topology-partitioned
+:class:`~repro.netsim.network.Network` lives in
+:class:`~repro.netsim.forwarding.ShardedForwardingSim`.
 
 Determinism contract (the hard part, and non-negotiable): the
 coordinator re-establishes the *global* ``(time, insertion_seq)`` event
@@ -47,7 +36,6 @@ same flows on the same shards.
 from __future__ import annotations
 
 import heapq
-import math
 import multiprocessing as mp
 import os
 import time as _wallclock
@@ -63,15 +51,7 @@ from repro.netsim.events import (
     resolve_scheduler_name,
     suggest_bucket_width,
 )
-from repro.netsim.network import Network
-from repro.netsim.topology import (
-    Topology,
-    partition_cut_edges,
-    partition_lookahead,
-    partition_nodes,
-    partition_out_lookaheads,
-    star_topology,
-)
+from repro.netsim.topology import partition_nodes, star_topology
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
@@ -524,7 +504,7 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
                     raise SimulationError(
                         f"shard {shard_index}: unexpected {message[0]!r}"
                     )
-                consume_crash_flag(crash_flag, in_worker=True)
+                consume_crash_flag(crash_flag)
                 target = message[1]
                 delta = loop.run_until(target, max_events=remaining)
                 remaining -= delta
@@ -982,190 +962,3 @@ def degrade_to_single_shard(
         return None
 
     return hook
-
-
-# -- sharded network simulator ------------------------------------------
-
-
-class ShardedNetworkSim:
-    """A :class:`~repro.netsim.network.Network` split over shard loops.
-
-    The topology is partitioned by
-    :func:`~repro.netsim.topology.partition_nodes`; each shard owns one
-    :class:`EventLoop` plus a :class:`Network` restricted to its nodes.
-    Shards advance in lockstep windows no wider than the conservative
-    lookahead — the minimum propagation delay over cut links — so a
-    packet transmitted anywhere inside window ``(t, t+W]`` cannot arrive
-    at a foreign shard before ``t + W``; boundary packets are collected
-    at the window barrier with analytically computed arrival times
-    (:meth:`~repro.netsim.link.Link.transmit_remote`) and injected,
-    sorted by ``(arrival, source shard, sequence)``, before the next
-    window runs.  When every shard's next-event bound clears the next
-    barrier, the barrier jumps forward (null-message fast-forward).
-
-    Determinism: delivery times and per-link state are identical to the
-    monolithic simulator whenever no two events tie to the exact same
-    float timestamp; tie order is stable *per shard count* but may
-    differ between shard counts (the strong cross-shard-count byte
-    contract lives in :class:`ShardedPacketEngine`, whose admission
-    order is reconstructed exactly).  A topology whose cut includes a
-    zero-delay link cannot be sharded (no lookahead) and is rejected.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        shards: int,
-        seed: int = 0,
-        scheduler: Optional[str] = None,
-        default_queue_packets: int = 1000,
-        partition_seed: int = 0,
-        adaptive_window: Optional[bool] = None,
-    ):
-        self.topology = topology
-        self.shards = shards
-        self.assignment = partition_nodes(topology, shards, seed=partition_seed)
-        self.lookahead = partition_lookahead(topology, self.assignment)
-        if self.lookahead is not None and self.lookahead <= 0.0:
-            cut = partition_cut_edges(topology, self.assignment)
-            raise ConfigurationError(
-                f"cannot shard: a cut link has zero delay (cut={cut})"
-            )
-        self.out_lookaheads = partition_out_lookaheads(topology, self.assignment)
-        self.adaptive: Optional[AdaptiveWindow] = (
-            AdaptiveWindow(self.lookahead)
-            if self.lookahead is not None and resolve_adaptive_window(adaptive_window)
-            else None
-        )
-        self.loops: List[EventLoop] = []
-        self.networks: List[Network] = []
-        self._outboxes: List[List[Tuple[float, int, int, object, str]]] = [
-            [] for _ in range(shards)
-        ]
-        self._egress_seq = 0
-        self._node_shard = dict(self.assignment)
-        for shard in range(shards):
-            loop = EventLoop(scheduler=scheduler)
-            local = {
-                node for node, owner in self.assignment.items() if owner == shard
-            }
-            net = Network(
-                topology,
-                loop=loop,
-                seed=seed,
-                default_queue_packets=default_queue_packets,
-                local_nodes=local,
-                remote_egress=self._make_egress(shard),
-            )
-            self.loops.append(loop)
-            self.networks.append(net)
-        self.windows = 0
-        self.fast_forwards = 0
-        self.boundary_packets = 0
-
-    def _make_egress(self, shard: int):
-        def egress(packet, _egress_node: str, ingress_node: str, arrival: float):
-            self._egress_seq += 1
-            self._outboxes[shard].append(
-                (arrival, shard, self._egress_seq, packet, ingress_node)
-            )
-
-        return egress
-
-    # -- wiring ------------------------------------------------------
-
-    def shard_of(self, node: str) -> int:
-        return self._node_shard[node]
-
-    def network_for(self, node: str) -> Network:
-        return self.networks[self.shard_of(node)]
-
-    def attach_host(self, node: str, handler) -> None:
-        self.network_for(node).attach_host(node, handler)
-
-    def send(self, packet, from_node: Optional[str] = None) -> None:
-        origin = from_node or packet.src
-        self.network_for(origin).send(packet, from_node=origin)
-
-    # -- running -----------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return min((loop.now for loop in self.loops), default=0.0)
-
-    def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
-        """Advance every shard to ``end_time``; returns total events."""
-        processed = 0
-        window = self.lookahead if self.lookahead is not None else None
-        t = self.now
-        while t < end_time:
-            if window is None:
-                target = end_time
-            else:
-                width = window
-                if self.adaptive is not None:
-                    width = max(window, self.adaptive.width())
-                bounds = [loop.next_event_bound() for loop in self.loops]
-                known = [b for b in bounds if b is not None]
-                target = min(t + width, end_time)
-                if width > window:
-                    # Adaptive widening is only safe up to the frontier
-                    # min over shards of (next-event bound + fastest
-                    # outgoing cut link): a shard cannot emit boundary
-                    # traffic before its next event fires, so nothing
-                    # can arrive anywhere before the frontier.  Never
-                    # clamp below the always-safe fixed barrier.
-                    frontier = self._boundary_safe_frontier(bounds)
-                    if target > frontier:
-                        target = min(max(frontier, t + window), end_time)
-                if not known:
-                    target = end_time
-                elif min(known) > target:
-                    target = min(min(known), end_time)
-                    self.fast_forwards += 1
-                    obs_metrics.inc("sharded.fast_forwards")
-                _observe_window_width(target - t)
-            for loop in self.loops:
-                processed += loop.run_until(target, max_events=max_events)
-            crossed = self._exchange_boundary()
-            if self.adaptive is not None:
-                self.adaptive.observe(crossed)
-            self.windows += 1
-            obs_metrics.inc("sharded.windows")
-            t = target
-        return processed
-
-    def _boundary_safe_frontier(self, bounds: Sequence[Optional[float]]) -> float:
-        """Latest barrier provably free of unseen boundary arrivals.
-
-        Shard ``i``'s earliest possible boundary emission is its next
-        event, so nothing from it can land anywhere before
-        ``bound_i + out_lookahead_i``.  Shards with no pending events
-        (or no outgoing cut links) cannot emit at all and drop out of
-        the minimum.  Already-injected packets are loop events and are
-        therefore folded into the bounds.
-        """
-        frontier = math.inf
-        for shard, out_la in self.out_lookaheads.items():
-            bound = bounds[shard]
-            if bound is not None:
-                frontier = min(frontier, bound + out_la)
-        return frontier
-
-    def _exchange_boundary(self) -> int:
-        pending: List[Tuple[float, int, int, object, str]] = []
-        for outbox in self._outboxes:
-            pending.extend(outbox)
-            outbox.clear()
-        if not pending:
-            return 0
-        # Deterministic admission: arrival time, then source shard,
-        # then egress sequence — stable for a given shard count.
-        pending.sort(key=lambda item: (item[0], item[1], item[2]))
-        self.boundary_packets += len(pending)
-        obs_metrics.inc("sharded.boundary_packets", len(pending))
-        for arrival, _src_shard, _seq, packet, ingress in pending:
-            self.networks[self.shard_of(ingress)].inject_remote(
-                packet, ingress, arrival
-            )
-        return len(pending)

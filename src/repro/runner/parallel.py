@@ -86,12 +86,11 @@ def _init_pool_worker() -> None:  # pragma: no cover - runs in pool workers
     """Reset inherited signal state in a freshly forked pool worker.
 
     Forked workers inherit the parent's Python signal handlers *and*
-    its ``signal.set_wakeup_fd`` pipe.  When an embedding process (the
-    attack-lab service) runs an asyncio loop with SIGTERM/SIGINT
-    handlers, a signal aimed at a dying worker would otherwise be
-    echoed through the shared wakeup pipe into the parent's loop —
-    observed as a phantom drain when ``BrokenProcessPool`` cleanup
-    SIGTERMs the surviving workers.
+    its ``signal.set_wakeup_fd`` pipe.  When an embedding process runs
+    an asyncio loop with SIGTERM/SIGINT handlers, a signal aimed at a
+    dying worker would otherwise be echoed through the shared wakeup
+    pipe into the parent's loop — e.g. when ``BrokenProcessPool``
+    cleanup SIGTERMs the surviving workers.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -131,9 +130,6 @@ def _execute_cell(
     runner_seed: int,
     traced: bool,
     metered: bool = False,
-    budget_s: Optional[float] = None,
-    crash_flag: Optional[str] = None,
-    in_worker: bool = False,
 ) -> dict:
     """Run one cell (in a pool worker or inline) and package the outcome.
 
@@ -148,18 +144,10 @@ def _execute_cell(
     shards in cell-index order, so the merged values are identical
     whether cells ran inline or across N processes.
     """
-    if crash_flag:
-        from repro.faults.process import consume_crash_flag
-
-        # Chaos drills: the first pool worker to reach this point
-        # consumes the flag and dies, simulating a SIGKILL'd worker.
-        consume_crash_flag(crash_flag, in_worker)
     attack = _materialise(attack_source)
     # Per-cell jitter seed: retries inside different workers must not
     # share RNG state, but the sequence stays reproducible per cell.
-    runner = ResilientRunner(
-        retry, timeout_s=timeout_s, seed=runner_seed ^ index, budget_s=budget_s
-    )
+    runner = ResilientRunner(retry, timeout_s=timeout_s, seed=runner_seed ^ index)
     tracer = obs.Tracer() if traced else None
     registry = obs_metrics.MetricRegistry() if metered else None
 
@@ -203,7 +191,6 @@ def _execute_cell(
         record["ok"] = False
         record["error"] = outcome.error
         record["timed_out"] = outcome.timed_out
-        record["budget_exhausted"] = outcome.budget_exhausted
     return record
 
 
@@ -217,12 +204,6 @@ class ParallelSweepExecutor:
         cache: optional content-addressed result cache consulted (and
             filled) per cell.
         runner_seed: base seed for per-cell backoff jitter streams.
-        budget_s: cumulative per-cell wall-clock budget (attempts plus
-            backoff; see :class:`~repro.runner.resilient.ResilientRunner`).
-        crash_flag: chaos-drill crash-flag file path — the first pool
-            worker to start a cell while the file exists consumes it and
-            dies (see :mod:`repro.faults.process`).  Ignored for inline
-            (serial) execution.
 
     A worker process dying mid-sweep surfaces as
     :class:`~repro.core.errors.WorkerCrashError` rather than the pool's
@@ -238,16 +219,12 @@ class ParallelSweepExecutor:
         timeout_s: Optional[float] = None,
         cache: Optional[ResultCache] = None,
         runner_seed: int = 0,
-        budget_s: Optional[float] = None,
-        crash_flag: Optional[str] = None,
     ):
         self.jobs = resolve_jobs(jobs)
         self.retry = retry or RetryPolicy()
         self.timeout_s = timeout_s
         self.cache = cache
         self.runner_seed = runner_seed
-        self.budget_s = budget_s
-        self.crash_flag = crash_flag
 
     # -- internals ---------------------------------------------------------
 
@@ -386,7 +363,6 @@ class ParallelSweepExecutor:
                         self.runner_seed,
                         traced,
                         metered,
-                        self.budget_s,
                     ),
                 )
         else:
@@ -406,9 +382,6 @@ class ParallelSweepExecutor:
                             self.runner_seed,
                             traced,
                             metered,
-                            self.budget_s,
-                            self.crash_flag,
-                            True,
                         )
                         for cell in pending
                     }

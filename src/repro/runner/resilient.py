@@ -14,13 +14,7 @@ wraps a single run with:
 * **bounded retry** with exponential backoff plus deterministic,
   seeded jitter for errors matching the policy (transient
   :class:`~repro.core.errors.SimulationError` by default —
-  configuration bugs and privilege violations fail immediately); and
-* an optional **cumulative budget** (``budget_s``) capping the whole
-  retry schedule — attempts *plus* backoff sleeps — at one wall-clock
-  allowance, so a job admitted with a 10 s budget can never burn 30 s
-  across three 10 s attempts.  Per-attempt timeouts are clamped to the
-  remaining budget and a backoff that would overshoot it turns into an
-  immediate give-up (``RunOutcome.budget_exhausted``).
+  configuration bugs and privilege violations fail immediately).
 
 Backoff jitter is derived per ``(seed, attempt)`` through SHA-256
 (:func:`derive_backoff_rng`), not drawn from a shared RNG stream: the
@@ -91,7 +85,6 @@ class AttemptRecord:
     error: Optional[str] = None
     error_type: Optional[str] = None
     backoff_s: float = 0.0
-    timeout_clamped: bool = False
 
 
 @dataclass
@@ -103,7 +96,6 @@ class RunOutcome:
     attempts: List[AttemptRecord] = field(default_factory=list)
     error: Optional[str] = None
     timed_out: bool = False
-    budget_exhausted: bool = False
 
     @property
     def succeeded(self) -> bool:
@@ -156,12 +148,6 @@ class ResilientRunner:
         seed: seeds the jitter derivation, keeping backoff sequences
             reproducible run-to-run.
         sleep: injectable sleep for tests (defaults to real sleeping).
-        budget_s: cumulative wall-clock allowance across *all* attempts
-            and backoff sleeps (None: unbounded).  Per-attempt timeouts
-            are clamped to the remaining budget; a backoff that would
-            cross the deadline becomes an immediate give-up with
-            ``budget_exhausted`` set.
-        clock: injectable monotonic clock for the budget deadline.
     """
 
     def __init__(
@@ -170,19 +156,13 @@ class ResilientRunner:
         timeout_s: Optional[float] = None,
         seed: int = 0,
         sleep: Callable[[float], None] = _wallclock.sleep,
-        budget_s: Optional[float] = None,
-        clock: Callable[[], float] = _wallclock.perf_counter,
     ):
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive")
-        if budget_s is not None and budget_s <= 0:
-            raise ConfigurationError("budget_s must be positive")
         self.retry = retry or RetryPolicy()
         self.timeout_s = timeout_s
-        self.budget_s = budget_s
         self.seed = seed
         self._sleep = sleep
-        self._clock = clock
 
     def _give_up(self, outcome: RunOutcome, label: str, error: str) -> RunOutcome:
         outcome.error = error
@@ -192,7 +172,6 @@ class ResilientRunner:
             attempts=len(outcome.attempts),
             error=error,
             timed_out=outcome.timed_out,
-            budget_exhausted=outcome.budget_exhausted,
         )
         return outcome
 
@@ -204,9 +183,8 @@ class ResilientRunner:
             Callable[[BaseException], Optional[Callable[[], object]]]
         ] = None,
     ) -> RunOutcome:
-        """Execute ``fn`` until it completes, retries exhaust, the
-        budget runs dry, or a non-retryable error escapes (which
-        propagates to the caller).
+        """Execute ``fn`` until it completes, retries exhaust, or a
+        non-retryable error escapes (which propagates to the caller).
 
         ``degrade`` is consulted after each retryable failure: given the
         exception, it may return a *replacement* callable for every
@@ -216,28 +194,12 @@ class ResilientRunner:
         :func:`repro.netsim.sharded.degrade_to_single_shard`.
         """
         outcome = RunOutcome(label=label)
-        deadline = None if self.budget_s is None else self._clock() + self.budget_s
         attempt = 0
         while True:
             attempt += 1
-            attempt_timeout = self.timeout_s
-            clamped = False
-            if deadline is not None:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    outcome.timed_out = True
-                    outcome.budget_exhausted = True
-                    return self._give_up(
-                        outcome,
-                        label,
-                        f"budget of {self.budget_s}s exhausted before attempt {attempt}",
-                    )
-                if attempt_timeout is None or remaining < attempt_timeout:
-                    attempt_timeout = remaining
-                    clamped = True
             started = _wallclock.perf_counter()
             try:
-                result = call_with_timeout(fn, attempt_timeout)
+                result = call_with_timeout(fn, self.timeout_s)
             except self.retry.retry_on as exc:
                 wall = _wallclock.perf_counter() - started
                 record = AttemptRecord(
@@ -245,7 +207,6 @@ class ResilientRunner:
                     wall_seconds=wall,
                     error=str(exc),
                     error_type=type(exc).__name__,
-                    timeout_clamped=clamped,
                 )
                 outcome.attempts.append(record)
                 if isinstance(exc, ExperimentTimeout):
@@ -255,16 +216,6 @@ class ResilientRunner:
                 record.backoff_s = self.retry.backoff_s(
                     attempt, derive_backoff_rng(self.seed, attempt)
                 )
-                if deadline is not None and self._clock() + record.backoff_s >= deadline:
-                    # Sleeping the backoff would overshoot the budget —
-                    # the retry could never start, so stop here.
-                    outcome.budget_exhausted = True
-                    return self._give_up(
-                        outcome,
-                        label,
-                        f"budget of {self.budget_s}s exhausted after "
-                        f"{attempt} attempt(s): {exc}",
-                    )
                 degraded = degrade(exc) if degrade is not None else None
                 if degraded is not None:
                     fn = degraded

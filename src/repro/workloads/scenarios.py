@@ -9,8 +9,8 @@ entries, checkpoints and golden report hashes.
 
 Scenarios flow through the existing machinery unchanged: resolution
 produces ordinary ``(attack, params)`` sweeps that
-:class:`~repro.runner.parallel.ParallelSweepExecutor`, the result
-cache, and the attack-lab service all accept as-is.  The workload only
+:class:`~repro.runner.parallel.ParallelSweepExecutor` and the result
+cache accept as-is.  The workload only
 enters through the params (``workload``/``workload_params`` for the
 Blink attacks, derived knobs for PCC/Pytheas), so scenario params join
 the cache key with no special cases.
@@ -398,7 +398,7 @@ class ScenarioRun:
 
 
 def report_hash(report) -> str:
-    """sha256 of the deterministic aggregate JSON (the service's hash)."""
+    """sha256 of the deterministic aggregate JSON (the golden hash)."""
     return hashlib.sha256(report.aggregate_json().encode("utf-8")).hexdigest()
 
 

@@ -85,8 +85,9 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "usage:" in proc.stderr
 
-    def test_unknown_subcommand(self):
-        proc = run_cli("frobnicate")
+    @pytest.mark.parametrize("command", ["frobnicate", "serve", "submit"])
+    def test_unknown_subcommand(self, command):
+        proc = run_cli(command)
         assert proc.returncode == 2
 
     def test_unknown_attack(self):

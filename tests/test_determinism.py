@@ -220,11 +220,9 @@ class TestAnalysisSweepJobs:
 
 # -- scenario parity grid ----------------------------------------------------
 #
-# A registered scenario must hash identically no matter how it is
-# executed: serially, fanned over worker processes, or submitted to a
-# live ``repro serve`` instance (which computes the same sha256 over
-# the aggregate JSON).  Two scenarios cover both a Blink workload
-# binding and a derived-knob (PCC) binding.
+# A registered scenario must hash identically whether it runs serially
+# or fanned over worker processes.  Two scenarios cover both a Blink
+# workload binding and a derived-knob (PCC) binding.
 
 PARITY_SCENARIOS = ["blink-analytical-web-search", "pcc-diurnal-sway"]
 
@@ -241,27 +239,3 @@ class TestScenarioParityGrid:
             serial.report.aggregate_json() == fanned.report.aggregate_json()
         )
         assert serial.matches_golden is True
-
-    @pytest.mark.parametrize("name", PARITY_SCENARIOS)
-    def test_service_submission_matches_local_hash(self, tmp_path, name):
-        from repro.service import ServiceClient, ServiceUnderTest
-        from repro.workloads.scenarios import resolve_scenario, run_scenario
-
-        spec = resolve_scenario(name)
-        local = run_scenario(spec)
-        lab = ServiceUnderTest(str(tmp_path / name))
-        try:
-            host, port = lab.start()
-            with ServiceClient(host, port) as client:
-                response = client.submit(
-                    spec.attack,
-                    params=spec.resolve_params(),
-                    seeds=list(spec.seeds),
-                )
-                assert response["status"] == "accepted"
-                status = client.wait(response["job_id"], timeout_s=180)
-            assert status["state"] == "done"
-            assert status["report_hash"] == local.report_hash
-            assert local.matches_golden is True
-        finally:
-            lab.stop()

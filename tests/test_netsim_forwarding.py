@@ -42,6 +42,7 @@ from repro.netsim.sharded import (
 from repro.netsim.topology import (
     cluster_assignment,
     clustered_random_topology,
+    line_topology,
     partition_lookahead,
 )
 
@@ -238,6 +239,12 @@ class TestForwardingValidation:
                 grid_topology, 2, assignment=bad, processes=False
             )
 
+    def test_zero_delay_cut_rejected(self):
+        with pytest.raises(ConfigurationError, match="zero delay"):
+            ShardedForwardingSim(
+                line_topology(4, delay_s=0.0), 2, processes=False
+            )
+
     def test_foreign_flow_source_rejected(self, grid_topology):
         spec = FlowSpec(
             flow=FiveTuple("ghost", "c0n1", 1000, 80, 6),
@@ -246,6 +253,30 @@ class TestForwardingValidation:
         )
         with pytest.raises(ConfigurationError, match="not a topology node"):
             forwarding_experiment(grid_topology, [spec], 1.0, shards=1)
+
+
+class TestFastForward:
+    def test_fast_forward_over_quiet_tail(self):
+        # Two 20 ms bursts, 0.5 s apart, each followed by a quiet tail.
+        specs = [
+            FlowSpec(
+                flow=FiveTuple("r0", "r3", 1000 + k, 80, 6),
+                start=0.5 * k,
+                duration=0.02,
+                packet_rate=500.0,
+            )
+            for k in range(2)
+        ]
+        sim = ShardedForwardingSim(
+            line_topology(4, delay_s=0.002), 2, seed=1, processes=False
+        )
+        report = sim.run(specs, 1.0)
+        assert report.delivered > 0
+        assert report.boundary_packets > 0  # traffic really crossed
+        # ~40ms of traffic against a 1s horizon at a 2ms lookahead:
+        # without fast-forward this would take hundreds of windows.
+        assert report.fast_forwards > 0
+        assert report.windows < 200
 
 
 class TestAdaptiveWindowController:

@@ -4,10 +4,9 @@ The determinism contract itself (byte-identical report hashes across
 shard counts, schedulers and backends) is pinned by the parity grid in
 ``test_blink_packet_level.py``; this file covers the building blocks —
 the sha256-seeded topology partitioner (Hypothesis), the SoA flow/record
-codecs, the global sequence-base reconstruction, the in-process
-:class:`ShardedNetworkSim` reference against the monolithic network,
-the crash-chaos path (``ShardCrashError`` + single-shard degrade), and
-the per-shard metric labelling the ledger relies on.
+codecs, the global sequence-base reconstruction, the crash-chaos path
+(``ShardCrashError`` + single-shard degrade), and the per-shard metric
+labelling the ledger relies on.
 """
 
 from __future__ import annotations
@@ -20,13 +19,10 @@ from hypothesis import strategies as st
 
 from repro.blink.packet_level import blink_attack_specs, packet_level_experiment
 from repro.core.errors import ConfigurationError, ShardCrashError, SimulationError
-from repro.netsim.network import Network
-from repro.netsim.packet import tcp_packet
 from repro.netsim.sharded import (
     FLOW_SOURCE_NODES,
     RECORD_COLUMNS,
     SHARDS_ENV,
-    ShardedNetworkSim,
     assign_flows_to_shards,
     compute_global_bases,
     degrade_to_single_shard,
@@ -445,62 +441,3 @@ class TestShardMetricsLabelling:
         # And the ledger sees each shard as its own metrics source.
         ledger = RunLedger.from_tracer(tracer, attack="blink-packet-level")
         assert {"shard0", "shard1"} <= set(ledger.metrics)
-
-
-# -- the in-process network reference ----------------------------------------
-
-
-def _chain_topology():
-    topo = Topology("chain")
-    for name in ("a", "b", "c", "d"):
-        topo.add_node(name)
-    topo.add_node("hsrc", role="host")
-    topo.add_node("hdst", role="host")
-    topo.add_link("hsrc", "a", delay_s=0.0007)
-    topo.add_link("a", "b", delay_s=0.002)
-    topo.add_link("b", "c", delay_s=0.0031)
-    topo.add_link("c", "d", delay_s=0.0043)
-    topo.add_link("d", "hdst", delay_s=0.0009)
-    return topo
-
-
-class TestShardedNetworkSim:
-    def _deliveries(self, sim_or_net):
-        got = []
-        sim_or_net.attach_host(
-            "hdst", lambda p, t: got.append((p.src, p.tcp.seq, t))
-        )
-        for k in range(5):
-            sim_or_net.send(tcp_packet("hsrc", "hdst", 1000 + k, 80, seq=k))
-        sim_or_net.run_until(1.0)
-        return got
-
-    def test_matches_monolithic_network(self):
-        topo = _chain_topology()
-        mono = self._deliveries(Network(topo, seed=1))
-        sharded_sim = ShardedNetworkSim(topo, 2, seed=1)
-        sharded = self._deliveries(sharded_sim)
-        assert len(mono) == 5
-        assert sharded == mono
-        assert sharded_sim.boundary_packets > 0  # traffic really crossed
-        assert sharded_sim.windows >= 1
-
-    def test_fast_forward_over_quiet_tail(self):
-        topo = _chain_topology()
-        sim = ShardedNetworkSim(topo, 2, seed=1)
-        self._deliveries(sim)
-        # ~20ms of traffic against a 1s horizon at a few-ms lookahead:
-        # without fast-forward this would take hundreds of windows.
-        assert sim.fast_forwards > 0
-        assert sim.windows < 200
-
-    def test_zero_delay_cut_rejected(self):
-        topo = line_topology(4, delay_s=0.0)
-        with pytest.raises(ConfigurationError, match="zero delay"):
-            ShardedNetworkSim(topo, 2)
-
-    def test_shard_of_and_now(self):
-        topo = _chain_topology()
-        sim = ShardedNetworkSim(topo, 2, seed=1)
-        assert {sim.shard_of(n) for n in topo.nodes()} == {0, 1}
-        assert sim.now == 0.0

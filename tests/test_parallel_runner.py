@@ -2,12 +2,18 @@
 
 import json
 import os
+import signal
 
 import pytest
 
 from repro.core.attack import Attack, AttackResult
 from repro.core.entities import Capability, Impact, Privilege, Target
-from repro.core.errors import CheckpointError, ConfigurationError, SimulationError
+from repro.core.errors import (
+    CheckpointError,
+    ConfigurationError,
+    SimulationError,
+    WorkerCrashError,
+)
 from repro.obs import Tracer, activate
 from repro.runner import (
     ParallelSweepExecutor,
@@ -57,6 +63,33 @@ class BrokenAttack(ToyAttack):
 
     def execute(self, privilege: Privilege, **params: object) -> AttackResult:
         raise ConfigurationError("bad setup")
+
+
+class CrashingAttack(ToyAttack):
+    """Kills its pool worker outright, like a ``kill -9`` or an OOM kill."""
+
+    name = "toy-crashing"
+
+    def __init__(self):
+        super().__init__()
+        self.parent_pid = os.getpid()
+
+    def execute(self, privilege: Privilege, **params: object) -> AttackResult:
+        if os.getpid() == self.parent_pid:
+            raise ConfigurationError("CrashingAttack must run in a pool worker")
+        os._exit(137)
+
+
+class SignalProbeAttack(ToyAttack):
+    """Reports the SIGTERM/SIGINT handlers of the process it runs in."""
+
+    name = "toy-signal-probe"
+
+    def execute(self, privilege: Privilege, **params: object) -> AttackResult:
+        result = super().execute(privilege, **params)
+        result.details["sigterm"] = str(signal.getsignal(signal.SIGTERM))
+        result.details["sigint"] = str(signal.getsignal(signal.SIGINT))
+        return result
 
 
 def _no_retry():
@@ -144,6 +177,31 @@ class TestExecutorBasics:
         report = run_sweep_parallel("blink-capture-analytical", cells, jobs=2)
         assert report.executed == 3
         assert report.aggregate()["completed"] == 3
+
+
+class TestPoolWorkerSafety:
+    def test_dead_worker_raises_worker_crash_error(self):
+        with pytest.raises(WorkerCrashError, match="died mid-sweep"):
+            ParallelSweepExecutor(jobs=2).run(
+                CrashingAttack(), seed_cells({}, [0, 1])
+            )
+
+    def test_workers_reset_inherited_signal_handlers(self):
+        def parent_handler(signum, frame):  # pragma: no cover - never fires
+            pass
+
+        previous = signal.signal(signal.SIGTERM, parent_handler)
+        try:
+            report = ParallelSweepExecutor(jobs=2).run(
+                SignalProbeAttack(), seed_cells({}, [0, 1])
+            )
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert report.executed == 2
+        for cell in report.cells:
+            details = cell["result"]["details"]
+            assert details["sigterm"] == str(signal.SIG_DFL)
+            assert details["sigint"] == str(signal.SIG_IGN)
 
 
 class TestCheckpointInterop:

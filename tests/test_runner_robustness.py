@@ -1,6 +1,6 @@
-"""Robustness regressions for the runner stack: cumulative retry
-budgets, seed-derived backoff jitter, torn-tail journal repair, and
-cache quarantine."""
+"""Robustness regressions for the runner stack: seed-derived backoff
+jitter, bounded retries, torn-tail journal repair, and cache
+quarantine."""
 
 from __future__ import annotations
 
@@ -22,19 +22,6 @@ from repro.runner.resilient import (
     RetryPolicy,
     derive_backoff_rng,
 )
-
-
-class FakeClock:
-    """A manually advanced monotonic clock for budget tests."""
-
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, seconds: float) -> None:
-        self.t += seconds
 
 
 def _always_fail() -> None:
@@ -82,72 +69,12 @@ def test_backoff_schedule_independent_of_prior_runs():
     ]
 
 
-# -- cumulative budget ------------------------------------------------------
-
-
-def test_budget_stops_backoff_overshoot():
-    """A backoff sleep that would cross the deadline becomes an
-    immediate give-up instead of burning wall-clock past the budget."""
-    clock = FakeClock()
-    policy = RetryPolicy(max_retries=10, backoff_base_s=0.4, jitter_fraction=0.0)
-    runner = ResilientRunner(
-        policy, seed=0, sleep=clock.advance, budget_s=1.0, clock=clock
-    )
-    outcome = runner.run(_always_fail)
-    assert outcome.budget_exhausted
-    assert not outcome.succeeded
-    assert "budget" in (outcome.error or "")
-    # attempt 1 (backoff 0.4 ok), attempt 2 (backoff 0.8 would land at
-    # 1.2 >= 1.0): two attempts, nowhere near the 11 the policy allows.
-    assert len(outcome.attempts) == 2
-
-
-def test_budget_exhausted_before_attempt():
-    clock = FakeClock()
-    policy = RetryPolicy(max_retries=5, backoff_base_s=0.05, jitter_fraction=0.0)
-
-    def fail_slowly() -> None:
-        clock.advance(0.2)
-        raise SimulationError("transient")
-
-    # The injected sleep oversleeps (a loaded machine), pushing the
-    # clock past the deadline between attempts.
-    runner = ResilientRunner(
-        policy,
-        seed=0,
-        sleep=lambda s: clock.advance(s + 0.9),
-        budget_s=1.0,
-        clock=clock,
-    )
-    outcome = runner.run(fail_slowly)
-    assert outcome.budget_exhausted
-    assert outcome.timed_out
-    assert len(outcome.attempts) == 1
-
-
-def test_budget_clamps_per_attempt_timeout():
-    """With a 10 s per-attempt timeout but a 0.2 s budget, the single
-    attempt gets the remaining budget, not its nominal timeout."""
-    runner = ResilientRunner(
-        RetryPolicy(max_retries=0),
-        timeout_s=10.0,
-        budget_s=0.2,
-    )
-    import time
-
-    started = time.perf_counter()
-    outcome = runner.run(lambda: time.sleep(5.0))
-    wall = time.perf_counter() - started
-    assert outcome.timed_out
-    assert outcome.attempts[0].timeout_clamped
-    assert wall < 2.0  # nowhere near the 10 s nominal timeout
-
-
 def test_budget_unset_keeps_legacy_behaviour():
     policy = RetryPolicy(max_retries=2, backoff_base_s=0.001)
     outcome = ResilientRunner(policy, sleep=lambda _s: None).run(_always_fail)
     assert len(outcome.attempts) == 3
-    assert not outcome.budget_exhausted
+    assert not outcome.succeeded
+    assert not outcome.timed_out
 
 
 # -- torn-tail journal repair ----------------------------------------------
