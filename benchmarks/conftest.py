@@ -65,7 +65,7 @@ def pytest_addoption(parser):
         default=None,
         choices=("heap", "calendar"),
         help="event-queue scheduler for scheduler-aware benches "
-        "(default: $REPRO_SCHEDULER, then heap)",
+        "(default: $REPRO_SCHEDULER, then calendar; heap is the reference oracle)",
     )
     group.addoption(
         "--shards",

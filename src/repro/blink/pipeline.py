@@ -61,7 +61,9 @@ class BlinkPrefixMonitor(DataDrivenSystem):
     Consumes ``tcp.packet`` signals whose value is a dict with keys
     ``flow`` (:class:`FiveTuple`), ``retransmission`` (bool), ``fin``
     (bool), ``seq`` (optional int) and ``malicious`` (ground truth);
-    emits ``reroute`` decisions.
+    emits ``reroute`` decisions.  :meth:`observe` unpacks the signal
+    into :meth:`ingest`, which callers holding the plain packet fields
+    use directly.
     """
 
     name = "blink"
@@ -116,18 +118,30 @@ class BlinkPrefixMonitor(DataDrivenSystem):
         info = signal.value
         if not isinstance(info, dict) or "flow" not in info:
             raise ConfigurationError("tcp.packet signal needs a dict with a 'flow'")
-        self._now = signal.time
-        self.selector.observe(
-            flow=info["flow"],
-            now=signal.time,
-            is_retransmission=bool(info.get("retransmission", False)),
-            is_fin_or_rst=bool(info.get("fin", False)),
-            seq=info.get("seq"),
-            malicious_ground_truth=bool(info.get("malicious", False)),
+        return self.ingest(
+            info["flow"],
+            signal.time,
+            bool(info.get("retransmission", False)),
+            bool(info.get("fin", False)),
+            info.get("seq"),
+            bool(info.get("malicious", False)),
         )
-        if self.probing:
-            return self._maybe_finish_probe(signal.time)
-        return self._maybe_infer_failure(signal.time)
+
+    def ingest(
+        self,
+        flow: FiveTuple,
+        now: float,
+        retrans: bool = False,
+        fin: bool = False,
+        seq: Optional[int] = None,
+        malicious: bool = False,
+    ) -> List[Decision]:
+        """Process one TCP packet of this prefix from its plain fields."""
+        self._now = now
+        self.selector.observe(flow, now, retrans, fin, seq, malicious)
+        if self._probe_start is not None:
+            return self._maybe_finish_probe(now)
+        return self._maybe_infer_failure(now)
 
     def state(self) -> SystemState:
         return SystemState(
@@ -210,8 +224,11 @@ class BlinkPrefixMonitor(DataDrivenSystem):
     def _maybe_infer_failure(self, now: float) -> List[Decision]:
         if now - self._last_reroute_time < self.reroute_holddown:
             return []
-        retransmitting = self.selector.retransmitting_count(now, self.retransmission_window)
-        if retransmitting < self.failure_threshold:
+        # The O(1) bound rules out most packets before the exact scan.
+        window = self.retransmission_window
+        if self.selector.retransmitting_bound(now, window) < self.failure_threshold:
+            return []
+        if self.selector.retransmitting_count(now, window) < self.failure_threshold:
             return []
         if self.probe_backups and len(self.next_hops) > 2:
             # Multiple backups: probe before committing.
@@ -293,6 +310,13 @@ class BlinkSwitch:
             prefix: supervise(monitor) if supervise is not None else monitor
             for prefix, monitor in self.monitors.items()
         }
+        # Unsupervised prefixes take packets through the monitor's
+        # ingest() directly; a Signal is built only for a wrapper.
+        self._ingest: Dict[str, Callable[..., List[Decision]]] = {
+            prefix: monitor.ingest
+            for prefix, monitor in self.monitors.items()
+            if self.drivers[prefix] is monitor
+        }
         self.metrics = metrics or MetricRegistry()
         self.decisions: List[Decision] = []
         # destination -> matched prefix memo; exact because the prefix
@@ -324,26 +348,51 @@ class BlinkSwitch:
     # -- trace replay (Fig. 2 experiments) ------------------------------------
 
     def replay_record(self, record: TraceRecord) -> List[Decision]:
-        prefix = self.prefix_for(record.flow.dst)
+        flow = record.flow
+        prefix = self.prefix_for(flow.dst)
         if prefix is None:
             return []
-        signal = Signal(
-            kind=SignalKind.HEADER_FIELD,
-            name="tcp.packet",
-            value={
-                "flow": record.flow,
-                "retransmission": record.is_retransmission,
-                "fin": record.is_fin_or_rst,
-                "malicious": record.malicious_ground_truth,
-            },
-            time=record.time,
-            source=record.flow,
+        decisions = self._deliver(
+            prefix,
+            flow,
+            record.time,
+            record.is_retransmission,
+            record.is_fin_or_rst,
+            None,
+            record.malicious_ground_truth,
         )
-        decisions = self.drivers[prefix].observe(signal)
         if decisions:
             self.metrics.counter("blink.decisions_released").increment(len(decisions))
         self.decisions.extend(decisions)
         return decisions
+
+    def _deliver(
+        self,
+        prefix: str,
+        flow: FiveTuple,
+        now: float,
+        retrans: bool,
+        fin: bool,
+        seq: Optional[int],
+        malicious: bool,
+    ) -> List[Decision]:
+        """Hand one packet to ``prefix``'s driver."""
+        ingest = self._ingest.get(prefix)
+        if ingest is not None:
+            return ingest(flow, now, retrans, fin, seq, malicious)
+        value: Dict[str, object] = {"flow": flow, "retransmission": retrans}
+        if seq is not None:
+            value["seq"] = seq
+        value["fin"] = fin
+        value["malicious"] = malicious
+        signal = Signal(
+            kind=SignalKind.HEADER_FIELD,
+            name="tcp.packet",
+            value=value,
+            time=now,
+            source=flow,
+        )
+        return self.drivers[prefix].observe(signal)
 
     def replay_session(self, sample_interval: float = 1.0) -> "TraceReplaySession":
         """Open a push-mode replay: feed records one at a time.
@@ -404,22 +453,17 @@ class BlinkSwitch:
             return None
         monitor = self.monitors[prefix]
         fin = bool(packet.tcp.flags & (TcpFlags.FIN | TcpFlags.RST))
-        signal = Signal(
-            kind=SignalKind.HEADER_FIELD,
-            name="tcp.packet",
-            value={
-                "flow": packet.five_tuple,
-                # Network mode infers retransmissions from duplicate
-                # sequence numbers, like the real P4 pipeline.
-                "retransmission": False,
-                "seq": packet.tcp.seq,
-                "fin": fin,
-                "malicious": packet.malicious_ground_truth,
-            },
-            time=now,
-            source=packet.five_tuple,
+        # Network mode infers retransmissions from duplicate sequence
+        # numbers, like the real P4 pipeline.
+        decisions = self._deliver(
+            prefix,
+            packet.five_tuple,
+            now,
+            False,
+            fin,
+            packet.tcp.seq,
+            packet.malicious_ground_truth,
         )
-        decisions = self.drivers[prefix].observe(signal)
         self.decisions.extend(decisions)
         self.metrics.counter("blink.packets_seen").increment()
         if monitor.probing:

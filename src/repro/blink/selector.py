@@ -18,8 +18,9 @@ the Monte-Carlo benches.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.blink.constants import DEFAULT_CELLS, EVICTION_TIMEOUT, RESET_INTERVAL
 from repro.core.errors import ConfigurationError
@@ -116,10 +117,15 @@ class FlowSelector:
         # reseed-on-reset) and bounded against unbounded flow churn.
         self._index_cache: Dict[FiveTuple, int] = {}
         self._index_cache_seed = hash_seed
-        # Upper bound on the newest retransmission timestamp ever seen;
-        # lets retransmitting_count() skip the cell scan entirely while
-        # no recent retransmission can possibly be in the window.
-        self._latest_retransmission = -float("inf")
+        # Windowed retransmission log behind retransmitting_bound():
+        # (time, cell) per retransmission in arrival order and the
+        # newest logged time per cell.  Entries are pruned at the latest
+        # ``now`` and the narrowest window seen so far, so a pruned
+        # entry can only matter to a query earlier or wider than that.
+        self._retx_log: Deque[Tuple[float, int]] = deque()
+        self._retx_latest: Dict[int, float] = {}
+        self._retx_now = -float("inf")
+        self._retx_window = float("inf")
 
     # -- sampling ----------------------------------------------------------
 
@@ -184,8 +190,10 @@ class FlowSelector:
         duplicate_seq = seq is not None and cell.last_seq is not None and seq == cell.last_seq
         if is_retransmission or duplicate_seq:
             cell.last_retransmission = now
-            if now > self._latest_retransmission:
-                self._latest_retransmission = now
+            self._retx_log.append((now, index))
+            self._retx_latest[index] = now
+            if now >= self._retx_now:
+                self._prune_retransmissions(now)
             # The gap between a retransmission and the flow's previous
             # packet is what the RTO-plausibility defense inspects:
             # genuine timeouts respect the RTO floor (~1 s), fakes
@@ -230,6 +238,9 @@ class FlowSelector:
                 (now - self._last_reset) / self.reset_interval
             )
             self.stats.resets += 1
+            # Every cell is clear, so no logged retransmission can count.
+            self._retx_log.clear()
+            self._retx_latest.clear()
             if self.reseed_on_reset:
                 self.hash_seed += 1
             if obs.enabled():
@@ -269,9 +280,8 @@ class FlowSelector:
 
     def retransmitting_count(self, now: float, window: float) -> int:
         """Monitored flows with a retransmission within ``window`` s."""
-        # Cheap upper-bound check: if the newest retransmission ever
-        # recorded already fell out of the window, no cell can count.
-        if now - self._latest_retransmission > window:
+        # An empty log that still covers this query: nothing to count.
+        if not self._retx_log and self._log_covers(now, window):
             return 0
         count = 0
         timeout = self.eviction_timeout
@@ -286,6 +296,38 @@ class FlowSelector:
             if now - last_retransmission <= window:
                 count += 1
         return count
+
+    def retransmitting_bound(self, now: float, window: float) -> int:
+        """Upper bound on :meth:`retransmitting_count` in O(1) amortised.
+
+        Counts the distinct cells with a logged retransmission inside
+        the window, ignoring occupancy and inactivity, so it never
+        undercounts.  Entries that left the window are pruned; a query
+        earlier than a previous one, or with a wider window, may need
+        pruned entries and falls back to the trivial bound, the number
+        of cells.
+        """
+        if not self._log_covers(now, window):
+            return len(self.cells)
+        self._retx_window = window
+        self._prune_retransmissions(now)
+        return len(self._retx_latest)
+
+    def _log_covers(self, now: float, window: float) -> bool:
+        """Whether pruning has kept every entry a ``(now, window)`` query needs."""
+        return now >= self._retx_now and window <= self._retx_window
+
+    def _prune_retransmissions(self, now: float) -> None:
+        # Same comparison as retransmitting_count(), so float rounding
+        # cannot prune an entry the exact count would still include.
+        self._retx_now = now
+        window = self._retx_window
+        log = self._retx_log
+        latest = self._retx_latest
+        while log and now - log[0][0] > window:
+            time, index = log.popleft()
+            if latest.get(index) == time:
+                del latest[index]
 
     def monitored_flows(self) -> Dict[int, FiveTuple]:
         return {

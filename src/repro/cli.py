@@ -1031,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("heap", "calendar"),
         default=None,
         help="event-queue scheduler for packet-level simulations "
-        "(default: $REPRO_SCHEDULER, then heap)",
+        "(default: $REPRO_SCHEDULER, then calendar; heap is the reference oracle)",
     )
     run_parser.add_argument(
         "--shards",
@@ -1202,7 +1202,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         choices=("heap", "calendar"),
         default=None,
-        help="event-queue scheduler (default: $REPRO_SCHEDULER, then heap)",
+        help="event-queue scheduler (default: $REPRO_SCHEDULER, then calendar; "
+        "heap is the reference oracle)",
     )
     scenarios_run.add_argument(
         "--shards",

@@ -42,6 +42,25 @@ class FiveTuple:
                 raise ValueError(f"port out of range: {port}")
         if not 0 <= self.protocol <= 255:
             raise ValueError(f"protocol out of range: {self.protocol}")
+        # Flows key per-packet dicts (trace aggregation, Blink's index
+        # cache), so the builtin hash is computed once.  It is the
+        # dataclass-generated value, so dict and set order are unchanged.
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.src, self.dst, self.src_port, self.dst_port, self.protocol)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: the cached hash is salted per process
+        # (PYTHONHASHSEED) and must never travel in a pickle or a copy.
+        return (
+            FiveTuple,
+            (self.src, self.dst, self.src_port, self.dst_port, self.protocol),
+        )
 
     def packed(self) -> bytes:
         """Canonical byte encoding used for hashing."""

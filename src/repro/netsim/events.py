@@ -11,15 +11,16 @@ Two interchangeable scheduler backends sit behind the loop, selected
 the same way kernel backends are (explicit argument > the
 ``REPRO_SCHEDULER`` environment variable > default):
 
+* ``calendar`` (default) — an indexed calendar queue (Brown 1988):
+  pending events are hashed into fixed-width time buckets held in a
+  dict, with a small integer heap ordering the non-empty buckets.  Most
+  pushes are O(1) appends; each bucket is sorted lazily once, when the
+  clock first reaches it.  At the queue depths the packet-level Blink
+  experiments produce (tens to hundreds of thousands of pending events)
+  this is several times faster than the heap.
 * ``heap`` — the original binary-heap scheduler.  O(log n) per
-  operation regardless of queue shape; the reference implementation.
-* ``calendar`` — an indexed calendar queue (Brown 1988): pending events
-  are hashed into fixed-width time buckets held in a dict, with a small
-  integer heap ordering the non-empty buckets.  Most pushes are O(1)
-  appends; each bucket is sorted lazily once, when the clock first
-  reaches it.  At the queue depths the packet-level Blink experiments
-  produce (tens to hundreds of thousands of pending events) this is
-  several times faster than the heap.
+  operation regardless of queue shape; the reference oracle the parity
+  tests compare the calendar queue against.
 
 Both schedulers order events by ``(time, insertion sequence)``, so any
 program observes the *same* callback order under either — this is
@@ -56,7 +57,7 @@ _WALL_CHECK_STRIDE = 1024
 SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 #: Scheduler used when neither an argument nor the environment names one.
-DEFAULT_SCHEDULER = "heap"
+DEFAULT_SCHEDULER = "calendar"
 
 _SCHEDULER_NAMES = ("heap", "calendar")
 
@@ -369,7 +370,7 @@ class EventLoop:
     packet-level Blink experiments, where many packets share timestamps.
     The guarantee holds under every scheduler backend; ``scheduler``
     picks one explicitly, otherwise ``REPRO_SCHEDULER`` and finally the
-    heap default apply.
+    default apply: calendar (default); heap is the reference oracle.
     """
 
     def __init__(

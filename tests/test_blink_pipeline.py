@@ -4,7 +4,9 @@ import pytest
 
 from repro.blink.pipeline import BlinkPrefixMonitor, BlinkSwitch
 from repro.core.entities import Signal, SignalKind
+from repro.core.system import RecordingSystem
 from repro.flows.flow import FiveTuple
+from repro.flows.generators import DurationDistribution, blink_attack_workload
 from repro.netsim.packet import TcpFlags, tcp_packet
 
 PREFIX = "198.51.100.0/24"
@@ -200,3 +202,63 @@ class TestStreamingReplay:
         assert series_a.times == series_b.times
         assert series_a.values == series_b.values
         assert [d.time for d in batch.decisions] == [d.time for d in push.decisions]
+
+
+class TestSupervisedParity:
+    """A pass-through ``supervise=`` wrapper sees Signals; the bare path
+    calls ``ingest`` directly.  Both must decide identically."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        # E2 shape, scaled down: the attack captures half of 16 cells
+        # and Blink reroutes twice inside 20 s.
+        return blink_attack_workload(
+            PREFIX,
+            horizon=20.0,
+            legitimate_flows=200,
+            malicious_flows=100,
+            duration_model=DurationDistribution(median=3.0),
+            seed=0,
+        )[1]
+
+    @staticmethod
+    def _switches():
+        bare = BlinkSwitch({PREFIX: ["nh1", "nh2"]}, cells=16)
+        wrapped = BlinkSwitch({PREFIX: ["nh1", "nh2"]}, cells=16, supervise=RecordingSystem)
+        return bare, wrapped
+
+    def test_replay_matches(self, trace):
+        bare, wrapped = self._switches()
+        bare_series = bare.replay_trace(trace)[PREFIX]
+        wrapped_series = wrapped.replay_trace(trace)[PREFIX]
+        assert len(wrapped.drivers[PREFIX].signals) == len(trace)
+        assert len(bare.reroutes) == 2
+        assert bare.decisions == wrapped.decisions
+        assert bare.reroutes == wrapped.reroutes
+        assert bare_series.values == wrapped_series.values
+
+    def test_dataplane_mode_matches(self, trace):
+        bare, wrapped = self._switches()
+        seqs = {}
+        hops = ([], [])
+        for record in trace:
+            flow = record.flow
+            seq = seqs.get(flow, 0)
+            if not record.is_retransmission:
+                seqs[flow] = seq + 1460
+            for switch, out in zip((bare, wrapped), hops):
+                packet = tcp_packet(
+                    flow.src,
+                    flow.dst,
+                    flow.src_port,
+                    flow.dst_port,
+                    seq=seq,
+                    flags=TcpFlags.FIN if record.is_fin_or_rst else TcpFlags.ACK,
+                    malicious=record.malicious_ground_truth,
+                )
+                out.append(switch.process(packet, record.time, "s1"))
+        assert len(wrapped.drivers[PREFIX].signals) == len(trace)
+        assert bare.reroutes
+        assert hops[0] == hops[1]
+        assert bare.decisions == wrapped.decisions
+        assert bare.reroutes == wrapped.reroutes

@@ -1,6 +1,8 @@
 """Tests for Blink's flow selector."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blink.selector import FlowSelector
 from repro.core.errors import ConfigurationError
@@ -145,3 +147,79 @@ class TestGroundTruth:
     def test_mean_occupancy_requires_data(self):
         with pytest.raises(ValueError):
             FlowSelector().stats.mean_legit_occupancy()
+
+
+# One selector operation: a packet (flow, time step, retransmission,
+# FIN, seq), an explicit sample reset, or a query with a wider window
+# or an earlier time than the bound has pruned for.
+_PACKET = st.tuples(
+    st.just("packet"),
+    st.integers(0, 11),
+    st.floats(0.0, 1.5),
+    st.booleans(),
+    st.sampled_from([False, False, False, True]),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+_RESET = st.tuples(st.just("reset"), st.floats(0.0, 6.0))
+_QUERY = st.tuples(st.just("query"), st.floats(0.0, 2.0), st.floats(1.0, 3.0))
+
+
+def _scan_count(selector, now, window):
+    """retransmitting_count() by definition: a scan of every cell."""
+    return sum(
+        1
+        for cell in selector.cells
+        if cell.flow is not None
+        and cell.last_retransmission is not None
+        and now - cell.last_activity < selector.eviction_timeout
+        and now - cell.last_retransmission <= window
+    )
+
+
+class TestRetransmittingBound:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(st.one_of(_PACKET, _RESET, _QUERY), max_size=80),
+        window=st.floats(0.05, 3.0),
+        cells=st.integers(1, 8),
+    )
+    def test_bound_never_undercounts(self, ops, window, cells):
+        selector = FlowSelector(cells=cells, eviction_timeout=1.0, reset_interval=5.0)
+        now = 0.0
+        for op in ops:
+            if op[0] == "packet":
+                _, flow, step, retrans, fin, seq = op
+                now += step
+                selector.observe(
+                    _flow(flow), now, is_retransmission=retrans, is_fin_or_rst=fin, seq=seq
+                )
+            elif op[0] == "reset":
+                now += op[1]
+                selector.maybe_reset(now)
+            else:
+                _, back, wider = op
+                earlier, wide = now - back, window * wider
+                exact = selector.retransmitting_count(earlier, wide)
+                assert exact == _scan_count(selector, earlier, wide)
+                assert selector.retransmitting_bound(earlier, wide) >= exact
+            exact = selector.retransmitting_count(now, window)
+            assert exact == _scan_count(selector, now, window)
+            assert selector.retransmitting_bound(now, window) >= exact
+
+    def test_bound_drops_once_retransmissions_leave_the_window(self):
+        selector = FlowSelector(cells=8)
+        for i in range(3):
+            selector.observe(_flow(i), now=0.0, is_retransmission=True)
+        assert selector.retransmitting_bound(0.5, 1.0) == selector.retransmitting_count(0.5, 1.0)
+        assert selector.retransmitting_bound(0.5, 1.0) > 0
+        assert selector.retransmitting_bound(1.5, 1.0) == 0
+
+    def test_log_stays_bounded_without_queries(self):
+        # Once a window is known, appends prune too: a stream of
+        # retransmissions with no query in between (Blink's hold-down)
+        # keeps only the entries inside the window.
+        selector = FlowSelector(cells=8)
+        selector.retransmitting_bound(0.0, 1.0)
+        for step in range(1000):
+            selector.observe(_flow(step % 8), now=step * 0.1, is_retransmission=True)
+        assert len(selector._retx_log) <= 11

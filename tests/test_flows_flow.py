@@ -1,8 +1,17 @@
 """Tests for 5-tuples and stable hashing."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.flows.flow import FiveTuple, fnv1a_64, hosts_in_prefix, ip_in_prefix
+
+REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestFiveTuple:
@@ -74,3 +83,60 @@ class TestPrefixHelpers:
     def test_hosts_in_prefix_capacity(self):
         with pytest.raises(ValueError):
             list(hosts_in_prefix("198.51.100.0/30", 10))
+
+
+_PROBE_CHILD = """
+import pickle, sys
+from repro.flows.flow import FiveTuple
+
+flow = pickle.loads(sys.stdin.buffer.read())
+fresh = FiveTuple("10.0.0.1", "198.51.100.2", 1234, 443)
+table = {fresh: "fresh"}
+print(flow == fresh, hash(flow) == hash(fresh), table.get(flow), {flow: 1}.get(fresh))
+"""
+
+
+class TestCachedHash:
+    """The builtin hash is cached per instance and never leaves the process."""
+
+    def test_matches_field_tuple_hash(self):
+        flow = FiveTuple("10.0.0.1", "198.51.100.2", 1234, 443)
+        assert hash(flow) == hash(("10.0.0.1", "198.51.100.2", 1234, 443, 6))
+
+    def test_pickle_rebuilds_hash_under_another_hash_seed(self):
+        flow = FiveTuple("10.0.0.1", "198.51.100.2", 1234, 443)
+        env = dict(os.environ)
+        parent_seed = env.get("PYTHONHASHSEED", "")
+        env["PYTHONHASHSEED"] = str(int(parent_seed) + 1) if parent_seed.isdigit() else "1"
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", _PROBE_CHILD],
+            input=pickle.dumps(flow),
+            capture_output=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        assert child.stdout.decode().split() == ["True", "True", "fresh", "1"]
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            copy.copy,
+            copy.deepcopy,
+            lambda flow: pickle.loads(pickle.dumps(flow)),
+            lambda flow: dataclasses.replace(flow),
+        ],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    def test_clones_keep_hash_equal_to_eq(self, clone):
+        flow = FiveTuple("10.0.0.1", "198.51.100.2", 1234, 443)
+        twin = clone(flow)
+        assert twin == flow and hash(twin) == hash(flow)
+        assert {flow: 1}[twin] == 1
+
+    def test_replace_rehashes_changed_fields(self):
+        flow = FiveTuple("10.0.0.1", "198.51.100.2", 1234, 443)
+        moved = dataclasses.replace(flow, src_port=1235)
+        assert hash(moved) == hash(FiveTuple("10.0.0.1", "198.51.100.2", 1235, 443))
+        assert moved != flow

@@ -36,9 +36,10 @@ class TestSchedulerResolution:
         assert resolve_scheduler_name() == DEFAULT_SCHEDULER
 
     def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-        assert resolve_scheduler_name() == "calendar"
-        assert EventLoop().scheduler == "calendar"
+        # The default is calendar, so only heap proves the override.
+        monkeypatch.setenv(SCHEDULER_ENV, "heap")
+        assert resolve_scheduler_name() == "heap"
+        assert EventLoop().scheduler == "heap"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(SCHEDULER_ENV, "calendar")
