@@ -202,8 +202,8 @@ def packet_level_experiment(
             None resolves via ``REPRO_SCHEDULER`` then the default).
         shards: worker-process count for the sharded engine (None
             resolves via ``REPRO_SHARDS`` then 1).  ``shards=1`` runs
-            today's single-loop path untouched; any other count runs
-            per-shard event loops in forked processes whose merged
+            the single-loop path; any other count merges per-shard
+            packet streams in forked processes, and the merged
             observation order — and therefore ``report_hash`` — is
             byte-identical to the single-loop run.
         adaptive_window: grow sharded sync windows over quiet stretches
@@ -360,19 +360,19 @@ def packet_level_experiment(
             )
 
     if shard_count > 1:
-        # Sharded engine: per-shard event loops in forked workers,
-        # synchronized in conservative lookahead windows; the merged
-        # record stream replays the single-loop (time, insertion_seq)
-        # order exactly, so every closure above observes the same
-        # sequence it would have seen on one loop.  Schedule generation
-        # happens during prepare() — outside the timed region, like the
-        # single-loop preload mode.
+        # Sharded engine: each forked worker merges its flows' packet
+        # schedules (no event loop) and ships them in conservative
+        # lookahead windows; the coordinator merges the shard streams
+        # by (time, rank, index) — the single loop's (time,
+        # insertion_seq) order — so every closure above observes the
+        # same sequence it would have seen on one loop.  As on the
+        # single loop, preloaded schedules are built before the timed
+        # run (in prepare()); lazy ones inside it, as flows are admitted.
         engine = ShardedPacketEngine(
             specs,
             seed=seed + 2,
             horizon=horizon,
             shards=shard_count,
-            scheduler=scheduler_name,
             adaptive_window=adaptive_window,
             preload=preload,
             with_trace=with_trace,

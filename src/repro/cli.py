@@ -116,6 +116,44 @@ class _RunFailed(Exception):
     """A resilient run exhausted its retries (or timed out)."""
 
 
+def _export_engine_knobs(args: argparse.Namespace) -> bool:
+    """Validate ``--scheduler``/``--shards``/``--adaptive-window`` and
+    export each one given (by flag or environment) to its variable.
+
+    Exported rather than threaded through params: every EventLoop and
+    sharded engine the attack (or its sweep workers) constructs resolves
+    these from the environment, and results are byte-identical across
+    all three, so they must stay out of result-cache keys.  Returns
+    False, with the reason on stderr, on the first invalid value.
+    """
+    from repro.core.errors import ConfigurationError
+    from repro.netsim.events import SCHEDULER_ENV, resolve_scheduler_name
+    from repro.netsim.sharded import (
+        ADAPTIVE_WINDOW_ENV,
+        SHARDS_ENV,
+        resolve_adaptive_window,
+        resolve_shard_count,
+    )
+
+    knobs = (
+        ("scheduler", SCHEDULER_ENV, args.scheduler,
+         lambda: resolve_scheduler_name(args.scheduler)),
+        ("shard count", SHARDS_ENV, args.shards is not None,
+         lambda: str(resolve_shard_count(args.shards))),
+        ("adaptive-window setting", ADAPTIVE_WINDOW_ENV, args.adaptive_window,
+         lambda: "1" if resolve_adaptive_window(args.adaptive_window or None) else "0"),
+    )
+    for label, env, flagged, resolve in knobs:
+        if not (flagged or os.environ.get(env)):
+            continue
+        try:
+            os.environ[env] = resolve()
+        except ConfigurationError as exc:
+            print(f"invalid {label}: {exc}", file=sys.stderr)
+            return False
+    return True
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     registry = _attack_registry()
     name = ATTACK_ALIASES.get(args.attack, args.attack)
@@ -139,48 +177,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if resolved_backend != DEFAULT_BACKEND:
             params["backend"] = resolved_backend
 
-    if args.scheduler or os.environ.get("REPRO_SCHEDULER"):
-        from repro.core.errors import ConfigurationError
-        from repro.netsim.events import SCHEDULER_ENV, resolve_scheduler_name
-
-        try:
-            resolved_scheduler = resolve_scheduler_name(args.scheduler)
-        except ConfigurationError as exc:
-            print(f"invalid scheduler: {exc}", file=sys.stderr)
-            return 2
-        # Exported rather than threaded through params: every EventLoop
-        # the attack (or its sweep workers) constructs resolves the
-        # backend from the environment, and results are byte-identical
-        # across schedulers so cache keys must not differ.
-        os.environ[SCHEDULER_ENV] = resolved_scheduler
-
-    if args.shards is not None or os.environ.get("REPRO_SHARDS"):
-        from repro.core.errors import ConfigurationError
-        from repro.netsim.sharded import SHARDS_ENV, resolve_shard_count
-
-        try:
-            resolved_shards = resolve_shard_count(args.shards)
-        except ConfigurationError as exc:
-            print(f"invalid shard count: {exc}", file=sys.stderr)
-            return 2
-        # Exported like --scheduler: report hashes are byte-identical
-        # across shard counts, so the knob must stay out of cache keys.
-        os.environ[SHARDS_ENV] = str(resolved_shards)
-
-    if args.adaptive_window or os.environ.get("REPRO_ADAPTIVE_WINDOW"):
-        from repro.core.errors import ConfigurationError
-        from repro.netsim.sharded import ADAPTIVE_WINDOW_ENV, resolve_adaptive_window
-
-        try:
-            resolved_adaptive = resolve_adaptive_window(
-                True if args.adaptive_window else None
-            )
-        except ConfigurationError as exc:
-            print(f"invalid adaptive-window setting: {exc}", file=sys.stderr)
-            return 2
-        # Exported like --shards: the window policy never changes the
-        # physics, so it must stay out of cache keys too.
-        os.environ[ADAPTIVE_WINDOW_ENV] = "1" if resolved_adaptive else "0"
+    if not _export_engine_knobs(args):
+        return 2
 
     if args.faults:
         from repro.core.errors import FaultSpecError
@@ -667,34 +665,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"invalid kernel backend: {exc}", file=sys.stderr)
         return 2
-    if args.scheduler or os.environ.get("REPRO_SCHEDULER"):
-        from repro.netsim.events import SCHEDULER_ENV, resolve_scheduler_name
-
-        try:
-            os.environ[SCHEDULER_ENV] = resolve_scheduler_name(args.scheduler)
-        except ConfigurationError as exc:
-            print(f"invalid scheduler: {exc}", file=sys.stderr)
-            return 2
-    if args.shards is not None or os.environ.get("REPRO_SHARDS"):
-        from repro.netsim.sharded import SHARDS_ENV, resolve_shard_count
-
-        try:
-            os.environ[SHARDS_ENV] = str(resolve_shard_count(args.shards))
-        except ConfigurationError as exc:
-            print(f"invalid shard count: {exc}", file=sys.stderr)
-            return 2
-    if args.adaptive_window or os.environ.get("REPRO_ADAPTIVE_WINDOW"):
-        from repro.netsim.sharded import ADAPTIVE_WINDOW_ENV, resolve_adaptive_window
-
-        try:
-            os.environ[ADAPTIVE_WINDOW_ENV] = (
-                "1"
-                if resolve_adaptive_window(True if args.adaptive_window else None)
-                else "0"
-            )
-        except ConfigurationError as exc:
-            print(f"invalid adaptive-window setting: {exc}", file=sys.stderr)
-            return 2
+    if not _export_engine_knobs(args):
+        return 2
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)

@@ -10,6 +10,7 @@ schedule the attacker controls.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -328,6 +329,76 @@ def iter_flow_schedules(
         flow_rng = random.Random(flow_stream_seed(seed, spec))
         times, flags = flow_packet_schedule(spec, flow_rng)
         yield spec, times, flags
+
+
+def merge_flow_packets(
+    flows: Iterable[Tuple[int, FlowSpec, Sequence[float], Sequence[bool]]],
+) -> Iterator[Tuple[float, int, int, FlowSpec, bool, bool]]:
+    """Merge per-flow packet schedules into one ``(time, rank, index)`` stream.
+
+    ``flows`` yields ``(rank, spec, times, flags)`` in non-decreasing
+    ``spec.start`` (ranks are unique); a decreasing start raises
+    :class:`ConfigurationError`.  Yields ``(time, rank, index, spec,
+    is_retransmission, is_fin)``: each flow's data packets ``index``
+    0..n-1, then, when ``spec.sends_fin``, its FIN as ``index`` n at
+    ``spec.end``.  The heap holds one entry per *active* flow, and a
+    flow is pulled from ``flows`` (so a lazy iterable generates its
+    schedule) only once the heap head has reached its start — memory is
+    bounded by flow concurrency, not trace length.
+
+    The rank fixes the tie-break between equal times, and so which
+    single-loop order the stream reproduces:
+
+    * rank = spec index reproduces setup-time sequence allocation — the
+      stable sort of :func:`emit_trace` and a loop preloaded in spec
+      order;
+    * rank = position in ``sorted(range(F), key=(start, spec index))``
+      reproduces start-time allocation — the callback order of
+      :func:`schedule_workload`, whose flow-start events fire in that
+      order and each claim the next block of insertion sequences.
+    """
+    heap: List[tuple] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    replace = heapq.heapreplace
+    pending = iter(flows)
+    upcoming = next(pending, None)
+    start = upcoming[1].start if upcoming is not None else math.inf
+    last_start = -math.inf
+    while True:
+        # Admit every flow that could emit at or before the head: its
+        # first packet is no earlier than its start.
+        while upcoming is not None and (not heap or start <= heap[0][0]):
+            if start < last_start:
+                raise ConfigurationError(
+                    "merge_flow_packets needs flows in non-decreasing "
+                    f"start order: {start} < {last_start}"
+                )
+            last_start = start
+            rank, spec, times, flags = upcoming
+            n = len(times)
+            if n:
+                push(heap, (times[0], rank, 0, n, spec, times, flags))
+            elif spec.sends_fin:
+                push(heap, (spec.end, rank, 0, 0, spec, times, flags))
+            upcoming = next(pending, None)
+            if upcoming is not None:
+                start = upcoming[1].start
+        if not heap:
+            return
+        time, rank, index, n, spec, times, flags = heap[0]
+        if index == n:
+            yield time, rank, index, spec, False, True
+            pop(heap)
+            continue
+        yield time, rank, index, spec, flags[index], False
+        index += 1
+        if index < n:
+            replace(heap, (times[index], rank, index, n, spec, times, flags))
+        elif spec.sends_fin:
+            replace(heap, (spec.end, rank, index, n, spec, times, flags))
+        else:
+            pop(heap)
 
 
 def emit_trace(

@@ -94,7 +94,6 @@ from repro.netsim.packet import (
 )
 from repro.netsim.routing import StaticRouter
 from repro.netsim.sharded import (
-    _TUNE_SAMPLE_CAP,
     AdaptiveWindow,
     ShardPipeMixin,
     _observe_window_width,
@@ -128,6 +127,9 @@ _KIND_DATA = 0
 _KIND_RETRANS = 1
 _KIND_FIN = 2
 _KIND_ICMP = 3
+
+#: Flow-start sample size for shard-local calendar bucket tuning.
+_TUNE_SAMPLE_CAP = 4096
 
 
 # -- codecs -------------------------------------------------------------
@@ -362,6 +364,36 @@ def _drain_deliveries(backend, state: "_ShardState") -> bytes:
     return payload
 
 
+def _shard_step(
+    backend, state: "_ShardState", target: float, inject: bytes, max_events: int
+) -> Tuple[int, bytes, bytes]:
+    """One window on one shard: inject boundary rows, run to ``target``.
+
+    Returns ``(events, egress, deliveries)`` — the packed outbox of
+    boundary packets bound for other shards and the drained delivery
+    records.  The forked worker and the in-process coordinator both
+    step shards through here.
+    """
+    loop = state.loop
+    if inject:
+        for row in _unpack_rows(backend, inject, BOUNDARY_COLUMNS):
+            arrival, ingress, packet = _row_to_packet(row, state.nodes)
+            state.net.inject_remote(packet, ingress, max(arrival, loop.now))
+    events = loop.run_until(target, max_events=max_events)
+    egress = b""
+    if state.outbox:
+        egress = _pack_rows(
+            backend,
+            [
+                _boundary_row(arrival, ingress, packet, state.index)
+                for arrival, ingress, packet in state.outbox
+            ],
+            BOUNDARY_COLUMNS,
+        )
+        state.outbox.clear()
+    return events, egress, _drain_deliveries(backend, state)
+
+
 def _schedule_flow(
     net: Network, spec: FlowSpec, fid: int, seed: int, payload_size: int
 ) -> None:
@@ -519,26 +551,11 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
                     )
                 consume_crash_flag(crash_flag)
                 _verb, target, inject = message
-                if inject:
-                    for row in _unpack_rows(backend, inject, BOUNDARY_COLUMNS):
-                        arrival, ingress, packet = _row_to_packet(row, nodes)
-                        net.inject_remote(packet, ingress, max(arrival, loop.now))
-                delta = loop.run_until(target, max_events=remaining)
+                delta, egress, deliveries = _shard_step(
+                    backend, state, target, inject, remaining
+                )
                 remaining -= delta
                 events_total += delta
-                egress = b""
-                if state.outbox:
-                    index = state.index
-                    egress = _pack_rows(
-                        backend,
-                        [
-                            _boundary_row(arrival, ingress, packet, index)
-                            for arrival, ingress, packet in state.outbox
-                        ],
-                        BOUNDARY_COLUMNS,
-                    )
-                    state.outbox.clear()
-                deliveries = _drain_deliveries(backend, state)
                 conn.send(
                     (
                         "ack",
@@ -927,32 +944,14 @@ class ShardedForwardingSim(ShardPipeMixin):
         else:
             for shard in range(self.shards):
                 state = self.states[shard]
-                if inject_payloads[shard]:
-                    for row in _unpack_rows(
-                        backend, inject_payloads[shard], BOUNDARY_COLUMNS
-                    ):
-                        arrival, ingress, packet = _row_to_packet(row, self.nodes)
-                        state.net.inject_remote(
-                            packet, ingress, max(arrival, state.loop.now)
-                        )
-                delta = state.loop.run_until(target, max_events=self.max_events)
+                delta, egress, deliveries = _shard_step(
+                    backend, state, target, inject_payloads[shard], self.max_events
+                )
                 self._bounds[shard] = state.loop.next_event_bound()
                 report.events += delta
                 report.per_shard_events[shard] += delta
-                if state.outbox:
-                    egress = _pack_rows(
-                        backend,
-                        [
-                            _boundary_row(arrival, ingress, packet, state.index)
-                            for arrival, ingress, packet in state.outbox
-                        ],
-                        BOUNDARY_COLUMNS,
-                    )
-                    state.outbox.clear()
-                    crossed += self._route_egress(backend, shard, egress, pending)
-                self._collect_deliveries(
-                    backend, _drain_deliveries(backend, state), delivery_columns
-                )
+                crossed += self._route_egress(backend, shard, egress, pending)
+                self._collect_deliveries(backend, deliveries, delivery_columns)
         if crossed:
             report.boundary_packets += crossed
             obs_metrics.inc("sharded.boundary_packets", crossed)

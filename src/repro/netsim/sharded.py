@@ -1,32 +1,34 @@
-"""Sharded multi-core discrete-event simulation with conservative lookahead.
+"""Sharded multi-core packet streams with conservative lookahead.
 
 :class:`ShardedPacketEngine` is the process-parallel driver behind the
 packet-level Blink experiment.  Flows are deterministically assigned
 to shards (via the sha256-seeded topology partitioner over a star
-fan-in topology), each shard runs its own
-:class:`~repro.netsim.events.EventLoop` in a forked worker process,
-and the coordinator advances all shards in lockstep *lookahead
-windows*, null-message style: each ``("advance", T)`` message promises
-the worker that no input will ever arrive before ``T``, and each ack
-returns the worker's own conservative bound on its next event so the
-coordinator can fast-forward across quiet regions.  Emitted packets
-cross back as compact struct-of-arrays records (four float64 columns
-packed by the ``kernels`` backends) over ``multiprocessing`` pipes.
-The same windowed protocol over a full topology-partitioned
+fan-in topology), and each shard, in a forked worker process, renders
+its flows' packets with
+:func:`~repro.flows.generators.merge_flow_packets` — no event loop, just
+one ordered merge over the shard's active flows.  The coordinator
+advances all shards in lockstep *lookahead windows*, null-message
+style: each ``("advance", T)`` message asks the worker for every record
+at or before ``T``, and each ack returns the worker's own conservative
+bound on its next record or flow start so the coordinator can
+fast-forward across quiet regions.  Emitted packets cross back as
+compact struct-of-arrays records (four float64 columns packed by the
+``kernels`` backends) over ``multiprocessing`` pipes.  The same
+windowed protocol over a full topology-partitioned
 :class:`~repro.netsim.network.Network` lives in
 :class:`~repro.netsim.forwarding.ShardedForwardingSim`.
 
 Determinism contract (the hard part, and non-negotiable): the
 coordinator re-establishes the *global* ``(time, insertion_seq)`` event
 order of the equivalent single-loop run before any observation fires.
-Every packet's global sequence number is reconstructed analytically —
-``base(flow) + index_in_flow`` where the bases are prefix sums over
-per-flow packet counts in exactly the order the single loop would have
-allocated sequence numbers (spec order for preloaded workloads, flow
-``(start, spec_index)`` order for lazy ones).  Each shard's record
-stream is provably already sorted by that key, so a k-way merge per
-window suffices, and ``PacketLevelReport.report_hash`` is byte-identical
-for any shard count, scheduler, and kernel backend.
+That order is ``(time, rank, index_in_flow)``, where a flow's rank is
+the order in which the single loop would have allocated its sequence
+numbers: spec order for preloaded workloads, flow ``(start,
+spec_index)`` order for lazy ones.  The coordinator computes every
+rank up front and ships it with the flow table; each shard's merge
+emits its records in exactly that key order, so a k-way merge of the
+shard streams per window suffices, and ``PacketLevelReport.report_hash``
+is byte-identical for any shard count, scheduler, and kernel backend.
 
 Shard assignment is a pure function of the workload and shard count —
 no RNG streams, no dict order — so the same experiment always lands the
@@ -40,17 +42,18 @@ import multiprocessing as mp
 import os
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError, ShardCrashError, SimulationError
 from repro.faults.process import consume_crash_flag
 from repro.flows.flow import FiveTuple
-from repro.flows.generators import FlowSpec, flow_packet_schedule, flow_stream_seed
-from repro.netsim.events import (
-    EventLoop,
-    resolve_scheduler_name,
-    suggest_bucket_width,
+from repro.flows.generators import (
+    FlowSpec,
+    flow_packet_schedule,
+    flow_stream_seed,
+    merge_flow_packets,
 )
+from repro.netsim.events import EventLoop
 from repro.netsim.topology import partition_nodes, star_topology
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
@@ -68,7 +71,7 @@ ADAPTIVE_WINDOW_ENV = "REPRO_ADAPTIVE_WINDOW"
 #: shard count (each shard must own at least one leaf).
 FLOW_SOURCE_NODES = 32
 
-#: Columns of one packed packet record: time, flow id, index-in-flow,
+#: Columns of one packed packet record: time, flow rank, index-in-flow,
 #: kind code (0 data, 1 retransmission, 2 FIN).
 RECORD_COLUMNS = 4
 
@@ -78,9 +81,6 @@ _RECORD_FIN = 2
 
 #: Seconds between liveness probes while waiting on a shard pipe.
 _POLL_INTERVAL_S = 0.05
-
-#: Event-time sample size for shard-local calendar bucket tuning.
-_TUNE_SAMPLE_CAP = 4096
 
 
 def resolve_shard_count(count: Optional[int] = None) -> int:
@@ -322,55 +322,26 @@ def assign_flows_to_shards(
     ]
 
 
-def compute_global_bases(
-    specs: Sequence[FlowSpec], counts: Sequence[int], preload: bool
-) -> List[int]:
-    """Global insertion-sequence base per flow.
-
-    Reconstructs, without running anything, the first sequence number
-    the equivalent single event loop would hand to each flow's packet
-    batch.  Preloaded workloads allocate at setup in spec order from 0;
-    lazy workloads first allocate one flow-start transient per spec
-    (sequences ``0..F-1``), then each start — firing in
-    ``(start_time, spec_index)`` order — allocates its ``n`` batch
-    slots plus one FIN slot.  Within a flow, packet ``j`` owns
-    ``base + j`` and the FIN owns ``base + n``; merging shard streams
-    by ``(time, base + j)`` therefore replays the exact single-loop
-    tie-break order.
-    """
-    n = len(specs)
-    if len(counts) != n:
-        raise ConfigurationError("counts must align with specs")
-    order = (
-        range(n)
-        if preload
-        else sorted(range(n), key=lambda i: (specs[i].start, i))
-    )
-    bases = [0] * n
-    cursor = 0 if preload else n
-    for i in order:
-        bases[i] = cursor
-        cursor += counts[i] + (1 if specs[i].sends_fin else 0)
-    return bases
-
-
 # -- worker process -----------------------------------------------------
 
 
 def _shard_worker(conn, config: Dict[str, object]) -> None:
-    """One shard: an event loop over a subset of flows, advanced in
-    lookahead windows by the coordinator.
+    """One shard: a merged packet stream over a subset of flows,
+    advanced in lookahead windows by the coordinator.
 
     Protocol (all messages are tuples, first element the verb):
 
-    ``("flows", payload, srcs, dsts)``   <- flow table, SoA-packed
-    ``("counts", [(fid, n)...], bound)`` -> per-flow packet counts
-    ``("ready", bound)``                 -> events scheduled, will obey advances
-    ``("advance", T)``                   <- run until T (inclusive)
+    ``("flows", payload, srcs, dsts, ranks)`` <- flow table, SoA-packed, and ranks
+    ``("ready", bound)``                 -> will obey advances
+    ``("advance", T)``                   <- emit every record at or before T
     ``("ack", T, events, payload, n, bound, packets)`` -> window results
     ``("done",)``                        <- finish
     ``("metrics", events, packets, registry_dict)`` -> final totals
     ``("error", message)``               -> any failure, then exit
+
+    ``events`` counts what the equivalent single loop would have
+    dispatched for these flows: every record, plus — for lazy
+    (start-time) allocation — one flow-start event per flow.
     """
     shard_index = config["shard"]
     crash_flag = config.get("crash_flag") or ""
@@ -380,122 +351,51 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
         from repro.kernels import get_backend
 
         backend = get_backend(config.get("backend"))
-        verb, payload, srcs, dsts = conn.recv()
+        verb, payload, srcs, dsts, ranks = conn.recv()
         if verb != "flows":
             raise SimulationError(f"shard {shard_index}: expected flows, got {verb!r}")
         table = unpack_flow_table(payload, srcs, dsts)
-
-        seed = config["seed"]
-        schedules: List[Tuple[int, FlowSpec, List[float], List[bool]]] = []
-        counts: List[Tuple[int, int]] = []
-        for fid, spec in table:
-            times, flags = flow_packet_schedule(
-                spec, _random.Random(flow_stream_seed(seed, spec))
-            )
-            schedules.append((fid, spec, times, flags))
-            counts.append((fid, len(times)))
-
-        # Shard-local calendar tuning: this shard's event population is
-        # known before anything is scheduled, so size the calendar
-        # buckets from *its own* observed inter-event gaps rather than
-        # the global default — shards with sparse schedules get wide
-        # buckets, dense ones narrow.  Tuning never changes results
-        # (schedulers are byte-identical by contract), only speed.
-        bucket_width = None
-        if resolve_scheduler_name(config.get("scheduler")) == "calendar":
-            sample: List[float] = []
-            for _fid, spec, times, _flags in schedules:
-                sample.append(spec.start)
-                sample.extend(times[: _TUNE_SAMPLE_CAP - len(sample)])
-                if len(sample) >= _TUNE_SAMPLE_CAP:
-                    break
-            bucket_width = suggest_bucket_width(sample)
-        loop = EventLoop(
-            scheduler=config.get("scheduler"), bucket_width=bucket_width
+        flows = sorted(
+            (spec.start, rank, spec) for (_fid, spec), rank in zip(table, ranks)
         )
-        with_trace = bool(config["with_trace"])
-        records: List[Tuple[float, int, int, int]] = []
-        packets = [0]
-
-        if with_trace:
-
-            def emit(t: float, fid: int, j: int, code: int) -> None:
-                packets[0] += 1
-                records.append((t, fid, j, code))
-
-        else:
-
-            def emit(t: float, fid: int, j: int, code: int) -> None:
-                packets[0] += 1
-
-        def make_fire(times, flags, fid):
-            cursor = [0]
-
-            def fire() -> None:
-                i = cursor[0]
-                cursor[0] = i + 1
-                emit(
-                    times[i],
-                    fid,
-                    i,
-                    _RECORD_RETRANS if flags[i] else _RECORD_DATA,
-                )
-
-            return fire
-
+        seed = config["seed"]
+        schedules = (
+            (
+                rank,
+                spec,
+                *flow_packet_schedule(
+                    spec, _random.Random(flow_stream_seed(seed, spec))
+                ),
+            )
+            for _start, rank, spec in flows
+        )
         if config["preload"]:
-            # Mirrors the preload block of packet_level_experiment:
-            # batch + FIN per spec, in spec order, before any event runs.
-            for fid, spec, times, flags in schedules:
-                if times:
-                    loop.schedule_batch_at(
-                        times, make_fire(times, flags, fid), name="flow.packet"
-                    )
-                if spec.sends_fin:
-                    loop.schedule_transient(
-                        spec.end,
-                        lambda fid=fid, n=len(times): emit(
-                            loop.now, fid, n, _RECORD_FIN
-                        ),
-                        name="flow.fin",
-                    )
+            # Like the single loop's preload: every schedule is built at
+            # setup, outside the timed run.
+            schedules = list(schedules)
+            starts: List[float] = []
         else:
-            # Mirrors schedule_workload: a flow-start transient per
-            # spec; the batch + FIN land when the start fires.  The
-            # schedules are the cached phase-1 ones — identical values,
-            # identical event structure, no second RNG pass.
-            for fid, spec, times, flags in schedules:
+            # Schedules are built as the merge admits flows, so the
+            # worker holds only its active flows' packets.
+            starts = [start for start, _rank, _spec in flows]
+        stream = merge_flow_packets(schedules)
+        head = next(stream, None)
+        started = 0
 
-                def start(
-                    fid: int = fid,
-                    spec: FlowSpec = spec,
-                    times: List[float] = times,
-                    flags: List[bool] = flags,
-                ) -> None:
-                    if times:
-                        loop.schedule_batch_at(
-                            times, make_fire(times, flags, fid), name="flow.packet"
-                        )
-                    if spec.sends_fin:
-                        loop.schedule_transient(
-                            spec.end,
-                            lambda fid=fid, n=len(times): emit(
-                                loop.now, fid, n, _RECORD_FIN
-                            ),
-                            name="flow.fin",
-                        )
+        def next_bound() -> Optional[float]:
+            bound = head[0] if head is not None else None
+            if started < len(starts) and (bound is None or starts[started] < bound):
+                bound = starts[started]
+            return bound
 
-                loop.schedule_transient(spec.start, start, name="flow.start")
+        conn.send(("ready", next_bound()))
 
-        conn.send(("counts", counts, loop.next_event_bound()))
-        conn.send(("ready", loop.next_event_bound()))
-
+        with_trace = bool(config["with_trace"])
+        max_events = int(config.get("max_events") or 50_000_000)
         registry = obs_metrics.MetricRegistry()
         events_total = 0
-        remaining = int(config.get("max_events") or 50_000_000)
+        packets = 0
         with obs_metrics.activate(registry):
-            if bucket_width is not None:
-                obs_metrics.gauge_set("calendar.bucket_width", bucket_width)
             while True:
                 message = conn.recv()
                 if message[0] == "done":
@@ -506,35 +406,48 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
                     )
                 consume_crash_flag(crash_flag)
                 target = message[1]
-                delta = loop.run_until(target, max_events=remaining)
-                remaining -= delta
+                columns: List[List[float]] = [[], [], [], []]
+                times, record_ranks, indices, codes = columns
+                emitted = 0
+                while head is not None and head[0] <= target:
+                    if with_trace:
+                        t, rank, j, _spec, retransmission, fin = head
+                        times.append(t)
+                        record_ranks.append(rank)
+                        indices.append(j)
+                        codes.append(
+                            _RECORD_FIN
+                            if fin
+                            else _RECORD_RETRANS if retransmission else _RECORD_DATA
+                        )
+                    emitted += 1
+                    head = next(stream, None)
+                first_start = started
+                while started < len(starts) and starts[started] <= target:
+                    started += 1
+                delta = emitted + started - first_start
                 events_total += delta
-                if records:
-                    packed = backend.soa_pack_f64(
-                        [
-                            [r[0] for r in records],
-                            [float(r[1]) for r in records],
-                            [float(r[2]) for r in records],
-                            [float(r[3]) for r in records],
-                        ]
+                packets += emitted
+                if events_total > max_events:
+                    raise SimulationError(
+                        f"shard {shard_index}: exceeded max_events={max_events} "
+                        f"before reaching t={target}",
+                        sim_time=target,
                     )
-                    count = len(records)
-                    records.clear()
-                else:
-                    packed = b""
-                    count = 0
+                obs_metrics.inc("netsim.merge.records", emitted)
+                obs_metrics.inc("netsim.merge.flow_starts", started - first_start)
                 conn.send(
                     (
                         "ack",
                         target,
                         delta,
-                        packed,
-                        count,
-                        loop.next_event_bound(),
-                        packets[0],
+                        backend.soa_pack_f64(columns) if times else b"",
+                        len(times),
+                        next_bound(),
+                        packets,
                     )
                 )
-        conn.send(("metrics", events_total, packets[0], registry.to_dict()))
+        conn.send(("metrics", events_total, packets, registry.to_dict()))
     except BaseException as exc:  # noqa: BLE001 - shipped to the coordinator
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -637,16 +550,16 @@ class ShardedPacketEngine(ShardPipeMixin):
 
         engine = ShardedPacketEngine(specs, seed=seed + 2, horizon=h,
                                      shards=4, preload=True)
-        engine.prepare()                      # fork, ship flows, bases
+        engine.prepare()                      # fork, ship flows and ranks
         result = engine.run(on_packet=cb)     # windowed advance + merge
 
-    ``prepare`` always generates every flow's packet schedule inside the
-    workers (the determinism contract needs global packet counts before
-    the first record can be admitted), so — unlike the single-loop lazy
-    mode — generation cost never lands in the timed ``run`` phase.  The
-    ``preload`` flag still matters: it selects which single-loop
-    tie-break order (setup-time vs start-time sequence allocation) the
-    merge reproduces.
+    ``prepare`` forks the workers and ships each its flow table with
+    every flow's rank.  The ``preload`` flag mirrors the single loop's:
+    preloaded workers build every packet schedule during ``prepare``
+    and the ranks reproduce setup-time allocation (rank = spec index);
+    otherwise workers build schedules as their merges admit flows,
+    inside the timed ``run``, and the ranks reproduce start-time
+    allocation (rank = position in ``(start, spec index)`` order).
 
     ``on_packet(spec, t, is_retransmission, is_fin)`` fires in the
     exact global event order of the equivalent 1-shard run.  When
@@ -662,7 +575,6 @@ class ShardedPacketEngine(ShardPipeMixin):
         seed: int,
         horizon: float,
         shards: int,
-        scheduler: Optional[str] = None,
         preload: bool = False,
         with_trace: bool = True,
         window_s: Optional[float] = None,
@@ -676,7 +588,6 @@ class ShardedPacketEngine(ShardPipeMixin):
         self.seed = seed
         self.horizon = horizon
         self.shards = resolve_shard_count(shards)
-        self.scheduler = resolve_scheduler_name(scheduler)
         self.preload = preload
         self.with_trace = with_trace
         self.crash_flag = crash_flag
@@ -700,7 +611,7 @@ class ShardedPacketEngine(ShardPipeMixin):
         )
         self._procs: List[mp.process.BaseProcess] = []
         self._conns: List = []
-        self._bases: List[int] = []
+        self._by_rank: List[FlowSpec] = []
         self._bounds: List[Optional[float]] = []
         self._pipe_bytes = 0
         self._prepared = False
@@ -708,13 +619,23 @@ class ShardedPacketEngine(ShardPipeMixin):
     # -- lifecycle ---------------------------------------------------
 
     def prepare(self) -> None:
-        """Fork the shard workers, ship flow tables, compute bases."""
+        """Fork the shard workers and ship flow tables with ranks."""
         if self._prepared:
             raise SimulationError("engine already prepared")
-        assignment = assign_flows_to_shards(self.specs, self.shards)
+        specs = self.specs
+        assignment = assign_flows_to_shards(specs, self.shards)
         by_shard: List[List[int]] = [[] for _ in range(self.shards)]
         for index, shard in enumerate(assignment):
             by_shard[shard].append(index)
+        order = (
+            range(len(specs))
+            if self.preload
+            else sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+        )
+        ranks = [0] * len(specs)
+        for rank, index in enumerate(order):
+            ranks[index] = rank
+        self._by_rank = [specs[index] for index in order]
 
         try:
             ctx = mp.get_context("fork")
@@ -728,7 +649,6 @@ class ShardedPacketEngine(ShardPipeMixin):
             config = {
                 "shard": shard,
                 "seed": self.seed,
-                "scheduler": self.scheduler,
                 "preload": self.preload,
                 "with_trace": self.with_trace,
                 "backend": backend_name,
@@ -746,20 +666,14 @@ class ShardedPacketEngine(ShardPipeMixin):
             self._procs.append(proc)
             self._conns.append(parent_conn)
 
-        counts = [0] * len(self.specs)
         try:
             for shard in range(self.shards):
-                payload, srcs, dsts = pack_flow_table(self.specs, by_shard[shard])
-                self._conns[shard].send(("flows", payload, srcs, dsts))
+                indices = by_shard[shard]
+                payload, srcs, dsts = pack_flow_table(specs, indices)
+                self._conns[shard].send(
+                    ("flows", payload, srcs, dsts, [ranks[i] for i in indices])
+                )
                 self._pipe_bytes += len(payload)
-            for shard in range(self.shards):
-                verb, shard_counts, _bound = self._recv(shard, sim_time=0.0)
-                if verb != "counts":
-                    raise SimulationError(
-                        f"shard {shard}: expected counts, got {verb!r}"
-                    )
-                for fid, n in shard_counts:
-                    counts[fid] = n
             for shard in range(self.shards):
                 verb, bound = self._recv(shard, sim_time=0.0)
                 if verb != "ready":
@@ -770,7 +684,6 @@ class ShardedPacketEngine(ShardPipeMixin):
         except BaseException:
             self._shutdown()
             raise
-        self._bases = compute_global_bases(self.specs, counts, self.preload)
         self._prepared = True
 
     def run(
@@ -787,8 +700,7 @@ class ShardedPacketEngine(ShardPipeMixin):
         from repro.kernels import get_backend
 
         backend = get_backend()
-        specs = self.specs
-        bases = self._bases
+        by_rank = self._by_rank
         result = ShardedRunResult(
             events=0,
             packets=0,
@@ -817,7 +729,8 @@ class ShardedPacketEngine(ShardPipeMixin):
                     target = min(min(known), horizon)
                     result.fast_forwards += 1
                     obs_metrics.inc("sharded.fast_forwards")
-                streams: List[List[Tuple[float, int, int, int]]] = []
+                streams: List[Iterable[Tuple[float, float, float, float]]] = []
+                shipped = 0
                 window_bytes = 0
                 first_ack = last_ack = 0.0
                 for shard in range(self.shards):
@@ -843,21 +756,12 @@ class ShardedPacketEngine(ShardPipeMixin):
                         obs_metrics.inc(
                             f"sharded.shard{shard}.pipe_bytes", len(payload)
                         )
-                        columns = backend.soa_unpack_f64(payload, RECORD_COLUMNS)
-                        times, fids, indices, codes = columns
+                        shipped += count
                         streams.append(
-                            [
-                                (
-                                    times[k],
-                                    bases[int(fids[k])] + int(indices[k]),
-                                    int(fids[k]),
-                                    int(codes[k]),
-                                )
-                                for k in range(count)
-                            ]
+                            zip(*backend.soa_unpack_f64(payload, RECORD_COLUMNS))
                         )
                 if self.adaptive is not None:
-                    self.adaptive.observe(sum(len(s) for s in streams))
+                    self.adaptive.observe(shipped)
                 result.windows += 1
                 result.pipe_bytes += window_bytes
                 self._pipe_bytes += window_bytes
@@ -871,11 +775,12 @@ class ShardedPacketEngine(ShardPipeMixin):
                     merged = (
                         heapq.merge(*streams) if len(streams) > 1 else streams[0]
                     )
-                    for rec_t, _gseq, fid, code in merged:
+                    # (time, rank, index) is the single-loop order.
+                    for rec_t, rank, _index, code in merged:
                         if advance_loop:
                             loop.run_until(rec_t)
                         on_packet(
-                            specs[fid],
+                            by_rank[int(rank)],
                             rec_t,
                             code == _RECORD_RETRANS,
                             code == _RECORD_FIN,
@@ -914,39 +819,6 @@ class ShardedPacketEngine(ShardPipeMixin):
         finally:
             self._shutdown()
         return result
-
-def run_sharded_packet_workload(
-    specs: Sequence[FlowSpec],
-    *,
-    seed: int,
-    horizon: float,
-    shards: int,
-    scheduler: Optional[str] = None,
-    preload: bool = False,
-    with_trace: bool = True,
-    on_packet: Optional[Callable[[FlowSpec, float, bool, bool], None]] = None,
-    loop: Optional[EventLoop] = None,
-    advance_loop: bool = False,
-    window_s: Optional[float] = None,
-    adaptive_window: Optional[bool] = None,
-    crash_flag: Optional[str] = None,
-) -> ShardedRunResult:
-    """One-shot convenience: prepare + run a :class:`ShardedPacketEngine`."""
-    engine = ShardedPacketEngine(
-        specs,
-        seed=seed,
-        horizon=horizon,
-        shards=shards,
-        scheduler=scheduler,
-        preload=preload,
-        with_trace=with_trace,
-        window_s=window_s,
-        adaptive_window=adaptive_window,
-        crash_flag=crash_flag,
-    )
-    engine.prepare()
-    return engine.run(on_packet=on_packet, loop=loop, advance_loop=advance_loop)
-
 
 def degrade_to_single_shard(
     rebuild: Callable[[int], object]

@@ -29,7 +29,6 @@ see EXPERIMENTS.md, "Workload classes".
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import random
@@ -39,7 +38,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple, hosts_in_prefix
-from repro.flows.generators import FlowSpec, flow_packet_schedule, flow_stream_seed
+from repro.flows.generators import FlowSpec, iter_flow_schedules, merge_flow_packets
 from repro.kernels import derive_seed
 from repro.netsim.trace import TraceRecord
 from repro.workloads.cdf import EmpiricalCDF, resolve_cdf
@@ -361,52 +360,34 @@ def stream_trace_records(
     The streaming counterpart of
     :func:`repro.flows.generators.emit_trace`: byte-identical records
     in the identical order (specs must arrive in non-decreasing start
-    order), but holding only *active* flows' schedules in a heap —
-    peak memory is bounded by flow concurrency, not trace length.
-    Feed it to a :class:`~repro.netsim.trace.StreamingTraceAggregator`
-    and a million-flow trace never exists in memory.
+    order), rendered by :func:`~repro.flows.generators.merge_flow_packets`
+    with rank = position in the stream — schedules are generated only as
+    flows are admitted, so peak memory is bounded by flow concurrency,
+    not trace length.  Feed it to a
+    :class:`~repro.netsim.trace.StreamingTraceAggregator` and a
+    million-flow trace never exists in memory.
 
     ``stats`` (optional dict) is filled with ``peak_pending`` (largest
     number of not-yet-emitted records held), ``admitted`` flows and
     ``emitted`` records — the test layer's bounded-memory check.
     """
-    heap: List[Tuple[float, int, FlowSpec, bool, bool]] = []
-    seq = 0
     peak_pending = 0
     admitted = 0
+    held = 0
     emitted = 0
-    spec_iter = iter(specs)
-    next_spec = next(spec_iter, None)
-    last_start = None
 
-    def admit(spec: FlowSpec) -> None:
-        nonlocal seq, peak_pending, admitted
-        flow_rng = random.Random(flow_stream_seed(seed, spec))
-        times, flags = flow_packet_schedule(spec, flow_rng)
-        for t, flag in zip(times, flags):
-            heapq.heappush(heap, (t, seq, spec, flag, False))
-            seq += 1
-        if spec.sends_fin:
-            heapq.heappush(heap, (spec.end, seq, spec, False, True))
-            seq += 1
-        admitted += 1
-        if len(heap) > peak_pending:
-            peak_pending = len(heap)
+    def ranked() -> Iterator[Tuple[int, FlowSpec, List[float], List[bool]]]:
+        nonlocal peak_pending, admitted, held
+        for spec, times, flags in iter_flow_schedules(specs, seed):
+            held += len(times) + (1 if spec.sends_fin else 0)
+            if held - emitted > peak_pending:
+                peak_pending = held - emitted
+            yield admitted, spec, times, flags
+            admitted += 1
 
-    while heap or next_spec is not None:
-        # Admit every spec that could still produce a record at or
-        # before the heap's head time; the seq tiebreak then reproduces
-        # emit_trace's stable sort (spec order within equal times).
-        while next_spec is not None and (not heap or next_spec.start < heap[0][0]):
-            if last_start is not None and next_spec.start < last_start:
-                raise ConfigurationError(
-                    "stream_trace_records needs specs in non-decreasing "
-                    f"start order: {next_spec.start} < {last_start}"
-                )
-            last_start = next_spec.start
-            admit(next_spec)
-            next_spec = next(spec_iter, None)
-        time, _, spec, is_retransmission, is_fin = heapq.heappop(heap)
+    for time, _rank, _index, spec, is_retransmission, is_fin in merge_flow_packets(
+        ranked()
+    ):
         emitted += 1
         yield TraceRecord(
             time=time,

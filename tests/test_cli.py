@@ -272,6 +272,29 @@ class TestSchedulerAndProfile:
         assert code == 2
         assert "invalid scheduler" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "ron-probe-divert"], ["scenarios", "run", "blink-web-search"]],
+        ids=["run", "scenarios-run"],
+    )
+    @pytest.mark.parametrize(
+        "env, value, message",
+        [
+            ("REPRO_SCHEDULER", "bogus", "invalid scheduler"),
+            ("REPRO_SHARDS", "many", "invalid shard count"),
+            ("REPRO_ADAPTIVE_WINDOW", "maybe", "invalid adaptive-window setting"),
+        ],
+        ids=["scheduler", "shards", "adaptive-window"],
+    )
+    def test_bad_engine_knob_env_exits_2(
+        self, capsys, monkeypatch, command, env, value, message
+    ):
+        for name in ("REPRO_SCHEDULER", "REPRO_SHARDS", "REPRO_ADAPTIVE_WINDOW"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(env, value)
+        assert main(command) == 2
+        assert message in capsys.readouterr().err
+
     def test_run_profile_writes_pstats_and_prints_hotspots(
         self, capsys, tmp_path
     ):

@@ -1,17 +1,20 @@
-"""Sharded simulation: partitioner, codec, bases, windows, chaos.
+"""Sharded simulation: partitioner, codec, merge order, windows, chaos.
 
 The determinism contract itself (byte-identical report hashes across
 shard counts, schedulers and backends) is pinned by the parity grid in
 ``test_blink_packet_level.py``; this file covers the building blocks —
 the sha256-seeded topology partitioner (Hypothesis), the SoA flow/record
-codecs, the global sequence-base reconstruction, the crash-chaos path
-(``ShardCrashError`` + single-shard degrade), and the per-shard metric
-labelling the ledger relies on.
+codecs, the ``(time, rank, index)`` merge the shards stream their
+packets through (Hypothesis, against the single event loop and the
+offline trace), the crash-chaos path (``ShardCrashError`` +
+single-shard degrade), and the per-shard metric labelling the ledger
+relies on.
 """
 
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +22,25 @@ from hypothesis import strategies as st
 
 from repro.blink.packet_level import blink_attack_specs, packet_level_experiment
 from repro.core.errors import ConfigurationError, ShardCrashError, SimulationError
+from repro.flows.flow import FiveTuple
+from repro.flows.generators import (
+    FlowSpec,
+    emit_trace,
+    flow_packet_schedule,
+    flow_stream_seed,
+    merge_flow_packets,
+    schedule_workload,
+)
+from repro.netsim.events import EventLoop
 from repro.netsim.sharded import (
     FLOW_SOURCE_NODES,
     RECORD_COLUMNS,
     SHARDS_ENV,
+    ShardedPacketEngine,
     assign_flows_to_shards,
-    compute_global_bases,
     degrade_to_single_shard,
     pack_flow_table,
     resolve_shard_count,
-    run_sharded_packet_workload,
     unpack_flow_table,
 )
 from repro.netsim.topology import (
@@ -204,7 +216,7 @@ class TestPartitionerProperties:
         assert max(weights) - min(weights) <= 1.5 * max_node
 
 
-# -- flow assignment and global bases ---------------------------------------
+# -- flow assignment ---------------------------------------------------------
 
 
 class TestFlowAssignment:
@@ -221,29 +233,95 @@ class TestFlowAssignment:
         assert len(set(first)) == 4
 
 
-class TestGlobalBases:
-    def test_preload_prefix_sums_in_spec_order(self):
-        specs = tiny_specs()[:4]
-        counts = [3, 0, 5, 2]
-        bases = compute_global_bases(specs, counts, preload=True)
-        cursor = 0
-        for i, spec in enumerate(specs):
-            assert bases[i] == cursor
-            cursor += counts[i] + (1 if spec.sends_fin else 0)
+# -- the ordered packet merge ------------------------------------------------
 
-    def test_lazy_orders_by_start_then_index(self):
-        specs = tiny_specs()[:6]
-        counts = [2] * 6
-        bases = compute_global_bases(specs, counts, preload=False)
-        order = sorted(range(6), key=lambda i: (specs[i].start, i))
-        cursor = len(specs)  # flow-start transients own sequences 0..n-1
-        for i in order:
-            assert bases[i] == cursor
-            cursor += counts[i] + (1 if specs[i].sends_fin else 0)
+#: Horizon of the merge properties.  Starts and durations are drawn from
+#: small grids so equal starts, zero-duration flows, FINs exactly at the
+#: horizon and flows running past it all turn up.
+MERGE_HORIZON = 4.0
 
-    def test_misaligned_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            compute_global_bases(tiny_specs()[:3], [1, 2], preload=True)
+
+@st.composite
+def merge_specs(draw):
+    count = draw(st.integers(min_value=1, max_value=12))
+    specs = []
+    for i in range(count):
+        specs.append(
+            FlowSpec(
+                flow=FiveTuple("10.0.0.1", "198.51.100.7", 1024 + i, 443, 6),
+                start=draw(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0])),
+                duration=draw(st.sampled_from([0.0, 0.75, 1.5, 3.0, 6.0])),
+                packet_rate=draw(st.sampled_from([1.0, 2.0, 8.0])),
+                retransmit_probability=draw(st.sampled_from([0.0, 0.5])),
+                sends_fin=draw(st.booleans()),
+                constant_rate=draw(st.booleans()),
+            )
+        )
+    return specs
+
+
+def _merged(specs, seed, ranks):
+    """The merge over ``specs`` fed in start order with the given ranks."""
+    order = sorted(range(len(specs)), key=lambda i: specs[i].start)
+    flows = (
+        (
+            ranks[i],
+            specs[i],
+            *flow_packet_schedule(
+                specs[i], random.Random(flow_stream_seed(seed, specs[i]))
+            ),
+        )
+        for i in order
+    )
+    return [
+        (t, spec.flow, retransmission, fin)
+        for t, _rank, _index, spec, retransmission, fin in merge_flow_packets(flows)
+    ]
+
+
+class TestMergeOrder:
+    @given(specs=merge_specs(), seed=st.integers(min_value=0, max_value=50))
+    @settings(max_examples=60, deadline=None)
+    def test_start_rank_merge_is_the_event_loop_order(self, specs, seed):
+        order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+        ranks = [0] * len(specs)
+        for rank, i in enumerate(order):
+            ranks[i] = rank
+        merged = [r for r in _merged(specs, seed, ranks) if r[0] <= MERGE_HORIZON]
+        starts = sum(1 for spec in specs if spec.start <= MERGE_HORIZON)
+        for scheduler in ("heap", "calendar"):
+            loop = EventLoop(scheduler=scheduler)
+            seen = []
+            schedule_workload(
+                loop,
+                specs,
+                seed=seed,
+                on_packet=lambda spec, t, retransmission, fin: seen.append(
+                    (t, spec.flow, retransmission, fin)
+                ),
+            )
+            events = loop.run_until(MERGE_HORIZON)
+            assert seen == merged, scheduler
+            assert events == len(merged) + starts, scheduler
+
+    @given(specs=merge_specs(), seed=st.integers(min_value=0, max_value=50))
+    @settings(max_examples=60, deadline=None)
+    def test_spec_rank_merge_is_the_offline_trace(self, specs, seed):
+        # Specs stay in drawn (unsorted) order: the rank, not the feed
+        # order, carries emit_trace's stable-sort tie-break.
+        offline = [
+            (r.time, r.flow, r.is_retransmission, r.is_fin_or_rst)
+            for r in emit_trace(specs, seed=seed)
+        ]
+        assert _merged(specs, seed, list(range(len(specs)))) == offline
+
+    def test_decreasing_start_rejected(self):
+        flow = FiveTuple("10.0.0.1", "198.51.100.7", 1024, 443, 6)
+        late = FlowSpec(flow=flow, start=3.0, duration=1.0)
+        early = FlowSpec(flow=flow, start=1.0, duration=1.0)
+        flows = [(0, late, [3.0], [False]), (1, early, [1.0], [False])]
+        with pytest.raises(ConfigurationError, match="non-decreasing"):
+            list(merge_flow_packets(flows))
 
 
 # -- the SoA codecs ----------------------------------------------------------
@@ -290,15 +368,19 @@ class TestFlowTableCodec:
 # -- the process-parallel packet engine --------------------------------------
 
 
+def run_engine(specs, on_packet=None, **kwargs):
+    engine = ShardedPacketEngine(specs, seed=6, **kwargs)
+    return engine.run(on_packet=on_packet)
+
+
 class TestShardedPacketEngine:
     def test_callback_stream_identical_across_shard_counts(self):
         specs = tiny_specs()
 
         def collect(shards):
             seen = []
-            run_sharded_packet_workload(
+            run_engine(
                 specs,
-                seed=6,
                 horizon=TINY["horizon"],
                 shards=shards,
                 on_packet=lambda spec, t, retrans, fin: seen.append(
@@ -314,9 +396,7 @@ class TestShardedPacketEngine:
 
     def test_windows_and_result_accounting(self):
         specs = tiny_specs()
-        result = run_sharded_packet_workload(
-            specs, seed=6, horizon=TINY["horizon"], shards=2
-        )
+        result = run_engine(specs, horizon=TINY["horizon"], shards=2)
         assert result.shards == 2
         assert result.windows >= 1
         assert result.packets > 0
@@ -326,11 +406,9 @@ class TestShardedPacketEngine:
 
     def test_traceless_run_counts_without_shipping_records(self):
         specs = tiny_specs()
-        traced = run_sharded_packet_workload(
-            specs, seed=6, horizon=TINY["horizon"], shards=2
-        )
-        bare = run_sharded_packet_workload(
-            specs, seed=6, horizon=TINY["horizon"], shards=2, with_trace=False
+        traced = run_engine(specs, horizon=TINY["horizon"], shards=2)
+        bare = run_engine(
+            specs, horizon=TINY["horizon"], shards=2, with_trace=False
         )
         assert bare.packets == traced.packets
         assert bare.pipe_bytes == 0  # nothing to merge, nothing shipped
@@ -339,16 +417,14 @@ class TestShardedPacketEngine:
     def test_fast_forward_skips_quiet_regions(self):
         from dataclasses import replace
 
-        # Two bursts separated by a long silence: the flow-start
-        # transients of the late burst give every shard a known future
-        # bound, so the null-message fast-forward must jump the gap
-        # instead of grinding one-second windows across it.
+        # Two bursts separated by a long silence: the late burst's flow
+        # starts give every shard a known future bound, so the
+        # null-message fast-forward must jump the gap instead of
+        # grinding one-second windows across it.
         base = blink_attack_specs(seed=6, horizon=5.0, legitimate_flows=8,
                                   malicious_flows=1)
         late = [replace(spec, start=spec.start + 150.0) for spec in base]
-        result = run_sharded_packet_workload(
-            base + late, seed=6, horizon=200.0, shards=2, window_s=1.0
-        )
+        result = run_engine(base + late, horizon=200.0, shards=2, window_s=1.0)
         assert result.fast_forwards > 0
         assert result.windows < 60  # far fewer than horizon / window
 
