@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
 """Blink hijack, end to end (Section 3.1 / E2+E4).
 
-Runs the event-driven packet-level experiment: a steady pool of
+Runs the packet-level experiment: a steady pool of
 legitimate flows plus persistent attack flows faking retransmissions,
 streamed through the reconstructed Blink pipeline, showing (i) the
 malicious share of the monitored sample growing over time (the Fig. 2
 dynamics including hash coverage and eviction effects the closed form
 ignores), and (ii) the resulting bogus reroute.
 
-The scheduler backend honours ``REPRO_SCHEDULER`` (``heap`` or
-``calendar``); the throughput line at the end makes the difference
-user-visible.
+By default the flows' packet schedules are merged without an event
+loop (``scheduler=merge`` in the last line); setting
+``REPRO_SCHEDULER`` (``heap`` or ``calendar``) runs the same experiment
+through the event loop instead, with the same outcome, and the
+throughput line at the end makes the difference user-visible.
 
-Run:  python examples/blink_hijack.py        (~10 s)
+Run:  python examples/blink_hijack.py        (~2-4 s)
 """
 
 from repro.analysis import ascii_table, series_block

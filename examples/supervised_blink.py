@@ -86,8 +86,8 @@ def main() -> None:
     )
     print()
 
-    # The same monitor logic runs at packet level on the fast-path
-    # engine (honours REPRO_SCHEDULER=heap|calendar).
+    # The same monitor logic runs at packet level: loop-free by
+    # default, on the event loop under REPRO_SCHEDULER=heap|calendar.
     from repro.blink import packet_level_experiment
 
     report = packet_level_experiment(

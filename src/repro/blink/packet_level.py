@@ -1,53 +1,70 @@
-"""Event-driven packet-level Blink experiment (Section 3.1, E2).
+"""Packet-level Blink experiment (Section 3.1, E2).
 
 This module is the shared driver behind the packet-level bench, the
 cross-scheduler determinism tests and the examples.  Instead of
 materialising the whole workload as a sorted :class:`~repro.netsim.
 trace.Trace` (~2M records at full scale) and replaying it offline, the
-experiment runs *through the event loop*:
+experiment streams each flow's packets as the flow starts.  Which
+engine orders the stream depends on the run:
 
-* :func:`~repro.flows.generators.schedule_workload` bulk-loads each
-  flow's packet schedule when the flow starts (one shared event per
-  flow on the calendar scheduler);
-* every emitted packet is folded into a
-  :class:`~repro.netsim.trace.StreamingTraceAggregator` — O(1) running
-  counters plus a bounded ring buffer, so memory stays flat no matter
-  the horizon;
-* the aggregator's sink pushes each observation straight into a
-  :class:`~repro.blink.pipeline.TraceReplaySession`, which reproduces
-  the exact sampling cadence of the offline
+* **Default — no event loop.**  With one shard, no ``through_link``,
+  no ``preload`` and no scheduler named (neither ``scheduler=`` nor
+  ``$REPRO_SCHEDULER``), E2 is open loop: no timers, no feedback.  The
+  flows' schedules are merged by
+  :func:`~repro.flows.generators.merge_flow_packets` in the loop's
+  own order and handed over in fixed-size chunks:
+  :meth:`~repro.netsim.trace.StreamingTraceAggregator.observe_batch`
+  keeps O(1) running counters plus a bounded ring buffer, and
+  :meth:`~repro.blink.pipeline.TraceReplaySession.feed_batch` feeds
+  Blink with the exact sampling cadence of the offline
   :meth:`~repro.blink.pipeline.BlinkSwitch.replay_trace`.
+  ``PacketLevelReport.scheduler`` reads ``"merge"``.
+* **Event loop — the reference.**  ``through_link``, ``preload`` or a
+  named scheduler runs the flows through an
+  :class:`~repro.netsim.events.EventLoop`:
+  :func:`~repro.flows.generators.schedule_workload` bulk-loads each
+  flow's schedule when it starts, and every packet passes through the
+  aggregator's sink into the same replay session, one record at a time.
+* **Sharded.**  Two or more shards merge per-shard streams from forked
+  workers (:class:`~repro.netsim.sharded.ShardedPacketEngine`).
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,
-aggregate counters — *not* wall time or the scheduler name), which is
-what the CI parity gate compares across the ``heap`` and ``calendar``
-scheduler backends: same seed, different scheduler, identical hash.
+aggregate counters — *not* wall time, the scheduler name or the shard
+count), which is what the parity gates compare: the ``heap`` and
+``calendar`` loops, the loop-free default and every shard count give
+the same hash for the same parameters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time as _wallclock
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
-from repro.blink.pipeline import BlinkSwitch
+from repro.blink.pipeline import BlinkSwitch, TraceReplaySession
+from repro.core.errors import SimulationError
 from repro.core.metrics import first_crossing_time
 from repro.flows.generators import (
     DurationDistribution,
     FlowSpec,
     iter_flow_schedules,
     malicious_flow_schedule,
+    merge_flow_packets,
     schedule_workload,
     steady_state_flow_schedule,
 )
-from repro.netsim.events import EventLoop, resolve_scheduler_name
+from repro.netsim.events import SCHEDULER_ENV, EventLoop, resolve_scheduler_name
 from repro.netsim.link import Link
 from repro.netsim.sharded import ShardedPacketEngine, resolve_shard_count
 from repro.netsim.packet import TcpFlags, tcp_packet
 from repro.netsim.trace import StreamingTraceAggregator, TraceRecord
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
 #: Wire sizes matching :func:`repro.flows.generators.emit_trace`, so the
@@ -55,6 +72,20 @@ from repro.obs import tracer as obs
 #: trace rendering.
 DATA_PACKET_BYTES = 1500
 FIN_PACKET_BYTES = 40
+
+#: Records per hand-off to the aggregator and Blink on the loop-free path.
+MERGE_CHUNK = 4096
+
+#: Merged records transposed into columns at a time: below the garbage
+#: collector's default young-generation threshold (700 allocations).
+MERGE_SLICE = 512
+
+#: ``PacketLevelReport.scheduler`` on the loop-free path.
+MERGE_SCHEDULER = "merge"
+
+#: Runaway guard: a run dispatching this many events (records plus flow
+#: starts) raises :class:`SimulationError`, on either path.
+MAX_EVENTS = 50_000_000
 
 
 @dataclass(slots=True)
@@ -195,17 +226,20 @@ def packet_level_experiment(
     adaptive_window: Optional[bool] = None,
     shard_crash_flag: Optional[str] = None,
 ) -> PacketLevelReport:
-    """Run the packet-level capture experiment through the event loop.
+    """Run the packet-level capture experiment.
 
     Args:
-        scheduler: event-queue backend (``"heap"``/``"calendar"``;
-            None resolves via ``REPRO_SCHEDULER`` then the default).
+        scheduler: event-queue backend (``"heap"``/``"calendar"``).
+            Naming one, here or in ``REPRO_SCHEDULER``, runs the event
+            loop; with neither, a 1-shard run without ``preload`` or
+            ``through_link`` runs no loop at all (see the module
+            docstring), and the other runs use the default scheduler.
         shards: worker-process count for the sharded engine (None
             resolves via ``REPRO_SHARDS`` then 1).  ``shards=1`` runs
-            the single-loop path; any other count merges per-shard
-            packet streams in forked processes, and the merged
-            observation order — and therefore ``report_hash`` — is
-            byte-identical to the single-loop run.
+            the loop-free or the single-loop path; any other count
+            merges per-shard packet streams in forked processes, and
+            the merged observation order — and therefore
+            ``report_hash`` — is byte-identical to the single-loop run.
         adaptive_window: grow sharded sync windows over quiet stretches
             (None resolves via ``REPRO_ADAPTIVE_WINDOW`` then off);
             a pure execution knob — the report hash never changes.
@@ -220,7 +254,8 @@ def packet_level_experiment(
             ``blink_packet_level_events`` bench record measures, where
             per-event cost is scheduling + dispatch alone.
         preload: bulk-load every flow's packet schedule into the queue
-            *before* the timed run instead of lazily at flow start.
+            *before* the timed run instead of lazily at flow start
+            (always runs the event loop, or the sharded engine).
             The queue then holds the full workload (hundreds of
             thousands of entries), which is where the calendar queue's
             O(1) operations beat the heap's O(log n) hardest; the
@@ -231,18 +266,30 @@ def packet_level_experiment(
         through_link: additionally push every packet through a pooled
             ingress :class:`~repro.netsim.link.Link` (serialisation +
             propagation delay, free-list packet recycling) before it is
-            observed.  Off by default: the paper's experiment feeds the
-            mirror directly, and link delays shift observation times.
+            observed (always runs the event loop).  Off by default: the
+            paper's experiment feeds the mirror directly, and link delays
+            shift observation times.
         ring_capacity: bound of the aggregator's recent-record ring
             buffer (0 disables retention entirely).
         fault: optional :class:`~repro.faults.injectors.TelemetryFault`
-            gate applied per record (drop/garble) on the way into Blink.
+            gate applied per record (drop/garble) on the way into Blink,
+            in record order on every path, so its RNG stream is the same.
 
     Returns a :class:`PacketLevelReport`; its ``report_hash`` is
-    invariant across scheduler backends for identical parameters.
+    invariant across scheduler backends, the loop-free default and
+    shard counts for identical parameters.
     """
-    scheduler_name = resolve_scheduler_name(scheduler)
     shard_count = resolve_shard_count(shards)
+    loop_free = (
+        shard_count == 1
+        and not through_link
+        and not preload
+        and scheduler is None
+        and not os.environ.get(SCHEDULER_ENV, "").strip()
+    )
+    scheduler_name = (
+        MERGE_SCHEDULER if loop_free else resolve_scheduler_name(scheduler)
+    )
     specs = blink_attack_specs(
         destination_prefix,
         horizon=horizon,
@@ -253,7 +300,6 @@ def packet_level_experiment(
         seed=seed,
     )
 
-    loop = EventLoop(scheduler=scheduler_name)
     if not with_trace:
         with_blink = False
     switch: Optional[BlinkSwitch] = None
@@ -281,9 +327,13 @@ def packet_level_experiment(
         aggregator = StreamingTraceAggregator(
             name="blink-attack",
             ring_capacity=ring_capacity,
-            sink=sink,
+            # The loop-free path hands the aggregator and Blink whole
+            # chunks side by side instead of chaining them per record.
+            sink=None if loop_free else sink,
         )
         observe = aggregator.observe
+
+    loop = None if loop_free else EventLoop(scheduler=scheduler_name)
     packet_count = [0]
 
     if not with_trace:
@@ -359,7 +409,9 @@ def packet_level_experiment(
                 spec.malicious,
             )
 
-    if shard_count > 1:
+    if loop_free:
+        flows = len(specs)
+    elif shard_count > 1:
         # Sharded engine: each forked worker merges its flows' packet
         # schedules (no event loop) and ships them in conservative
         # lookahead windows; the coordinator merges the shard streams
@@ -434,7 +486,12 @@ def packet_level_experiment(
             through_link=through_link,
         ):
             wall_start = _wallclock.perf_counter()
-            events = loop.run_until(horizon, max_events=50_000_000)
+            if loop_free:
+                events, packet_count[0] = _run_merged(
+                    specs, seed + 2, horizon, aggregator, session, fault
+                )
+            else:
+                events = loop.run_until(horizon, max_events=MAX_EVENTS)
             wall_seconds = _wallclock.perf_counter() - wall_start
     peak_ring = aggregator.ring_memory_bytes() if aggregator is not None else 0
 
@@ -481,3 +538,112 @@ def packet_level_experiment(
         peak_ring_bytes=peak_ring,
         shards=shard_count,
     )
+
+
+def _run_merged(
+    specs: List[FlowSpec],
+    seed: int,
+    horizon: float,
+    aggregator: Optional[StreamingTraceAggregator],
+    session: Optional[TraceReplaySession],
+    fault: Optional[object],
+) -> Tuple[int, int]:
+    """The loop-free path: merge the flows' schedules, feed them in chunks.
+
+    Ranks are positions in ``(start, spec index)`` order, so the merge
+    yields exactly the callback order of :func:`schedule_workload` on
+    either scheduler.  Schedules are generated as the merge admits
+    flows; flows starting after ``horizon`` are never admitted, since
+    none of their records could fall inside it.  Returns ``(events,
+    records)``, where ``events`` counts what the loop would have
+    dispatched: every record plus one flow-start per admitted flow.
+    """
+    order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+    admitted = [specs[i] for i in order if specs[i].start <= horizon]
+    starts = len(admitted)
+    stream = merge_flow_packets(
+        (rank, spec, times, flags)
+        for rank, (spec, times, flags) in enumerate(
+            iter_flow_schedules(admitted, seed)
+        )
+    )
+    records = 0
+    for times, chunk_specs, retrans, fins in _column_chunks(stream, horizon):
+        records += len(times)
+        if records + starts >= MAX_EVENTS:
+            raise SimulationError(
+                f"exceeded max_events={MAX_EVENTS} before reaching t={horizon}",
+                sim_time=times[-1],
+            )
+        if aggregator is None:
+            continue
+        flows = [spec.flow for spec in chunk_specs]
+        malicious = [spec.malicious for spec in chunk_specs]
+        sizes = [FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES for fin in fins]
+        aggregator.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
+        if session is None:
+            continue
+        if fault is not None:
+            session.feed_batch(
+                *_degrade_chunk(fault, times, flows, sizes, retrans, fins, malicious)
+            )
+        else:
+            session.feed_batch(times, flows, retrans, fins, malicious)
+    obs_metrics.inc("netsim.merge.records", records)
+    obs_metrics.inc("netsim.merge.flow_starts", starts)
+    return records + starts, records
+
+
+def _column_chunks(stream, horizon: float):
+    """``(times, specs, retransmissions, fins)`` columns of the merged
+    records at or before ``horizon``, :data:`MERGE_CHUNK` rows at a time.
+
+    The merge's record tuples are transposed :data:`MERGE_SLICE` at a
+    time, so few of them live long enough to be promoted by the garbage
+    collector; the columns themselves are a handful of lists.
+    """
+    columns: Tuple[list, list, list, list] = ([], [], [], [])
+    while True:
+        part = tuple(zip(*islice(stream, MERGE_SLICE)))
+        if not part:
+            break
+        times, _ranks, _indices, specs, retrans, fins = part
+        past_horizon = times[-1] > horizon
+        if past_horizon:
+            cut = bisect_right(times, horizon)
+            times, specs, retrans, fins = (
+                times[:cut], specs[:cut], retrans[:cut], fins[:cut]
+            )
+        for column, values in zip(columns, (times, specs, retrans, fins)):
+            column.extend(values)
+        if past_horizon:
+            break
+        if len(columns[0]) >= MERGE_CHUNK:
+            yield columns
+            columns = ([], [], [], [])
+    if columns[0]:
+        yield columns
+
+
+def _degrade_chunk(fault, times, flows, sizes, retrans, fins, malicious) -> tuple:
+    """A chunk's Blink columns after ``fault.degrade_record``, in record order.
+
+    The records are the ones the aggregator's sink would have passed
+    on, so the fault's RNG stream is the same as on the loop path.
+    """
+    kept = []
+    for row in zip(times, flows, sizes, retrans, fins, malicious):
+        record = fault.degrade_record(  # type: ignore[attr-defined]
+            TraceRecord(row[0], row[1], row[2], "ingress", *row[3:])
+        )
+        if record is not None:
+            kept.append(
+                (
+                    record.time,
+                    record.flow,
+                    record.is_retransmission,
+                    record.is_fin_or_rst,
+                    record.malicious_ground_truth,
+                )
+            )
+    return tuple(zip(*kept)) if kept else ((), (), (), (), ())

@@ -484,9 +484,9 @@ class BlinkSwitch:
 class TraceReplaySession:
     """Incremental trace replay against a :class:`BlinkSwitch`.
 
-    Replays records pushed via :meth:`feed` with exactly the sampling
-    cadence of :meth:`BlinkSwitch.replay_trace` (which is now built on
-    this class): before any record at or past the next sample boundary
+    Replays records pushed via :meth:`feed` (or whole column chunks via
+    :meth:`feed_batch`) with exactly the sampling cadence of
+    :meth:`BlinkSwitch.replay_trace` (which is now built on this class): before any record at or past the next sample boundary
     is processed, every monitor's reset timer is serviced and the
     ground-truth malicious occupancy is appended to the per-prefix
     series.  Call :meth:`finish` once the source is exhausted to fold
@@ -512,18 +512,69 @@ class TraceReplaySession:
         if next_sample is None:
             next_sample = time
         if time >= next_sample:
-            monitors = self.switch.monitors
-            series = self.series
-            while time >= next_sample:
-                for prefix, monitor in monitors.items():
-                    monitor.selector.maybe_reset(next_sample)
-                    series[prefix].record(
-                        next_sample, monitor.selector.malicious_count(next_sample)
-                    )
-                next_sample += self.sample_interval
+            next_sample = self._sample_until(time, next_sample)
         self._next_sample = next_sample
         self.packets += 1
         self.switch.replay_record(record)
+
+    def feed_batch(
+        self,
+        times: Sequence[float],
+        flows: Sequence[FiveTuple],
+        retransmissions: Sequence[bool],
+        fins: Sequence[bool],
+        malicious: Sequence[bool],
+    ) -> None:
+        """Process a chunk of records given as parallel columns.
+
+        Row ``i`` is the record ``(times[i], flows[i], retransmissions[i],
+        fins[i], malicious[i])``, and the chunk has exactly the effect of
+        one :meth:`feed` per row — same samples, decisions and reroutes
+        — but no :class:`TraceRecord` is built: each row goes straight to
+        :meth:`BlinkSwitch._deliver`.
+        """
+        if not times:
+            return
+        switch = self.switch
+        prefix_for = switch.prefix_for
+        matched = switch._prefix_cache.get
+        deliver = switch._deliver
+        next_sample = self._next_sample
+        if next_sample is None:
+            next_sample = times[0]
+        for time, flow, retrans, fin, mal in zip(
+            times, flows, retransmissions, fins, malicious
+        ):
+            if time >= next_sample:
+                next_sample = self._sample_until(time, next_sample)
+            prefix = matched(flow.dst) or prefix_for(flow.dst)
+            if prefix is None:
+                continue
+            decisions = deliver(prefix, flow, time, retrans, fin, None, mal)
+            if decisions:
+                switch.metrics.counter("blink.decisions_released").increment(
+                    len(decisions)
+                )
+                switch.decisions.extend(decisions)
+        self._next_sample = next_sample
+        self.packets += len(times)
+
+    def _sample_until(self, time: float, next_sample: float) -> float:
+        """Take every sample due at or before ``time``; returns the next boundary.
+
+        Each sample services every monitor's reset timer, then records
+        its ground-truth malicious occupancy.
+        """
+        monitors = self.switch.monitors
+        series = self.series
+        while time >= next_sample:
+            for prefix, monitor in monitors.items():
+                monitor.selector.maybe_reset(next_sample)
+                series[prefix].record(
+                    next_sample, monitor.selector.malicious_count(next_sample)
+                )
+            next_sample += self.sample_interval
+        return next_sample
 
     def finish(self) -> Dict[str, TimeSeries]:
         """Seal the session; returns the per-prefix series."""

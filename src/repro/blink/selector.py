@@ -145,7 +145,8 @@ class FlowSelector:
         repeated ``seq`` (packet-driven mode, what the real P4 pipeline
         does).
         """
-        self.maybe_reset(now)
+        if now - self._last_reset >= self.reset_interval:
+            self.maybe_reset(now)
         cache = self._index_cache
         if self._index_cache_seed != self.hash_seed:
             cache.clear()
@@ -156,8 +157,9 @@ class FlowSelector:
                 cache.clear()
             index = cache[flow] = flow.cell_index(len(self.cells), seed=self.hash_seed)
         cell = self.cells[index]
+        occupant = cell.flow
 
-        if cell.occupied and cell.flow != flow:
+        if occupant is not None and occupant != flow:
             if now - cell.last_activity >= self.eviction_timeout:
                 self.stats.evictions_inactive += 1
                 if obs.enabled():
@@ -175,7 +177,7 @@ class FlowSelector:
                 return None
 
         freshly_installed = False
-        if not cell.occupied:
+        if cell.flow is None:
             cell.flow = flow
             cell.installed_at = now
             cell.last_seq = None
@@ -307,10 +309,16 @@ class FlowSelector:
         pruned entries and falls back to the trivial bound, the number
         of cells.
         """
-        if not self._log_covers(now, window):
+        # Runs once per packet: _log_covers and the prune's no-op case
+        # are inlined.
+        if not (now >= self._retx_now and window <= self._retx_window):
             return len(self.cells)
         self._retx_window = window
-        self._prune_retransmissions(now)
+        log = self._retx_log
+        if log and now - log[0][0] > window:
+            self._prune_retransmissions(now)
+        else:
+            self._retx_now = now
         return len(self._retx_latest)
 
     def _log_covers(self, now: float, window: float) -> bool:

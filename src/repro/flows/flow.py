@@ -54,6 +54,17 @@ class FiveTuple:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # The dataclass __eq__, with the cached hashes compared first:
+        # that settles most unequal pairs without building field tuples.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash
+            and (self.src, self.dst, self.src_port, self.dst_port, self.protocol)
+            == (other.src, other.dst, other.src_port, other.dst_port, other.protocol)
+        )
+
     def __reduce__(self):
         # Rebuild from the fields: the cached hash is salted per process
         # (PYTHONHASHSEED) and must never travel in a pickle or a copy.

@@ -288,13 +288,15 @@ def flow_packet_schedule(
             last_was_data = True
             t += gap
     else:
-        expo = flow_rng.expovariate
+        # Random.expovariate(rate), inlined: the same draw and the same
+        # float operations, without a method call per packet.
+        log = math.log
         rate = spec.packet_rate
         while t < end:
             flags.append(last_was_data and rand() < retrans_p)
             times.append(t)
             last_was_data = True
-            t += expo(rate)
+            t += -log(1.0 - rand()) / rate
     return times, flags
 
 

@@ -18,11 +18,23 @@ switch) as it is observed.
 
 from __future__ import annotations
 
+import operator
 import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from typing import TYPE_CHECKING
 
@@ -199,7 +211,9 @@ class StreamingTraceAggregator:
     entirely; ``0`` is the same).  An optional ``sink`` callable
     receives each :class:`TraceRecord` as it is observed, which is how
     the packet-level Blink pipeline consumes traffic inline without a
-    2-million-record trace ever existing.
+    2-million-record trace ever existing.  :meth:`observe_batch` takes
+    a whole chunk as parallel columns and builds records only for the
+    rows the ring keeps.
 
     Like :class:`Trace`, observation times must be non-decreasing.
     """
@@ -302,6 +316,105 @@ class StreamingTraceAggregator:
                 self.ring.append(record)
             if self.sink is not None:
                 self.sink(record)
+
+    def observe_batch(
+        self,
+        times: Sequence[float],
+        flows: Sequence[FiveTuple],
+        sizes: Sequence[int],
+        retransmissions: Sequence[bool],
+        fins: Sequence[bool],
+        malicious: Sequence[bool],
+        observation_point: str = "",
+    ) -> None:
+        """Account a chunk of observations given as parallel columns.
+
+        Row ``i`` is ``observe(times[i], flows[i], sizes[i],
+        observation_point, retransmissions[i], fins[i], malicious[i])``,
+        and the chunk leaves exactly the state those calls would: the
+        same totals, per-flow stats (in the same key order), point
+        counts and ring contents.  A decreasing time raises the same
+        :class:`ValueError` after the rows before it are accounted.
+        Only the rows the ring keeps become :class:`TraceRecord`
+        objects; with a sink, every row goes through :meth:`observe`.
+        """
+        n = len(times)
+        if self.sink is not None:
+            observe = self.observe
+            for time, flow, size, retrans, fin, mal in zip(
+                times, flows, sizes, retransmissions, fins, malicious
+            ):
+                observe(time, flow, size, observation_point, retrans, fin, mal)
+            return
+        if not n:
+            return
+        bad = self._first_decrease(times)
+        if bad is not None:
+            columns = (times, flows, sizes, retransmissions, fins, malicious)
+            self.observe_batch(*(column[:bad] for column in columns), observation_point)
+            self.observe(  # raises observe's own error for the bad row
+                times[bad],
+                flows[bad],
+                sizes[bad],
+                observation_point,
+                retransmissions[bad],
+                fins[bad],
+                malicious[bad],
+            )
+        if not self.packets:
+            self.first_time = times[0]
+        self.last_time = times[-1]
+        self.packets += n
+        self.bytes += sum(sizes)
+        self.retransmissions += sum(map(bool, retransmissions))
+        self.fin_rst += sum(map(bool, fins))
+        self.malicious_packets += sum(map(bool, malicious))
+        by_flow = self.flows
+        get = by_flow.get
+        for time, flow, size, retrans, fin, mal in zip(
+            times, flows, sizes, retransmissions, fins, malicious
+        ):
+            stats = get(flow)
+            if stats is None:
+                stats = by_flow[flow] = FlowStats(time)
+            stats.packets += 1
+            stats.bytes += size
+            stats.last_time = time
+            if retrans:
+                stats.retransmissions += 1
+            if fin:
+                stats.fin_rst += 1
+            if mal:
+                stats.malicious += 1
+        if observation_point:
+            points = self.points
+            points[observation_point] = points.get(observation_point, 0) + n
+        if self.ring_capacity:
+            self.ring.extend(
+                TraceRecord(
+                    times[i],
+                    flows[i],
+                    sizes[i],
+                    observation_point,
+                    retransmissions[i],
+                    fins[i],
+                    malicious[i],
+                )
+                for i in range(max(0, n - self.ring_capacity), n)
+            )
+
+    def _first_decrease(self, times: Sequence[float]) -> Optional[int]:
+        """Index of the first of ``times`` that :meth:`observe` would reject."""
+        if not (self.packets and times[0] < self.last_time) and all(
+            map(operator.le, times, islice(times, 1, None))
+        ):
+            return None
+        previous = self.last_time if self.packets else times[0]
+        for index, time in enumerate(times):
+            if time < previous:
+                return index
+            previous = time
+        return None  # only NaN broke the order, and observe accepts NaN
 
     def observe_record(self, record: TraceRecord) -> None:
         """Account an existing :class:`TraceRecord`."""

@@ -12,14 +12,17 @@ import functools
 
 import pytest
 
+from repro.blink import packet_level
 from repro.blink.packet_level import (
     PacketLevelReport,
     blink_attack_specs,
     packet_level_experiment,
 )
+from repro.core.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.faults.injectors import TelemetryFault
 from repro.flows.generators import emit_trace, iter_flow_schedules
+from repro.netsim.events import DEFAULT_SCHEDULER, SCHEDULER_ENV, EventLoop
 
 # Small-but-nontrivial scale: ~45k packets, a handful of resets.
 SMALL = dict(horizon=90.0, legitimate_flows=120, malicious_flows=7)
@@ -144,6 +147,89 @@ class TestShardedDeterminism:
         run = packet_level_experiment(seed=3, horizon=30.0,
                                       legitimate_flows=30, malicious_flows=2)
         assert run.shards == 2
+
+
+@pytest.fixture
+def no_env_scheduler(monkeypatch):
+    monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+
+
+def _outcome(report: PacketLevelReport) -> tuple:
+    return report.report_hash, report.packets, report.events, report.peak_ring_bytes
+
+
+@pytest.mark.usefixtures("no_env_scheduler")
+class TestLoopFreeParity:
+    """The default 1-shard path merges schedules without an event loop;
+    it must report exactly what either scheduler's loop reports."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_matches_both_schedulers(self, seed):
+        merged = small_run(seed=seed)
+        assert merged.scheduler == "merge"
+        for scheduler in ("heap", "calendar"):
+            assert _outcome(small_run(seed=seed, scheduler=scheduler)) == _outcome(merged)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sample_interval": 0.5},
+            {"cells": 16},
+            {"packet_rate": 4.0, "horizon": 45.0},
+            {"with_blink": False},
+            {"with_trace": False},
+            {"ring_capacity": 0},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_parameter_grid(self, overrides):
+        merged = small_run(seed=3, **overrides)
+        assert merged.scheduler == "merge"
+        for scheduler in ("heap", "calendar"):
+            loop = _single_shard_baseline(scheduler, **overrides)
+            assert _outcome(loop) == _outcome(merged)
+
+    def test_telemetry_fault(self):
+        outcomes = {}
+        for scheduler in (None, "heap", "calendar"):
+            plan = FaultPlan.parse(
+                "telemetry-drop:p=0.05;telemetry-garble:p=0.05,scale=1.0",
+                seed=9,
+            )
+            outcomes[scheduler] = _outcome(
+                small_run(seed=1, scheduler=scheduler, fault=TelemetryFault(plan, role="blink"))
+            )
+        assert outcomes[None] == outcomes["heap"] == outcomes["calendar"]
+
+    def test_default_path_never_enters_the_loop(self, monkeypatch):
+        expected = _single_shard_baseline("calendar")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default path ran the event loop")
+
+        monkeypatch.setattr(EventLoop, "run_until", refuse)
+        assert _outcome(small_run(seed=3)) == _outcome(expected)
+        with pytest.raises(AssertionError, match="event loop"):
+            small_run(seed=3, scheduler="calendar")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"preload": True}, {"through_link": True}],
+        ids=lambda o: ",".join(o),
+    )
+    def test_loop_modes_keep_the_loop(self, overrides):
+        report = small_run(seed=3, horizon=10.0, **overrides)
+        assert report.scheduler == DEFAULT_SCHEDULER
+
+    def test_env_scheduler_selects_the_loop(self, monkeypatch):
+        monkeypatch.setenv(SCHEDULER_ENV, "heap")
+        assert small_run(seed=3, horizon=10.0).scheduler == "heap"
+
+    @pytest.mark.parametrize("scheduler", [None, "calendar"])
+    def test_event_guard_raises(self, monkeypatch, scheduler):
+        monkeypatch.setattr(packet_level, "MAX_EVENTS", 1000)
+        with pytest.raises(SimulationError, match="max_events=1000"):
+            small_run(seed=3, scheduler=scheduler)
 
 
 class TestDriverShape:

@@ -1,6 +1,10 @@
 """Tests for the Blink pipeline: inference, rerouting, replay modes."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blink.pipeline import BlinkPrefixMonitor, BlinkSwitch
 from repro.core.entities import Signal, SignalKind
@@ -262,3 +266,77 @@ class TestSupervisedParity:
         assert hops[0] == hops[1]
         assert bare.decisions == wrapped.decisions
         assert bare.reroutes == wrapped.reroutes
+
+
+@functools.lru_cache(maxsize=None)
+def _small_attack_trace():
+    # Small enough to replay per example; the attack still makes Blink
+    # reroute twice on 16 cells.
+    return blink_attack_workload(
+        PREFIX,
+        horizon=20.0,
+        legitimate_flows=60,
+        malicious_flows=30,
+        duration_model=DurationDistribution(median=3.0),
+        seed=0,
+    )[1]
+
+
+def _replay(switch, trace, cuts):
+    """Feed ``trace`` per record, or, with ``cuts``, as column chunks."""
+    session = switch.replay_session(sample_interval=0.5)
+    if cuts is None:
+        for record in trace:
+            session.feed(record)
+    else:
+        records = list(trace)
+        bounds = [0] + sorted(min(cut, len(records)) for cut in cuts) + [len(records)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = records[lo:hi]
+            session.feed_batch(
+                [r.time for r in chunk],
+                [r.flow for r in chunk],
+                [r.is_retransmission for r in chunk],
+                [r.is_fin_or_rst for r in chunk],
+                [r.malicious_ground_truth for r in chunk],
+            )
+    series = session.finish()[PREFIX]
+    monitor = switch.monitors[PREFIX]
+    return (
+        series.times,
+        series.values,
+        session.packets,
+        switch.decisions,
+        monitor.reroutes,
+        monitor.selector.stats,
+        switch.metrics.snapshot(),
+    )
+
+
+class TestFeedBatch:
+    """feed_batch over any chunking is per-record feed."""
+
+    @given(
+        cuts=st.lists(st.integers(min_value=0, max_value=4500), max_size=8),
+        supervised=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_chunked_equals_per_record(self, cuts, supervised):
+        trace = _small_attack_trace()
+        supervise = RecordingSystem if supervised else None
+
+        def switch():
+            return BlinkSwitch({PREFIX: ["nh1", "nh2"]}, cells=16, supervise=supervise)
+
+        expected = _replay(switch(), trace, None)
+        assert len(expected[4]) == 2
+        assert _replay(switch(), trace, cuts) == expected
+
+    def test_unmatched_destinations_are_counted_not_delivered(self):
+        switch = BlinkSwitch({PREFIX: ["nh1", "nh2"]}, cells=8)
+        session = switch.replay_session()
+        outside = FiveTuple("10.0.0.1", "203.0.113.9", 1000, 443)
+        session.feed_batch([0.0, 1.5], [outside, _flow(1)], [False, False],
+                           [False, False], [False, False])
+        assert session.packets == 2
+        assert switch.monitors[PREFIX].selector.stats.installs == 1

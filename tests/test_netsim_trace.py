@@ -1,9 +1,11 @@
 """Tests for trace records and queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flows.flow import FiveTuple
-from repro.netsim.trace import Trace, TraceRecord
+from repro.netsim.trace import StreamingTraceAggregator, Trace, TraceRecord
 
 
 def _record(t, src="10.0.0.1", sport=1000, retrans=False, fin=False, bad=False):
@@ -218,3 +220,121 @@ class TestStreamingAggregator:
         collector(packet, 1.0)
         assert collector.aggregator.packets == 2
         assert collector.aggregator.points == {"r1": 1}
+
+
+# Rows of (time step, flow, size, retransmission, fin, malicious); the
+# zero step makes equal times common.
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([40, 1500]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+def _columns(rows):
+    times, flows, sizes, retrans, fins, malicious = [], [], [], [], [], []
+    now = 0.0
+    for step, flow, size, retransmission, fin, bad in rows:
+        now += step
+        times.append(now)
+        flows.append(FiveTuple("10.0.0.1", "198.51.100.1", 1000 + flow, 443))
+        sizes.append(size)
+        retrans.append(retransmission)
+        fins.append(fin)
+        malicious.append(bad)
+    return [times, flows, sizes, retrans, fins, malicious]
+
+
+def _chunks(columns, cuts):
+    """Split parallel columns at the sorted ``cuts`` (empty chunks kept)."""
+    bounds = [0] + sorted(min(cut, len(columns[0])) for cut in cuts) + [len(columns[0])]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield [column[lo:hi] for column in columns]
+
+
+def _state(agg):
+    return (
+        agg.summary(),
+        [
+            (
+                flow,
+                stats.packets,
+                stats.bytes,
+                stats.retransmissions,
+                stats.fin_rst,
+                stats.malicious,
+                stats.first_time,
+                stats.last_time,
+            )
+            for flow, stats in agg.flows.items()
+        ],
+        list(agg.points.items()),
+        agg.recent(),
+    )
+
+
+def _observe_rows(agg, columns, point):
+    for time, flow, size, retrans, fin, bad in zip(*columns):
+        agg.observe(time, flow, size, point, retrans, fin, bad)
+
+
+class TestObserveBatch:
+    """observe_batch over any chunking is per-row observe."""
+
+    @given(
+        rows=_rows,
+        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+        capacity=st.sampled_from([0, 1, 7, 1024]),
+        point=st.sampled_from(["", "ingress"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_equals_per_row(self, rows, cuts, capacity, point):
+        columns = _columns(rows)
+        per_row = StreamingTraceAggregator("s", ring_capacity=capacity)
+        _observe_rows(per_row, columns, point)
+        batched = StreamingTraceAggregator("s", ring_capacity=capacity)
+        for chunk in _chunks(columns, cuts):
+            batched.observe_batch(*chunk, point)
+        assert _state(batched) == _state(per_row)
+
+    @given(
+        rows=_rows.filter(lambda rows: len(rows) >= 2),
+        data=st.data(),
+        capacity=st.sampled_from([0, 1, 7, 1024]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decreasing_time_raises_the_same_error(self, rows, data, capacity):
+        columns = _columns(rows)
+        bad = data.draw(st.integers(min_value=1, max_value=len(rows) - 1))
+        columns[0][bad] = columns[0][bad - 1] - data.draw(
+            st.sampled_from([0.5, 1e-9, 10.0])
+        )
+        cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(rows)), max_size=4))
+        per_row = StreamingTraceAggregator("s", ring_capacity=capacity)
+        with pytest.raises(ValueError) as expected:
+            _observe_rows(per_row, columns, "p")
+        batched = StreamingTraceAggregator("s", ring_capacity=capacity)
+        with pytest.raises(ValueError) as raised:
+            for chunk in _chunks(columns, cuts):
+                batched.observe_batch(*chunk, "p")
+        assert str(raised.value) == str(expected.value)
+        assert _state(batched) == _state(per_row)
+
+    def test_sink_sees_every_row(self):
+        columns = _columns([(0.5, i % 3, 1500, i % 4 == 0, False, i % 2 == 0) for i in range(20)])
+        seen, expected = [], []
+        StreamingTraceAggregator(ring_capacity=0, sink=seen.append).observe_batch(
+            *columns, "ingress"
+        )
+        _observe_rows(
+            StreamingTraceAggregator(ring_capacity=0, sink=expected.append),
+            columns,
+            "ingress",
+        )
+        assert seen == expected and len(seen) == 20
