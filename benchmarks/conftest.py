@@ -64,8 +64,9 @@ def pytest_addoption(parser):
         action="store",
         default=None,
         choices=("heap", "calendar"),
-        help="event-queue scheduler for scheduler-aware benches "
-        "(default: $REPRO_SCHEDULER, then calendar; heap is the reference oracle)",
+        help="event-queue scheduler for scheduler-aware benches, passed "
+        "as their scheduler= argument (default: calendar; heap is the "
+        "reference oracle)",
     )
     group.addoption(
         "--shards",
@@ -73,8 +74,8 @@ def pytest_addoption(parser):
         type=int,
         default=None,
         metavar="N",
-        help="shard-worker count for shard-aware benches "
-        "(default: $REPRO_SHARDS, then 1)",
+        help="shard-worker count for shard-aware benches, passed as "
+        "their shards= argument (default: 1)",
     )
     group.addoption(
         "--bench-json",

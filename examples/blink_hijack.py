@@ -9,10 +9,12 @@ dynamics including hash coverage and eviction effects the closed form
 ignores), and (ii) the resulting bogus reroute.
 
 By default the flows' packet schedules are merged without an event
-loop (``scheduler=merge`` in the last line); setting
-``REPRO_SCHEDULER`` (``heap`` or ``calendar``) runs the same experiment
-through the event loop instead, with the same outcome, and the
-throughput line at the end makes the difference user-visible.
+loop (``scheduler=merge`` in the last line).  Passing
+``scheduler="heap"`` or ``scheduler="calendar"`` to
+``packet_level_experiment`` runs the same experiment through the event
+loop instead, with the same outcome, and ``shards=4`` merges the
+streams of four forked workers; the throughput line at the end makes
+the difference user-visible.
 
 Run:  python examples/blink_hijack.py        (~2-4 s)
 """

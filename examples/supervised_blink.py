@@ -87,7 +87,7 @@ def main() -> None:
     print()
 
     # The same monitor logic runs at packet level: loop-free by
-    # default, on the event loop under REPRO_SCHEDULER=heap|calendar.
+    # default, on the event loop with scheduler="heap" or "calendar".
     from repro.blink import packet_level_experiment
 
     report = packet_level_experiment(

@@ -7,9 +7,8 @@ trace.Trace` (~2M records at full scale) and replaying it offline, the
 experiment streams each flow's packets as the flow starts.  Which
 engine orders the stream depends on the run:
 
-* **Default — no event loop.**  With one shard, no ``through_link``,
-  no ``preload`` and no scheduler named (neither ``scheduler=`` nor
-  ``$REPRO_SCHEDULER``), E2 is open loop: no timers, no feedback.  The
+* **Default — no event loop.**  With one shard, no ``preload`` and no
+  ``scheduler=`` named, E2 is open loop: no timers, no feedback.  The
   flows' schedules are merged by
   :func:`~repro.flows.generators.merge_flow_packets` in the loop's
   own order and handed over in fixed-size chunks:
@@ -19,14 +18,18 @@ engine orders the stream depends on the run:
   Blink with the exact sampling cadence of the offline
   :meth:`~repro.blink.pipeline.BlinkSwitch.replay_trace`.
   ``PacketLevelReport.scheduler`` reads ``"merge"``.
-* **Event loop — the reference.**  ``through_link``, ``preload`` or a
-  named scheduler runs the flows through an
+* **Event loop — the reference.**  ``preload`` or a named
+  ``scheduler=`` runs the flows through an
   :class:`~repro.netsim.events.EventLoop`:
   :func:`~repro.flows.generators.schedule_workload` bulk-loads each
   flow's schedule when it starts, and every packet passes through the
   aggregator's sink into the same replay session, one record at a time.
-* **Sharded.**  Two or more shards merge per-shard streams from forked
-  workers (:class:`~repro.netsim.sharded.ShardedPacketEngine`).
+* **Sharded.**  ``shards=2`` or more merges per-shard streams from
+  forked workers (:class:`~repro.netsim.sharded.ShardedPacketEngine`).
+
+These are keyword arguments only — no command-line flag or environment
+variable selects them, and no registered attack runs this driver
+(``blink-capture-packet-level`` replays a recorded trace).
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time as _wallclock
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -59,10 +61,8 @@ from repro.flows.generators import (
     schedule_workload,
     steady_state_flow_schedule,
 )
-from repro.netsim.events import SCHEDULER_ENV, EventLoop, resolve_scheduler_name
-from repro.netsim.link import Link
+from repro.netsim.events import MAX_EVENTS, EventLoop, resolve_scheduler_name
 from repro.netsim.sharded import ShardedPacketEngine, resolve_shard_count
-from repro.netsim.packet import TcpFlags, tcp_packet
 from repro.netsim.trace import StreamingTraceAggregator, TraceRecord
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
@@ -82,10 +82,6 @@ MERGE_SLICE = 512
 
 #: ``PacketLevelReport.scheduler`` on the loop-free path.
 MERGE_SCHEDULER = "merge"
-
-#: Runaway guard: a run dispatching this many events (records plus flow
-#: starts) raises :class:`SimulationError`, on either path.
-MAX_EVENTS = 50_000_000
 
 
 @dataclass(slots=True)
@@ -219,30 +215,24 @@ def packet_level_experiment(
     with_blink: bool = True,
     with_trace: bool = True,
     preload: bool = False,
-    through_link: bool = False,
     ring_capacity: int = 256,
     fault: Optional[object] = None,
     shards: Optional[int] = None,
-    adaptive_window: Optional[bool] = None,
     shard_crash_flag: Optional[str] = None,
 ) -> PacketLevelReport:
     """Run the packet-level capture experiment.
 
     Args:
         scheduler: event-queue backend (``"heap"``/``"calendar"``).
-            Naming one, here or in ``REPRO_SCHEDULER``, runs the event
-            loop; with neither, a 1-shard run without ``preload`` or
-            ``through_link`` runs no loop at all (see the module
-            docstring), and the other runs use the default scheduler.
-        shards: worker-process count for the sharded engine (None
-            resolves via ``REPRO_SHARDS`` then 1).  ``shards=1`` runs
-            the loop-free or the single-loop path; any other count
-            merges per-shard packet streams in forked processes, and
-            the merged observation order — and therefore
-            ``report_hash`` — is byte-identical to the single-loop run.
-        adaptive_window: grow sharded sync windows over quiet stretches
-            (None resolves via ``REPRO_ADAPTIVE_WINDOW`` then off);
-            a pure execution knob — the report hash never changes.
+            Naming one runs the event loop; without one, a 1-shard run
+            without ``preload`` runs no loop at all (see the module
+            docstring), and a ``preload`` run uses the default scheduler.
+        shards: worker-process count for the sharded engine (default
+            1).  ``shards=1`` runs the loop-free or the single-loop
+            path; any other count merges per-shard packet streams in
+            forked processes, and the merged observation order — and
+            therefore ``report_hash`` — is byte-identical to the
+            single-loop run.
         shard_crash_flag: optional crash-flag file path consumed by one
             shard worker (chaos drills; see
             :func:`repro.faults.process.consume_crash_flag`).
@@ -263,12 +253,6 @@ def packet_level_experiment(
             of same-timestamp events differs from the lazy mode (push
             order differs), so hashes are comparable within one mode
             only — still scheduler-invariant within each.
-        through_link: additionally push every packet through a pooled
-            ingress :class:`~repro.netsim.link.Link` (serialisation +
-            propagation delay, free-list packet recycling) before it is
-            observed (always runs the event loop).  Off by default: the
-            paper's experiment feeds the mirror directly, and link delays
-            shift observation times.
         ring_capacity: bound of the aggregator's recent-record ring
             buffer (0 disables retention entirely).
         fault: optional :class:`~repro.faults.injectors.TelemetryFault`
@@ -277,16 +261,12 @@ def packet_level_experiment(
 
     Returns a :class:`PacketLevelReport`; its ``report_hash`` is
     invariant across scheduler backends, the loop-free default and
-    shard counts for identical parameters.
+    shard counts for identical parameters.  A run that dispatches
+    :data:`~repro.netsim.events.MAX_EVENTS` events raises
+    :class:`SimulationError` on every path.
     """
     shard_count = resolve_shard_count(shards)
-    loop_free = (
-        shard_count == 1
-        and not through_link
-        and not preload
-        and scheduler is None
-        and not os.environ.get(SCHEDULER_ENV, "").strip()
-    )
+    loop_free = shard_count == 1 and not preload and scheduler is None
     scheduler_name = (
         MERGE_SCHEDULER if loop_free else resolve_scheduler_name(scheduler)
     )
@@ -333,68 +313,17 @@ def packet_level_experiment(
         )
         observe = aggregator.observe
 
-    loop = None if loop_free else EventLoop(scheduler=scheduler_name)
+    loop = (
+        EventLoop(scheduler=scheduler_name)
+        if shard_count == 1 and not loop_free
+        else None
+    )
     packet_count = [0]
 
     if not with_trace:
 
         def on_packet(spec: FlowSpec, t: float, retrans: bool, fin: bool) -> None:
             packet_count[0] += 1
-
-    elif through_link:
-        # One shared ingress pipe (mirror port): pooled packets are
-        # built per emission, observed at the far end, then recycled.
-        link = Link(
-            loop=loop,
-            src="workload",
-            dst="mirror",
-            bandwidth_bps=10e9,
-            delay_s=0.0005,
-            queue_packets=1 << 16,
-            seed=seed,
-        )
-        seqs: Dict[int, int] = {}
-
-        def deliver(packet) -> None:
-            tcp = packet.tcp
-            observe(
-                loop.now,
-                packet.five_tuple,
-                packet.size,
-                "ingress",
-                tcp.is_retransmission_ground_truth,
-                bool(tcp.flags & (TcpFlags.FIN | TcpFlags.RST)),
-                packet.malicious_ground_truth,
-            )
-            packet.release()
-
-        def on_packet(spec: FlowSpec, t: float, retrans: bool, fin: bool) -> None:
-            flow_id = id(spec)
-            if fin:
-                seq = seqs.pop(flow_id, 0)
-                flags = TcpFlags.FIN | TcpFlags.ACK
-                payload = 0
-            else:
-                seq = seqs.get(flow_id, 0)
-                if not retrans:
-                    seqs[flow_id] = seq + DATA_PACKET_BYTES - 40
-                flags = TcpFlags.ACK
-                payload = DATA_PACKET_BYTES - 40
-            packet = tcp_packet(
-                spec.flow.src,
-                spec.flow.dst,
-                spec.flow.src_port,
-                spec.flow.dst_port,
-                seq=seq,
-                payload_size=payload,
-                flags=flags,
-                retransmission=retrans,
-                malicious=spec.malicious,
-                created_at=t,
-                pooled=True,
-            )
-            if not link.transmit(packet, deliver):
-                packet.release()
 
     else:
 
@@ -425,10 +354,10 @@ def packet_level_experiment(
             seed=seed + 2,
             horizon=horizon,
             shards=shard_count,
-            adaptive_window=adaptive_window,
             preload=preload,
             with_trace=with_trace,
             crash_flag=shard_crash_flag,
+            max_events=MAX_EVENTS,
         )
         engine.prepare()
         flows = len(specs)
@@ -437,13 +366,10 @@ def packet_level_experiment(
             scheduler=scheduler_name,
             flows=flows,
             horizon=horizon,
-            through_link=through_link,
             shards=shard_count,
         ):
             wall_start = _wallclock.perf_counter()
-            sharded = engine.run(
-                on_packet=on_packet, loop=loop, advance_loop=through_link
-            )
+            sharded = engine.run(on_packet=on_packet)
             wall_seconds = _wallclock.perf_counter() - wall_start
         events = sharded.events
         if not with_trace:
@@ -483,7 +409,6 @@ def packet_level_experiment(
             scheduler=scheduler_name,
             flows=flows,
             horizon=horizon,
-            through_link=through_link,
         ):
             wall_start = _wallclock.perf_counter()
             if loop_free:

@@ -116,44 +116,6 @@ class _RunFailed(Exception):
     """A resilient run exhausted its retries (or timed out)."""
 
 
-def _export_engine_knobs(args: argparse.Namespace) -> bool:
-    """Validate ``--scheduler``/``--shards``/``--adaptive-window`` and
-    export each one given (by flag or environment) to its variable.
-
-    Exported rather than threaded through params: every EventLoop and
-    sharded engine the attack (or its sweep workers) constructs resolves
-    these from the environment, and results are byte-identical across
-    all three, so they must stay out of result-cache keys.  Returns
-    False, with the reason on stderr, on the first invalid value.
-    """
-    from repro.core.errors import ConfigurationError
-    from repro.netsim.events import SCHEDULER_ENV, resolve_scheduler_name
-    from repro.netsim.sharded import (
-        ADAPTIVE_WINDOW_ENV,
-        SHARDS_ENV,
-        resolve_adaptive_window,
-        resolve_shard_count,
-    )
-
-    knobs = (
-        ("scheduler", SCHEDULER_ENV, args.scheduler,
-         lambda: resolve_scheduler_name(args.scheduler)),
-        ("shard count", SHARDS_ENV, args.shards is not None,
-         lambda: str(resolve_shard_count(args.shards))),
-        ("adaptive-window setting", ADAPTIVE_WINDOW_ENV, args.adaptive_window,
-         lambda: "1" if resolve_adaptive_window(args.adaptive_window or None) else "0"),
-    )
-    for label, env, flagged, resolve in knobs:
-        if not (flagged or os.environ.get(env)):
-            continue
-        try:
-            os.environ[env] = resolve()
-        except ConfigurationError as exc:
-            print(f"invalid {label}: {exc}", file=sys.stderr)
-            return False
-    return True
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     registry = _attack_registry()
     name = ATTACK_ALIASES.get(args.attack, args.attack)
@@ -176,9 +138,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         # result-cache key); default runs keep their historical keys.
         if resolved_backend != DEFAULT_BACKEND:
             params["backend"] = resolved_backend
-
-    if not _export_engine_knobs(args):
-        return 2
 
     if args.faults:
         from repro.core.errors import FaultSpecError
@@ -665,8 +624,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"invalid kernel backend: {exc}", file=sys.stderr)
         return 2
-    if not _export_engine_knobs(args):
-        return 2
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -999,30 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_BACKEND, then python)",
     )
     run_parser.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-queue scheduler for packet-level simulations "
-        "(default: $REPRO_SCHEDULER, then calendar; heap is the reference oracle)",
-    )
-    run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for packet-level simulations "
-        "(default: $REPRO_SHARDS, then 1 = in-process); report hashes "
-        "are identical at every shard count",
-    )
-    run_parser.add_argument(
-        "--adaptive-window",
-        action="store_true",
-        default=None,
-        help="adaptive conservative-lookahead windows for sharded "
-        "simulation (default: $REPRO_ADAPTIVE_WINDOW, then off); "
-        "report hashes are window-policy-agnostic",
-    )
-    run_parser.add_argument(
         "--profile",
         metavar="PATH",
         help="profile the run under cProfile: dump pstats to PATH and "
@@ -1169,29 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="kernel backend (default: $REPRO_BACKEND, then python); "
         "goldens are pinned per backend",
-    )
-    scenarios_run.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-queue scheduler (default: $REPRO_SCHEDULER, then calendar; "
-        "heap is the reference oracle)",
-    )
-    scenarios_run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for packet-level simulation (default: "
-        "$REPRO_SHARDS, then 1); goldens and cache keys are shard-agnostic",
-    )
-    scenarios_run.add_argument(
-        "--adaptive-window",
-        action="store_true",
-        default=None,
-        help="adaptive conservative-lookahead windows for sharded "
-        "simulation (default: $REPRO_ADAPTIVE_WINDOW, then off); "
-        "goldens and cache keys are window-policy-agnostic",
     )
     scenarios_run.add_argument(
         "--json", action="store_true", help="emit the outcome as one JSON object"

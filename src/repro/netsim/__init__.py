@@ -7,7 +7,6 @@ with MitM tap points and in-switch dataplane programs.
 
 from repro.netsim.events import (
     DEFAULT_SCHEDULER,
-    SCHEDULER_ENV,
     Event,
     EventLoop,
     available_schedulers,
@@ -89,7 +88,6 @@ __all__ = [
     "RecordTap",
     "Route",
     "RoutingTable",
-    "SCHEDULER_ENV",
     "StaticRouter",
     "StreamingTraceAggregator",
     "StreamingTraceCollector",

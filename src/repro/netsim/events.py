@@ -7,9 +7,8 @@ in :mod:`repro` that needs time — link transmission, TCP retransmission
 timers, Blink's eviction/reset timers, PCC monitor intervals — runs on
 this engine, replacing the mininet testbed the paper used.
 
-Two interchangeable scheduler backends sit behind the loop, selected
-the same way kernel backends are (explicit argument > the
-``REPRO_SCHEDULER`` environment variable > default):
+Two interchangeable scheduler backends sit behind the loop, chosen
+by the ``scheduler`` argument (no argument means the default):
 
 * ``calendar`` (default) — an indexed calendar queue (Brown 1988):
   pending events are hashed into fixed-width time buckets held in a
@@ -33,7 +32,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 import time as _wallclock
 from bisect import insort
 from dataclasses import dataclass, field
@@ -53,11 +51,12 @@ EventCallback = Callable[[], None]
 #: How often (in processed events) the wall-clock watchdog is polled.
 _WALL_CHECK_STRIDE = 1024
 
-#: Environment variable consulted when no scheduler is named explicitly.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-
-#: Scheduler used when neither an argument nor the environment names one.
+#: Scheduler used when no argument names one.
 DEFAULT_SCHEDULER = "calendar"
+
+#: Runaway guard of the packet-level and forwarding drivers: a run that
+#: dispatches this many events raises :class:`SimulationError`.
+MAX_EVENTS = 50_000_000
 
 _SCHEDULER_NAMES = ("heap", "calendar")
 
@@ -76,9 +75,9 @@ def available_schedulers() -> Tuple[str, ...]:
 
 
 def resolve_scheduler_name(name: Optional[str] = None) -> str:
-    """Resolve a scheduler name: explicit arg > ``REPRO_SCHEDULER`` > default."""
+    """Validate a scheduler name; None means :data:`DEFAULT_SCHEDULER`."""
     if name is None:
-        name = os.environ.get(SCHEDULER_ENV, "").strip() or DEFAULT_SCHEDULER
+        return DEFAULT_SCHEDULER
     name = name.strip().lower()
     if name not in _SCHEDULER_NAMES:
         raise ConfigurationError(
@@ -369,8 +368,7 @@ class EventLoop:
     order they were scheduled.  This matters for reproducibility of the
     packet-level Blink experiments, where many packets share timestamps.
     The guarantee holds under every scheduler backend; ``scheduler``
-    picks one explicitly, otherwise ``REPRO_SCHEDULER`` and finally the
-    default apply: calendar (default); heap is the reference oracle.
+    picks one, calendar by default; heap is the reference oracle.
     """
 
     def __init__(

@@ -81,7 +81,12 @@ from repro.faults.plan import FaultPlan
 from repro.faults.process import consume_crash_flag
 from repro.flows.flow import FiveTuple
 from repro.flows.generators import FlowSpec, flow_packet_schedule, flow_stream_seed
-from repro.netsim.events import EventLoop, resolve_scheduler_name, suggest_bucket_width
+from repro.netsim.events import (
+    MAX_EVENTS,
+    EventLoop,
+    resolve_scheduler_name,
+    suggest_bucket_width,
+)
 from repro.netsim.network import Network
 from repro.netsim.packet import (
     IcmpHeader,
@@ -97,7 +102,6 @@ from repro.netsim.sharded import (
     AdaptiveWindow,
     ShardPipeMixin,
     _observe_window_width,
-    resolve_adaptive_window,
     resolve_shard_count,
 )
 from repro.netsim.topology import (
@@ -537,7 +541,7 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
 
         registry = obs_metrics.MetricRegistry()
         events_total = 0
-        remaining = int(config.get("max_events") or 50_000_000)  # type: ignore[arg-type]
+        remaining = int(config.get("max_events") or MAX_EVENTS)  # type: ignore[arg-type]
         with obs_metrics.activate(registry):
             if bucket_width is not None:
                 obs_metrics.gauge_set("calendar.bucket_width", bucket_width)
@@ -644,14 +648,14 @@ class ShardedForwardingSim(ShardPipeMixin):
         scheduler: Optional[str] = None,
         partition_seed: int = 0,
         assignment: Optional[Dict[str, int]] = None,
-        adaptive_window: Optional[bool] = None,
+        adaptive_window: bool = False,
         endpoints: Optional[Iterable[str]] = None,
         default_queue_packets: int = 1000,
         payload_size: int = 512,
         fault_plan: Optional[FaultPlan] = None,
         processes: Optional[bool] = None,
         crash_flag: Optional[str] = None,
-        max_events: int = 50_000_000,
+        max_events: int = MAX_EVENTS,
     ):
         if shards < 2:
             raise ConfigurationError(
@@ -697,7 +701,7 @@ class ShardedForwardingSim(ShardPipeMixin):
                 f"cannot shard: a cut link has zero delay (cut={cut})"
             )
         self.out_lookaheads = partition_out_lookaheads(topology, self.assignment)
-        self.adaptive_enabled = resolve_adaptive_window(adaptive_window)
+        self.adaptive_enabled = bool(adaptive_window)
         self.nodes = sorted(topology.nodes())
         self.endpoints = set(endpoints) if endpoints is not None else set(self.nodes)
         unknown = self.endpoints - set(self.nodes)
@@ -1013,21 +1017,22 @@ def forwarding_experiment(
     scheduler: Optional[str] = None,
     partition_seed: int = 0,
     assignment: Optional[Dict[str, int]] = None,
-    adaptive_window: Optional[bool] = None,
+    adaptive_window: bool = False,
     endpoints: Optional[Iterable[str]] = None,
     default_queue_packets: int = 1000,
     payload_size: int = 512,
     fault_plan: Optional[FaultPlan] = None,
     processes: Optional[bool] = None,
     crash_flag: Optional[str] = None,
-    max_events: int = 50_000_000,
+    max_events: int = MAX_EVENTS,
 ) -> ForwardingReport:
     """Run a forwarding workload, monolithic or sharded.
 
-    ``shards`` resolves like every execution knob (arg > ``REPRO_SHARDS``
-    > 1).  With one shard the flows run on a single
-    :class:`~repro.netsim.network.Network` — the reference whose
-    ``report_hash`` every sharded configuration must reproduce.
+    ``shards`` (default 1), ``scheduler`` (default calendar) and
+    ``adaptive_window`` (default off) are keyword arguments only; no
+    environment variable changes them.  With one shard the flows run on
+    a single :class:`~repro.netsim.network.Network` — the reference
+    whose ``report_hash`` every sharded configuration must reproduce.
     ``endpoints`` (default: all nodes) names the traffic endpoints;
     restricting it prunes the routing-table build to the destinations
     traffic can actually have.
@@ -1116,7 +1121,7 @@ def forwarding_experiment(
         events=events,
         shards=1,
         scheduler=scheduler_name,
-        adaptive_window=resolve_adaptive_window(adaptive_window),
+        adaptive_window=bool(adaptive_window),
         windows=1,
         wall_seconds=wall,
         per_shard_events=[events],

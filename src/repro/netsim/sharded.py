@@ -1,8 +1,10 @@
 """Sharded multi-core packet streams with conservative lookahead.
 
 :class:`ShardedPacketEngine` is the process-parallel driver behind the
-packet-level Blink experiment.  Flows are deterministically assigned
-to shards (via the sha256-seeded topology partitioner over a star
+packet-level Blink experiment's ``shards=N`` runs (a keyword argument
+of :func:`~repro.blink.packet_level.packet_level_experiment`; no flag
+or environment variable selects it).  Flows are deterministically
+assigned to shards (via the sha256-seeded topology partitioner over a star
 fan-in topology), and each shard, in a forked worker process, renders
 its flows' packets with
 :func:`~repro.flows.generators.merge_flow_packets` — no event loop, just
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing as mp
-import os
 import time as _wallclock
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -53,18 +54,10 @@ from repro.flows.generators import (
     flow_stream_seed,
     merge_flow_packets,
 )
-from repro.netsim.events import EventLoop
+from repro.netsim.events import MAX_EVENTS
 from repro.netsim.topology import partition_nodes, star_topology
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
-
-#: Environment variable naming the shard count, mirroring
-#: ``REPRO_SCHEDULER``: an execution knob, never part of cache keys.
-SHARDS_ENV = "REPRO_SHARDS"
-
-#: Environment variable enabling adaptive lookahead windows, mirroring
-#: ``REPRO_SHARDS``: an execution knob, never part of cache keys.
-ADAPTIVE_WINDOW_ENV = "REPRO_ADAPTIVE_WINDOW"
 
 #: Leaf count of the fan-in topology flows are hashed onto before the
 #: partitioner splits the leaves over shards.  Also the ceiling on the
@@ -84,17 +77,9 @@ _POLL_INTERVAL_S = 0.05
 
 
 def resolve_shard_count(count: Optional[int] = None) -> int:
-    """Resolve a shard count: explicit arg > ``REPRO_SHARDS`` > 1."""
+    """Validate a shard count; None means 1 (in-process)."""
     if count is None:
-        raw = os.environ.get(SHARDS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SHARDS_ENV} must be an integer, got {raw!r}"
-            ) from None
+        return 1
     count = int(count)
     if count < 1:
         raise ConfigurationError(f"shard count must be >= 1, got {count}")
@@ -104,26 +89,6 @@ def resolve_shard_count(count: Optional[int] = None) -> int:
             "flow fan-in; raise FLOW_SOURCE_NODES to shard wider"
         )
     return count
-
-
-def resolve_adaptive_window(flag: Optional[bool] = None) -> bool:
-    """Resolve the adaptive-window knob: arg > env > off.
-
-    The environment value follows the usual boolean spelling: ``1``,
-    ``true``, ``yes``, ``on`` (case-insensitive) enable, ``0``,
-    ``false``, ``no``, ``off`` and the empty string disable; anything
-    else is a configuration error.
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(ADAPTIVE_WINDOW_ENV, "").strip().lower()
-    if raw in ("", "0", "false", "no", "off"):
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    raise ConfigurationError(
-        f"{ADAPTIVE_WINDOW_ENV} must be a boolean flag, got {raw!r}"
-    )
 
 
 class AdaptiveWindow:
@@ -141,11 +106,9 @@ class AdaptiveWindow:
     * ``observe(n)`` with ``n == 0`` grows ``factor`` by ``grow``
       (clamped), with ``n > 0`` resets it to 1.
 
-    The controller only *proposes* a width — each engine clamps the
-    proposal to whatever barrier its own causality argument proves safe
-    (the packet engine's shards exchange no inputs, so any width is
-    safe there; the network engines clamp to the per-shard
-    bound-plus-outgoing-lookahead frontier).  Determinism: the factor
+    The controller only *proposes* a width — the forwarding engine
+    clamps the proposal to the per-shard bound-plus-outgoing-lookahead
+    frontier its causality argument proves safe.  Determinism: the factor
     is a pure function of the observed boundary-record counts, which
     are themselves deterministic, so adaptive runs produce the same
     barrier sequence on every execution.
@@ -334,7 +297,7 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
     ``("flows", payload, srcs, dsts, ranks)`` <- flow table, SoA-packed, and ranks
     ``("ready", bound)``                 -> will obey advances
     ``("advance", T)``                   <- emit every record at or before T
-    ``("ack", T, events, payload, n, bound, packets)`` -> window results
+    ``("ack", T, events, payload, bound, packets)`` -> window results
     ``("done",)``                        <- finish
     ``("metrics", events, packets, registry_dict)`` -> final totals
     ``("error", message)``               -> any failure, then exit
@@ -391,7 +354,6 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
         conn.send(("ready", next_bound()))
 
         with_trace = bool(config["with_trace"])
-        max_events = int(config.get("max_events") or 50_000_000)
         registry = obs_metrics.MetricRegistry()
         events_total = 0
         packets = 0
@@ -428,12 +390,6 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
                 delta = emitted + started - first_start
                 events_total += delta
                 packets += emitted
-                if events_total > max_events:
-                    raise SimulationError(
-                        f"shard {shard_index}: exceeded max_events={max_events} "
-                        f"before reaching t={target}",
-                        sim_time=target,
-                    )
                 obs_metrics.inc("netsim.merge.records", emitted)
                 obs_metrics.inc("netsim.merge.flow_starts", started - first_start)
                 conn.send(
@@ -442,7 +398,6 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
                         target,
                         delta,
                         backend.soa_pack_f64(columns) if times else b"",
-                        len(times),
                         next_bound(),
                         packets,
                     )
@@ -562,10 +517,9 @@ class ShardedPacketEngine(ShardPipeMixin):
     allocation (rank = position in ``(start, spec index)`` order).
 
     ``on_packet(spec, t, is_retransmission, is_fin)`` fires in the
-    exact global event order of the equivalent 1-shard run.  When
-    ``advance_loop`` is set on :meth:`run`, the coordinator-side event
-    loop is advanced to each record's timestamp first, so callbacks may
-    schedule and observe follow-on events (the through-link replay).
+    exact global event order of the equivalent 1-shard run.  The run
+    raises :class:`SimulationError` once the shards' summed events reach
+    ``max_events``.
     """
 
     def __init__(
@@ -578,9 +532,8 @@ class ShardedPacketEngine(ShardPipeMixin):
         preload: bool = False,
         with_trace: bool = True,
         window_s: Optional[float] = None,
-        adaptive_window: Optional[bool] = None,
         crash_flag: Optional[str] = None,
-        max_events: int = 50_000_000,
+        max_events: int = MAX_EVENTS,
     ):
         if horizon <= 0:
             raise ConfigurationError("horizon must be positive")
@@ -600,15 +553,6 @@ class ShardedPacketEngine(ShardPipeMixin):
         if window_s <= 0:
             raise ConfigurationError("window_s must be positive")
         self.window_s = window_s
-        # Packet-engine shards exchange no inputs (records only flow
-        # worker -> coordinator), so *any* window width is causally
-        # safe: the adaptive proposal needs no clamping here beyond
-        # the horizon.  Quiet windows are ones that shipped no records.
-        self.adaptive: Optional[AdaptiveWindow] = (
-            AdaptiveWindow(window_s)
-            if resolve_adaptive_window(adaptive_window)
-            else None
-        )
         self._procs: List[mp.process.BaseProcess] = []
         self._conns: List = []
         self._by_rank: List[FlowSpec] = []
@@ -653,7 +597,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                 "with_trace": self.with_trace,
                 "backend": backend_name,
                 "crash_flag": self.crash_flag,
-                "max_events": self.max_events,
             }
             proc = ctx.Process(
                 target=_shard_worker,
@@ -689,14 +632,10 @@ class ShardedPacketEngine(ShardPipeMixin):
     def run(
         self,
         on_packet: Optional[Callable[[FlowSpec, float, bool, bool], None]] = None,
-        loop: Optional[EventLoop] = None,
-        advance_loop: bool = False,
     ) -> ShardedRunResult:
         """Advance all shards to the horizon; dispatch merged records."""
         if not self._prepared:
             self.prepare()
-        if advance_loop and loop is None:
-            raise ConfigurationError("advance_loop requires a coordinator loop")
         from repro.kernels import get_backend
 
         backend = get_backend()
@@ -707,17 +646,11 @@ class ShardedPacketEngine(ShardPipeMixin):
             shards=self.shards,
             per_shard_events=[0] * self.shards,
         )
-        coordinator_start = loop.processed_events if loop is not None else 0
         try:
             t = 0.0
             horizon = self.horizon
             while t < horizon:
-                width = (
-                    self.adaptive.width()
-                    if self.adaptive is not None
-                    else self.window_s
-                )
-                target = min(t + width, horizon)
+                target = min(t + self.window_s, horizon)
                 _observe_window_width(target - t)
                 known = [b for b in self._bounds if b is not None]
                 if not known:
@@ -730,7 +663,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                     result.fast_forwards += 1
                     obs_metrics.inc("sharded.fast_forwards")
                 streams: List[Iterable[Tuple[float, float, float, float]]] = []
-                shipped = 0
                 window_bytes = 0
                 first_ack = last_ack = 0.0
                 for shard in range(self.shards):
@@ -741,7 +673,7 @@ class ShardedPacketEngine(ShardPipeMixin):
                         raise SimulationError(
                             f"shard {shard}: expected ack, got {verb!r}"
                         )
-                    ack_t, delta, payload, count, bound, packets = rest
+                    ack_t, delta, payload, bound, packets = rest
                     stamp = _wallclock.perf_counter()
                     if shard == 0:
                         first_ack = last_ack = stamp
@@ -756,12 +688,15 @@ class ShardedPacketEngine(ShardPipeMixin):
                         obs_metrics.inc(
                             f"sharded.shard{shard}.pipe_bytes", len(payload)
                         )
-                        shipped += count
                         streams.append(
                             zip(*backend.soa_unpack_f64(payload, RECORD_COLUMNS))
                         )
-                if self.adaptive is not None:
-                    self.adaptive.observe(shipped)
+                if result.events >= self.max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={self.max_events} "
+                        f"before reaching t={target}",
+                        sim_time=target,
+                    )
                 result.windows += 1
                 result.pipe_bytes += window_bytes
                 self._pipe_bytes += window_bytes
@@ -777,8 +712,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                     )
                     # (time, rank, index) is the single-loop order.
                     for rec_t, rank, _index, code in merged:
-                        if advance_loop:
-                            loop.run_until(rec_t)
                         on_packet(
                             by_rank[int(rank)],
                             rec_t,
@@ -786,11 +719,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                             code == _RECORD_FIN,
                         )
                 t = target
-            if advance_loop:
-                # Drain coordinator-side deliveries up to the horizon —
-                # and not one event past it, matching the single-loop
-                # run's stopping point.
-                loop.run_until(horizon)
             packets_total = 0
             for shard in range(self.shards):
                 self._send(shard, ("done",), sim_time=horizon)
@@ -814,8 +742,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                         obs_metrics.MetricRegistry.from_dict(registry_dict),
                     )
             result.packets = packets_total
-            if loop is not None:
-                result.events += loop.processed_events - coordinator_start
         finally:
             self._shutdown()
         return result

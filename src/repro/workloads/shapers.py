@@ -140,9 +140,17 @@ class FlashCrowdShaper(RateShaper):
         return self.amplitude
 
     def to_spec(self) -> str:
+        duration = f"{self.duration:g}"
+        ramp = f"{self.ramp:g}"
+        if 2 * float(ramp) > float(duration):
+            # %g rounded the ramp past half the rounded duration, which
+            # the constructor rejects: pin it to that half, spelled in
+            # %g when the half survives it and exactly otherwise.
+            half = float(duration) / 2
+            ramp = f"{half:g}" if 2 * float(f"{half:g}") <= float(duration) else repr(half)
         return (
-            f"flash-crowd:at={self.at:g},duration={self.duration:g},"
-            f"amplitude={self.amplitude:g},ramp={self.ramp:g}"
+            f"flash-crowd:at={self.at:g},duration={duration},"
+            f"amplitude={self.amplitude:g},ramp={ramp}"
         )
 
 

@@ -26,6 +26,15 @@ def loop(request) -> EventLoop:
 
 
 @pytest.fixture
+def retired_engine_env(monkeypatch) -> None:
+    """Set the engine variables older releases read (``REPRO_`` plus
+    SCHEDULER, SHARDS and ADAPTIVE_WINDOW) to heap, 2 and 1: values that
+    once moved a run off its defaults.  Nothing reads them any more."""
+    for knob, value in (("SCHEDULER", "heap"), ("SHARDS", "2"), ("ADAPTIVE_WINDOW", "1")):
+        monkeypatch.setenv("REPRO_" + knob, value)
+
+
+@pytest.fixture
 def flow() -> FiveTuple:
     return FiveTuple("10.0.0.1", "198.51.100.7", 43210, 443)
 

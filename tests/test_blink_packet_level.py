@@ -3,7 +3,7 @@
 The acceptance property of the scheduler work: the packet-level Blink
 experiment produces *byte-identical* results (canonical report hashes)
 under the heap and calendar schedulers, across a grid of seeds and
-parameters — workload shape, link mode, fault gates and all.
+parameters — workload shape, driver mode, fault gates and all.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.core.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.faults.injectors import TelemetryFault
 from repro.flows.generators import emit_trace, iter_flow_schedules
-from repro.netsim.events import DEFAULT_SCHEDULER, SCHEDULER_ENV, EventLoop
+from repro.netsim.events import DEFAULT_SCHEDULER, EventLoop
 
 # Small-but-nontrivial scale: ~45k packets, a handful of resets.
 SMALL = dict(horizon=90.0, legitimate_flows=120, malicious_flows=7)
@@ -52,7 +52,6 @@ class TestCrossSchedulerDeterminism:
             {"with_blink": False},
             {"with_trace": False},
             {"preload": True},
-            {"through_link": True},
             {"ring_capacity": 0},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
@@ -113,7 +112,6 @@ class TestShardedDeterminism:
         "overrides",
         [
             {"preload": True},
-            {"through_link": True},
             {"with_trace": False},
             {"with_blink": False},
         ],
@@ -142,23 +140,15 @@ class TestShardedDeterminism:
         assert "shards" not in dict(run.canonical())
         assert run.report_hash == _single_shard_baseline("heap").report_hash
 
-    def test_env_var_resolves_shard_count(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        run = packet_level_experiment(seed=3, horizon=30.0,
-                                      legitimate_flows=30, malicious_flows=2)
-        assert run.shards == 2
-
-
-@pytest.fixture
-def no_env_scheduler(monkeypatch):
-    monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+    @pytest.mark.usefixtures("retired_engine_env")
+    def test_shard_variable_is_ignored(self):
+        assert small_run(seed=3, horizon=10.0).shards == 1
 
 
 def _outcome(report: PacketLevelReport) -> tuple:
     return report.report_hash, report.packets, report.events, report.peak_ring_bytes
 
 
-@pytest.mark.usefixtures("no_env_scheduler")
 class TestLoopFreeParity:
     """The default 1-shard path merges schedules without an event loop;
     it must report exactly what either scheduler's loop reports."""
@@ -214,22 +204,26 @@ class TestLoopFreeParity:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"preload": True}, {"through_link": True}],
+        [{"preload": True}],
         ids=lambda o: ",".join(o),
     )
     def test_loop_modes_keep_the_loop(self, overrides):
         report = small_run(seed=3, horizon=10.0, **overrides)
         assert report.scheduler == DEFAULT_SCHEDULER
 
-    def test_env_scheduler_selects_the_loop(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "heap")
-        assert small_run(seed=3, horizon=10.0).scheduler == "heap"
+    @pytest.mark.usefixtures("retired_engine_env")
+    def test_scheduler_variable_is_ignored(self):
+        assert small_run(seed=3, horizon=10.0).scheduler == "merge"
 
-    @pytest.mark.parametrize("scheduler", [None, "calendar"])
-    def test_event_guard_raises(self, monkeypatch, scheduler):
+    @pytest.mark.parametrize(
+        "scheduler, shards",
+        [(None, 1), ("calendar", 1), (None, 2)],
+        ids=["None", "calendar", "shards=2"],
+    )
+    def test_event_guard_raises(self, monkeypatch, scheduler, shards):
         monkeypatch.setattr(packet_level, "MAX_EVENTS", 1000)
         with pytest.raises(SimulationError, match="max_events=1000"):
-            small_run(seed=3, scheduler=scheduler)
+            small_run(seed=3, scheduler=scheduler, shards=shards)
 
 
 class TestDriverShape:

@@ -258,42 +258,23 @@ class TestSweepCommands:
 
 
 class TestSchedulerAndProfile:
-    def test_run_with_scheduler_exports_env(self, capsys, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        code = main(["run", "ron-probe-divert", "--scheduler", "calendar"])
-        assert code == 0
-        assert os.environ.get("REPRO_SCHEDULER") == "calendar"
-
-    def test_run_with_bad_scheduler_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "bogus")
-        code = main(["run", "ron-probe-divert"])
-        assert code == 2
-        assert "invalid scheduler" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "command",
         [["run", "ron-probe-divert"], ["scenarios", "run", "blink-web-search"]],
         ids=["run", "scenarios-run"],
     )
     @pytest.mark.parametrize(
-        "env, value, message",
-        [
-            ("REPRO_SCHEDULER", "bogus", "invalid scheduler"),
-            ("REPRO_SHARDS", "many", "invalid shard count"),
-            ("REPRO_ADAPTIVE_WINDOW", "maybe", "invalid adaptive-window setting"),
-        ],
+        "flag",
+        [["--scheduler", "calendar"], ["--shards", "2"], ["--adaptive-window"]],
         ids=["scheduler", "shards", "adaptive-window"],
     )
-    def test_bad_engine_knob_env_exits_2(
-        self, capsys, monkeypatch, command, env, value, message
-    ):
-        for name in ("REPRO_SCHEDULER", "REPRO_SHARDS", "REPRO_ADAPTIVE_WINDOW"):
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv(env, value)
-        assert main(command) == 2
-        assert message in capsys.readouterr().err
+    def test_bad_engine_knob_env_exits_2(self, capsys, command, flag):
+        # The engine knobs are keyword arguments of the simulation
+        # drivers, not options: argparse rejects them as usage errors.
+        with pytest.raises(SystemExit) as exc:
+            main(command + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_run_profile_writes_pstats_and_prints_hotspots(
         self, capsys, tmp_path

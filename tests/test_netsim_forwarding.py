@@ -34,11 +34,7 @@ from repro.netsim.forwarding import (
     iter_forwarding_flows,
 )
 from repro.netsim.packet import IcmpType, icmp_time_exceeded, tcp_packet
-from repro.netsim.sharded import (
-    ADAPTIVE_WINDOW_ENV,
-    AdaptiveWindow,
-    resolve_adaptive_window,
-)
+from repro.netsim.sharded import AdaptiveWindow
 from repro.netsim.topology import (
     cluster_assignment,
     clustered_random_topology,
@@ -137,6 +133,19 @@ class TestForwardingParityGrid:
             processes=False,
         )
         assert report.adaptive_window is adaptive
+        assert report.report_hash == reference_report.report_hash
+
+    @pytest.mark.usefixtures("retired_engine_env")
+    def test_engine_variables_are_ignored(self, grid_topology, reference_report):
+        report = forwarding_experiment(
+            grid_topology,
+            _grid_flows(grid_topology),
+            HORIZON,
+            seed=SEED,
+            endpoints=_grid_endpoints(grid_topology),
+        )
+        assert report.adaptive_window is False
+        assert (report.shards, report.scheduler) == (1, "calendar")
         assert report.report_hash == reference_report.report_hash
 
     def test_explicit_cluster_assignment_matches(
@@ -314,33 +323,6 @@ class TestAdaptiveWindowController:
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             AdaptiveWindow(**kwargs)
-
-
-class TestResolveAdaptiveWindow:
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(ADAPTIVE_WINDOW_ENV, raising=False)
-        assert resolve_adaptive_window() is False
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ADAPTIVE_WINDOW_ENV, "1")
-        assert resolve_adaptive_window(False) is False
-        monkeypatch.setenv(ADAPTIVE_WINDOW_ENV, "0")
-        assert resolve_adaptive_window(True) is True
-
-    @pytest.mark.parametrize("raw", ["1", "true", "YES", "On"])
-    def test_truthy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(ADAPTIVE_WINDOW_ENV, raw)
-        assert resolve_adaptive_window() is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "no", "OFF", ""])
-    def test_falsy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(ADAPTIVE_WINDOW_ENV, raw)
-        assert resolve_adaptive_window() is False
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(ADAPTIVE_WINDOW_ENV, "sometimes")
-        with pytest.raises(ConfigurationError):
-            resolve_adaptive_window()
 
 
 class TestCodecs:

@@ -1,8 +1,8 @@
 """Scheduler backend suite: dispatch, parity, edge cases, pooling.
 
 The event loop offers two queue implementations — the reference binary
-heap and the indexed calendar queue — selected kernels-style (explicit
-argument > ``REPRO_SCHEDULER`` > default).  These tests pin down the
+heap and the indexed calendar queue — chosen by the ``scheduler``
+argument (calendar by default).  These tests pin down the
 selection semantics, the calendar queue's tricky edge cases, and the
 property the whole PR rests on: *both backends fire the same events in
 the same order*, faults included.
@@ -17,7 +17,6 @@ import pytest
 from repro.core.errors import ConfigurationError, SchedulingError
 from repro.netsim.events import (
     DEFAULT_SCHEDULER,
-    SCHEDULER_ENV,
     EventLoop,
     TimerFault,
     available_schedulers,
@@ -31,19 +30,9 @@ class TestSchedulerResolution:
     def test_both_backends_available(self):
         assert set(SCHEDULERS) == {"heap", "calendar"}
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        assert resolve_scheduler_name() == DEFAULT_SCHEDULER
-
-    def test_env_overrides_default(self, monkeypatch):
-        # The default is calendar, so only heap proves the override.
-        monkeypatch.setenv(SCHEDULER_ENV, "heap")
-        assert resolve_scheduler_name() == "heap"
-        assert EventLoop().scheduler == "heap"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-        assert resolve_scheduler_name("heap") == "heap"
+    def test_default(self):
+        assert resolve_scheduler_name() == DEFAULT_SCHEDULER == "calendar"
+        assert EventLoop().scheduler == DEFAULT_SCHEDULER
         assert EventLoop(scheduler="heap").scheduler == "heap"
 
     def test_whitespace_and_case_normalised(self):
@@ -52,11 +41,6 @@ class TestSchedulerResolution:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown scheduler"):
             resolve_scheduler_name("fibheap")
-
-    def test_unknown_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "splay")
-        with pytest.raises(ConfigurationError, match="unknown scheduler"):
-            EventLoop()
 
 
 def _random_program(loop: EventLoop, seed: int) -> list:

@@ -35,7 +35,6 @@ from repro.netsim.events import EventLoop
 from repro.netsim.sharded import (
     FLOW_SOURCE_NODES,
     RECORD_COLUMNS,
-    SHARDS_ENV,
     ShardedPacketEngine,
     assign_flows_to_shards,
     degrade_to_single_shard,
@@ -65,22 +64,9 @@ def tiny_specs():
 
 
 class TestResolveShardCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
+    def test_default_is_one(self):
         assert resolve_shard_count() == 1
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert resolve_shard_count() == 4
-
-    def test_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "4")
-        assert resolve_shard_count(2) == 2
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "many")
-        with pytest.raises(ConfigurationError):
-            resolve_shard_count()
+        assert resolve_shard_count(4) == 4
 
     @pytest.mark.parametrize("bad", [0, -1, FLOW_SOURCE_NODES + 1])
     def test_out_of_range_rejected(self, bad):

@@ -259,21 +259,6 @@ class TestRunScenario:
         assert warm.report_hash == cold.report_hash
         assert cache.stats.hits == len(resolve_scenario(CHEAP).seeds)
 
-    def test_shard_count_stays_out_of_cache_keys(self, tmp_path, monkeypatch):
-        """A cached 1-shard result must satisfy a 4-shard invocation:
-        shard count is an execution knob (like the scheduler), never
-        part of a cell's identity."""
-        from repro.runner import ResultCache
-
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        cache = ResultCache(str(tmp_path / "cache"))
-        cold = run_scenario("blink-web-search", cache=cache)
-        assert cache.stats.hits == 0
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        warm = run_scenario("blink-web-search", cache=cache)
-        assert warm.report_hash == cold.report_hash
-        assert cache.stats.hits == len(resolve_scenario("blink-web-search").seeds)
-
     def test_unpinned_backend_returns_none_verdict(self):
         spec = resolve_scenario(CHEAP)
         from dataclasses import replace

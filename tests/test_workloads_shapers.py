@@ -164,6 +164,17 @@ class TestGrammar:
         with pytest.raises(ConfigurationError):
             parse_shaper(spec)
 
+    @pytest.mark.parametrize(
+        "duration, ramp, spelled",
+        [(10.00004, 5.000019, "ramp=5"), (9.999994, 4.999995, "ramp=4.999995")],
+    )
+    def test_half_duration_ramp_survives_rounding(self, duration, ramp, spelled):
+        """%g can round the duration down and the ramp up past half of
+        it; the spec must still parse and stay a fixed point."""
+        spec = FlashCrowdShaper(at=0.0, duration=duration, ramp=ramp).to_spec()
+        assert spec.endswith(spelled)
+        assert parse_shaper(spec).to_spec() == spec
+
 
 # -- Lewis thinning ----------------------------------------------------------
 
