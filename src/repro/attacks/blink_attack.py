@@ -18,18 +18,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.blink.analysis import fig2_experiment
+from repro.blink.analysis import fig2_headline
 from repro.blink.constants import DEFAULT_CELLS
+from repro.blink.packet_level import blink_attack_specs, feed_columns, merged_columns
 from repro.blink.pipeline import BlinkSwitch
 from repro.core.attack import Attack, AttackResult
 from repro.core.entities import Capability, Impact, Privilege, Target
 from repro.core.metrics import first_crossing_time
 from repro.flows.generators import (
     DurationDistribution,
-    blink_attack_workload,
     malicious_flow_schedule,
-    summarize_workload,
+    summarize_packets,
 )
+from repro.obs import tracer as obs
 
 
 def _workload_tr(workload: str, workload_params: Dict[str, object]) -> float:
@@ -78,7 +79,7 @@ class BlinkAnalyticalAttack(Attack):
             )
         else:
             tr = 8.37
-        result = fig2_experiment(
+        result = fig2_headline(
             qm=qm, tr=tr, cells=cells, horizon=horizon, runs=runs, seed=seed,
             backend=backend,
         )
@@ -144,10 +145,7 @@ class BlinkCaptureAttack(Attack):
             # persistent attack flows ride on top unchanged.  Per-flow
             # RNG streams are identity-derived, so merging the two
             # populations perturbs neither.
-            from repro.netsim.trace import Trace
-            from repro.workloads.engine import (
-                iter_workload_specs, stream_trace_records,
-            )
+            from repro.workloads.engine import iter_workload_specs
 
             wparams = dict(params.get("workload_params") or {})
             wparams.pop("tr_seed", None)
@@ -162,12 +160,12 @@ class BlinkCaptureAttack(Attack):
                 seed=seed + 1,
                 spread_start=2.0,
             )
+            # Ties between equal times go by position in the start-sorted
+            # list, as in stream_trace_records.
             specs = sorted(legit + bad, key=lambda s: s.start)
-            trace = Trace("blink-attack")
-            trace.extend(stream_trace_records(specs, seed=seed + 2))
-            summary = summarize_workload(specs, trace)
+            ordered, ranks = specs, None
         else:
-            _, trace, summary = blink_attack_workload(
+            specs = blink_attack_specs(
                 destination_prefix=prefix,
                 horizon=horizon,
                 legitimate_flows=legitimate_flows,
@@ -175,6 +173,9 @@ class BlinkCaptureAttack(Attack):
                 duration_model=DurationDistribution(median=duration_median),
                 seed=seed,
             )
+            # Ties go by spec index, as in emit_trace's stable time sort.
+            ranks = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+            ordered = [specs[i] for i in ranks]
         telemetry_fault = None
         if plan is not None:
             from repro.faults import TelemetryFault
@@ -183,7 +184,6 @@ class BlinkCaptureAttack(Attack):
             # samples from — the mirror drops/misreads packets before
             # Blink ever sees them.
             telemetry_fault = TelemetryFault(plan, role="blink.telemetry")
-            trace = telemetry_fault.degrade_trace(trace)
         supervise = None
         if defended:
             from repro.defenses.blink_defense import supervised_blink
@@ -194,7 +194,21 @@ class BlinkCaptureAttack(Attack):
         switch = BlinkSwitch(
             {prefix: ["nh-primary", "nh-backup"]}, cells=cells, supervise=supervise
         )
-        series = switch.replay_trace(trace, sample_interval=sample_interval)[prefix]
+        # Every flow's packets, merged in time order and fed to Blink in
+        # column chunks; no trace of the whole workload is ever built.
+        session = switch.replay_session(sample_interval=sample_interval)
+        records = malicious_records = 0
+        with obs.span(
+            "blink.replay_trace", flows=len(specs), prefixes=len(switch.monitors)
+        ):
+            for columns in merged_columns(ordered, seed + 2, ranks=ranks):
+                records += len(columns[0])
+                malicious_records += sum(columns[4])
+                feed_columns(session, telemetry_fault, *columns)
+            series = session.finish()[prefix]
+        # The workload as generated; ``packets`` below counts what Blink
+        # saw after the telemetry fault.
+        summary = summarize_packets(specs, records, malicious_records)
         monitor = switch.monitors[prefix]
 
         threshold = cells // 2
@@ -217,7 +231,7 @@ class BlinkCaptureAttack(Attack):
             "measured_tr": measured_tr,
             "qm": summary.qm if workload else malicious_flows / legitimate_flows,
             "workload_class": str(workload) if workload else None,
-            "packets": len(trace),
+            "packets": session.packets,
             "occupancy_series": series,
             "workload": summary,
         }

@@ -10,12 +10,14 @@ it (Fig. 2).
 
 from repro.blink.analysis import (
     CaptureCurve,
+    Fig2Headline,
     Fig2Result,
     MonteCarloRun,
     capture_probability,
     captured_percentile,
     expected_hitting_time,
     fig2_experiment,
+    fig2_headline,
     mean_captured,
     mean_crossing_time,
     minimum_qm,
@@ -58,6 +60,7 @@ __all__ = [
     "FIG2_QM",
     "FIG2_SIMULATIONS",
     "FIG2_TR",
+    "Fig2Headline",
     "Fig2Result",
     "FlowSelector",
     "MonteCarloRun",
@@ -71,6 +74,7 @@ __all__ = [
     "captured_percentile",
     "expected_hitting_time",
     "fig2_experiment",
+    "fig2_headline",
     "mean_captured",
     "mean_crossing_time",
     "minimum_qm",

@@ -312,6 +312,74 @@ def _theory_curves_vectorized(
     )
 
 
+@dataclass
+class Fig2Headline:
+    """Fig. 2's headline numbers, without the curves that are drawn.
+
+    ``run_crossings`` holds each Monte-Carlo run's time to ``threshold``
+    captured cells (None when the run never got there), and
+    ``flip_rows`` each run's sorted cell-capture times.
+    """
+
+    threshold: int
+    mean_crossing_theory: float
+    expected_hitting_theory: float
+    median_success_time_theory: Optional[float]
+    run_crossings: List[Optional[float]]
+    flip_rows: List[List[float]]
+
+    @property
+    def crossing_times_simulated(self) -> List[float]:
+        return [t for t in self.run_crossings if t is not None]
+
+    @property
+    def mean_crossing_simulated(self) -> Optional[float]:
+        crossings = self.crossing_times_simulated
+        if not crossings:
+            return None
+        return sum(crossings) / len(crossings)
+
+    @property
+    def success_fraction(self) -> float:
+        if not self.run_crossings:
+            return 0.0
+        return len(self.crossing_times_simulated) / len(self.run_crossings)
+
+
+def fig2_headline(
+    qm: float = 0.0525,
+    tr: float = 8.37,
+    cells: int = DEFAULT_CELLS,
+    horizon: float = RESET_INTERVAL,
+    runs: int = 50,
+    seed: int = 0,
+    backend: Optional[str] = None,
+) -> Fig2Headline:
+    """The theory numbers and simulated crossings of :func:`fig2_experiment`.
+
+    Same arguments and the same Monte-Carlo runs, but no theory curves
+    and no per-step occupancy counts: the curves' scalar ``binom.ppf``
+    calls are most of a Fig. 2 run, and a campaign cell reads only the
+    numbers.
+    """
+    from repro.kernels import get_backend
+
+    _validate(qm, tr)
+    if horizon <= 0:
+        raise ConfigurationError("horizon must be positive")
+    kernel = get_backend(backend)
+    threshold = cells // 2
+    flip_rows = kernel.blink_flip_times(qm, tr, cells, horizon, runs, seed)
+    return Fig2Headline(
+        threshold=threshold,
+        mean_crossing_theory=mean_crossing_time(threshold, qm, tr, cells),
+        expected_hitting_theory=expected_hitting_time(threshold, qm, tr, cells),
+        median_success_time_theory=success_time_quantile(threshold, qm, tr, cells, 0.5, horizon),
+        run_crossings=list(kernel.blink_crossing_times(flip_rows, threshold)),
+        flip_rows=flip_rows,
+    )
+
+
 def fig2_experiment(
     qm: float = 0.0525,
     tr: float = 8.37,
@@ -327,33 +395,31 @@ def fig2_experiment(
     ``backend`` selects the trial kernels (see :mod:`repro.kernels`):
     the default python backend replays the historical draw sequence
     bit-for-bit; ``"numpy"`` samples the same flip-time distribution
-    from seed-derived generator streams, batched across runs.
+    from seed-derived generator streams, batched across runs.  The
+    headline numbers come from :func:`fig2_headline`.
     """
     from repro.kernels import get_backend
 
     kernel = get_backend(backend)
-    threshold = cells // 2
     if kernel.vectorized:
         theory = _theory_curves_vectorized(qm, tr, cells, horizon, step)
     else:
         theory = theory_curves(qm, tr, cells, horizon, step)
+    headline = fig2_headline(qm, tr, cells, horizon, runs, seed, backend)
     times = [i * step for i in range(int(horizon / step) + 1)]
-    flip_rows = kernel.blink_flip_times(qm, tr, cells, horizon, runs, seed)
-    counts = kernel.blink_occupancy_counts(flip_rows, times)
-    crossing_times = kernel.blink_crossing_times(flip_rows, threshold)
+    counts = kernel.blink_occupancy_counts(headline.flip_rows, times)
     simulated = [
         MonteCarloRun(times=list(times), captured=captured, crossing_time=crossing)
-        for captured, crossing in zip(counts, crossing_times)
+        for captured, crossing in zip(counts, headline.run_crossings)
     ]
-    crossings = [run.crossing_time for run in simulated if run.crossing_time is not None]
     return Fig2Result(
         theory=theory,
         runs=simulated,
-        threshold=threshold,
-        mean_crossing_theory=mean_crossing_time(threshold, qm, tr, cells),
-        expected_hitting_theory=expected_hitting_time(threshold, qm, tr, cells),
-        median_success_time_theory=success_time_quantile(threshold, qm, tr, cells, 0.5, horizon),
-        crossing_times_simulated=crossings,
+        threshold=headline.threshold,
+        mean_crossing_theory=headline.mean_crossing_theory,
+        expected_hitting_theory=headline.expected_hitting_theory,
+        median_success_time_theory=headline.median_success_time_theory,
+        crossing_times_simulated=headline.crossing_times_simulated,
     )
 
 

@@ -28,8 +28,9 @@ engine orders the stream depends on the run:
   forked workers (:class:`~repro.netsim.sharded.ShardedPacketEngine`).
 
 These are keyword arguments only — no command-line flag or environment
-variable selects them, and no registered attack runs this driver
-(``blink-capture-packet-level`` replays a recorded trace).
+variable selects them, and no registered attack runs this driver.
+``blink-capture-packet-level`` shares the loop-free path's feed
+instead: :func:`merged_columns` and :func:`feed_columns`.
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,
@@ -43,15 +44,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time as _wallclock
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from itertools import count, islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blink.pipeline import BlinkSwitch, TraceReplaySession
 from repro.core.errors import SimulationError
 from repro.core.metrics import first_crossing_time
+from repro.flows.flow import FiveTuple
 from repro.flows.generators import (
     DurationDistribution,
     FlowSpec,
@@ -486,14 +489,10 @@ def _run_merged(
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
     admitted = [specs[i] for i in order if specs[i].start <= horizon]
     starts = len(admitted)
-    stream = merge_flow_packets(
-        (rank, spec, times, flags)
-        for rank, (spec, times, flags) in enumerate(
-            iter_flow_schedules(admitted, seed)
-        )
-    )
     records = 0
-    for times, chunk_specs, retrans, fins in _column_chunks(stream, horizon):
+    for times, flows, retrans, fins, malicious in merged_columns(
+        admitted, seed, horizon=horizon
+    ):
         records += len(times)
         if records + starts >= MAX_EVENTS:
             raise SimulationError(
@@ -502,73 +501,92 @@ def _run_merged(
             )
         if aggregator is None:
             continue
-        flows = [spec.flow for spec in chunk_specs]
-        malicious = [spec.malicious for spec in chunk_specs]
         sizes = [FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES for fin in fins]
         aggregator.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
-        if session is None:
-            continue
-        if fault is not None:
-            session.feed_batch(
-                *_degrade_chunk(fault, times, flows, sizes, retrans, fins, malicious)
-            )
-        else:
-            session.feed_batch(times, flows, retrans, fins, malicious)
+        if session is not None:
+            feed_columns(session, fault, times, flows, retrans, fins, malicious)
     obs_metrics.inc("netsim.merge.records", records)
     obs_metrics.inc("netsim.merge.flow_starts", starts)
     return records + starts, records
 
 
-def _column_chunks(stream, horizon: float):
-    """``(times, specs, retransmissions, fins)`` columns of the merged
-    records at or before ``horizon``, :data:`MERGE_CHUNK` rows at a time.
+def merged_columns(
+    specs: Sequence[FlowSpec],
+    seed: int,
+    ranks: Optional[Iterable[int]] = None,
+    horizon: float = math.inf,
+) -> Iterator[Tuple[list, list, list, list, list]]:
+    """The flows' merged packet records as Blink's columns, in chunks.
+
+    ``specs`` must be in non-decreasing start order; ``ranks`` (default:
+    their positions) break ties between equal times, as
+    :func:`~repro.flows.generators.merge_flow_packets` documents.  Each
+    flow's schedule comes from :func:`~repro.flows.generators.
+    iter_flow_schedules` on ``seed`` as the merge admits it.  Yields
+    ``(times, flows, retransmissions, fins, malicious)`` for the records
+    at or before ``horizon``, :data:`MERGE_CHUNK` rows at a time.
 
     The merge's record tuples are transposed :data:`MERGE_SLICE` at a
     time, so few of them live long enough to be promoted by the garbage
     collector; the columns themselves are a handful of lists.
     """
-    columns: Tuple[list, list, list, list] = ([], [], [], [])
+    stream = merge_flow_packets(
+        (rank, spec, times, flags)
+        for rank, (spec, times, flags) in zip(
+            count() if ranks is None else ranks, iter_flow_schedules(specs, seed)
+        )
+    )
+    columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
     while True:
         part = tuple(zip(*islice(stream, MERGE_SLICE)))
         if not part:
             break
-        times, _ranks, _indices, specs, retrans, fins = part
+        times, _ranks, _indices, flow_specs, retrans, fins = part
         past_horizon = times[-1] > horizon
         if past_horizon:
             cut = bisect_right(times, horizon)
-            times, specs, retrans, fins = (
-                times[:cut], specs[:cut], retrans[:cut], fins[:cut]
+            times, flow_specs, retrans, fins = (
+                times[:cut], flow_specs[:cut], retrans[:cut], fins[:cut]
             )
-        for column, values in zip(columns, (times, specs, retrans, fins)):
+        flows = [spec.flow for spec in flow_specs]
+        malicious = [spec.malicious for spec in flow_specs]
+        for column, values in zip(columns, (times, flows, retrans, fins, malicious)):
             column.extend(values)
         if past_horizon:
             break
         if len(columns[0]) >= MERGE_CHUNK:
             yield columns
-            columns = ([], [], [], [])
+            columns = ([], [], [], [], [])
     if columns[0]:
         yield columns
 
 
-def _degrade_chunk(fault, times, flows, sizes, retrans, fins, malicious) -> tuple:
-    """A chunk's Blink columns after ``fault.degrade_record``, in record order.
+def feed_columns(
+    session: TraceReplaySession,
+    fault: Optional[object],
+    times: Sequence[float],
+    flows: Sequence[FiveTuple],
+    retransmissions: Sequence[bool],
+    fins: Sequence[bool],
+    malicious: Sequence[bool],
+) -> None:
+    """Feed one chunk of :func:`merged_columns` to Blink.
 
-    The records are the ones the aggregator's sink would have passed
-    on, so the fault's RNG stream is the same as on the loop path.
+    With a :class:`~repro.faults.injectors.TelemetryFault`, each row
+    first passes ``fault.degrade_flag`` in record order — the rows a
+    per-record sink would have degraded, so the fault's RNG stream is
+    the same as on the loop path and over a materialised trace.
     """
+    if fault is None:
+        session.feed_batch(times, flows, retransmissions, fins, malicious)
+        return
+    degrade = fault.degrade_flag  # type: ignore[attr-defined]
     kept = []
-    for row in zip(times, flows, sizes, retrans, fins, malicious):
-        record = fault.degrade_record(  # type: ignore[attr-defined]
-            TraceRecord(row[0], row[1], row[2], "ingress", *row[3:])
-        )
-        if record is not None:
-            kept.append(
-                (
-                    record.time,
-                    record.flow,
-                    record.is_retransmission,
-                    record.is_fin_or_rst,
-                    record.malicious_ground_truth,
-                )
-            )
-    return tuple(zip(*kept)) if kept else ((), (), (), (), ())
+    for time, flow, retrans, fin, mal in zip(
+        times, flows, retransmissions, fins, malicious
+    ):
+        flag = degrade(time, retrans)
+        if flag is not None:
+            kept.append((time, flow, flag, fin, mal))
+    if kept:
+        session.feed_batch(*zip(*kept))

@@ -369,8 +369,11 @@ class SupervisedDriver(DataDrivenSystem):
         self._last_signal_time: Optional[float] = None
         self.name = f"supervised({driver.name})"
 
-    def _update_degradation(self, signal: Signal, state: SystemState) -> None:
-        """Enter/exit degraded mode from signal-stream health."""
+    def _update_degradation(self, signal: Signal, state: Optional[SystemState]) -> None:
+        """Enter/exit degraded mode from signal-stream health.
+
+        ``state`` is read only with ``degrade_on_risk`` set.
+        """
         gap = (
             signal.time - self._last_signal_time
             if self._last_signal_time is not None
@@ -392,48 +395,56 @@ class SupervisedDriver(DataDrivenSystem):
 
     def observe(self, signal: Signal) -> List[Decision]:
         decisions = self.driver.observe(signal)
-        state = self.driver.state()
-        if self.synchronous:
-            self._update_degradation(signal, state)
-            released: List[Decision] = []
-            for decision in decisions:
-                if self.supervisor.is_degraded:
-                    verdict = self.supervisor.degraded_decision(decision)
-                    if verdict is None or verdict is not decision:
-                        self.suppressed.append(decision)
-                    if verdict is not None:
-                        released.append(
-                            Decision(
-                                action=verdict.action,
-                                subject=verdict.subject,
-                                value=verdict.value,
-                                time=verdict.time + self.check_latency,
-                                confidence=verdict.confidence,
-                            )
-                        )
-                elif self.supervisor.check_decision(state, decision):
+        # The driver's state is built only when something reads it: a
+        # snapshot can cost a scan of the driver's tables (Blink's
+        # selector cells), and most signals yield no decision.  Drivers'
+        # state() must be free of side effects, so skipping it changes
+        # no outcome.
+        if not self.synchronous:
+            if signal.time - self._last_async_check >= self.check_interval:
+                self._last_async_check = signal.time
+                self.supervisor.check_state(self.driver.state())
+            return decisions
+        state = self.driver.state() if self.degrade_on_risk is not None else None
+        self._update_degradation(signal, state)
+        released: List[Decision] = []
+        for decision in decisions:
+            if self.supervisor.is_degraded:
+                verdict = self.supervisor.degraded_decision(decision)
+                if verdict is None or verdict is not decision:
+                    self.suppressed.append(decision)
+                if verdict is not None:
                     released.append(
                         Decision(
-                            action=decision.action,
-                            subject=decision.subject,
-                            value=decision.value,
-                            time=decision.time + self.check_latency,
-                            confidence=decision.confidence,
+                            action=verdict.action,
+                            subject=verdict.subject,
+                            value=verdict.value,
+                            time=verdict.time + self.check_latency,
+                            confidence=verdict.confidence,
                         )
                     )
-                else:
-                    self.suppressed.append(decision)
-                    if self.raise_on_veto:
-                        raise SupervisorVeto(
-                            f"supervisor vetoed {decision.action} on {decision.subject!r}",
-                            decision=decision,
-                            risk=self.supervisor.model.risk(state, decision),
-                        )
-            return released
-        if signal.time - self._last_async_check >= self.check_interval:
-            self._last_async_check = signal.time
-            self.supervisor.check_state(state)
-        return decisions
+                continue
+            if state is None:
+                state = self.driver.state()
+            if self.supervisor.check_decision(state, decision):
+                released.append(
+                    Decision(
+                        action=decision.action,
+                        subject=decision.subject,
+                        value=decision.value,
+                        time=decision.time + self.check_latency,
+                        confidence=decision.confidence,
+                    )
+                )
+            else:
+                self.suppressed.append(decision)
+                if self.raise_on_veto:
+                    raise SupervisorVeto(
+                        f"supervisor vetoed {decision.action} on {decision.subject!r}",
+                        decision=decision,
+                        risk=self.supervisor.model.risk(state, decision),
+                    )
+        return released
 
     def state(self) -> SystemState:
         return self.driver.state()

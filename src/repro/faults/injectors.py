@@ -12,10 +12,11 @@ Three planes of degradation, mirroring the tentpole:
   drops timer events as they are scheduled; and
 * **telemetry plane** — :class:`TelemetryFault`, a generic
   dropout/garble gate over (time, value) samples with adapters for the
-  three data-driven systems: packet traces feeding Blink's selector
-  (:meth:`TelemetryFault.degrade_trace`), PCC monitor-interval loss
-  readings (:func:`degrade_pcc`), and Pytheas QoE report ingestion
-  (:meth:`TelemetryFault.report_filter`).
+  three data-driven systems: the packet feed of Blink's selector
+  (:meth:`TelemetryFault.degrade_flag` per record, or
+  :meth:`TelemetryFault.degrade_trace` over a whole trace), PCC
+  monitor-interval loss readings (:func:`degrade_pcc`), and Pytheas
+  QoE report ingestion (:meth:`TelemetryFault.report_filter`).
 
 Every injector draws randomness from RNGs derived off the plan seed
 (:meth:`FaultPlan.rng_for`), so drills are deterministic.
@@ -242,27 +243,36 @@ class TelemetryFault:
 
     # -- adapters ----------------------------------------------------------
 
-    def degrade_record(self, record: TraceRecord) -> Optional[TraceRecord]:
-        """Drop/garble one Blink feed record; None means it was lost.
+    def degrade_flag(self, now: float, is_retransmission: bool) -> Optional[bool]:
+        """The retransmission flag Blink reads from a record seen at ``now``.
 
-        Dropout removes the record (the mirror/sampler lost it);
-        garbling flips the retransmission signal the selector keys on
-        (a misread sensor), keeping the timestamp intact.  The RNG is
+        None means the record was lost.  Dropout removes the record (the
+        mirror/sampler lost it); garbling flips the retransmission
+        signal the selector keys on (a misread sensor).  The RNG is
         consumed in record order — drop check first, garble draw only
         for survivors — so the noise stream is identical whether the
-        caller materialises a :class:`Trace` or feeds records one at a
-        time from a live aggregator sink.
+        caller materialises a :class:`Trace`, feeds records one at a
+        time from a live aggregator sink or degrades column chunks.
         """
-        if self.drop(record.time):
+        if self.drop(now):
             return None
-        flipped = self.garble(record.time, 1.0) != 1.0
-        if flipped:
+        if self.garble(now, 1.0) != 1.0:
+            return not is_retransmission
+        return is_retransmission
+
+    def degrade_record(self, record: TraceRecord) -> Optional[TraceRecord]:
+        """Drop/garble one Blink feed record (:meth:`degrade_flag`);
+        None means it was lost.  The timestamp stays intact."""
+        flag = self.degrade_flag(record.time, record.is_retransmission)
+        if flag is None:
+            return None
+        if flag != record.is_retransmission:
             record = TraceRecord(
                 time=record.time,
                 flow=record.flow,
                 size=record.size,
                 observation_point=record.observation_point,
-                is_retransmission=not record.is_retransmission,
+                is_retransmission=flag,
                 is_fin_or_rst=record.is_fin_or_rst,
                 malicious_ground_truth=record.malicious_ground_truth,
             )

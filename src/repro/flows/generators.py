@@ -536,12 +536,20 @@ class WorkloadSummary:
 
 
 def summarize_workload(specs: Sequence[FlowSpec], trace: Trace) -> WorkloadSummary:
-    malicious = sum(1 for s in specs if s.malicious)
+    return summarize_packets(
+        specs, len(trace), sum(1 for r in trace if r.malicious_ground_truth)
+    )
+
+
+def summarize_packets(
+    specs: Sequence[FlowSpec], packets: int, malicious_packets: int
+) -> WorkloadSummary:
+    """:func:`summarize_workload` from packet counts, for a trace never built."""
     return WorkloadSummary(
         total_flows=len(specs),
-        malicious_flows=malicious,
-        total_packets=len(trace),
-        malicious_packet_fraction=trace.malicious_fraction(),
+        malicious_flows=sum(1 for s in specs if s.malicious),
+        total_packets=packets,
+        malicious_packet_fraction=malicious_packets / packets if packets else 0.0,
         horizon=max((s.end for s in specs), default=0.0),
     )
 

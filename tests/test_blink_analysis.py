@@ -9,6 +9,7 @@ from repro.blink.analysis import (
     captured_percentile,
     expected_hitting_time,
     fig2_experiment,
+    fig2_headline,
     mean_captured,
     mean_crossing_time,
     minimum_qm,
@@ -149,3 +150,39 @@ class TestFig2Experiment:
         hi = result.theory.p95[idx]
         inside = sum(1 for run in result.runs if lo <= run.captured[idx] <= hi)
         assert inside / len(result.runs) >= 0.7
+
+
+class TestFig2Headline:
+    """The headline numbers alone equal :func:`fig2_experiment`'s."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "qm, horizon", [(QM, 510.0), (0.02, 250.0)], ids=["paper", "some-runs-fail"]
+    )
+    def test_matches_experiment(self, backend, qm, horizon):
+        args = dict(qm=qm, tr=TR, cells=16, horizon=horizon, runs=12, seed=4,
+                    backend=backend)
+        full = fig2_experiment(**args)
+        headline = fig2_headline(**args)
+        for name in (
+            "threshold",
+            "mean_crossing_theory",
+            "expected_hitting_theory",
+            "median_success_time_theory",
+            "crossing_times_simulated",
+            "mean_crossing_simulated",
+            "success_fraction",
+        ):
+            assert getattr(headline, name) == getattr(full, name), name
+        assert headline.run_crossings == [run.crossing_time for run in full.runs]
+        if qm != QM:
+            assert 0.0 < headline.success_fraction < 1.0
+
+    @pytest.mark.parametrize(
+        "args", [dict(qm=0.0), dict(tr=0.0), dict(horizon=0.0)], ids=["qm", "tr", "horizon"]
+    )
+    def test_rejects_what_fig2_rejects(self, args):
+        with pytest.raises(ConfigurationError):
+            fig2_experiment(runs=2, **args)
+        with pytest.raises(ConfigurationError):
+            fig2_headline(runs=2, **args)

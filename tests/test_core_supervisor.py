@@ -145,3 +145,142 @@ class TestSupervisedDriverAsynchronous:
         assert supervisor.alarms == []
         supervised.observe(_signal(99.0, time=6.0))  # next check fires
         assert len(supervisor.alarms) == 1
+
+
+class _SparseDriver(DataDrivenSystem):
+    """Decides on every third signal; counts how often its state is built."""
+
+    name = "sparse-driver"
+
+    def __init__(self):
+        self.last_value = 0.0
+        self.seen = 0
+        self.state_calls = 0
+
+    def observe(self, signal):
+        self.last_value = float(signal.value)
+        self.seen += 1
+        if self.seen % 3:
+            return []
+        return [Decision("steer", "net", signal.value, time=signal.time)]
+
+    def state(self):
+        self.state_calls += 1
+        return SystemState(time=0.0, variables={"speed": self.last_value})
+
+
+class _EagerSupervisedDriver(SupervisedDriver):
+    """The supervised driver that builds the driver's state on every signal."""
+
+    def observe(self, signal):
+        decisions = self.driver.observe(signal)
+        state = self.driver.state()
+        if self.synchronous:
+            self._update_degradation(signal, state)
+            released = []
+            for decision in decisions:
+                if self.supervisor.is_degraded:
+                    verdict = self.supervisor.degraded_decision(decision)
+                    if verdict is None or verdict is not decision:
+                        self.suppressed.append(decision)
+                    if verdict is not None:
+                        released.append(
+                            Decision(
+                                verdict.action, verdict.subject, verdict.value,
+                                verdict.time + self.check_latency, verdict.confidence,
+                            )
+                        )
+                elif self.supervisor.check_decision(state, decision):
+                    released.append(
+                        Decision(
+                            decision.action, decision.subject, decision.value,
+                            decision.time + self.check_latency, decision.confidence,
+                        )
+                    )
+                else:
+                    self.suppressed.append(decision)
+            return released
+        if signal.time - self._last_async_check >= self.check_interval:
+            self._last_async_check = signal.time
+            self.supervisor.check_state(state)
+        return decisions
+
+
+#: Speeds in and out of the model's bounds, with gaps that outlast
+#: ``stale_after`` now and then.
+_SIGNALS = [
+    (t, value)
+    for t, value in zip(
+        (0.0, 0.5, 1.0, 1.5, 9.0, 9.2, 9.4, 9.6, 20.0, 20.1, 20.2, 20.3, 20.4, 31.0, 31.5),
+        (1.0, 5.0, 50.0, 2.0, 3.0, 80.0, 4.0, 4.0, 4.0, 90.0, 1.0, 2.0, 70.0, 3.0, 3.0),
+    )
+]
+
+
+class TestLazyDriverState:
+    MODES = {
+        "degrade-on-risk": dict(synchronous=True, degrade_on_risk=0.5),
+        "stale-after": dict(synchronous=True, stale_after=5.0),
+        "plain": dict(synchronous=True),
+        "asynchronous": dict(synchronous=False, check_interval=0.2),
+    }
+
+    @staticmethod
+    def _run(cls, mode):
+        driver = _SparseDriver()
+        supervisor = Supervisor(
+            ThresholdModel({"speed": (0, 10)}), degradation="hold_last_safe"
+        )
+        supervised = cls(driver, supervisor, **TestLazyDriverState.MODES[mode])
+        released = [
+            (d.action, d.value, d.time)
+            for t, value in _SIGNALS
+            for d in supervised.observe(_signal(value, time=t))
+        ]
+        events = [(e.time, e.kind, e.risk, e.note) for e in supervisor.events]
+        return released, list(supervised.suppressed), events, supervisor.alarms, driver
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_same_outcome_as_eager_state(self, mode):
+        lazy = self._run(SupervisedDriver, mode)
+        eager = self._run(_EagerSupervisedDriver, mode)
+        assert lazy[:4] == eager[:4]
+        assert lazy[0] or lazy[1] or lazy[3]  # the run decided something
+        assert eager[4].state_calls == len(_SIGNALS)
+        if mode == "degrade-on-risk":  # every signal's risk is read
+            assert lazy[4].state_calls == len(_SIGNALS)
+        else:
+            assert lazy[4].state_calls < len(_SIGNALS)
+
+    @pytest.mark.parametrize("mode", ["plain", "stale-after"])
+    def test_decision_free_signal_builds_no_state(self, mode):
+        driver = _SparseDriver()
+        supervised = SupervisedDriver(
+            driver, Supervisor(ThresholdModel({"speed": (0, 10)})),
+            **self.MODES[mode],
+        )
+        assert supervised.observe(_signal(99.0, time=0.0)) == []
+        assert supervised.observe(_signal(99.0, time=50.0)) == []
+        assert driver.state_calls == 0
+        supervised.observe(_signal(99.0, time=51.0))  # the third signal decides
+        assert driver.state_calls == 1
+
+    def test_asynchronous_builds_state_only_when_a_check_is_due(self):
+        driver = _SparseDriver()
+        supervised = SupervisedDriver(
+            driver, Supervisor(ThresholdModel({"speed": (0, 10)})),
+            synchronous=False, check_interval=10.0,
+        )
+        for t in (0.0, 1.0, 2.0, 3.0, 11.0):
+            supervised.observe(_signal(99.0, time=t))
+        assert driver.state_calls == 2  # the checks at t=0 and t=11
+
+    def test_degrade_on_risk_reads_state_every_signal(self):
+        driver = _SparseDriver()
+        supervised = SupervisedDriver(
+            driver, Supervisor(ThresholdModel({"speed": (0, 10)})),
+            degrade_on_risk=0.5,
+        )
+        supervised.observe(_signal(1.0, time=0.0))
+        supervised.observe(_signal(1.0, time=1.0))
+        assert driver.state_calls == 2

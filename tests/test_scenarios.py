@@ -268,6 +268,22 @@ class TestRunScenario:
         assert run.matches_golden is None
         assert run.golden_hash is None
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "blink-web-search",
+            "blink-data-mining",
+            "blink-incast",
+            "blink-flash-crowd",
+            "blink-elephant-mice",
+        ],
+    )
+    def test_packet_level_scenario_matches_golden(self, name):
+        run = run_scenario(name, jobs=1)
+        assert run.spec.attack == "blink-capture-packet-level"
+        assert run.spec.seeds == resolve_scenario(name).seeds
+        assert run.matches_golden is True
+
     def test_with_golden_pins_one_backend(self):
         spec = resolve_scenario(CHEAP)
         pinned = with_golden(spec, "numpy", "cd" * 32)
