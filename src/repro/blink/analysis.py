@@ -14,6 +14,13 @@ plus the quantities Fig. 2 plots (average and 5th/95th-percentile
 curves, Monte-Carlo sample paths) and the derived attack-feasibility
 measures (time until half the sample is captured, minimum qm for a
 given budget).
+
+The binomial tail and quantile are exact: a float ``p`` is the ratio
+``a/d`` of two integers, so every weight ``C(n, i)·a^i·(d − a)^(n−i)``
+of the distribution over ``d^n`` is an integer.  A tail is a sum of
+those integers divided once (correctly rounded).  A quantile is placed
+by a float CDF, and any CDF value too near q to trust is compared in
+integers instead.
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
-
-from scipy import stats
 
 from repro.blink.constants import DEFAULT_CELLS, RESET_INTERVAL
 from repro.core.errors import ConfigurationError
@@ -34,6 +39,127 @@ def _validate(qm: float, tr: float) -> None:
         raise ConfigurationError(f"qm must be in (0, 1), got {qm}")
     if tr <= 0:
         raise ConfigurationError(f"tR must be positive, got {tr}")
+
+
+def _lower_weight(n: int, a: int, b: int, k: int) -> int:
+    """Σ_{i<k} C(n, i)·a^i·b^(n−i), by homogeneous Horner over k terms."""
+    acc = 0
+    a_pow = 1
+    comb = 1
+    for i in range(k):
+        acc = acc * b + comb * a_pow
+        a_pow *= a
+        comb = comb * (n - i) // (i + 1)
+    return acc * b ** (n - k + 1)
+
+
+def binomial_tail(n: int, k: int, p: float) -> float:
+    """P(X ≥ k) for X ~ Binomial(n, p), correctly rounded.
+
+    Sums whichever side of ``k`` has fewer terms; the upper side of
+    X is the lower side of n − X, whose success odds are b : a.
+    """
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    a, d = p.as_integer_ratio()
+    b = d - a
+    total = d**n
+    if k <= n - k + 1:
+        return (total - _lower_weight(n, a, b, k)) / total
+    return _lower_weight(n, b, a, n - k + 1) / total
+
+
+def _log_comb(n: int, i: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+
+
+def _tie_band(n: int) -> float:
+    """How near q a float CDF must come for the exact quantile to decide.
+
+    Each float weight exp(log C(n, i) + i·ln p + (n − i)·ln(1 − p)) errs
+    by a few ulps of log-terms of size O(n·ln n), and the running sum
+    adds n roundings more, so the float CDF is off by O(n·ln n·1e-16):
+    far inside this band.
+    """
+    return 1e-12 * (n + 1)
+
+
+def _exact_binomial_quantile(n: int, p: float, q: float) -> int:
+    """:func:`binomial_quantile` in integers: ``cdf·qd ≥ qa·d^n``."""
+    a, d = p.as_integer_ratio()
+    b = d - a
+    if q <= 0.0:
+        return 0
+    if q >= 1.0 or b == 0:
+        return n if a else 0
+    qa, qd = q.as_integer_ratio()
+    target = qa * d**n
+    weight = b**n
+    cdf = weight
+    k = 0
+    while cdf * qd < target:
+        # C(n,k+1)·a^(k+1)·b^(n−k−1) from its predecessor; exact.
+        weight = weight * ((n - k) * a) // ((k + 1) * b)
+        k += 1
+        cdf += weight
+    return k
+
+
+def binomial_quantile(n: int, p: float, q: float) -> int:
+    """Smallest k with P(X ≤ k) ≥ q for X ~ Binomial(n, p), q in [0, 1].
+
+    q = 0 gives 0 and q = 1 the largest k with positive mass.  A float
+    CDF places k; when it passes within :func:`_tie_band` of q either
+    side of k, the integer comparison decides instead.
+    """
+    if 0.0 < p < 1.0:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        band = _tie_band(n)
+        cdf = 0.0
+        for k in range(n + 1):
+            below = cdf
+            cdf += math.exp(_log_comb(n, k) + k * log_p + (n - k) * log_q)
+            if cdf >= q:
+                if cdf - q > band and q - below > band:
+                    return k
+                break
+    return _exact_binomial_quantile(n, p, q)
+
+
+def _binomial_quantile_rows(n: int, p, qs: Sequence[float]) -> list:
+    """:func:`binomial_quantile` over a numpy array of p, per q in qs.
+
+    Float log-space weights place every quantile at once; a p whose
+    CDF lies within :func:`_tie_band` of q either side of the chosen k
+    goes to the exact integer comparison, as in the scalar.
+    """
+    import numpy as np
+
+    p = np.asarray(p, dtype=float)
+    # Row i holds log C(n,i)·p^i·(1−p)^(n−i); a zero factor is only
+    # multiplied in where its exponent is positive, so p = 0 or 1
+    # gives −inf (weight 0), never 0·(−inf).
+    up = np.arange(1, n + 1)[:, None]
+    log_w = np.repeat([[_log_comb(n, i)] for i in range(n + 1)], p.size, axis=1)
+    with np.errstate(divide="ignore"):
+        log_w[1:] += up * np.log(p)
+        log_w[:-1] += up[::-1] * np.log1p(-p)
+    cdf = np.cumsum(np.exp(log_w), axis=0)
+    band = _tie_band(n)
+    cols = np.arange(p.size)
+    rows = []
+    for q in qs:
+        k = np.minimum(np.count_nonzero(cdf < q, axis=0), n)
+        # Only the CDF values either side of k decide it.
+        near = np.abs(cdf[k, cols] - q) <= band
+        near |= (k > 0) & (np.abs(cdf[k - 1, cols] - q) <= band)
+        k = k.astype(float)
+        for col in np.flatnonzero(near):
+            k[col] = _exact_binomial_quantile(n, float(p[col]), q)
+        rows.append(k)
+    return rows
 
 
 def capture_probability(t: float, qm: float, tr: float) -> float:
@@ -52,11 +178,15 @@ def mean_captured(t: float, qm: float, tr: float, cells: int = DEFAULT_CELLS) ->
 def captured_percentile(
     t: float, qm: float, tr: float, q: float, cells: int = DEFAULT_CELLS
 ) -> float:
-    """q-th percentile of the binomial number of captured cells at t."""
+    """q-th percentile of the binomial number of captured cells at t.
+
+    The smallest k with P(X ≤ k) ≥ q/100; the 0th percentile is 0 and
+    the 100th the most cells that can have been captured (0 at t = 0).
+    """
     if not 0.0 <= q <= 100.0:
         raise ConfigurationError("percentile q must be in [0, 100]")
     p = capture_probability(t, qm, tr)
-    return float(stats.binom.ppf(q / 100.0, cells, p))
+    return float(binomial_quantile(cells, p, q / 100.0))
 
 
 def probability_at_least(
@@ -67,8 +197,7 @@ def probability_at_least(
         return 1.0
     if k > cells:
         return 0.0
-    p = capture_probability(t, qm, tr)
-    return float(stats.binom.sf(k - 1, cells, p))
+    return binomial_tail(cells, k, capture_probability(t, qm, tr))
 
 
 def mean_crossing_time(
@@ -290,9 +419,10 @@ def _theory_curves_vectorized(
     """Array-valued Fig. 2 theory curves (numpy-backend fast path).
 
     The scalar :func:`theory_curves` spends most of its time in ~1000
-    independent ``binom.ppf`` calls; one array-valued call replaces
-    them.  Values may differ from the scalar path in the last ulp,
-    which is why the default backend keeps the scalar code.
+    exact :func:`binomial_quantile` calls; one pass over a float CDF
+    matrix replaces them with the same percentiles.  The mean curve
+    may differ from the scalar path in the last ulp, which is why the
+    default backend keeps the scalar code.
     """
     _validate(qm, tr)
     if step <= 0 or horizon <= 0:
@@ -301,11 +431,12 @@ def _theory_curves_vectorized(
 
     times = np.arange(int(horizon / step) + 1, dtype=float) * step
     p = 1.0 - (1.0 - qm) ** (times / tr)
+    p5, p95 = _binomial_quantile_rows(cells, p, (0.05, 0.95))
     return CaptureCurve(
         times=times.tolist(),
         mean=(cells * p).tolist(),
-        p5=np.asarray(stats.binom.ppf(0.05, cells, p), dtype=float).tolist(),
-        p95=np.asarray(stats.binom.ppf(0.95, cells, p), dtype=float).tolist(),
+        p5=p5.tolist(),
+        p95=p95.tolist(),
         qm=qm,
         tr=tr,
         cells=cells,
@@ -358,9 +489,9 @@ def fig2_headline(
     """The theory numbers and simulated crossings of :func:`fig2_experiment`.
 
     Same arguments and the same Monte-Carlo runs, but no theory curves
-    and no per-step occupancy counts: the curves' scalar ``binom.ppf``
-    calls are most of a Fig. 2 run, and a campaign cell reads only the
-    numbers.
+    and no per-step occupancy counts: the curves' ~1000 scalar
+    :func:`binomial_quantile` calls are most of a Fig. 2 run, and a
+    campaign cell reads only the numbers.
     """
     from repro.kernels import get_backend
 

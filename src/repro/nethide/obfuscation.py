@@ -16,9 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.nethide.metrics import (
@@ -29,6 +27,9 @@ from repro.nethide.metrics import (
     topology_utility,
 )
 from repro.netsim.topology import Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Pair = Tuple[str, str]
 
@@ -189,6 +190,8 @@ class NetHideObfuscator:
         physical_path: List[str],
         graph: nx.Graph,
     ) -> Optional[Tuple[List[str], float]]:
+        import networkx as nx
+
         from repro.nethide.metrics import path_accuracy
 
         src, dst = pair

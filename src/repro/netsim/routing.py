@@ -12,8 +12,6 @@ import ipaddress
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.core.errors import RoutingError
 from repro.netsim.topology import Topology
 
@@ -116,6 +114,8 @@ class StaticRouter:
 
     def _install_tree(self, prefix: str, root: str, origin: str = "spf") -> None:
         """Install ``prefix -> next hop toward root`` at every node."""
+        import networkx as nx
+
         if not self.topology.has_node(root):
             raise RoutingError(f"no node {root!r} to route toward")
         paths = nx.single_source_dijkstra_path(

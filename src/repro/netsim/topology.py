@@ -14,11 +14,12 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -60,6 +61,8 @@ class Topology:
     """An undirected network graph with typed link/node properties."""
 
     def __init__(self, name: str = "topology"):
+        import networkx as nx
+
         self.name = name
         self._graph = nx.Graph()
 
@@ -142,15 +145,21 @@ class Topology:
         return self._graph.degree[node]
 
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return bool(self._graph) and nx.is_connected(self._graph)
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Weighted shortest path (by link weight)."""
+        import networkx as nx
+
         return nx.shortest_path(
             self._graph, src, dst, weight=lambda a, b, data: data["props"].weight
         )
 
     def all_shortest_paths(self, src: str, dst: str) -> List[List[str]]:
+        import networkx as nx
+
         return list(
             nx.all_shortest_paths(
                 self._graph, src, dst, weight=lambda a, b, data: data["props"].weight

@@ -1,10 +1,18 @@
 """Tests for the Fig. 2 closed-form model and Monte-Carlo."""
 
+import bisect
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from repro.blink.analysis import (
+    _binomial_quantile_rows,
+    _exact_binomial_quantile,
+    binomial_quantile,
+    binomial_tail,
     capture_probability,
     captured_percentile,
     expected_hitting_time,
@@ -186,3 +194,130 @@ class TestFig2Headline:
             fig2_experiment(runs=2, **args)
         with pytest.raises(ConfigurationError):
             fig2_headline(runs=2, **args)
+
+
+@functools.lru_cache(maxsize=32)
+def reference_cdf(n, p):
+    """P(X <= k) for k = 0..n as exact fractions of the float p."""
+    exact = Fraction(p)
+    weights = (math.comb(n, i) * exact**i * (1 - exact) ** (n - i) for i in range(n + 1))
+    return tuple(itertools.accumulate(weights))
+
+
+def reference_tail(n, p, k):
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    return float(1 - reference_cdf(n, p)[k - 1])
+
+
+def reference_quantile(n, p, q):
+    """Smallest k with P(X <= k) >= q, in exact arithmetic."""
+    return bisect.bisect_left(reference_cdf(n, p), Fraction(q))
+
+
+SIZES = (1, 2, 12, 16, 64)
+PROBABILITIES = (0.0, 1e-300, 0.3, 1.0 - 1e-12, 1.0)
+QUANTILES = (0.05, 0.5, 0.95)
+
+
+class TestBinomialKernel:
+    """The in-house binomial against exact rational arithmetic."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_tail_is_correctly_rounded(self, n, p):
+        for k in range(-1, n + 2):
+            assert binomial_tail(n, k, p) == reference_tail(n, p, k), k
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("p", PROBABILITIES)
+    def test_quantile_is_exact(self, n, p):
+        for q in QUANTILES + (0.0, 1.0):
+            expected = reference_quantile(n, p, q)
+            assert binomial_quantile(n, p, q) == expected, q
+            assert _exact_binomial_quantile(n, p, q) == expected, q
+        # 0 and 1 reach the ends of the support that has mass.
+        assert binomial_quantile(n, p, 0.0) == 0
+        assert binomial_quantile(n, p, 1.0) == (n if p > 0 else 0)
+
+    @pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.3), (64, 0.0525), (64, 0.7)])
+    def test_quantile_at_rounded_cdf_values(self, n, p):
+        """q equal to a CDF value rounded to float: the float CDF
+        cannot tell which side of q the true CDF lies, the integers
+        can."""
+        for cdf in reference_cdf(n, p)[:-1]:
+            for q in (float(cdf), math.nextafter(float(cdf), 1.0)):
+                assert binomial_quantile(n, p, q) == reference_quantile(n, p, q), q
+
+    @pytest.mark.parametrize("n", SIZES + (2048,))
+    def test_vectorised_quantile_equals_scalar(self, n):
+        np = pytest.importorskip("numpy")
+        times = np.arange(0.0, 511.0, 7.0)
+        p = np.concatenate([np.array(PROBABILITIES), 1.0 - (1.0 - 0.0525) ** (times / 8.37)])
+        tie = float(reference_cdf(n, 0.5)[n // 2])  # within an ulp of the CDF
+        p = np.append(p, 0.5)
+        qs = (0.0, 0.05, 0.5, 0.95, 1.0, tie)
+        for q, row in zip(qs, _binomial_quantile_rows(n, p, qs)):
+            assert row.tolist() == [float(binomial_quantile(n, float(x), q)) for x in p], q
+
+    def test_large_sample(self):
+        """2048 cells: C(n, i) alone overflows a float here."""
+        n, p = 2048, 0.375
+        with pytest.raises(OverflowError):
+            math.comb(n, n // 2) * p ** (n // 2)
+        for k in (1, 700, 768, 800, 1024, 2048):
+            assert binomial_tail(n, k, p) == reference_tail(n, p, k), k
+        for q in QUANTILES:
+            assert binomial_quantile(n, p, q) == reference_quantile(n, p, q), q
+        assert captured_percentile(510.0, QM, TR, 95.0, cells=n) <= n
+        assert probability_at_least(n // 2, 510.0, QM, TR, cells=n) > 0.99
+
+
+class TestPercentileEdges:
+    @pytest.mark.parametrize("t", [0.0, 10.0, 200.0, 510.0])
+    def test_zeroth_percentile_is_zero(self, t):
+        assert captured_percentile(t, QM, TR, 0.0) == 0.0
+
+    def test_hundredth_percentile_at_start_is_zero(self):
+        assert captured_percentile(0.0, QM, TR, 100.0) == 0.0
+
+    def test_hundredth_percentile_later_is_every_cell(self):
+        assert captured_percentile(10.0, QM, TR, 100.0) == 64.0
+
+
+class TestMatchesFormerKernel:
+    """Values the model gave when scipy.stats.binom evaluated it."""
+
+    def test_median_success_time(self):
+        assert success_time_quantile(32, QM, TR) == 105.18670484977541
+
+    @pytest.mark.parametrize(
+        "tr, expected",
+        [(11.082797427652734, 139.27872663469037), (6.4719827586206895, 81.3341147220872)],
+        ids=["web-search", "data-mining"],
+    )
+    def test_analytical_scenario_cells(self, tr, expected):
+        # The tR the two blink-analytical scenarios calibrate, over
+        # their 300 s horizon.
+        assert success_time_quantile(32, QM, tr, horizon=300.0) == expected
+
+    def test_minimum_qm(self):
+        assert minimum_qm(32, TR) == 0.011061008640759264
+        assert minimum_qm(32, 20.0, confidence=0.95) == 0.03470998822202571
+
+    def test_percentile_grid(self):
+        grid = [
+            [captured_percentile(t, QM, TR, q) for q in (5.0, 50.0, 95.0)]
+            for t in (0.0, 1.0, 10.0, 50.0, 107.5, 200.0, 510.0)
+        ]
+        assert grid == [
+            [0.0, 0.0, 0.0],
+            [0.0, 0.0, 2.0],
+            [1.0, 4.0, 7.0],
+            [12.0, 18.0, 24.0],
+            [25.0, 32.0, 39.0],
+            [40.0, 46.0, 52.0],
+            [59.0, 62.0, 64.0],
+        ]

@@ -2,17 +2,21 @@
 
 numpy is an *opt-in* dependency of the kernel layer: CLI startup,
 ``--help``, attack listing and the python backend itself must not
-import it.  These tests run in a subprocess so the assertion sees a
-pristine ``sys.modules`` (the in-process suite imports numpy all over).
+import it.  The sweep's cold start must not load networkx either, and
+no path may load scipy.  These tests run in a subprocess so the
+assertion sees a pristine ``sys.modules`` (the in-process suite imports
+numpy all over).
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
 
-REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPO_SRC = os.path.join(REPO_ROOT, "src")
 
 
 def run_probe(code: str) -> subprocess.CompletedProcess:
@@ -42,9 +46,8 @@ def test_cli_help_does_not_import_numpy():
 
 
 def test_cli_list_keeps_kernel_fast_path_unloaded():
-    # `list` pulls the attack registry, whose netsim corner imports
-    # networkx (and transitively numpy) — long-standing behaviour.
-    # The kernel layer's own fast path must still stay unloaded.
+    # `list` pulls the attack registry; neither it nor the kernel
+    # layer's own fast path may load the numpy backend.
     probe = run_probe(
         "import sys\n"
         "from repro.cli import main\n"
@@ -62,5 +65,54 @@ def test_python_backend_does_not_import_numpy():
         "backend.pcc_utilities([1.0], [0.0], alpha=50.0)\n"
         "assert 'numpy' not in sys.modules, 'numpy leaked into the python backend'\n"
         "assert 'repro.kernels.numpy_backend' not in sys.modules\n"
+    )
+    assert probe.returncode == 0, probe.stderr
+
+
+def cold_setup_statements() -> str:
+    """The sweep cold start the repository benchmark times.
+
+    Read from perfbench's source rather than imported, so the probe
+    runs exactly those statements and nothing perfbench loads.
+    """
+    path = os.path.join(REPO_ROOT, "perfbench", "workloads.py")
+    with open(path, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "_COLD_SETUP" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no _COLD_SETUP")
+
+
+def test_sweep_cold_start_loads_no_heavy_dependency():
+    probe = run_probe(
+        cold_setup_statements()
+        + "import sys\n"
+        "loaded = [m for m in ('scipy', 'networkx', 'numpy') if m in sys.modules]\n"
+        "assert not loaded, f'sweep cold start loaded {loaded}'\n"
+        # Graphs still build once asked for, loading networkx then.
+        "from repro.netsim.routing import StaticRouter\n"
+        "from repro.netsim.topology import triangle_with_hosts\n"
+        "topo = triangle_with_hosts()\n"
+        "assert topo.is_connected()\n"
+        "assert topo.shortest_path('h0', 'h2') == ['h0', 'r0', 'r2', 'h2']\n"
+        "router = StaticRouter(topo)\n"
+        "router.compute()\n"
+        "assert router.tables['r0'].lookup('h2').next_hop == 'r2'\n"
+        "assert 'networkx' in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    assert probe.returncode == 0, probe.stderr
+
+
+def test_blink_import_does_not_load_scipy():
+    probe = run_probe(
+        "import sys\n"
+        "import repro.blink\n"
+        "from repro.blink import fig2_experiment\n"
+        "fig2_experiment(runs=2, backend='numpy')\n"
+        "assert 'scipy' not in sys.modules, 'scipy leaked into repro.blink'\n"
     )
     assert probe.returncode == 0, probe.stderr
