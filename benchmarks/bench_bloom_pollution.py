@@ -3,9 +3,9 @@
 ``bench_sketch_pollution`` sweeps the full attack (flow generation,
 FlowRadar, LossRadar); this bench times *only* the structure-pollution
 phase — bulk-inserting the crafted keys and probing the saturated
-filter — which is exactly what the kernel layer vectorises.  Keys are
-pre-packed outside the timed region so the measurement compares the
-backends' hashing/indexing/bit-setting, not shared Python setup.
+filter — which is exactly what the bloom kernels batch.  Keys are
+pre-packed outside the timed region so the measurement covers the
+kernels' hashing/indexing/bit-setting, not shared Python setup.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from conftest import banner, bench_record, run_once
 
 from repro.analysis import ascii_table
 from repro.attacks.sketch_attack import synthetic_flows
+from repro.kernels import KERNELS_NAME
 from repro.sketches.bloom import BloomFilter
 
 DESIGN_CAPACITY = 5_000
@@ -28,7 +29,7 @@ PROBE_KEYS = 4_000
 REPS = 3
 
 
-def test_bloom_pollution(benchmark, kernel_backend):
+def test_bloom_pollution(benchmark):
     attack = [flow.packed() for flow in synthetic_flows(ATTACK_KEYS, subnet=2)]
     probes = [flow.packed() for flow in synthetic_flows(PROBE_KEYS, subnet=8)]
     timing = {}
@@ -38,8 +39,8 @@ def test_bloom_pollution(benchmark, kernel_backend):
         for _ in range(REPS):
             bloom = BloomFilter.for_capacity(DESIGN_CAPACITY, TARGET_FPR)
             started = time.perf_counter()
-            bloom.add_bulk(attack, backend=kernel_backend)
-            hits = sum(bloom.query_bulk(probes, backend=kernel_backend))
+            bloom.add_bulk(attack)
+            hits = sum(bloom.query_bulk(probes))
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
         timing["best_seconds"] = best
@@ -47,7 +48,7 @@ def test_bloom_pollution(benchmark, kernel_backend):
 
     bloom, fpr = run_once(benchmark, pollute)
 
-    banner(f"Bloom pollution hot path [backend={kernel_backend}]")
+    banner("Bloom pollution hot path")
     ops = ATTACK_KEYS + PROBE_KEYS
     rows = [
         {"quantity": "design capacity", "value": DESIGN_CAPACITY},
@@ -68,13 +69,12 @@ def test_bloom_pollution(benchmark, kernel_backend):
     bench_record(
         benchmark,
         name="bloom_pollution",
-        backend=kernel_backend,
+        backend=KERNELS_NAME,
         trials=ops,
         wall_seconds=timing["best_seconds"],
     )
     benchmark.extra_info.update(
         {
-            "backend": kernel_backend,
             "fpr_after": fpr,
             "fill_factor_after": bloom.fill_factor,
             "keys_per_second": ops / timing["best_seconds"],

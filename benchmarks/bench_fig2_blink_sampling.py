@@ -23,13 +23,14 @@ from repro.blink import (
     fig2_experiment,
     probability_at_least,
 )
+from repro.kernels import KERNELS_NAME
 
 #: Best-of-N reps inside the timed region keeps the perf gate's
 #: trials/sec out of single-core scheduler noise.
 REPS = 3
 
 
-def test_fig2_theory_and_simulation(benchmark, kernel_backend):
+def test_fig2_theory_and_simulation(benchmark):
     timing = {}
 
     def experiment():
@@ -41,7 +42,6 @@ def test_fig2_theory_and_simulation(benchmark, kernel_backend):
                 tr=FIG2_TR,
                 runs=FIG2_SIMULATIONS,
                 seed=0,
-                backend=kernel_backend,
             )
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
@@ -50,10 +50,7 @@ def test_fig2_theory_and_simulation(benchmark, kernel_backend):
 
     result = run_once(benchmark, experiment)
 
-    banner(
-        "E1 / Fig. 2 — malicious flows sampled by Blink over time "
-        f"[backend={kernel_backend}]"
-    )
+    banner("E1 / Fig. 2 — malicious flows sampled by Blink over time")
     print(series_block("theory mean", result.theory.times, result.theory.mean))
     print(series_block("theory p5", result.theory.times, result.theory.p5))
     print(series_block("theory p95", result.theory.times, result.theory.p95))
@@ -84,13 +81,12 @@ def test_fig2_theory_and_simulation(benchmark, kernel_backend):
     bench_record(
         benchmark,
         name="fig2_blink_sampling",
-        backend=kernel_backend,
+        backend=KERNELS_NAME,
         trials=FIG2_SIMULATIONS,
         wall_seconds=timing["best_seconds"],
     )
     benchmark.extra_info.update(
         {
-            "backend": kernel_backend,
             "mean_crossing_theory_s": result.mean_crossing_theory,
             "mean_crossing_simulated_s": result.mean_crossing_simulated,
             "p_success_at_200s": p_at_200,

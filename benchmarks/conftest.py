@@ -16,10 +16,9 @@ timings (the fig2 bench guards this with its <5 % wall-time bound).
 
 Perf-gate additions
 -------------------
-``--backend {python,numpy}`` selects the kernel backend benches run
-against (default: ``$REPRO_BACKEND``, then python) via the
-``kernel_backend`` fixture.  Benches that participate in the
-regression gate call :func:`bench_record` with their headline timing;
+Benches that participate in the regression gate call
+:func:`bench_record` with their headline timing and a label (the
+scheduler, shard count or kernel set the record measured);
 ``--bench-json NAME`` then writes every record to ``BENCH_<NAME>.json``
 (or to the literal path when NAME ends in ``.json``) at session end,
 in the schema ``tools/bench_compare.py`` consumes.
@@ -51,14 +50,6 @@ _RECORDS = {}
 
 def pytest_addoption(parser):
     group = parser.getgroup("repro benchmarks")
-    group.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        choices=("python", "numpy"),
-        help="kernel backend for backend-aware benches "
-        "(default: $REPRO_BACKEND, then python)",
-    )
     group.addoption(
         "--scheduler",
         action="store",
@@ -97,14 +88,6 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     global _METRICS_ON
     _METRICS_ON = bool(config.getoption("--metrics"))
-
-
-@pytest.fixture
-def kernel_backend(request) -> str:
-    """The resolved kernel backend name for this bench session."""
-    from repro.kernels import resolve_backend_name
-
-    return resolve_backend_name(request.config.getoption("--backend"))
 
 
 @pytest.fixture

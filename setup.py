@@ -10,7 +10,7 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "networkx"],
+    install_requires=["networkx"],
     extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

@@ -148,7 +148,7 @@ class Sweep:
         self._grid = crossed
         return self
 
-    def run(self, jobs: Optional[int] = None, backend: Optional[str] = None) -> SweepResult:
+    def run(self, jobs: Optional[int] = None) -> SweepResult:
         """Execute the grid; ``jobs`` > 1 fans tasks over processes.
 
         The experiment function must be picklable (a module-level
@@ -156,29 +156,15 @@ class Sweep:
         (point, seed) submission order, so the aggregate is identical
         for every worker count — the determinism tests compare
         ``jobs=1`` and ``jobs>1`` outputs byte-for-byte.
-
-        ``backend`` names a kernel backend (see :mod:`repro.kernels`);
-        it is validated up front and injected into every task's params,
-        so backend-aware experiment bodies (and the result cache, whose
-        key covers the full param dict) see it uniformly.  ``None``
-        leaves params untouched.
         """
         from repro.runner.parallel import resolve_jobs
 
-        if backend is not None:
-            from repro.kernels import resolve_backend_name
-
-            backend = resolve_backend_name(backend)
         if not self._grid:
             self._grid = [{}]
         effective_jobs = resolve_jobs(jobs) if jobs is not None else 1
         started = _wallclock.perf_counter()
         tasks = [
-            (
-                point_index,
-                seed,
-                dict(params) if backend is None else {**params, "backend": backend},
-            )
+            (point_index, seed, dict(params))
             for point_index, params in enumerate(self._grid)
             for seed in self.seeds
         ]

@@ -65,8 +65,6 @@ class BlinkAnalyticalAttack(Attack):
         horizon = float(params.get("horizon", 510.0))
         runs = int(params.get("runs", 50))
         seed = int(params.get("seed", 0))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
         workload = params.get("workload")
         if params.get("tr") is not None:
             tr = float(params["tr"])  # an explicit tr always wins
@@ -80,8 +78,7 @@ class BlinkAnalyticalAttack(Attack):
         else:
             tr = 8.37
         result = fig2_headline(
-            qm=qm, tr=tr, cells=cells, horizon=horizon, runs=runs, seed=seed,
-            backend=backend,
+            qm=qm, tr=tr, cells=cells, horizon=horizon, runs=runs, seed=seed
         )
         success = result.success_fraction >= 0.5
         details: Dict[str, object] = {

@@ -208,8 +208,6 @@ class PccOscillationAttack(Attack):
         coherent = bool(params.get("coherent", False))
         sway_amplitude = float(params.get("sway_amplitude", 0.10))
         sway_period = float(params.get("sway_period", 20.0))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
 
         from repro.faults import coerce_plan
 
@@ -254,10 +252,10 @@ class PccOscillationAttack(Attack):
         baseline = run(False)
         attacked = run(True)
 
-        # Tail statistics go through the kernel backend; the python
-        # default replays rate_oscillation/rate_amplitude bit-for-bit.
-        stats_baseline = baseline.tail_rate_stats(tail, backend=backend)
-        stats_attacked = attacked.tail_rate_stats(tail, backend=backend)
+        # Tail statistics go through the oscillation kernel, which
+        # replays rate_oscillation/rate_amplitude bit-for-bit.
+        stats_baseline = baseline.tail_rate_stats(tail)
+        stats_attacked = attacked.tail_rate_stats(tail)
         osc_baseline = sum(s["cv"] for s in stats_baseline) / flows
         osc_attacked = sum(s["cv"] for s in stats_attacked) / flows
         amp_attacked = sum(s["amplitude"] for s in stats_attacked) / flows
@@ -275,8 +273,8 @@ class PccOscillationAttack(Attack):
         mean_rate_baseline = _tail_mean_rate(baseline, flows, tail)
         mean_rate_attacked = _tail_mean_rate(attacked, flows, tail)
 
-        agg_attacked = attacked.aggregate_rate_stats(tail, backend=backend)
-        agg_baseline = baseline.aggregate_rate_stats(tail, backend=backend)
+        agg_attacked = attacked.aggregate_rate_stats(tail)
+        agg_baseline = baseline.aggregate_rate_stats(tail)
 
         tamper = attacked.tamper
         assert isinstance(tamper, UtilityEqualizer)

@@ -50,8 +50,6 @@ class PytheasPoisoningAttack(Attack):
         sites = params.get("sites") or _default_sites()
         report_filter: Optional[ReportFilter] = params.get("report_filter")  # type: ignore[assignment]
         tail_rounds = int(params.get("tail_rounds", 20))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
 
         from repro.faults import coerce_plan
 
@@ -81,9 +79,7 @@ class PytheasPoisoningAttack(Attack):
                 attacker_fraction=fraction,
                 attacker_strategy=TargetedLiar(best) if fraction > 0 else None,
             )
-            simulation = PytheasSimulation(
-                controller, model, [population], seed=seed + 3, backend=backend
-            )
+            simulation = PytheasSimulation(controller, model, [population], seed=seed + 3)
             simulation.run(rounds)
             return simulation
 
@@ -147,8 +143,6 @@ class PytheasImbalanceAttack(Attack):
         sessions_per_round = int(params.get("sessions_per_round", 80))
         throttle_penalty = float(params.get("throttle_penalty", 40.0))
         seed = int(params.get("seed", 0))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
         # Both sites equally good, but B's capacity only fits part of
         # the total demand — herding everyone onto B overloads it.
         total_demand = groups * sessions_per_round
@@ -177,8 +171,7 @@ class PytheasImbalanceAttack(Attack):
             ]
             throttler = Throttler("cdn-A", penalty=throttle_penalty) if throttled else None
             simulation = PytheasSimulation(
-                controller, model, populations, throttler=throttler, seed=seed + 2,
-                backend=backend,
+                controller, model, populations, throttler=throttler, seed=seed + 2
             )
             simulation.run(rounds)
             return simulation

@@ -52,21 +52,17 @@ class BloomSaturationAttack(Attack):
         design_capacity = int(params.get("design_capacity", 10_000))
         attack_multiplier = float(params.get("attack_multiplier", 4.0))
         target_fpr = float(params.get("target_fpr", 0.01))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
 
         bloom = BloomFilter.for_capacity(design_capacity, target_fpr)
         legitimate = synthetic_flows(design_capacity, subnet=1)
-        bloom.add_bulk((flow.packed() for flow in legitimate), backend=backend)
+        bloom.add_bulk(flow.packed() for flow in legitimate)
         fpr_before = bloom.measured_false_positive_rate(
-            (flow.packed() for flow in synthetic_flows(2000, subnet=9)),
-            backend=backend,
+            flow.packed() for flow in synthetic_flows(2000, subnet=9)
         )
         attack = synthetic_flows(int(design_capacity * attack_multiplier), subnet=2)
-        bloom.add_bulk((flow.packed() for flow in attack), backend=backend)
+        bloom.add_bulk(flow.packed() for flow in attack)
         fpr_after = bloom.measured_false_positive_rate(
-            (flow.packed() for flow in synthetic_flows(2000, subnet=8)),
-            backend=backend,
+            flow.packed() for flow in synthetic_flows(2000, subnet=8)
         )
         return AttackResult(
             attack_name=self.name,
@@ -95,20 +91,17 @@ class FlowRadarOverloadAttack(Attack):
         design_capacity = int(params.get("design_capacity", 5_000))
         attack_multiplier = float(params.get("attack_multiplier", 1.5))
         legitimate_flows = int(params.get("legitimate_flows", design_capacity))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
 
         baseline = FlowRadar.for_capacity(design_capacity)
         legit = synthetic_flows(legitimate_flows, subnet=1)
-        baseline.observe_bulk(legit, packets=3, backend=backend)
+        baseline.observe_bulk(legit, packets=3)
         success_before = baseline.decode_success_rate()
 
         attacked = FlowRadar.for_capacity(design_capacity)
-        attacked.observe_bulk(legit, packets=3, backend=backend)
+        attacked.observe_bulk(legit, packets=3)
         attacked.observe_bulk(
             synthetic_flows(int(design_capacity * attack_multiplier), subnet=2),
             packets=1,
-            backend=backend,
         )
         success_after = attacked.decode_success_rate()
         return AttackResult(
@@ -140,8 +133,6 @@ class LossRadarPollutionAttack(Attack):
         legit_packets = int(params.get("legit_packets", 20_000))
         true_losses = int(params.get("true_losses", 200))
         attack_packets = int(params.get("attack_packets", 3000))
-        backend = params.get("backend")
-        backend = str(backend) if backend is not None else None
         flow = FiveTuple("10.0.0.1", "198.51.100.1", 40000, 443)
         attack_flow = FiveTuple("203.0.113.7", "198.51.100.1", 40001, 443)
 
@@ -150,14 +141,12 @@ class LossRadarPollutionAttack(Attack):
             segment.transit_bulk(
                 [PacketId(flow, seq) for seq in range(legit_packets)],
                 [seq < true_losses for seq in range(legit_packets)],
-                backend=backend,
             )
             if attacked:
                 # Packets addressed to expire inside the segment: they
                 # enter the upstream meter but never exit.
                 segment.inject_upstream_only_bulk(
                     [PacketId(attack_flow, seq) for seq in range(attack_packets)],
-                    backend=backend,
                 )
             return segment.report()
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.blink.constants import DEFAULT_CELLS, RESET_INTERVAL
 from repro.core.errors import ConfigurationError
@@ -128,40 +128,6 @@ def binomial_quantile(n: int, p: float, q: float) -> int:
     return _exact_binomial_quantile(n, p, q)
 
 
-def _binomial_quantile_rows(n: int, p, qs: Sequence[float]) -> list:
-    """:func:`binomial_quantile` over a numpy array of p, per q in qs.
-
-    Float log-space weights place every quantile at once; a p whose
-    CDF lies within :func:`_tie_band` of q either side of the chosen k
-    goes to the exact integer comparison, as in the scalar.
-    """
-    import numpy as np
-
-    p = np.asarray(p, dtype=float)
-    # Row i holds log C(n,i)·p^i·(1−p)^(n−i); a zero factor is only
-    # multiplied in where its exponent is positive, so p = 0 or 1
-    # gives −inf (weight 0), never 0·(−inf).
-    up = np.arange(1, n + 1)[:, None]
-    log_w = np.repeat([[_log_comb(n, i)] for i in range(n + 1)], p.size, axis=1)
-    with np.errstate(divide="ignore"):
-        log_w[1:] += up * np.log(p)
-        log_w[:-1] += up[::-1] * np.log1p(-p)
-    cdf = np.cumsum(np.exp(log_w), axis=0)
-    band = _tie_band(n)
-    cols = np.arange(p.size)
-    rows = []
-    for q in qs:
-        k = np.minimum(np.count_nonzero(cdf < q, axis=0), n)
-        # Only the CDF values either side of k decide it.
-        near = np.abs(cdf[k, cols] - q) <= band
-        near |= (k > 0) & (np.abs(cdf[k - 1, cols] - q) <= band)
-        k = k.astype(float)
-        for col in np.flatnonzero(near):
-            k[col] = _exact_binomial_quantile(n, float(p[col]), q)
-        rows.append(k)
-    return rows
-
-
 def capture_probability(t: float, qm: float, tr: float) -> float:
     """p(t) = 1 − (1 − qm)^(t/tR): one cell is malicious by time t."""
     _validate(qm, tr)
@@ -233,6 +199,31 @@ def expected_hitting_time(
     return sum(1.0 / i for i in range(cells - k + 1, cells + 1)) / lam
 
 
+def _bisect_low(
+    reached: Callable[[float], bool], lo: float, hi: float, halvings: int
+) -> float:
+    """``hi`` after up to ``halvings`` bisection steps of monotone ``reached``.
+
+    ``reached(hi)`` must hold on entry.  Each step moves ``hi`` to the
+    midpoint when it is reached, else ``lo``.  Once the midpoint rounds
+    onto an end whose verdict is known (``hi`` always, ``lo`` after a
+    step has moved it), no step can change either end again, so the
+    loop stops there with the float the full count would give.  The
+    only end ever tested is an untested initial ``lo`` the midpoint
+    rounds onto, and no point is tested twice.
+    """
+    lo_known = False
+    for _ in range(halvings):
+        mid = (lo + hi) / 2.0
+        if mid == hi or (mid == lo and lo_known):
+            break
+        if reached(mid):
+            hi = mid
+        else:
+            lo, lo_known = mid, True
+    return hi
+
+
 def success_time_quantile(
     k: int,
     qm: float,
@@ -251,14 +242,12 @@ def success_time_quantile(
         raise ConfigurationError("quantile must be in (0, 1)")
     if probability_at_least(k, horizon, qm, tr, cells) < quantile:
         return None
-    lo, hi = 0.0, horizon
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if probability_at_least(k, mid, qm, tr, cells) >= quantile:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_low(
+        lambda t: probability_at_least(k, t, qm, tr, cells) >= quantile,
+        0.0,
+        horizon,
+        60,
+    )
 
 
 def minimum_qm(
@@ -278,13 +267,12 @@ def minimum_qm(
     lo, hi = 1e-6, 1.0 - 1e-9
     if probability_at_least(k, budget, hi, tr, cells) < confidence:
         raise ConfigurationError("unreachable even with qm ≈ 1")
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if probability_at_least(k, budget, mid, tr, cells) >= confidence:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_low(
+        lambda qm: probability_at_least(k, budget, qm, tr, cells) >= confidence,
+        lo,
+        hi,
+        80,
+    )
 
 
 @dataclass
@@ -337,7 +325,8 @@ def sample_flip_times(
     """Per-cell first-capture times (``math.inf`` = never), cell order.
 
     The single-run sampling loop of :func:`simulate_capture`, split out
-    so the python kernel backend replays the exact same draw sequence.
+    so :func:`repro.kernels.blink_flip_times` replays the exact same
+    draw sequence.
     """
     flip_times: List[float] = []
     for _ in range(cells):
@@ -413,36 +402,6 @@ class Fig2Result:
         return len(self.crossing_times_simulated) / len(self.runs)
 
 
-def _theory_curves_vectorized(
-    qm: float, tr: float, cells: int, horizon: float, step: float
-) -> CaptureCurve:
-    """Array-valued Fig. 2 theory curves (numpy-backend fast path).
-
-    The scalar :func:`theory_curves` spends most of its time in ~1000
-    exact :func:`binomial_quantile` calls; one pass over a float CDF
-    matrix replaces them with the same percentiles.  The mean curve
-    may differ from the scalar path in the last ulp, which is why the
-    default backend keeps the scalar code.
-    """
-    _validate(qm, tr)
-    if step <= 0 or horizon <= 0:
-        raise ConfigurationError("step and horizon must be positive")
-    import numpy as np
-
-    times = np.arange(int(horizon / step) + 1, dtype=float) * step
-    p = 1.0 - (1.0 - qm) ** (times / tr)
-    p5, p95 = _binomial_quantile_rows(cells, p, (0.05, 0.95))
-    return CaptureCurve(
-        times=times.tolist(),
-        mean=(cells * p).tolist(),
-        p5=p5.tolist(),
-        p95=p95.tolist(),
-        qm=qm,
-        tr=tr,
-        cells=cells,
-    )
-
-
 @dataclass
 class Fig2Headline:
     """Fig. 2's headline numbers, without the curves that are drawn.
@@ -484,7 +443,6 @@ def fig2_headline(
     horizon: float = RESET_INTERVAL,
     runs: int = 50,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> Fig2Headline:
     """The theory numbers and simulated crossings of :func:`fig2_experiment`.
 
@@ -493,20 +451,19 @@ def fig2_headline(
     :func:`binomial_quantile` calls are most of a Fig. 2 run, and a
     campaign cell reads only the numbers.
     """
-    from repro.kernels import get_backend
+    from repro.kernels import blink_crossing_times, blink_flip_times
 
     _validate(qm, tr)
     if horizon <= 0:
         raise ConfigurationError("horizon must be positive")
-    kernel = get_backend(backend)
     threshold = cells // 2
-    flip_rows = kernel.blink_flip_times(qm, tr, cells, horizon, runs, seed)
+    flip_rows = blink_flip_times(qm, tr, cells, horizon, runs, seed)
     return Fig2Headline(
         threshold=threshold,
         mean_crossing_theory=mean_crossing_time(threshold, qm, tr, cells),
         expected_hitting_theory=expected_hitting_time(threshold, qm, tr, cells),
         median_success_time_theory=success_time_quantile(threshold, qm, tr, cells, 0.5, horizon),
-        run_crossings=list(kernel.blink_crossing_times(flip_rows, threshold)),
+        run_crossings=list(blink_crossing_times(flip_rows, threshold)),
         flip_rows=flip_rows,
     )
 
@@ -519,26 +476,18 @@ def fig2_experiment(
     runs: int = 50,
     step: float = 1.0,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> Fig2Result:
     """Reproduce Fig. 2: theory curves + ``runs`` Monte-Carlo paths.
 
-    ``backend`` selects the trial kernels (see :mod:`repro.kernels`):
-    the default python backend replays the historical draw sequence
-    bit-for-bit; ``"numpy"`` samples the same flip-time distribution
-    from seed-derived generator streams, batched across runs.  The
-    headline numbers come from :func:`fig2_headline`.
+    Run ``i`` draws from ``random.Random(seed + i)``; the headline
+    numbers come from :func:`fig2_headline`.
     """
-    from repro.kernels import get_backend
+    from repro.kernels import blink_occupancy_counts
 
-    kernel = get_backend(backend)
-    if kernel.vectorized:
-        theory = _theory_curves_vectorized(qm, tr, cells, horizon, step)
-    else:
-        theory = theory_curves(qm, tr, cells, horizon, step)
-    headline = fig2_headline(qm, tr, cells, horizon, runs, seed, backend)
+    theory = theory_curves(qm, tr, cells, horizon, step)
+    headline = fig2_headline(qm, tr, cells, horizon, runs, seed)
     times = [i * step for i in range(int(horizon / step) + 1)]
-    counts = kernel.blink_occupancy_counts(headline.flip_rows, times)
+    counts = blink_occupancy_counts(headline.flip_rows, times)
     simulated = [
         MonteCarloRun(times=list(times), captured=captured, crossing_time=crossing)
         for captured, crossing in zip(counts, headline.run_crossings)

@@ -33,8 +33,8 @@ Seven subcommands:
 * ``scenarios list|describe|run`` — the scenario registry: named,
   content-addressed attack × workload × fault bindings with pinned
   golden report hashes.  ``run --verify`` recomputes a scenario and
-  compares its aggregate-report hash against the golden pinned for the
-  active kernel backend (the CI scenario-smoke gate).
+  compares its aggregate-report hash against its pinned golden (the CI
+  scenario-smoke gate).
 
 Exit codes: 0 success, 1 attack failed (or gave up after retries),
 2 usage errors, 3 malformed ``--faults`` spec, 4 unreadable or
@@ -124,20 +124,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     attack = registry[name]
     params = _parse_params(args.param or [])
-
-    if args.backend or os.environ.get("REPRO_BACKEND"):
-        from repro.core.errors import ConfigurationError
-        from repro.kernels import DEFAULT_BACKEND, resolve_backend_name
-
-        try:
-            resolved_backend = resolve_backend_name(args.backend)
-        except ConfigurationError as exc:
-            print(f"invalid kernel backend: {exc}", file=sys.stderr)
-            return 2
-        # Only a non-default backend joins the params (and thereby the
-        # result-cache key); default runs keep their historical keys.
-        if resolved_backend != DEFAULT_BACKEND:
-            params["backend"] = resolved_backend
 
     if args.faults:
         from repro.core.errors import FaultSpecError
@@ -480,15 +466,10 @@ def _print_metrics_snapshot(tracer) -> None:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     from repro.blink import fig2_experiment
-    from repro.kernels import resolve_backend_name
 
-    backend = resolve_backend_name(args.backend)
-    result = fig2_experiment(
-        qm=args.qm, tr=args.tr, runs=args.runs, seed=args.seed, backend=backend
-    )
+    result = fig2_experiment(qm=args.qm, tr=args.tr, runs=args.runs, seed=args.seed)
     if args.json:
         payload = {
-            "backend": backend,
             "qm": args.qm,
             "tr": args.tr,
             "runs": args.runs,
@@ -573,7 +554,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
                     "attack": spec.attack,
                     "workload": spec.workload,
                     "seeds": len(spec.seeds),
-                    "golden": ",".join(sorted(spec.golden)) or "-",
+                    "golden": spec.golden[:12] if spec.golden else "-",
                 }
             )
         if args.json:
@@ -609,26 +590,20 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             ]
             if rows:
                 print(ascii_table(rows, title="resolved sweep params"))
-            for backend, digest in sorted(spec.golden.items()):
-                print(f"golden[{backend}]: {digest}")
+            if spec.golden is not None:
+                print(f"golden: {spec.golden}")
         return 0
 
     # scenarios run
     from repro.core.errors import ConfigurationError
-    from repro.kernels import resolve_backend_name
     from repro.runner import ResultCache
     from repro.workloads.scenarios import run_scenario
 
-    try:
-        backend = resolve_backend_name(args.backend)
-    except ConfigurationError as exc:
-        print(f"invalid kernel backend: {exc}", file=sys.stderr)
-        return 2
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
     try:
-        run = run_scenario(spec, jobs=args.jobs, cache=cache, backend=backend)
+        run = run_scenario(spec, jobs=args.jobs, cache=cache)
     except ConfigurationError as exc:
         print(f"scenario failed to resolve: {exc}", file=sys.stderr)
         return 2
@@ -639,7 +614,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             "scenario_id": spec.scenario_id,
             "attack": spec.attack,
             "workload": spec.workload,
-            "backend": run.backend,
             "report_hash": run.report_hash,
             "golden_hash": run.golden_hash,
             "matches_golden": verdict,
@@ -651,13 +625,13 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             {"quantity": key, "value": format_value(value) if value is not None else "-"}
             for key, value in run.report.aggregate().items()
         ]
-        print(ascii_table(rows, title=f"scenario: {spec.name} [{run.backend}]"))
+        print(ascii_table(rows, title=f"scenario: {spec.name}"))
         print(f"report hash: {run.report_hash}")
         if run.golden_hash:
             status = "MATCH" if verdict else "MISMATCH"
-            print(f"golden[{run.backend}]: {run.golden_hash} ({status})")
+            print(f"golden: {run.golden_hash} ({status})")
         else:
-            print(f"golden[{run.backend}]: (none pinned)")
+            print("golden: (none pinned)")
     if cache is not None:
         stats = cache.stats
         print(
@@ -667,15 +641,12 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         )
     if args.verify:
         if verdict is None:
-            print(
-                f"--verify: no golden hash pinned for backend {run.backend!r}",
-                file=sys.stderr,
-            )
+            print("--verify: no golden hash pinned", file=sys.stderr)
             return GOLDEN_MISMATCH_EXIT_CODE
         if not verdict:
             print(
                 f"--verify: report hash {run.report_hash} != pinned golden "
-                f"{run.golden_hash} for backend {run.backend!r}",
+                f"{run.golden_hash}",
                 file=sys.stderr,
             )
             return GOLDEN_MISMATCH_EXIT_CODE
@@ -949,13 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore --cache-dir (force every cell to execute)",
     )
     run_parser.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel backend for the Monte-Carlo hot paths "
-        "(default: $REPRO_BACKEND, then python)",
-    )
-    run_parser.add_argument(
         "--profile",
         metavar="PATH",
         help="profile the run under cProfile: dump pstats to PATH and "
@@ -977,13 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the Fig. 2 numbers as one JSON object on stdout",
-    )
-    fig2_parser.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel backend for the Monte-Carlo sampling "
-        "(default: $REPRO_BACKEND, then python)",
     )
     fig2_parser.set_defaults(func=cmd_fig2)
 
@@ -1095,13 +1052,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios_run.add_argument(
         "--no-cache", action="store_true", help="ignore --cache-dir"
-    )
-    scenarios_run.add_argument(
-        "--backend",
-        choices=("python", "numpy"),
-        default=None,
-        help="kernel backend (default: $REPRO_BACKEND, then python); "
-        "goldens are pinned per backend",
     )
     scenarios_run.add_argument(
         "--json", action="store_true", help="emit the outcome as one JSON object"

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 def percentile(values: Sequence[float], q: float, presorted: bool = False) -> float:
     """Linear-interpolation percentile of ``values`` at ``q`` in [0, 100].
 
-    Matches ``numpy.percentile``'s default behaviour but works on plain
-    Python sequences without the numpy import cost in hot loops.  Pass
+    Interpolates between closest ranks: rank ``q/100·(n − 1)`` of the
+    sorted values, the common "linear" percentile definition.  Pass
     ``presorted=True`` when ``values`` is already in ascending order to
     skip the O(n log n) sort — callers taking several percentiles of
     the same data should sort once and reuse it.

@@ -55,14 +55,13 @@ Determinism contract
 
 Delivery records are canonicalised content-first: the report hash is a
 sha256 over the **lexicographically row-sorted** record columns
-(``soa_sort_pack_f64``, byte-identical across kernel backends), so the
-hash is invariant to the per-window, per-shard order records arrive in.
+(``soa_sort_pack_f64``), so the hash is invariant to the per-window, per-shard order records arrive in.
 Topology generators jitter every link delay deterministically
 (:func:`~repro.netsim.topology.fat_tree_topology`,
 :func:`~repro.netsim.topology.scaled_random_topology`), keeping
 same-timestamp ties measure-zero, so the record *set* — and therefore
 ``report_hash`` — is byte-identical between the monolithic run and any
-shard count, scheduler, or kernel backend.  The parity grid in
+shard count or scheduler.  The parity grid in
 ``tests/test_netsim_forwarding.py`` pins exactly this.
 """
 
@@ -81,6 +80,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.process import consume_crash_flag
 from repro.flows.flow import FiveTuple
 from repro.flows.generators import FlowSpec, flow_packet_schedule, flow_stream_seed
+from repro.kernels import soa_pack_f64, soa_sort_pack_f64, soa_unpack_f64
 from repro.netsim.events import (
     MAX_EVENTS,
     EventLoop,
@@ -139,7 +139,7 @@ _TUNE_SAMPLE_CAP = 4096
 # -- codecs -------------------------------------------------------------
 
 
-def _pack_flow_chunk(backend, chunk: Sequence[Tuple[int, FlowSpec]], index) -> bytes:
+def _pack_flow_chunk(chunk: Sequence[Tuple[int, FlowSpec]], index) -> bytes:
     """Pack ``[(fid, spec)]`` as :data:`_FLOW_COLUMNS` float64 columns."""
     cols: List[List[float]] = [[] for _ in range(_FLOW_COLUMNS)]
     for fid, spec in chunk:
@@ -160,14 +160,12 @@ def _pack_flow_chunk(backend, chunk: Sequence[Tuple[int, FlowSpec]], index) -> b
         )
         for c, value in enumerate(row):
             cols[c].append(value)
-    return backend.soa_pack_f64(cols)
+    return soa_pack_f64(cols)
 
 
-def _unpack_flow_chunk(
-    backend, payload: bytes, nodes: Sequence[str]
-) -> List[Tuple[int, FlowSpec]]:
+def _unpack_flow_chunk(payload: bytes, nodes: Sequence[str]) -> List[Tuple[int, FlowSpec]]:
     """Inverse of :func:`_pack_flow_chunk`."""
-    cols = backend.soa_unpack_f64(payload, _FLOW_COLUMNS)
+    cols = soa_unpack_f64(payload, _FLOW_COLUMNS)
     out: List[Tuple[int, FlowSpec]] = []
     for k in range(len(cols[0])):
         flow = FiveTuple(
@@ -269,18 +267,16 @@ def _row_to_packet(row: Sequence[float], nodes: Sequence[str]) -> Tuple[float, s
     return (row[0], nodes[int(row[1])], packet)
 
 
-def _pack_rows(backend, rows: Sequence[Sequence[float]], columns: int) -> bytes:
+def _pack_rows(rows: Sequence[Sequence[float]], columns: int) -> bytes:
     if not rows:
         return b""
-    return backend.soa_pack_f64(
-        [[row[c] for row in rows] for c in range(columns)]
-    )
+    return soa_pack_f64([[row[c] for row in rows] for c in range(columns)])
 
 
-def _unpack_rows(backend, payload: bytes, columns: int) -> List[Tuple[float, ...]]:
+def _unpack_rows(payload: bytes, columns: int) -> List[Tuple[float, ...]]:
     if not payload:
         return []
-    cols = backend.soa_unpack_f64(payload, columns)
+    cols = soa_unpack_f64(payload, columns)
     return list(zip(*cols))
 
 
@@ -360,16 +356,16 @@ def _delivery_handler(state: "_ShardState"):
     return handler
 
 
-def _drain_deliveries(backend, state: "_ShardState") -> bytes:
+def _drain_deliveries(state: "_ShardState") -> bytes:
     if not state.records:
         return b""
-    payload = _pack_rows(backend, state.records, DELIVERY_COLUMNS)
+    payload = _pack_rows(state.records, DELIVERY_COLUMNS)
     state.records.clear()
     return payload
 
 
 def _shard_step(
-    backend, state: "_ShardState", target: float, inject: bytes, max_events: int
+    state: "_ShardState", target: float, inject: bytes, max_events: int
 ) -> Tuple[int, bytes, bytes]:
     """One window on one shard: inject boundary rows, run to ``target``.
 
@@ -380,14 +376,13 @@ def _shard_step(
     """
     loop = state.loop
     if inject:
-        for row in _unpack_rows(backend, inject, BOUNDARY_COLUMNS):
+        for row in _unpack_rows(inject, BOUNDARY_COLUMNS):
             arrival, ingress, packet = _row_to_packet(row, state.nodes)
             state.net.inject_remote(packet, ingress, max(arrival, loop.now))
     events = loop.run_until(target, max_events=max_events)
     egress = b""
     if state.outbox:
         egress = _pack_rows(
-            backend,
             [
                 _boundary_row(arrival, ingress, packet, state.index)
                 for arrival, ingress, packet in state.outbox
@@ -395,7 +390,7 @@ def _shard_step(
             BOUNDARY_COLUMNS,
         )
         state.outbox.clear()
-    return events, egress, _drain_deliveries(backend, state)
+    return events, egress, _drain_deliveries(state)
 
 
 def _schedule_flow(
@@ -498,9 +493,6 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
     shard = state.shard
     crash_flag = str(config.get("crash_flag") or "")
     try:
-        from repro.kernels import get_backend
-
-        backend = get_backend(config.get("backend"))
         loop = state.loop
         net = state.net
         nodes = state.nodes
@@ -516,7 +508,7 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
                 raise SimulationError(
                     f"shard {shard}: expected flows, got {message[0]!r}"
                 )
-            table.extend(_unpack_flow_chunk(backend, message[1], nodes))
+            table.extend(_unpack_flow_chunk(message[1], nodes))
 
         # Shard-local calendar tuning: size the buckets from this
         # shard's own flow-start gaps (the pre-run observable event
@@ -555,9 +547,7 @@ def _forwarding_shard_worker(conn, state: _ShardState, config: Dict[str, object]
                     )
                 consume_crash_flag(crash_flag)
                 _verb, target, inject = message
-                delta, egress, deliveries = _shard_step(
-                    backend, state, target, inject, remaining
-                )
+                delta, egress, deliveries = _shard_step(state, target, inject, remaining)
                 remaining -= delta
                 events_total += delta
                 conn.send(
@@ -590,8 +580,7 @@ class ForwardingReport:
 
     ``report_hash`` is the sha256 of the canonically sorted delivery
     records — a pure function of the simulated *physics*, byte-equal
-    across shard counts, schedulers, kernel backends and window
-    policies.  Everything else describes the execution.
+    across shard counts, schedulers and window policies.  Everything else describes the execution.
     """
 
     report_hash: str
@@ -617,9 +606,7 @@ class ForwardingReport:
 def _hash_deliveries(columns: Sequence[Sequence[float]]) -> str:
     import hashlib
 
-    from repro.kernels import get_backend
-
-    return hashlib.sha256(get_backend().soa_sort_pack_f64(list(columns))).hexdigest()
+    return hashlib.sha256(soa_sort_pack_f64(list(columns))).hexdigest()
 
 
 # -- coordinator --------------------------------------------------------
@@ -743,12 +730,9 @@ class ShardedForwardingSim(ShardPipeMixin):
         """Stream ``flows`` onto the shards and run to ``horizon``."""
         if horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        from repro.kernels import get_backend, resolve_backend_name
-
-        backend = get_backend()
         started = _wallclock.perf_counter()
         if self.processes:
-            flow_count = self._start_workers(flows, resolve_backend_name())
+            flow_count = self._start_workers(flows)
         else:
             flow_count = self._start_local(flows)
         adaptive = (
@@ -790,9 +774,7 @@ class ShardedForwardingSim(ShardPipeMixin):
                     report.fast_forwards += 1
                     obs_metrics.inc("sharded.fast_forwards")
                 _observe_window_width(target - t)
-                crossed = self._advance_all(
-                    backend, target, pending, delivery_columns, report
-                )
+                crossed = self._advance_all(target, pending, delivery_columns, report)
                 if adaptive is not None:
                     adaptive.observe(crossed)
                 report.windows += 1
@@ -809,7 +791,7 @@ class ShardedForwardingSim(ShardPipeMixin):
 
     # -- startup -----------------------------------------------------
 
-    def _start_workers(self, flows: Iterable[FlowSpec], backend_name: str) -> int:
+    def _start_workers(self, flows: Iterable[FlowSpec]) -> int:
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
@@ -819,7 +801,6 @@ class ShardedForwardingSim(ShardPipeMixin):
             ) from None
         config = {
             "seed": self.seed,
-            "backend": backend_name,
             "payload_size": self.payload_size,
             "crash_flag": self.crash_flag,
             "max_events": self.max_events,
@@ -836,9 +817,6 @@ class ShardedForwardingSim(ShardPipeMixin):
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-        from repro.kernels import get_backend
-
-        backend = get_backend()
         index = self.states[0].index
         buffers: List[List[Tuple[int, FlowSpec]]] = [[] for _ in range(self.shards)]
         count = 0
@@ -847,13 +825,13 @@ class ShardedForwardingSim(ShardPipeMixin):
             buffers[shard].append((count, spec))
             count += 1
             if len(buffers[shard]) >= FLOW_CHUNK:
-                payload = _pack_flow_chunk(backend, buffers[shard], index)
+                payload = _pack_flow_chunk(buffers[shard], index)
                 self._send(shard, ("flows", payload), sim_time=0.0)
                 obs_metrics.inc("sharded.pipe_bytes", len(payload))
                 buffers[shard].clear()
         for shard, buffered in enumerate(buffers):
             if buffered:
-                payload = _pack_flow_chunk(backend, buffered, index)
+                payload = _pack_flow_chunk(buffered, index)
                 self._send(shard, ("flows", payload), sim_time=0.0)
                 obs_metrics.inc("sharded.pipe_bytes", len(payload))
             self._send(shard, ("endflows",), sim_time=0.0)
@@ -904,9 +882,7 @@ class ShardedForwardingSim(ShardPipeMixin):
                 frontier = min(frontier, bound + out_la)
         return frontier
 
-    def _advance_all(
-        self, backend, target, pending, delivery_columns, report
-    ) -> int:
+    def _advance_all(self, target, pending, delivery_columns, report) -> int:
         """One barrier: inject pending rows, advance every shard, collect."""
         inject_payloads: List[bytes] = []
         for shard in range(self.shards):
@@ -914,9 +890,7 @@ class ShardedForwardingSim(ShardPipeMixin):
             if rows:
                 rows.sort(key=lambda item: (item[0], item[1], item[2]))
                 inject_payloads.append(
-                    _pack_rows(
-                        backend, [item[3] for item in rows], BOUNDARY_COLUMNS
-                    )
+                    _pack_rows([item[3] for item in rows], BOUNDARY_COLUMNS)
                 )
                 rows.clear()
             else:
@@ -943,38 +917,38 @@ class ShardedForwardingSim(ShardPipeMixin):
                 )
                 report.pipe_bytes += window_bytes
                 obs_metrics.inc("sharded.pipe_bytes", window_bytes)
-                crossed += self._route_egress(backend, shard, egress, pending)
-                self._collect_deliveries(backend, deliveries, delivery_columns)
+                crossed += self._route_egress(shard, egress, pending)
+                self._collect_deliveries(deliveries, delivery_columns)
         else:
             for shard in range(self.shards):
                 state = self.states[shard]
                 delta, egress, deliveries = _shard_step(
-                    backend, state, target, inject_payloads[shard], self.max_events
+                    state, target, inject_payloads[shard], self.max_events
                 )
                 self._bounds[shard] = state.loop.next_event_bound()
                 report.events += delta
                 report.per_shard_events[shard] += delta
-                crossed += self._route_egress(backend, shard, egress, pending)
-                self._collect_deliveries(backend, deliveries, delivery_columns)
+                crossed += self._route_egress(shard, egress, pending)
+                self._collect_deliveries(deliveries, delivery_columns)
         if crossed:
             report.boundary_packets += crossed
             obs_metrics.inc("sharded.boundary_packets", crossed)
         return crossed
 
-    def _route_egress(self, backend, src_shard, egress, pending) -> int:
+    def _route_egress(self, src_shard, egress, pending) -> int:
         if not egress:
             return 0
-        rows = _unpack_rows(backend, egress, BOUNDARY_COLUMNS)
+        rows = _unpack_rows(egress, BOUNDARY_COLUMNS)
         for position, row in enumerate(rows):
             ingress = self.nodes[int(row[1])]
             dest = self.assignment[ingress]
             pending[dest].append((row[0], src_shard, position, row))
         return len(rows)
 
-    def _collect_deliveries(self, backend, payload, delivery_columns) -> None:
+    def _collect_deliveries(self, payload, delivery_columns) -> None:
         if not payload:
             return
-        cols = backend.soa_unpack_f64(payload, DELIVERY_COLUMNS)
+        cols = soa_unpack_f64(payload, DELIVERY_COLUMNS)
         for c in range(DELIVERY_COLUMNS):
             delivery_columns[c].extend(cols[c])
 

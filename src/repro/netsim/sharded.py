@@ -14,8 +14,8 @@ style: each ``("advance", T)`` message asks the worker for every record
 at or before ``T``, and each ack returns the worker's own conservative
 bound on its next record or flow start so the coordinator can
 fast-forward across quiet regions.  Emitted packets cross back as
-compact struct-of-arrays records (four float64 columns packed by the
-``kernels`` backends) over ``multiprocessing`` pipes.  The same
+compact struct-of-arrays records (four float64 columns packed by
+:func:`repro.kernels.soa_pack_f64`) over ``multiprocessing`` pipes.  The same
 windowed protocol over a full topology-partitioned
 :class:`~repro.netsim.network.Network` lives in
 :class:`~repro.netsim.forwarding.ShardedForwardingSim`.
@@ -30,7 +30,7 @@ spec_index)`` order for lazy ones.  The coordinator computes every
 rank up front and ships it with the flow table; each shard's merge
 emits its records in exactly that key order, so a k-way merge of the
 shard streams per window suffices, and ``PacketLevelReport.report_hash``
-is byte-identical for any shard count, scheduler, and kernel backend.
+is byte-identical for any shard count and scheduler.
 
 Shard assignment is a pure function of the workload and shard count —
 no RNG streams, no dict order — so the same experiment always lands the
@@ -180,7 +180,7 @@ def pack_flow_table(
     address strings ride alongside as plain lists.  Column order is
     fixed so both ends agree without a schema handshake.
     """
-    from repro.kernels import get_backend
+    from repro.kernels import soa_pack_f64
 
     picked = [specs[i] for i in indices]
     columns: List[List[float]] = [
@@ -196,7 +196,7 @@ def pack_flow_table(
         [1.0 if spec.sends_fin else 0.0 for spec in picked],
         [1.0 if spec.constant_rate else 0.0 for spec in picked],
     ]
-    payload = get_backend().soa_pack_f64(columns)
+    payload = soa_pack_f64(columns)
     return (
         payload,
         [spec.flow.src for spec in picked],
@@ -208,12 +208,10 @@ def unpack_flow_table(
     payload: bytes, srcs: Sequence[str], dsts: Sequence[str]
 ) -> List[Tuple[int, FlowSpec]]:
     """Inverse of :func:`pack_flow_table`: ``[(global_index, spec)]``."""
-    from repro.kernels import get_backend
+    from repro.kernels import soa_unpack_f64
 
     # index column + numeric fields + ports/protocol + three bool flags.
-    columns = get_backend().soa_unpack_f64(
-        payload, 1 + len(_FLOW_NUMERIC_FIELDS) + 3 + 3
-    )
+    columns = soa_unpack_f64(payload, 1 + len(_FLOW_NUMERIC_FIELDS) + 3 + 3)
     (
         indices,
         starts,
@@ -311,9 +309,8 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
     try:
         import random as _random
 
-        from repro.kernels import get_backend
+        from repro.kernels import soa_pack_f64
 
-        backend = get_backend(config.get("backend"))
         verb, payload, srcs, dsts, ranks = conn.recv()
         if verb != "flows":
             raise SimulationError(f"shard {shard_index}: expected flows, got {verb!r}")
@@ -397,7 +394,7 @@ def _shard_worker(conn, config: Dict[str, object]) -> None:
                         "ack",
                         target,
                         delta,
-                        backend.soa_pack_f64(columns) if times else b"",
+                        soa_pack_f64(columns) if times else b"",
                         next_bound(),
                         packets,
                     )
@@ -585,9 +582,6 @@ class ShardedPacketEngine(ShardPipeMixin):
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = mp.get_context()
-        from repro.kernels import resolve_backend_name
-
-        backend_name = resolve_backend_name()
         for shard in range(self.shards):
             parent_conn, child_conn = ctx.Pipe()
             config = {
@@ -595,7 +589,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                 "seed": self.seed,
                 "preload": self.preload,
                 "with_trace": self.with_trace,
-                "backend": backend_name,
                 "crash_flag": self.crash_flag,
             }
             proc = ctx.Process(
@@ -636,9 +629,8 @@ class ShardedPacketEngine(ShardPipeMixin):
         """Advance all shards to the horizon; dispatch merged records."""
         if not self._prepared:
             self.prepare()
-        from repro.kernels import get_backend
+        from repro.kernels import soa_unpack_f64
 
-        backend = get_backend()
         by_rank = self._by_rank
         result = ShardedRunResult(
             events=0,
@@ -689,7 +681,7 @@ class ShardedPacketEngine(ShardPipeMixin):
                             f"sharded.shard{shard}.pipe_bytes", len(payload)
                         )
                         streams.append(
-                            zip(*backend.soa_unpack_f64(payload, RECORD_COLUMNS))
+                            zip(*soa_unpack_f64(payload, RECORD_COLUMNS))
                         )
                 if result.events >= self.max_events:
                     raise SimulationError(

@@ -154,31 +154,27 @@ class PccSimulation:
     def flow_rates(self, flow_id: int) -> List[float]:
         return [r.result.rate for r in self.records if r.flow_id == flow_id]
 
-    def tail_rate_stats(
-        self, tail_mis: int = 100, backend: Optional[str] = None
-    ) -> List[Dict[str, float]]:
+    def tail_rate_stats(self, tail_mis: int = 100) -> List[Dict[str, float]]:
         """Per-flow ``{"mean", "cv", "amplitude"}`` over the last MIs.
 
         Batched form of :meth:`rate_oscillation` / :meth:`rate_amplitude`
-        through a kernel backend (see :mod:`repro.kernels`); the python
-        backend reproduces those methods bit-for-bit.
+        through :func:`repro.kernels.pcc_oscillation_stats`, which
+        reproduces those methods bit-for-bit.
         """
-        from repro.kernels import get_backend
+        from repro.kernels import pcc_oscillation_stats
 
         rows = [
             self.flow_rates(flow_id)[-tail_mis:]
             for flow_id in range(len(self.controllers))
         ]
-        return get_backend(backend).pcc_oscillation_stats(rows)
+        return pcc_oscillation_stats(rows)
 
-    def aggregate_rate_stats(
-        self, tail_mis: int = 100, backend: Optional[str] = None
-    ) -> Dict[str, float]:
+    def aggregate_rate_stats(self, tail_mis: int = 100) -> Dict[str, float]:
         """``{"mean", "cv", "amplitude"}`` of the recent aggregate rate."""
-        from repro.kernels import get_backend
+        from repro.kernels import pcc_oscillation_stats
 
         values = list(self.aggregate_rate_series.values)[-tail_mis:]
-        return get_backend(backend).pcc_oscillation_stats([values])[0]
+        return pcc_oscillation_stats([values])[0]
 
     def rate_oscillation(self, flow_id: int, tail_mis: int = 100) -> float:
         """Coefficient of variation of the flow's rate over the last MIs.

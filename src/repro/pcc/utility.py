@@ -20,7 +20,7 @@ computation.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.errors import ConfigurationError
 
@@ -56,21 +56,17 @@ def allegro_utility(rate: float, loss: float, alpha: float = ALPHA) -> float:
 
 
 def allegro_utility_batch(
-    rates: Sequence[float],
-    losses: Sequence[float],
-    alpha: float = ALPHA,
-    backend: Optional[str] = None,
+    rates: Sequence[float], losses: Sequence[float], alpha: float = ALPHA
 ) -> List[float]:
-    """Allegro utility over (rate, loss) pairs via a kernel backend.
+    """Allegro utility over (rate, loss) pairs.
 
     The batched form of :func:`allegro_utility` — what a sweep (or an
     attacker planning over many candidate rates) evaluates per ±ε
-    experiment batch.  ``backend=None`` resolves ``$REPRO_BACKEND``
-    then the python reference kernel.
+    experiment batch.
     """
-    from repro.kernels import get_backend
+    from repro.kernels import pcc_utilities
 
-    return get_backend(backend).pcc_utilities(list(rates), list(losses), alpha)
+    return pcc_utilities(list(rates), list(losses), alpha)
 
 
 def loss_for_target_utility_batch(
@@ -78,20 +74,16 @@ def loss_for_target_utility_batch(
     targets: Sequence[float],
     alpha: float = ALPHA,
     tolerance: float = 1e-9,
-    backend: Optional[str] = None,
 ) -> List[float]:
     """Batched :func:`loss_for_target_utility` over (rate, target) pairs.
 
     The attacker's ±ε planning primitive at sweep scale: for each rate
     PCC might test, the loss to induce so the observed utility lands on
-    the attacker's target.  The numpy backend bisects all pairs in
-    lockstep; results agree with the scalar path within ``tolerance``.
+    the attacker's target.
     """
-    from repro.kernels import get_backend
+    from repro.kernels import pcc_loss_for_targets
 
-    return get_backend(backend).pcc_loss_for_targets(
-        list(rates), list(targets), alpha, tolerance
-    )
+    return pcc_loss_for_targets(list(rates), list(targets), alpha, tolerance)
 
 
 def vivace_utility(

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import TimeSeries
 from repro.pytheas.controller import PytheasController
-from repro.pytheas.qoe import QOE_MAX, QoEModel
+from repro.pytheas.qoe import QoEModel
 from repro.pytheas.session import QoEReport, Session, SessionFeatures
 
 
@@ -132,7 +132,6 @@ class PytheasSimulation:
         populations: Sequence[GroupPopulation],
         throttler: Optional[Throttler] = None,
         seed: int = 0,
-        backend: Optional[str] = None,
     ):
         if not populations:
             raise ConfigurationError("need at least one population")
@@ -140,11 +139,7 @@ class PytheasSimulation:
         self.qoe_model = qoe_model
         self.populations = list(populations)
         self.throttler = throttler
-        self._seed = seed
         self._rng = random.Random(seed)
-        from repro.kernels import get_backend
-
-        self._kernel = get_backend(backend)
         self.round_stats: List[RoundStats] = []
         self.benign_qoe_series: Dict[str, TimeSeries] = {}
         self._round = 0
@@ -156,12 +151,6 @@ class PytheasSimulation:
             self._run_round()
 
     def _run_round(self) -> None:
-        if self._kernel.vectorized:
-            self._run_round_vectorized()
-        else:
-            self._run_round_scalar()
-
-    def _run_round_scalar(self) -> None:
         honest = HonestReporter()
         all_sessions: List[Session] = []
         # 1. Sessions arrive and get decisions.
@@ -210,126 +199,6 @@ class PytheasSimulation:
         # 4. Record stats.
         for group_id, values in benign_by_group.items():
             mean_qoe = sum(values) / len(values)
-            series = self.benign_qoe_series.setdefault(
-                group_id, TimeSeries(f"pytheas.{group_id}.benign_qoe")
-            )
-            series.record(float(self._round), mean_qoe)
-            self.round_stats.append(
-                RoundStats(
-                    round_index=self._round,
-                    group_id=group_id,
-                    benign_true_qoe_mean=mean_qoe,
-                    assignments=dict(load),
-                    preferred=self.controller.preferred_decision(group_id),
-                )
-            )
-        self._round += 1
-
-    def _run_round_vectorized(self) -> None:
-        """One round through the vectorised kernels (numpy backend).
-
-        Controller serving and report ingestion stay scalar (their
-        exploration state advances per session); the per-session QoE
-        sampling, the poisoned-report mixing and the per-group benign
-        means are batched.  Noise comes from a round-derived generator
-        stream instead of the scalar model's persistent RNG, so values
-        differ draw-for-draw but match in distribution.
-        """
-        from repro.kernels import derive_seed
-
-        kernel = self._kernel
-        all_sessions: List[Session] = []
-        # 1. Sessions arrive and get decisions.
-        for population in self.populations:
-            attackers = int(round(population.sessions_per_round * population.attacker_fraction))
-            for i in range(population.sessions_per_round):
-                session = Session(
-                    features=population.features,
-                    malicious_ground_truth=i < attackers,
-                )
-                self.controller.serve(session)
-                all_sessions.append(session)
-        load: Dict[str, int] = {}
-        for session in all_sessions:
-            assert session.decision is not None
-            load[session.decision] = load.get(session.decision, 0) + 1
-        self.qoe_model.begin_round(load)
-        # 2. Ground-truth QoE for the whole round in one batched draw.
-        model = self.qoe_model
-        means: List[float] = []
-        stds: List[float] = []
-        biases: List[float] = []
-        for session in all_sessions:
-            assert session.decision is not None and session.group_id is not None
-            site = model.sites[session.decision]
-            means.append(site.quality_at_load(site.current_load))
-            stds.append(site.noise_std)
-            biases.append(model._group_bias.get((session.group_id, session.decision), 0.0))
-        true_values = kernel.pytheas_sample_qoe(
-            means,
-            stds,
-            biases,
-            seed=derive_seed("pytheas.qoe", self._seed, self._round),
-            low=0.0,
-            high=QOE_MAX,
-        )
-        if self.throttler is not None:
-            true_values = [
-                self.throttler.apply(session, qoe)
-                for session, qoe in zip(all_sessions, true_values)
-            ]
-        # 3. Poisoned-report mixing: the TargetedLiar mix vectorises;
-        # any custom strategy falls back to its scalar report() call.
-        strategies: Dict[int, ReportStrategy] = {}
-        for index, session in enumerate(all_sessions):
-            if session.malicious_ground_truth:
-                population = self._population_for(session)
-                assert population.attacker_strategy is not None
-                strategies[index] = population.attacker_strategy
-        liars = [s for s in strategies.values() if isinstance(s, TargetedLiar)]
-        uniform_liars = (
-            len(liars) == len(strategies)
-            and len({(liar.low, liar.high) for liar in liars}) <= 1
-        )
-        if strategies and uniform_liars:
-            malicious = [s.malicious_ground_truth for s in all_sessions]
-            targeted = [
-                bool(
-                    session.malicious_ground_truth
-                    and session.decision == strategies[index].target_decision  # type: ignore[union-attr]
-                )
-                for index, session in enumerate(all_sessions)
-            ]
-            reported = kernel.pytheas_mix_reports(
-                true_values, malicious, targeted, liars[0].low, liars[0].high
-            )
-        else:
-            reported = list(true_values)
-            for index, strategy in strategies.items():
-                reported[index] = strategy.report(
-                    all_sessions[index], true_values[index], self._round
-                )
-        reports: List[QoEReport] = []
-        for session, truth, value in zip(all_sessions, true_values, reported):
-            session.true_qoe = truth
-            session.reported_qoe = value
-            reports.append(
-                QoEReport(
-                    session_id=session.session_id,
-                    group_id=session.group_id,
-                    decision=session.decision,
-                    value=value,
-                    time=float(self._round),
-                )
-            )
-        self.controller.ingest_reports(reports)
-        # 4. Record stats: benign means per group, batched.
-        group_means = kernel.pytheas_benign_means(
-            true_values,
-            [session.group_id for session in all_sessions],
-            [not session.malicious_ground_truth for session in all_sessions],
-        )
-        for group_id, mean_qoe in group_means.items():
             series = self.benign_qoe_series.setdefault(
                 group_id, TimeSeries(f"pytheas.{group_id}.benign_qoe")
             )

@@ -14,7 +14,7 @@ rate, which are the quantities the pollution bench tracks.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FNV_PRIME_64, fnv1a_64
@@ -84,19 +84,16 @@ class BloomFilter:
         for item in items:
             self.add(item)
 
-    def add_bulk(self, items: Iterable[bytes], backend: Optional[str] = None) -> None:
-        """Insert many items through the selected kernel backend.
+    def add_bulk(self, items: Iterable[bytes]) -> None:
+        """Insert many items through the bulk kernel.
 
-        Identical filter state to ``add_all`` on every backend — the
-        numpy path uses the same hash family and bit layout.
+        Identical filter state to ``add_all``.
         """
-        from repro.kernels import get_backend
+        from repro.kernels import bloom_add_bulk
 
-        get_backend(backend).bloom_add_bulk(self, list(items))
+        bloom_add_bulk(self, list(items))
 
-    def add_unique_bulk(
-        self, items: Iterable[bytes], backend: Optional[str] = None
-    ) -> List[bool]:
+    def add_unique_bulk(self, items: Iterable[bytes]) -> List[bool]:
         """Insert items not yet present; returns per-item "was new".
 
         Exactly equivalent to testing ``item not in self`` and calling
@@ -106,9 +103,9 @@ class BloomFilter:
         way as the scalar loop.  The hashing is bulk; only the cheap
         bit test-and-set runs per item.
         """
-        from repro.kernels import get_backend
+        from repro.kernels import bloom_index_rows
 
-        rows = get_backend(backend).bloom_index_rows(self, list(items))
+        rows = bloom_index_rows(self, list(items))
         array = self._array
         fresh: List[bool] = []
         for row in rows:
@@ -129,11 +126,11 @@ class BloomFilter:
                 return False
         return True
 
-    def query_bulk(self, items: Iterable[bytes], backend: Optional[str] = None) -> List[bool]:
+    def query_bulk(self, items: Iterable[bytes]) -> List[bool]:
         """Membership answer per item, exactly ``item in self``."""
-        from repro.kernels import get_backend
+        from repro.kernels import bloom_query_bulk
 
-        return get_backend(backend).bloom_query_bulk(self, list(items))
+        return bloom_query_bulk(self, list(items))
 
     @property
     def fill_factor(self) -> float:
@@ -147,12 +144,10 @@ class BloomFilter:
         """Current (not design-time) FPR estimate: fill^k."""
         return self.fill_factor ** self.hashes
 
-    def measured_false_positive_rate(
-        self, probes: Iterable[bytes], backend: Optional[str] = None
-    ) -> float:
+    def measured_false_positive_rate(self, probes: Iterable[bytes]) -> float:
         """Empirical FPR over ``probes`` assumed not to be members."""
         probe_list = list(probes)
         if not probe_list:
             raise ConfigurationError("need at least one probe")
-        hits = sum(self.query_bulk(probe_list, backend=backend))
+        hits = sum(self.query_bulk(probe_list))
         return hits / len(probe_list)

@@ -116,33 +116,26 @@ class FlowRadar:
         self._truth[fingerprint] = self._truth.get(fingerprint, 0) + packets
         self._keys[fingerprint] = key
 
-    def observe_bulk(
-        self,
-        flows: Sequence[FiveTuple],
-        packets: int = 1,
-        backend: Optional[str] = None,
-    ) -> None:
-        """Observe every flow at ``packets`` each, through the kernel
-        backend.
+    def observe_bulk(self, flows: Sequence[FiveTuple], packets: int = 1) -> None:
+        """Observe every flow at ``packets`` each, hashing in bulk.
 
         The final state — cells, bloom bits, counters, ground truth —
-        is identical to calling :meth:`observe` per flow in order, on
-        every backend: the hashes are bulk but exact, and the new-flow
-        test stays incremental (each flow is checked against a filter
-        already containing every earlier flow in the batch).
+        is identical to calling :meth:`observe` per flow in order: the
+        hashes are bulk but exact, and the new-flow test stays
+        incremental (each flow is checked against a filter already
+        containing every earlier flow in the batch).
         """
         if packets <= 0:
             raise ConfigurationError("packets must be positive")
         flows = list(flows)
         if not flows:
             return
-        from repro.kernels import get_backend
+        from repro.kernels import fnv1a_bulk, sketch_indices
 
-        kernel = get_backend(backend)
         keys = [_flow_bytes(flow) for flow in flows]
-        fingerprints = kernel.fnv1a_bulk(keys)
-        index_rows = kernel.sketch_indices(keys, self.hashes, self.cell_count)
-        newness = self.bloom.add_unique_bulk(keys, backend=backend)
+        fingerprints = fnv1a_bulk(keys)
+        index_rows = sketch_indices(keys, self.hashes, self.cell_count)
+        newness = self.bloom.add_unique_bulk(keys)
         cells = self.cells
         truth = self._truth
         for key, fingerprint, indices, is_new in zip(

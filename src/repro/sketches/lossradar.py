@@ -17,7 +17,7 @@ capacity, so the operator can no longer locate *real* losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple, fnv1a_64
@@ -66,25 +66,22 @@ class PacketDigest:
         self.packets += 1
         self._keys[fingerprint] = key
 
-    def observe_bulk(
-        self, packet_ids: Sequence[PacketId], backend: Optional[str] = None
-    ) -> List[int]:
-        """Observe every packet through the kernel backend.
+    def observe_bulk(self, packet_ids: Sequence[PacketId]) -> List[int]:
+        """Observe every packet through the bulk hashing kernels.
 
         Identical final digest state to calling :meth:`observe` per
-        packet, on every backend (the bulk hashes are exact).  Returns
-        each packet's fingerprint so callers can update ground-truth
-        sets without rehashing.
+        packet (the bulk hashes are exact).  Returns each packet's
+        fingerprint so callers can update ground-truth sets without
+        rehashing.
         """
         packet_ids = list(packet_ids)
         if not packet_ids:
             return []
-        from repro.kernels import get_backend
+        from repro.kernels import fnv1a_bulk, sketch_indices
 
-        kernel = get_backend(backend)
         keys = [packet.packed() for packet in packet_ids]
-        fingerprints = kernel.fnv1a_bulk(keys)
-        index_rows = kernel.sketch_indices(keys, self.hashes, self.cell_count)
+        fingerprints = fnv1a_bulk(keys)
+        index_rows = sketch_indices(keys, self.hashes, self.cell_count)
         cells = self.cells
         for fingerprint, indices in zip(fingerprints, index_rows):
             for index in indices:
@@ -165,41 +162,28 @@ class LossRadarSegment:
         self.upstream.observe(packet)
         self._injected_truth.add(packet.fingerprint())
 
-    # -- bulk variants (kernel-backend accelerated, exact) -------------------
+    # -- bulk variants (bulk-hashed, exact) ----------------------------------
 
-    def transit_bulk(
-        self,
-        packets: Sequence[PacketId],
-        lost: Sequence[bool],
-        backend: Optional[str] = None,
-    ) -> None:
+    def transit_bulk(self, packets: Sequence[PacketId], lost: Sequence[bool]) -> None:
         """Bulk :meth:`transit`: packet ``i`` is dropped iff ``lost[i]``."""
         packets = list(packets)
         lost = list(lost)
         if len(packets) != len(lost):
             raise ConfigurationError("packets and lost flags must have equal length")
-        fingerprints = self.upstream.observe_bulk(packets, backend=backend)
+        fingerprints = self.upstream.observe_bulk(packets)
         survivors = [p for p, dropped in zip(packets, lost) if not dropped]
-        self.downstream.observe_bulk(survivors, backend=backend)
+        self.downstream.observe_bulk(survivors)
         self._lost_truth.update(
             fp for fp, dropped in zip(fingerprints, lost) if dropped
         )
 
-    def inject_downstream_bulk(
-        self, packets: Sequence[PacketId], backend: Optional[str] = None
-    ) -> None:
+    def inject_downstream_bulk(self, packets: Sequence[PacketId]) -> None:
         """Bulk :meth:`inject_downstream`."""
-        self._injected_truth.update(
-            self.downstream.observe_bulk(packets, backend=backend)
-        )
+        self._injected_truth.update(self.downstream.observe_bulk(packets))
 
-    def inject_upstream_only_bulk(
-        self, packets: Sequence[PacketId], backend: Optional[str] = None
-    ) -> None:
+    def inject_upstream_only_bulk(self, packets: Sequence[PacketId]) -> None:
         """Bulk :meth:`inject_upstream_only`."""
-        self._injected_truth.update(
-            self.upstream.observe_bulk(packets, backend=backend)
-        )
+        self._injected_truth.update(self.upstream.observe_bulk(packets))
 
     def locate_losses(self) -> Tuple[Set[int], bool]:
         """Run the periodic loss localisation."""

@@ -3,8 +3,8 @@
 Three layers, bottom-up:
 
 * :mod:`repro.workloads.cdf` — the shipped empirical flow-size CDFs
-  (DCTCP web-search, VL2 data-mining) and byte-identical
-  inverse-transform sampling across kernel backends;
+  (DCTCP web-search, VL2 data-mining) and seeded inverse-transform
+  sampling;
 * :mod:`repro.workloads.shapers` + :mod:`repro.workloads.engine` —
   composable load shapers and six streaming, seeded workload classes
   (bounded memory, identity-derived per-flow RNG streams), plus

@@ -8,13 +8,13 @@ CDFs, exactly the fixture data PrintQueue's ``SyntheticTraffic``
 generator uses, and samples flow sizes from them by inverse transform:
 
     cdf = resolve_cdf("web-search")
-    sizes_kb = cdf.sample_sizes(10_000, seed=0)          # python kernel
-    sizes_kb = cdf.sample_sizes(10_000, seed=0, backend="numpy")  # same bytes
+    sizes_kb = cdf.sample_sizes(10_000, seed=0)
 
 Determinism contract: the uniforms are always drawn from one
-``random.Random(seed)`` stream, and the interpolation arithmetic is
-order-matched across kernel backends, so ``sample_sizes`` is
-**byte-identical** for every backend.  The statistical test layer
+``random.Random(seed)`` stream, and the bulk kernel's interpolation
+arithmetic is order-matched with :meth:`EmpiricalCDF.quantile`, so
+``sample_sizes`` is **byte-identical** to drawing one size at a time
+off the same stream.  The statistical test layer
 (``tests/test_workloads_stats.py``) pins KS distances against these
 source CDFs at fixed seeds.
 
@@ -26,7 +26,7 @@ mice, the web-search mix 15% on 6 KB queries.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -110,8 +110,8 @@ class EmpiricalCDF:
     def quantile(self, u: float) -> float:
         """Flow size at cumulative fraction ``u`` (scalar reference).
 
-        The same arithmetic as the kernels' ``cdf_quantiles``, inlined
-        so library callers do not need a backend in hand.
+        The same arithmetic as :func:`repro.kernels.cdf_quantiles`, for
+        one uniform at a time.
         """
         if not 0.0 <= u <= 1.0:
             raise ConfigurationError(f"quantile fraction must be in [0, 1], got {u}")
@@ -192,22 +192,19 @@ class EmpiricalCDF:
         while True:
             yield quantile(rng.random())
 
-    def sample_sizes(
-        self, n: int, seed: int, backend: Optional[str] = None
-    ) -> List[float]:
-        """``n`` seeded flow sizes via the kernel dispatch.
+    def sample_sizes(self, n: int, seed: int) -> List[float]:
+        """``n`` seeded flow sizes through the bulk ``cdf_quantiles`` kernel.
 
-        Byte-identical across backends: the uniforms come from one
-        ``random.Random(seed)`` stream regardless of backend, and
+        The uniforms come from one ``random.Random(seed)`` stream and
         ``cdf_quantiles`` is a deterministic pure function.
         """
         if n < 0:
             raise ConfigurationError(f"sample count must be >= 0, got {n}")
-        from repro.kernels import get_backend
+        from repro.kernels import cdf_quantiles
 
         rng = random.Random(seed)
         us = [rng.random() for _ in range(n)]
-        return get_backend(backend).cdf_quantiles(self.fractions, self.sizes, us)
+        return cdf_quantiles(self.fractions, self.sizes, us)
 
     # -- statistics --------------------------------------------------------
 

@@ -16,8 +16,8 @@ Blink attacks, derived knobs for PCC/Pytheas), so scenario params join
 the cache key with no special cases.
 
 Golden report hashes: each registered scenario pins the sha256 of its
-:meth:`~repro.runner.checkpoint.SweepReport.aggregate_json` per kernel
-backend.  ``repro scenarios run --verify`` (and the CI scenario-smoke
+:meth:`~repro.runner.checkpoint.SweepReport.aggregate_json`.
+``repro scenarios run --verify`` (and the CI scenario-smoke
 step) recompute and compare — a silent behaviour change anywhere in
 the stack fails loudly.
 """
@@ -62,8 +62,8 @@ class ScenarioSpec:
     workload_params: Mapping[str, object] = field(default_factory=dict)
     faults: Optional[str] = None
     fault_seed: int = 0
-    #: backend name -> pinned sha256 of the aggregate report JSON.
-    golden: Mapping[str, str] = field(default_factory=dict)
+    #: Pinned sha256 of the aggregate report JSON (None: nothing pinned).
+    golden: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -80,7 +80,6 @@ class ScenarioSpec:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "workload_params", dict(self.workload_params))
-        object.__setattr__(self, "golden", dict(self.golden))
 
     # -- identity ----------------------------------------------------------
 
@@ -125,8 +124,8 @@ class ScenarioSpec:
             out["faults"] = self.faults
         if self.fault_seed:
             out["fault_seed"] = int(self.fault_seed)
-        if self.golden:
-            out["golden"] = dict(self.golden)
+        if self.golden is not None:
+            out["golden"] = self.golden
         return out
 
     @classmethod
@@ -140,10 +139,15 @@ class ScenarioSpec:
                 f"scenario spec has unknown key(s) {unknown}; known: {sorted(_SPEC_KEYS)}",
                 key=unknown[0],
             )
-        for key in ("params", "workload_params", "golden"):
+        for key in ("params", "workload_params"):
             value = data.get(key)
             if value is not None and not isinstance(value, Mapping):
                 raise ScenarioSpecError(f"scenario {key!r} must be a mapping", key=key)
+        golden = data.get("golden")
+        if "golden" in data and not isinstance(golden, str):
+            raise ScenarioSpecError(
+                "scenario 'golden' must be a sha256 hex string", key="golden"
+            )
         seeds = data.get("seeds", (0, 1))
         if isinstance(seeds, (str, bytes)) or not isinstance(seeds, Iterable):
             raise ScenarioSpecError("scenario 'seeds' must be a list of integers", key="seeds")
@@ -164,7 +168,7 @@ class ScenarioSpec:
                 workload_params=dict(data.get("workload_params") or {}),
                 faults=(None if data.get("faults") is None else str(data["faults"])),
                 fault_seed=int(data.get("fault_seed", 0)),
-                golden=dict(data.get("golden") or {}),
+                golden=golden,
             )
         except ConfigurationError:
             raise
@@ -254,10 +258,7 @@ register_scenario(ScenarioSpec(
     seeds=(0, 1),
     params={"horizon": 40.0, "cells": 16, "malicious_flows": 24},
     workload_params=dict(_PACKET_WORKLOAD),
-    golden={
-        "python": "458499cc6d20444b13a511a0e63a1f54a989ef2889d3ef168d7a37493c67cb6e",
-        "numpy": "458499cc6d20444b13a511a0e63a1f54a989ef2889d3ef168d7a37493c67cb6e",
-    },
+    golden="458499cc6d20444b13a511a0e63a1f54a989ef2889d3ef168d7a37493c67cb6e",
 ))
 
 register_scenario(ScenarioSpec(
@@ -268,10 +269,7 @@ register_scenario(ScenarioSpec(
     seeds=(0, 1),
     params={"horizon": 40.0, "cells": 12, "malicious_flows": 20},
     workload_params={"size_scale": 0.05, "max_packets": 400, "rate": 16.0},
-    golden={
-        "python": "161652214c5973dce6bb06f0ebfd7f65df9e6b4ec891053e1b886c859f3e6f19",
-        "numpy": "161652214c5973dce6bb06f0ebfd7f65df9e6b4ec891053e1b886c859f3e6f19",
-    },
+    golden="161652214c5973dce6bb06f0ebfd7f65df9e6b4ec891053e1b886c859f3e6f19",
 ))
 
 register_scenario(ScenarioSpec(
@@ -283,10 +281,7 @@ register_scenario(ScenarioSpec(
     params={"horizon": 40.0, "cells": 16, "malicious_flows": 20},
     workload_params={"size_scale": 0.05, "max_packets": 400,
                      "period": 1.0, "fan_in": 48},
-    golden={
-        "python": "48378477d066b3e6118470e6425517a6192d2bb218ec056202da2a843b444172",
-        "numpy": "48378477d066b3e6118470e6425517a6192d2bb218ec056202da2a843b444172",
-    },
+    golden="48378477d066b3e6118470e6425517a6192d2bb218ec056202da2a843b444172",
 ))
 
 register_scenario(ScenarioSpec(
@@ -297,10 +292,7 @@ register_scenario(ScenarioSpec(
     seeds=(0, 1),
     params={"horizon": 40.0, "cells": 16, "malicious_flows": 24, "defended": True},
     workload_params=dict(_PACKET_WORKLOAD),
-    golden={
-        "python": "0a4328dd6f5752b7c695baa78fdfaa3a200694ea351e0a531da5f72d279f45e0",
-        "numpy": "0a4328dd6f5752b7c695baa78fdfaa3a200694ea351e0a531da5f72d279f45e0",
-    },
+    golden="0a4328dd6f5752b7c695baa78fdfaa3a200694ea351e0a531da5f72d279f45e0",
 ))
 
 register_scenario(ScenarioSpec(
@@ -311,10 +303,7 @@ register_scenario(ScenarioSpec(
     seeds=(0, 1),
     params={"horizon": 40.0, "cells": 20, "malicious_flows": 28},
     workload_params={"size_scale": 0.01, "max_packets": 400},
-    golden={
-        "python": "05e04ffa1c3bf14974bec9570b66d32de22e661f5726f3ad8bd5fa5c3a98e6d9",
-        "numpy": "05e04ffa1c3bf14974bec9570b66d32de22e661f5726f3ad8bd5fa5c3a98e6d9",
-    },
+    golden="05e04ffa1c3bf14974bec9570b66d32de22e661f5726f3ad8bd5fa5c3a98e6d9",
 ))
 
 register_scenario(ScenarioSpec(
@@ -325,10 +314,7 @@ register_scenario(ScenarioSpec(
     seeds=(0, 1, 2),
     params={"runs": 30, "horizon": 300.0},
     workload_params={"tr_horizon": 40.0, "size_scale": 0.05, "max_packets": 400},
-    golden={
-        "python": "52ec20744e11f11c8c7225f70730b2b41851e44b9728cc9380a3ed5a286f8cc9",
-        "numpy": "5e91ac57ae0712085d0f893353661b8c38bec79d758e4ea0bd0a9744a2425a2f",
-    },
+    golden="52ec20744e11f11c8c7225f70730b2b41851e44b9728cc9380a3ed5a286f8cc9",
 ))
 
 register_scenario(ScenarioSpec(
@@ -339,10 +325,7 @@ register_scenario(ScenarioSpec(
     seeds=(0, 1, 2),
     params={"runs": 30, "horizon": 300.0},
     workload_params={"tr_horizon": 40.0, "size_scale": 0.01, "max_packets": 400},
-    golden={
-        "python": "88a891fd6e9bffc5d4e68f683f2483b88b1c585986fd01b61be1def7bdad9854",
-        "numpy": "8ddd0e97f05fffee0e0fca520dd00c675b02ce39e15f9bbce0859b9a0e64feb2",
-    },
+    golden="88a891fd6e9bffc5d4e68f683f2483b88b1c585986fd01b61be1def7bdad9854",
 ))
 
 register_scenario(ScenarioSpec(
@@ -352,10 +335,7 @@ register_scenario(ScenarioSpec(
     description="PCC equalisation while honest utilities sway with the diurnal load",
     seeds=(0, 1),
     params={"mis": 400, "warmup_mis": 100, "tail_mis": 100},
-    golden={
-        "python": "ebabf356bc428e5e0be2a7b630c544bd2ba360cf44b8e7f27ff229d069e36d79",
-        "numpy": "94830b343a096eb541847b7193625e33b22684dce485582579033c852ded926e",
-    },
+    golden="ebabf356bc428e5e0be2a7b630c544bd2ba360cf44b8e7f27ff229d069e36d79",
 ))
 
 register_scenario(ScenarioSpec(
@@ -365,10 +345,7 @@ register_scenario(ScenarioSpec(
     description="Pytheas poisoning while a flash crowd multiplies session volume",
     seeds=(0, 1),
     params={"rounds": 60, "tail_rounds": 10},
-    golden={
-        "python": "ef577290b58089d92b97dad74bebe19806704a04ae5a688155e9a4c3f1fd73f0",
-        "numpy": "ba2340e6e455dad942c175535efa9d219f586925dd8b1726e3041ecb6f523d66",
-    },
+    golden="ef577290b58089d92b97dad74bebe19806704a04ae5a688155e9a4c3f1fd73f0",
 ))
 
 
@@ -380,13 +357,12 @@ class ScenarioRun:
     """Outcome of one scenario execution."""
 
     spec: ScenarioSpec
-    backend: str
     report: object  # SweepReport
     report_hash: str
 
     @property
     def golden_hash(self) -> Optional[str]:
-        return self.spec.golden.get(self.backend)
+        return self.spec.golden
 
     @property
     def matches_golden(self) -> Optional[bool]:
@@ -407,24 +383,18 @@ def run_scenario(
     jobs: Optional[int] = None,
     cache=None,
     checkpoint_path: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> ScenarioRun:
     """Execute one scenario through the standard sweep machinery.
 
-    Mirrors ``repro run --seeds``: a non-default backend joins the
-    params (and thereby every cache key); default runs keep their
-    historical keys.  Per-scenario obs counters are emitted under
-    ``scenarios.runs.<name>`` so dashboards can slice by scenario.
+    Mirrors ``repro run --seeds``.  Per-scenario obs counters are
+    emitted under ``scenarios.runs.<name>`` so dashboards can slice by
+    scenario.
     """
-    from repro.kernels import DEFAULT_BACKEND, resolve_backend_name
     from repro.obs import metrics as obs_metrics
     from repro.runner import ParallelSweepExecutor, RegistryAttackFactory, seed_cells
 
     spec = resolve_scenario(name_or_spec)
-    resolved_backend = resolve_backend_name(backend)
     params = spec.resolve_params()
-    if resolved_backend != DEFAULT_BACKEND:
-        params["backend"] = resolved_backend
     cells = seed_cells(params, spec.seeds)
     executor = ParallelSweepExecutor(jobs=jobs, cache=cache)
     label = obs_metrics.label(spec.name)
@@ -433,16 +403,12 @@ def run_scenario(
         RegistryAttackFactory(spec.attack), cells, checkpoint_path=checkpoint_path
     )
     digest = report_hash(report)
-    run = ScenarioRun(
-        spec=spec, backend=resolved_backend, report=report, report_hash=digest
-    )
+    run = ScenarioRun(spec=spec, report=report, report_hash=digest)
     if run.matches_golden is False:
         obs_metrics.inc(f"scenarios.golden_mismatch.{label}")
     return run
 
 
-def with_golden(spec: ScenarioSpec, backend: str, digest: str) -> ScenarioSpec:
-    """A copy of ``spec`` with one backend's golden hash (re)pinned."""
-    golden = dict(spec.golden)
-    golden[backend] = digest
-    return replace(spec, golden=golden)
+def with_golden(spec: ScenarioSpec, digest: str) -> ScenarioSpec:
+    """A copy of ``spec`` with its golden hash (re)pinned."""
+    return replace(spec, golden=digest)

@@ -7,9 +7,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.blink.analysis as analysis
 from repro.blink.analysis import (
-    _binomial_quantile_rows,
     _exact_binomial_quantile,
     binomial_quantile,
     binomial_tail,
@@ -163,13 +165,11 @@ class TestFig2Experiment:
 class TestFig2Headline:
     """The headline numbers alone equal :func:`fig2_experiment`'s."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize(
         "qm, horizon", [(QM, 510.0), (0.02, 250.0)], ids=["paper", "some-runs-fail"]
     )
-    def test_matches_experiment(self, backend, qm, horizon):
-        args = dict(qm=qm, tr=TR, cells=16, horizon=horizon, runs=12, seed=4,
-                    backend=backend)
+    def test_matches_experiment(self, qm, horizon):
+        args = dict(qm=qm, tr=TR, cells=16, horizon=horizon, runs=12, seed=4)
         full = fig2_experiment(**args)
         headline = fig2_headline(**args)
         for name in (
@@ -251,17 +251,6 @@ class TestBinomialKernel:
             for q in (float(cdf), math.nextafter(float(cdf), 1.0)):
                 assert binomial_quantile(n, p, q) == reference_quantile(n, p, q), q
 
-    @pytest.mark.parametrize("n", SIZES + (2048,))
-    def test_vectorised_quantile_equals_scalar(self, n):
-        np = pytest.importorskip("numpy")
-        times = np.arange(0.0, 511.0, 7.0)
-        p = np.concatenate([np.array(PROBABILITIES), 1.0 - (1.0 - 0.0525) ** (times / 8.37)])
-        tie = float(reference_cdf(n, 0.5)[n // 2])  # within an ulp of the CDF
-        p = np.append(p, 0.5)
-        qs = (0.0, 0.05, 0.5, 0.95, 1.0, tie)
-        for q, row in zip(qs, _binomial_quantile_rows(n, p, qs)):
-            assert row.tolist() == [float(binomial_quantile(n, float(x), q)) for x in p], q
-
     def test_large_sample(self):
         """2048 cells: C(n, i) alone overflows a float here."""
         n, p = 2048, 0.375
@@ -321,3 +310,141 @@ class TestMatchesFormerKernel:
             [40.0, 46.0, 52.0],
             [59.0, 62.0, 64.0],
         ]
+
+
+def fixed_success_time(k, qm, tr, cells, quantile, horizon):
+    """:func:`success_time_quantile` as a fixed 60-step bisection."""
+    if probability_at_least(k, horizon, qm, tr, cells) < quantile:
+        return None
+    lo, hi = 0.0, horizon
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        if probability_at_least(k, mid, qm, tr, cells) >= quantile:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def fixed_minimum_qm(k, tr, budget, cells, confidence):
+    """:func:`minimum_qm` as a fixed 80-step bisection."""
+    lo, hi = 1e-6, 1.0 - 1e-9
+    if probability_at_least(k, budget, hi, tr, cells) < confidence:
+        raise ConfigurationError("unreachable even with qm ≈ 1")
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if probability_at_least(k, budget, mid, tr, cells) >= confidence:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def outcome(call):
+    try:
+        return call()
+    except ConfigurationError as exc:
+        return type(exc)
+
+
+class TestBisectionStopsAtUlpWidth:
+    """The bisections stop once a step can no longer move an end, and
+    return the float the fixed-count loop returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(min_value=-1e6, max_value=1e6),
+        span_ulps=st.one_of(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=5, max_value=2**60),
+        ),
+        cut=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        halvings=st.integers(min_value=0, max_value=90),
+    )
+    def test_bisect_equals_fixed_loop(self, lo, span_ulps, cut, halvings):
+        hi = lo + span_ulps * math.ulp(lo)
+        if span_ulps <= 4:
+            hi = lo
+            for _ in range(span_ulps):
+                hi = math.nextafter(hi, math.inf)
+        threshold = lo + cut * (hi - lo)  # cut = 0: the initial lo is reached
+
+        def reached(x):
+            return x >= threshold
+
+        expected_lo, expected_hi = lo, hi
+        for _ in range(halvings):
+            mid = (expected_lo + expected_hi) / 2.0
+            if reached(mid):
+                expected_hi = mid
+            else:
+                expected_lo = mid
+        seen = []
+
+        def spy(x):
+            seen.append(x)
+            return reached(x)
+
+        assert analysis._bisect_low(spy, lo, hi, halvings) == expected_hi
+        assert len(set(seen)) == len(seen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.integers(min_value=1, max_value=64),
+        k_offset=st.integers(min_value=-1, max_value=1),
+        k_fraction=st.floats(min_value=0.0, max_value=1.0),
+        qm=st.floats(min_value=0.001, max_value=0.6),
+        tr=st.floats(min_value=0.5, max_value=50.0),
+        quantile=st.floats(min_value=0.01, max_value=0.99),
+        horizon=st.floats(min_value=0.5, max_value=600.0),
+    )
+    def test_success_time_equals_fixed_loop(
+        self, cells, k_offset, k_fraction, qm, tr, quantile, horizon
+    ):
+        # k = 0 (every t, even the initial lo, meets the target) and
+        # k = cells + 1 (none does) are among the drawn cases.
+        k = min(max(int(k_fraction * cells) + k_offset, 0), cells + 1)
+        assert success_time_quantile(
+            k, qm, tr, cells, quantile, horizon
+        ) == fixed_success_time(k, qm, tr, cells, quantile, horizon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.integers(min_value=1, max_value=64),
+        k_offset=st.integers(min_value=-1, max_value=1),
+        k_fraction=st.floats(min_value=0.0, max_value=1.0),
+        tr=st.floats(min_value=0.5, max_value=50.0),
+        budget=st.floats(min_value=0.5, max_value=600.0),
+        confidence=st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_minimum_qm_equals_fixed_loop(
+        self, cells, k_offset, k_fraction, tr, budget, confidence
+    ):
+        k = min(max(int(k_fraction * cells) + k_offset, 0), cells + 1)
+        assert outcome(
+            lambda: minimum_qm(k, tr, budget, cells, confidence)
+        ) == outcome(lambda: fixed_minimum_qm(k, tr, budget, cells, confidence))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: success_time_quantile(32, QM, TR),
+            lambda: success_time_quantile(0, QM, TR),
+            lambda: minimum_qm(32, TR),
+            lambda: minimum_qm(0, TR),
+            lambda: minimum_qm(32, 20.0, confidence=0.95),
+        ],
+        ids=["median-time", "time-k0", "min-qm", "min-qm-k0", "min-qm-95"],
+    )
+    def test_no_point_evaluated_twice(self, monkeypatch, call):
+        seen = []
+        exact = analysis.probability_at_least
+
+        def spy(*args):
+            seen.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(analysis, "probability_at_least", spy)
+        call()
+        assert seen
+        assert len(set(seen)) == len(seen)

@@ -89,7 +89,7 @@ def _single_shard_baseline(scheduler: str, **overrides) -> PacketLevelReport:
 
 class TestShardedDeterminism:
     """The sharded engine's contract: byte-identical reports at every
-    shard count, across schedulers, kernel backends and driver modes."""
+    shard count, across schedulers and driver modes."""
 
     @pytest.mark.parametrize("shards", [2, 4, 8])
     @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
@@ -100,13 +100,6 @@ class TestShardedDeterminism:
         assert run.packets == base.packets
         assert run.events == base.events
         assert run.shards == shards
-
-    def test_numpy_backend_parity(self, monkeypatch):
-        pytest.importorskip("numpy")
-        base = _single_shard_baseline("heap")
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        run = small_run(seed=3, scheduler="heap", shards=2)
-        assert run.report_hash == base.report_hash
 
     @pytest.mark.parametrize(
         "overrides",

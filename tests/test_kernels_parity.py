@@ -1,22 +1,24 @@
-"""Property-based cross-backend parity for the kernel layer.
+"""Property-based exactness of every kernel against the scalar code.
 
-The deterministic kernels (occupancy counting, crossing extraction,
-everything bloom) must agree *exactly* between backends; the pure-math
-kernels (PCC utility, loss-for-target) must agree to floating-point
-reassociation tolerance.  Hypothesis drives the input space so shape
-corner cases — empty rows, duplicate flip times, zero-length keys,
-saturating batches — are covered without hand-enumeration.
+Each batch kernel must equal the one-at-a-time code it batches:
+occupancy counting and crossing extraction against the sorted flip
+times, bloom bulk insert/query against ``add``/``in``, the sketch
+hashes against ``fnv1a_64``/``partitioned_indices``, the PCC kernels
+against ``allegro_utility``/``loss_for_target_utility`` and the
+oscillation statistics against their definitions.  Hypothesis drives
+the input space so shape corner cases — empty rows, duplicate flip
+times, zero-length keys, saturating batches — are covered without
+hand-enumeration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import get_backend
-
-PYTHON = get_backend("python")
-NUMPY = get_backend("numpy")
+from repro import kernels
 
 finite_times = st.floats(
     min_value=0.0, max_value=500.0, allow_nan=False, allow_infinity=False
@@ -30,17 +32,18 @@ keys = st.lists(st.binary(max_size=24), min_size=0, max_size=60)
 @settings(max_examples=60, deadline=None)
 @given(rows=flip_rows, times=st.lists(finite_times, min_size=1, max_size=30).map(sorted))
 def test_occupancy_counts_exact(rows, times):
-    assert PYTHON.blink_occupancy_counts(rows, times) == NUMPY.blink_occupancy_counts(
-        rows, times
-    )
+    expected = [[bisect_right(flips, t) for t in times] for flips in rows]
+    assert kernels.blink_occupancy_counts(rows, times) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=flip_rows, threshold=st.integers(min_value=1, max_value=48))
 def test_crossing_times_exact(rows, threshold):
-    assert PYTHON.blink_crossing_times(rows, threshold) == NUMPY.blink_crossing_times(
-        rows, threshold
-    )
+    expected = [
+        next((t for i, t in enumerate(flips, 1) if i == threshold), None)
+        for flips in rows
+    ]
+    assert kernels.blink_crossing_times(rows, threshold) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -48,24 +51,17 @@ def test_crossing_times_exact(rows, threshold):
 def test_bloom_membership_exact(items, probes, capacity):
     from repro.sketches.bloom import BloomFilter
 
-    scalar = BloomFilter.for_capacity(capacity, 0.01)
-    vector = BloomFilter.for_capacity(capacity, 0.01)
-    scalar.add_bulk(items, backend="python")
-    vector.add_bulk(items, backend="numpy")
-    # Same hash family, same bit layout: the filters are identical
-    # objects bit for bit, so every query answer matches too.
-    assert bytes(scalar._array) == bytes(vector._array)
-    assert scalar.inserted == vector.inserted
-    universe = items + probes
-    assert scalar.query_bulk(universe, backend="python") == vector.query_bulk(
-        universe, backend="numpy"
-    )
-    # Bulk insertion matches the scalar one-at-a-time path as well.
+    bulk = BloomFilter.for_capacity(capacity, 0.01)
+    bulk.add_bulk(items)
     single = BloomFilter.for_capacity(capacity, 0.01)
     for item in items:
         single.add(item)
-    assert bytes(single._array) == bytes(vector._array)
-    assert all((key in single) == hit for key, hit in zip(universe, vector.query_bulk(universe, backend="numpy")))
+    # Same hash family, same bit layout: the filters are identical bit
+    # for bit, so every query answer matches too.
+    assert bytes(single._array) == bytes(bulk._array)
+    assert single.inserted == bulk.inserted
+    universe = items + probes
+    assert bulk.query_bulk(universe) == [key in single for key in universe]
 
 
 @settings(max_examples=80, deadline=None)
@@ -80,13 +76,12 @@ def test_bloom_membership_exact(items, probes, capacity):
     alpha=st.floats(min_value=1.0, max_value=200.0, allow_nan=False),
 )
 def test_pcc_utilities_close(pairs, alpha):
+    from repro.pcc.utility import allegro_utility
+
     rates = [rate for rate, _ in pairs]
     losses = [loss for _, loss in pairs]
-    scalar = PYTHON.pcc_utilities(rates, losses, alpha)
-    vector = NUMPY.pcc_utilities(rates, losses, alpha)
-    assert len(scalar) == len(vector)
-    for a, b in zip(scalar, vector):
-        assert b == a or abs(a - b) <= 1e-9 * max(1.0, abs(a))
+    expected = [allegro_utility(rate, loss, alpha) for rate, loss in pairs]
+    assert kernels.pcc_utilities(rates, losses, alpha) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,16 +96,12 @@ def test_pcc_utilities_close(pairs, alpha):
     alpha=st.floats(min_value=1.0, max_value=100.0, allow_nan=False),
 )
 def test_pcc_loss_for_targets_close(pairs, alpha):
+    from repro.pcc.utility import loss_for_target_utility
+
     rates = [rate for rate, _ in pairs]
     targets = [target for _, target in pairs]
-    scalar = PYTHON.pcc_loss_for_targets(rates, targets, alpha)
-    vector = NUMPY.pcc_loss_for_targets(rates, targets, alpha)
-    assert len(scalar) == len(vector)
-    # Both bisect [0, 1] to 1e-9; the lockstep solver may halve a
-    # lane's interval a few extra times, so agreement is to the
-    # bisection tolerance, not bit-exact.
-    for a, b in zip(scalar, vector):
-        assert abs(a - b) <= 5e-9
+    expected = [loss_for_target_utility(rate, target, alpha) for rate, target in pairs]
+    assert kernels.pcc_loss_for_targets(rates, targets, alpha) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,9 +109,7 @@ def test_pcc_loss_for_targets_close(pairs, alpha):
 def test_fnv1a_bulk_exact(items):
     from repro.flows.flow import fnv1a_64
 
-    expected = [fnv1a_64(item) for item in items]
-    assert PYTHON.fnv1a_bulk(items) == expected
-    assert NUMPY.fnv1a_bulk(items) == expected
+    assert kernels.fnv1a_bulk(items) == [fnv1a_64(item) for item in items]
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,8 +123,7 @@ def test_sketch_indices_exact(items, hashes, extra_cells):
 
     cells = hashes + extra_cells
     expected = [partitioned_indices(key, hashes, cells) for key in items]
-    assert PYTHON.sketch_indices(items, hashes, cells) == expected
-    assert NUMPY.sketch_indices(items, hashes, cells) == expected
+    assert kernels.sketch_indices(items, hashes, cells) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,11 +138,10 @@ def test_bloom_add_unique_bulk_matches_scalar(items, capacity):
         if is_new:
             scalar.add(item)
         fresh.append(is_new)
-    for backend in ("python", "numpy"):
-        bulk = BloomFilter.for_capacity(capacity, 0.01)
-        assert bulk.add_unique_bulk(items, backend=backend) == fresh
-        assert bytes(bulk._array) == bytes(scalar._array)
-        assert bulk.inserted == scalar.inserted
+    bulk = BloomFilter.for_capacity(capacity, 0.01)
+    assert bulk.add_unique_bulk(items) == fresh
+    assert bytes(bulk._array) == bytes(scalar._array)
+    assert bulk.inserted == scalar.inserted
 
 
 # Small address/port alphabets so within-batch duplicate flows arise
@@ -196,10 +183,9 @@ def test_flowradar_observe_bulk_matches_sequential(specs, packets):
     scalar = FlowRadar(cells=60, hashes=3)
     for flow in flows:
         scalar.observe(flow, packets=packets)
-    for backend in ("python", "numpy"):
-        bulk = FlowRadar(cells=60, hashes=3)
-        bulk.observe_bulk(flows, packets=packets, backend=backend)
-        assert state(bulk) == state(scalar)
+    bulk = FlowRadar(cells=60, hashes=3)
+    bulk.observe_bulk(flows, packets=packets)
+    assert state(bulk) == state(scalar)
 
 
 @settings(max_examples=25, deadline=None)
@@ -238,23 +224,57 @@ def test_lossradar_bulk_matches_sequential(transits, injected):
         scalar.transit(packet, lost=dropped)
     for packet in spoofed:
         scalar.inject_upstream_only(packet)
-    for backend in ("python", "numpy"):
-        bulk = LossRadarSegment(cells=64)
-        bulk.transit_bulk(packets, lost, backend=backend)
-        bulk.inject_upstream_only_bulk(spoofed, backend=backend)
-        assert state(bulk) == state(scalar)
-        assert bulk.report() == scalar.report()
+    bulk = LossRadarSegment(cells=64)
+    bulk.transit_bulk(packets, lost)
+    bulk.inject_upstream_only_bulk(spoofed)
+    assert state(bulk) == state(scalar)
+    assert bulk.report() == scalar.report()
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.lists(finite_times, max_size=25), min_size=1, max_size=5))
 def test_oscillation_stats_close(rows):
-    scalar = PYTHON.pcc_oscillation_stats(rows)
-    vector = NUMPY.pcc_oscillation_stats(rows)
-    assert len(scalar) == len(vector)
-    for a, b in zip(scalar, vector):
-        assert set(a) == set(b) == {"mean", "cv", "amplitude"}
-        for key in a:
-            if a[key] == b[key]:  # covers inf == inf and exact zeros
-                continue
-            assert abs(a[key] - b[key]) <= 1e-9 * max(1.0, abs(a[key]))
+    from repro.core.metrics import coefficient_of_variation
+
+    stats = kernels.pcc_oscillation_stats(rows)
+    assert len(stats) == len(rows)
+    for row, got in zip(rows, stats):
+        if not row:
+            assert got == {"mean": 0.0, "cv": 0.0, "amplitude": 0.0}
+            continue
+        mean = sum(row) / len(row)
+        assert got == {
+            "mean": mean,
+            "cv": coefficient_of_variation(row) if len(row) >= 2 else 0.0,
+            "amplitude": (max(row) - min(row)) / mean if mean else 0.0,
+        }
+
+
+soa_columns = st.integers(min_value=1, max_value=4).flatmap(
+    lambda width: st.lists(
+        st.tuples(*[finite_times] * width), max_size=30
+    ).map(lambda rows: [[row[c] for row in rows] for c in range(width)])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=soa_columns)
+def test_soa_round_trip_exact(columns):
+    import struct
+
+    payload = kernels.soa_pack_f64(columns)
+    n = len(columns[0])
+    # Column-major little-endian doubles, exactly struct's layout.
+    assert payload == b"".join(struct.pack(f"<{n}d", *col) for col in columns)
+    assert kernels.soa_unpack_f64(payload, len(columns)) == columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=soa_columns)
+def test_soa_sort_pack_exact(columns):
+    rows = sorted(zip(*columns))
+    expected = kernels.soa_pack_f64([[row[c] for row in rows] for c in range(len(columns))])
+    assert kernels.soa_sort_pack_f64(columns) == expected
+    # Any arrival order of the same rows packs to the same bytes.
+    reversed_columns = [list(reversed(col)) for col in columns]
+    assert kernels.soa_sort_pack_f64(reversed_columns) == expected

@@ -1,11 +1,11 @@
-"""The default path must never pay for the optional fast path.
+"""The program runs without numpy and starts without heavy imports.
 
-numpy is an *opt-in* dependency of the kernel layer: CLI startup,
-``--help``, attack listing and the python backend itself must not
-import it.  The sweep's cold start must not load networkx either, and
-no path may load scipy.  These tests run in a subprocess so the
-assertion sees a pristine ``sys.modules`` (the in-process suite imports
-numpy all over).
+numpy is not a dependency: every module imports and every attack family
+runs with ``import numpy`` blocked.  CLI startup, ``--help`` and attack
+listing load none of numpy, scipy or networkx; the sweep's cold start
+must not load networkx either, and no path may load scipy.  These tests
+run in a subprocess so the assertion sees a pristine ``sys.modules``
+(the in-process suite may have imported anything).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ REPO_SRC = os.path.join(REPO_ROOT, "src")
 def run_probe(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_BACKEND", None)
     return subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -46,27 +45,54 @@ def test_cli_help_does_not_import_numpy():
 
 
 def test_cli_list_keeps_kernel_fast_path_unloaded():
-    # `list` pulls the attack registry; neither it nor the kernel
-    # layer's own fast path may load the numpy backend.
+    # `list` pulls the attack registry; neither it nor the kernels it
+    # can reach may load a heavy dependency.
     probe = run_probe(
         "import sys\n"
         "from repro.cli import main\n"
         "assert main(['list']) == 0\n"
-        "assert 'repro.kernels.numpy_backend' not in sys.modules\n"
+        "import repro.kernels\n"
+        "loaded = [m for m in ('scipy', 'networkx', 'numpy') if m in sys.modules]\n"
+        "assert not loaded, f'attack listing loaded {loaded}'\n"
     )
     assert probe.returncode == 0, probe.stderr
 
 
-def test_python_backend_does_not_import_numpy():
+#: One cheap cell of every attack family that runs through the kernels.
+_CHEAP_CELLS = {
+    "blink-capture-analytical": {"runs": 2, "horizon": 120.0},
+    "blink-capture-packet-level": {
+        "horizon": 20.0, "legitimate_flows": 20, "malicious_flows": 20,
+        "cells": 8, "workload": "web-search",
+        "workload_params": {"size_scale": 0.05, "max_packets": 50},
+    },
+    "bloom-saturation": {"design_capacity": 200},
+    "flowradar-overload": {"design_capacity": 200},
+    "lossradar-pollution": {"cells": 256, "legit_packets": 500, "true_losses": 5,
+                            "attack_packets": 100},
+    "pcc-utility-equalisation": {"mis": 60, "warmup_mis": 20, "tail_mis": 20},
+    "pytheas-report-poisoning": {"rounds": 10, "tail_rounds": 5},
+}
+
+
+def test_program_runs_without_numpy():
     probe = run_probe(
         "import sys\n"
-        "from repro.kernels import get_backend\n"
-        "backend = get_backend('python')\n"
-        "backend.pcc_utilities([1.0], [0.0], alpha=50.0)\n"
-        "assert 'numpy' not in sys.modules, 'numpy leaked into the python backend'\n"
-        "assert 'repro.kernels.numpy_backend' not in sys.modules\n"
+        "sys.modules['numpy'] = None  # every `import numpy` now fails\n"
+        "import importlib, pkgutil\n"
+        "import repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "from repro.attacks import attack_registry\n"
+        "from repro.blink import fig2_experiment\n"
+        "assert fig2_experiment(runs=2).runs\n"
+        "registry = attack_registry()\n"
+        f"for name, params in {_CHEAP_CELLS!r}.items():\n"
+        "    registry[name].run(seed=0, **params)\n"
+        "print('ok')\n"
     )
     assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip().endswith("ok")
 
 
 def cold_setup_statements() -> str:
@@ -112,7 +138,7 @@ def test_blink_import_does_not_load_scipy():
         "import sys\n"
         "import repro.blink\n"
         "from repro.blink import fig2_experiment\n"
-        "fig2_experiment(runs=2, backend='numpy')\n"
+        "fig2_experiment(runs=2)\n"
         "assert 'scipy' not in sys.modules, 'scipy leaked into repro.blink'\n"
     )
     assert probe.returncode == 0, probe.stderr

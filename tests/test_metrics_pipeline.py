@@ -18,7 +18,7 @@ from repro.core.supervisor import SupervisedDriver, Supervisor, ThresholdModel
 from repro.core.system import DataDrivenSystem, Decision, SystemState
 from repro.faults.injectors import ClockFaultInjector, FaultyLinkTap, TelemetryFault
 from repro.faults.plan import FaultPlan
-from repro.kernels import get_backend
+from repro import kernels
 from repro.netsim.events import EventLoop
 from repro.obs import RunLedger, Tracer
 from repro.obs import metrics as om
@@ -65,23 +65,18 @@ class TestNetsimRollup:
 
 class TestKernelDispatch:
     def test_calls_and_wall_time_recorded(self):
-        backend = get_backend("python")
         registry = MetricRegistry()
         with om.activate(registry):
-            backend.fnv1a_bulk([b"a", b"b"])
-            backend.fnv1a_bulk([b"c"])
-        assert registry.counter("kernels.calls.python.fnv1a_bulk") == 2
-        assert registry.histograms["kernels.wall_s.python"].count == 2
+            kernels.fnv1a_bulk([b"a", b"b"])
+            kernels.fnv1a_bulk([b"c"])
+        assert registry.counter("kernels.calls.fnv1a_bulk") == 2
+        assert registry.histograms["kernels.wall_s"].count == 2
 
     def test_unmetered_calls_stay_free_and_correct(self):
-        backend = get_backend("python")
         registry = MetricRegistry()
-        hashes = backend.fnv1a_bulk([b"x"])
+        hashes = kernels.fnv1a_bulk([b"x"])
         assert len(hashes) == 1
         assert len(registry) == 0
-
-    def test_instrumentation_preserves_memoisation(self):
-        assert get_backend("python") is get_backend("python")
 
 
 class TestCacheCounters:
@@ -205,7 +200,7 @@ class MeteredToyAttack(Attack):
         for i in range(2 + seed % 3):
             loop.schedule_transient(float(i), lambda: None)
         loop.run_until(10.0)
-        hashes = get_backend("python").fnv1a_bulk([b"x" * (seed + 1)])
+        hashes = kernels.fnv1a_bulk([b"x" * (seed + 1)])
         return AttackResult(
             attack_name=self.name,
             success=True,
@@ -227,7 +222,7 @@ class TestSweepMergeDeterminism:
     """Acceptance pin: serial and parallel sweeps merge to identical
     metric values (counter sums, histogram bucket counts) for the same
     seed grid.  Wall-time histograms (``..._s`` stems, e.g.
-    ``netsim.run_wall_s`` and ``kernels.wall_s.python``) are excluded
+    ``netsim.run_wall_s`` and ``kernels.wall_s``) are excluded
     from the value identity — their bucket placement depends on real
     time — but their observation counts must still match.
     """
@@ -256,7 +251,7 @@ class TestSweepMergeDeterminism:
         assert registry.counter("sweep.cells_executed") == 3
         assert registry.counter("sweep.cells_failed") == 0
         assert registry.counter("netsim.runs") == 3
-        assert registry.counter("kernels.calls.python.fnv1a_bulk") == 3
+        assert registry.counter("kernels.calls.fnv1a_bulk") == 3
 
     def test_unmetered_sweep_ships_no_shards(self):
         cells = seed_cells({}, [0, 1])

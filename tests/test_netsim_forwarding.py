@@ -22,7 +22,6 @@ from repro.core.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.flows.flow import FiveTuple
 from repro.flows.generators import FlowSpec
-from repro.kernels import get_backend
 from repro.netsim.forwarding import (
     BOUNDARY_COLUMNS,
     ShardedForwardingSim,
@@ -342,12 +341,11 @@ class TestCodecs:
         ]
 
     def test_flow_chunk_round_trip(self):
-        backend = get_backend()
         nodes = ["c0n1", "c1n2", "c2n3"]
         index = {name: k for k, name in enumerate(nodes)}
         chunk = [(100 + i, spec) for i, spec in enumerate(self._specs())]
-        payload = _pack_flow_chunk(backend, chunk, index)
-        assert _unpack_flow_chunk(backend, payload, nodes) == chunk
+        payload = _pack_flow_chunk(chunk, index)
+        assert _unpack_flow_chunk(payload, nodes) == chunk
 
     def test_boundary_row_round_trips_tcp(self):
         nodes = ["a", "b", "gw"]

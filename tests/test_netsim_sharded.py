@@ -1,7 +1,7 @@
 """Sharded simulation: partitioner, codec, merge order, windows, chaos.
 
 The determinism contract itself (byte-identical report hashes across
-shard counts, schedulers and backends) is pinned by the parity grid in
+shard counts and schedulers) is pinned by the parity grid in
 ``test_blink_packet_level.py``; this file covers the building blocks —
 the sha256-seeded topology partitioner (Hypothesis), the SoA flow/record
 codecs, the ``(time, rank, index)`` merge the shards stream their
@@ -327,28 +327,17 @@ class TestFlowTableCodec:
         payload, srcs, dsts = pack_flow_table(tiny_specs(), [])
         assert unpack_flow_table(payload, srcs, dsts) == []
 
-    def test_backends_pack_identical_bytes(self):
-        pytest.importorskip("numpy")
-        from repro.kernels import get_backend
-
-        columns = [[0.25, 1e-9, 3.5], [1.0, 2.0, 3.0]]
-        python_bytes = get_backend("python").soa_pack_f64(columns)
-        numpy_bytes = get_backend("numpy").soa_pack_f64(columns)
-        assert python_bytes == numpy_bytes
-        assert get_backend("numpy").soa_unpack_f64(python_bytes, 2) == columns
-        assert get_backend("python").soa_unpack_f64(numpy_bytes, 2) == columns
-
     def test_ragged_columns_rejected(self):
-        from repro.kernels import get_backend
+        from repro.kernels import soa_pack_f64
 
         with pytest.raises(ConfigurationError):
-            get_backend("python").soa_pack_f64([[1.0, 2.0], [3.0]])
+            soa_pack_f64([[1.0, 2.0], [3.0]])
 
     def test_short_payload_rejected(self):
-        from repro.kernels import get_backend
+        from repro.kernels import soa_unpack_f64
 
         with pytest.raises(ConfigurationError):
-            get_backend("python").soa_unpack_f64(b"\x00" * 12, RECORD_COLUMNS)
+            soa_unpack_f64(b"\x00" * 12, RECORD_COLUMNS)
 
 
 # -- the process-parallel packet engine --------------------------------------

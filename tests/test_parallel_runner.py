@@ -286,7 +286,7 @@ class TestResultCache:
             ignore=shutil.ignore_patterns("__pycache__"),
         )
         assert code_version(package_root=str(clone)) == code_version()
-        kernel = clone / "kernels" / "numpy_backend.py"
+        kernel = clone / "kernels.py"
         kernel.write_text(kernel.read_text() + "\n# perturbed\n")
         edited = code_version(package_root=str(clone))
         assert edited != code_version()
@@ -295,7 +295,7 @@ class TestResultCache:
             "bloom-saturation", {"seed": 0}, version=code_version()
         )
         # Non-source files never participate in the digest.
-        (clone / "kernels" / "notes.txt").write_text("ignored")
+        (clone / "notes.txt").write_text("ignored")
         assert code_version(package_root=str(clone)) == edited
 
     def test_put_get_roundtrip(self, tmp_path):

@@ -44,23 +44,15 @@ class TestRegistry:
         assert len(classes) >= 4
         assert classes <= set(WORKLOAD_CLASSES)
 
-    def test_every_scenario_pins_both_backends(self):
+    def test_every_scenario_pins_a_golden(self):
         for name in scenario_names():
-            spec = resolve_scenario(name)
-            assert set(spec.golden) == {"python", "numpy"}, name
-            for digest in spec.golden.values():
-                assert len(digest) == 64 and int(digest, 16) >= 0
+            digest = resolve_scenario(name).golden
+            assert isinstance(digest, str) and len(digest) == 64, name
+            assert int(digest, 16) >= 0
 
     def test_ids_unique(self):
         ids = [resolve_scenario(n).scenario_id for n in scenario_names()]
         assert len(set(ids)) == len(ids)
-
-    def test_packet_level_goldens_backend_invariant(self):
-        """Exact-kernel attacks hash identically across backends."""
-        for name in scenario_names():
-            spec = resolve_scenario(name)
-            if spec.attack == "blink-capture-packet-level":
-                assert spec.golden["python"] == spec.golden["numpy"], name
 
     def test_duplicate_registration_rejected(self):
         spec = resolve_scenario(CHEAP)
@@ -108,12 +100,16 @@ class TestSpecValidation:
             {"params": [1, 2]},
             {"workload_params": "rate=2"},
             {"golden": 7},
+            {"golden": {"python": "ab" * 32}},
+            {"golden": None},
         ],
     )
     def test_ill_typed_fields_rejected(self, bad):
         data = {"name": "x", "attack": "a", "workload": "web-search", **bad}
-        with pytest.raises(ScenarioSpecError):
+        with pytest.raises(ScenarioSpecError) as exc:
             ScenarioSpec.from_dict(data)
+        if "golden" in bad:
+            assert exc.value.key == "golden"
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ScenarioSpecError):
@@ -149,6 +145,9 @@ def scenario_specs(draw):
         )),
         faults=draw(st.one_of(st.none(), st.just("drop:p=0.01"))),
         fault_seed=draw(st.integers(min_value=0, max_value=9)),
+        golden=draw(st.one_of(
+            st.none(), st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)
+        )),
     )
 
 
@@ -169,7 +168,7 @@ def test_id_ignores_display_data(spec):
     assert replace(spec, name="renamed").scenario_id == spec.scenario_id
     assert replace(spec, description="other").scenario_id == spec.scenario_id
     assert (
-        with_golden(spec, "python", "ab" * 32).scenario_id == spec.scenario_id
+        with_golden(spec, "ab" * 32).scenario_id == spec.scenario_id
     )
 
 
@@ -244,9 +243,8 @@ class TestResolveParams:
 class TestRunScenario:
     def test_cheap_scenario_matches_golden(self):
         run = run_scenario(CHEAP)
-        assert run.backend == "python"
         assert run.matches_golden is True
-        assert run.report_hash == run.spec.golden["python"]
+        assert run.report_hash == run.spec.golden
         assert report_hash(run.report) == run.report_hash
 
     def test_cache_round_trip_is_byte_identical(self, tmp_path):
@@ -259,11 +257,11 @@ class TestRunScenario:
         assert warm.report_hash == cold.report_hash
         assert cache.stats.hits == len(resolve_scenario(CHEAP).seeds)
 
-    def test_unpinned_backend_returns_none_verdict(self):
+    def test_unpinned_returns_none_verdict(self):
         spec = resolve_scenario(CHEAP)
         from dataclasses import replace
 
-        stripped = replace(spec, golden={})
+        stripped = replace(spec, golden=None)
         run = run_scenario(stripped)
         assert run.matches_golden is None
         assert run.golden_hash is None
@@ -284,12 +282,12 @@ class TestRunScenario:
         assert run.spec.seeds == resolve_scenario(name).seeds
         assert run.matches_golden is True
 
-    def test_with_golden_pins_one_backend(self):
+    def test_with_golden_repins(self):
         spec = resolve_scenario(CHEAP)
-        pinned = with_golden(spec, "numpy", "cd" * 32)
-        assert pinned.golden["numpy"] == "cd" * 32
-        assert pinned.golden["python"] == spec.golden["python"]
-        assert spec.golden["numpy"] != "cd" * 32  # original untouched
+        pinned = with_golden(spec, "cd" * 32)
+        assert pinned.golden == "cd" * 32
+        assert pinned.scenario_id == spec.scenario_id
+        assert spec.golden != "cd" * 32  # original untouched
 
 
 # -- the CLI -----------------------------------------------------------------
@@ -324,9 +322,7 @@ class TestScenariosCli:
 
     def test_run_verify_mismatch_exit_6(self, capsys):
         spec = resolve_scenario(CHEAP)
-        bogus = with_golden(
-            with_golden(spec, "python", "0" * 64), "numpy", "0" * 64
-        )
+        bogus = with_golden(spec, "0" * 64)
         from dataclasses import replace
 
         bogus = replace(bogus, name="bogus-golden-scenario")
@@ -344,7 +340,7 @@ class TestScenariosCli:
         from dataclasses import replace
 
         register_scenario(
-            replace(spec, name="unpinned-scenario", golden={})
+            replace(spec, name="unpinned-scenario", golden=None)
         )
         try:
             code = main(["scenarios", "run", "unpinned-scenario", "--verify"])

@@ -1,9 +1,9 @@
-"""Empirical-CDF construction, inverse transform, and kernel parity.
+"""Empirical-CDF construction, inverse transform, and kernel exactness.
 
 The workload engine's credibility rests on the samplers: the quantile
 function must hit the tabulated knots exactly, atoms must carry their
-whole mass, and the numpy kernel must reproduce the pure-python
-arithmetic **byte-for-byte** (the scenario goldens depend on it).
+whole mass, and the bulk ``cdf_quantiles`` kernel must reproduce the
+scalar quantile **byte-for-byte** (the scenario goldens depend on it).
 Hypothesis drives the structural invariants; the exact-value checks pin
 the shipped web-search and data-mining tables.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.kernels import available_backends, get_backend
+from repro.kernels import cdf_quantiles
 from repro.workloads.cdf import (
     DATA_MINING_POINTS,
     WEB_SEARCH_POINTS,
@@ -218,33 +218,24 @@ def test_sample_consumes_one_uniform():
     assert first == cdf.quantile(random.Random(3).random())
 
 
-# -- cross-backend byte-identity ---------------------------------------------
+# -- bulk kernel vs scalar quantile ---------------------------------------------
 
 
-NON_DEFAULT_BACKENDS = [b for b in available_backends() if b != "python"]
-
-
-@pytest.mark.parametrize("backend", NON_DEFAULT_BACKENDS)
 @pytest.mark.parametrize("name", ALL_CDFS)
 @pytest.mark.parametrize("seed", [0, 1, 17])
-def test_backend_sampling_byte_identical(backend, name, seed):
+def test_bulk_sampling_equals_scalar_sampling(name, seed):
     cdf = resolve_cdf(name)
-    python = cdf.sample_sizes(4096, seed=seed, backend="python")
-    other = cdf.sample_sizes(4096, seed=seed, backend=backend)
-    assert python == other  # exact float equality, not approx
+    rng = random.Random(seed)
+    scalar = [cdf.quantile(rng.random()) for _ in range(4096)]
+    assert cdf.sample_sizes(4096, seed=seed) == scalar  # exact, not approx
 
 
-@pytest.mark.parametrize("backend", NON_DEFAULT_BACKENDS)
 @pytest.mark.parametrize("name", ALL_CDFS)
-def test_backend_quantiles_at_knots_and_edges(backend, name):
-    """Exact-knot uniforms are the bisect edge cases; pin them per backend."""
+def test_kernel_quantiles_at_knots_and_edges(name):
+    """Exact-knot uniforms are the bisect edge cases."""
     cdf = resolve_cdf(name)
     us = list(cdf.fractions) + [0.0, 1.0, 0.5000000000000001]
-    python = get_backend("python").cdf_quantiles(cdf.fractions, cdf.sizes, us)
-    other = get_backend(backend).cdf_quantiles(cdf.fractions, cdf.sizes, us)
-    assert python == other
-    for fraction, size in zip(cdf.fractions, python[: len(cdf.fractions)]):
-        assert size == cdf.quantile(fraction)
+    assert cdf_quantiles(cdf.fractions, cdf.sizes, us) == [cdf.quantile(u) for u in us]
 
 
 def test_quantile_matches_kernel_scalar():
@@ -252,7 +243,7 @@ def test_quantile_matches_kernel_scalar():
     cdf = resolve_cdf("data-mining")
     rng = random.Random(11)
     us = [rng.random() for _ in range(512)]
-    kernel = get_backend("python").cdf_quantiles(cdf.fractions, cdf.sizes, us)
+    kernel = cdf_quantiles(cdf.fractions, cdf.sizes, us)
     assert [cdf.quantile(u) for u in us] == kernel
 
 

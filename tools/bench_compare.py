@@ -7,10 +7,11 @@ Two modes, combinable in one invocation:
   (matched on ``name:backend``) must not be slower than the baseline
   by more than ``--budget`` (fractional; default 0.25 = 25 %).
 
-* Cross-backend speedup gate (``--against`` + ``--min-speedup``):
+* Cross-run speedup gate (``--against`` + ``--min-speedup``):
   benches are matched on ``name`` alone across the two files (e.g. a
-  numpy run against a python run) and the current file's trials/sec
-  must be at least ``min-speedup`` times the other file's.
+  calendar-scheduler run against a heap run, or 4 shards against 1)
+  and the current file's trials/sec must be at least ``min-speedup``
+  times the other file's.
 
 * Parity gate (``--against`` + ``--require-equal KEY``): for every
   bench matched on ``name`` whose records carry ``extra_info[KEY]`` on
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--against",
         metavar="PATH",
-        help="bench JSON from another backend, matched on bench name",
+        help="bench JSON from another run (scheduler, shard count, metrics off), matched on bench name",
     )
     parser.add_argument(
         "--min-speedup",
