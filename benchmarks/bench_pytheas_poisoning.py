@@ -70,9 +70,7 @@ def _granularity_ablation():
             features=SessionFeatures(asn=64496, location="zrh"),
             sessions_per_round=60,
         )
-        simulation = PytheasSimulation(
-            controller, model, [attacked_pop, honest_pop], seed=3
-        )
+        simulation = PytheasSimulation(controller, model, [attacked_pop, honest_pop])
         simulation.run(100)
         honest_group = controller.groups.assign(
             Session(SessionFeatures(asn=64496, location="zrh"))

@@ -79,7 +79,7 @@ class PytheasPoisoningAttack(Attack):
                 attacker_fraction=fraction,
                 attacker_strategy=TargetedLiar(best) if fraction > 0 else None,
             )
-            simulation = PytheasSimulation(controller, model, [population], seed=seed + 3)
+            simulation = PytheasSimulation(controller, model, [population])
             simulation.run(rounds)
             return simulation
 
@@ -171,7 +171,7 @@ class PytheasImbalanceAttack(Attack):
             ]
             throttler = Throttler("cdn-A", penalty=throttle_penalty) if throttled else None
             simulation = PytheasSimulation(
-                controller, model, populations, throttler=throttler, seed=seed + 2
+                controller, model, populations, throttler=throttler
             )
             simulation.run(rounds)
             return simulation

@@ -13,9 +13,10 @@ engine orders the stream depends on the run:
   :func:`~repro.flows.generators.merge_flow_packets` in the loop's
   own order and handed over in fixed-size chunks:
   :meth:`~repro.netsim.trace.StreamingTraceAggregator.observe_batch`
-  keeps O(1) running counters plus a bounded ring buffer, and
-  :meth:`~repro.blink.pipeline.TraceReplaySession.feed_batch` feeds
-  Blink with the exact sampling cadence of the offline
+  keeps the running totals plus a bounded ring buffer (each flow's
+  stats are accounted once, from its schedule, as the merge admits
+  it), and :meth:`~repro.blink.pipeline.TraceReplaySession.feed_batch`
+  feeds Blink with the exact sampling cadence of the offline
   :meth:`~repro.blink.pipeline.BlinkSwitch.replay_trace`.
   ``PacketLevelReport.scheduler`` reads ``"merge"``.
 * **Event loop — the reference.**  ``preload`` or a named
@@ -49,7 +50,7 @@ import time as _wallclock
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blink.pipeline import BlinkSwitch, TraceReplaySession
 from repro.core.errors import SimulationError
@@ -485,13 +486,38 @@ def _run_merged(
     none of their records could fall inside it.  Returns ``(events,
     records)``, where ``events`` counts what the loop would have
     dispatched: every record plus one flow-start per admitted flow.
+
+    The aggregator's per-flow stats are accounted once per flow, from
+    its schedule clipped to ``horizon`` as the merge admits it: flows
+    are admitted in the order of their first records, so the stats come
+    out in the key order per-record observation gives them.  The
+    chunks then update only the totals, point counts and ring.
     """
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
     admitted = [specs[i] for i in order if specs[i].start <= horizon]
     starts = len(admitted)
     records = 0
+    account = None
+    if aggregator is not None:
+        observe_flow = aggregator.observe_flow
+
+        def account(spec: FlowSpec, times: List[float], flags: List[bool]) -> None:
+            cut = bisect_right(times, horizon)
+            if cut < len(times):
+                times, flags = times[:cut], flags[:cut]
+            fin = spec.sends_fin and spec.end <= horizon
+            observe_flow(
+                spec.flow,
+                times,
+                flags,
+                DATA_PACKET_BYTES,
+                spec.end if fin else None,
+                FIN_PACKET_BYTES,
+                spec.malicious,
+            )
+
     for times, flows, retrans, fins, malicious in merged_columns(
-        admitted, seed, horizon=horizon
+        admitted, seed, horizon=horizon, on_schedule=account
     ):
         records += len(times)
         if records + starts >= MAX_EVENTS:
@@ -502,7 +528,9 @@ def _run_merged(
         if aggregator is None:
             continue
         sizes = [FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES for fin in fins]
-        aggregator.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
+        aggregator.observe_batch(
+            times, flows, sizes, retrans, fins, malicious, "ingress", per_flow=False
+        )
         if session is not None:
             feed_columns(session, fault, times, flows, retrans, fins, malicious)
     obs_metrics.inc("netsim.merge.records", records)
@@ -515,6 +543,7 @@ def merged_columns(
     seed: int,
     ranks: Optional[Iterable[int]] = None,
     horizon: float = math.inf,
+    on_schedule: Optional[Callable[[FlowSpec, List[float], List[bool]], None]] = None,
 ) -> Iterator[Tuple[list, list, list, list, list]]:
     """The flows' merged packet records as Blink's columns, in chunks.
 
@@ -522,7 +551,8 @@ def merged_columns(
     their positions) break ties between equal times, as
     :func:`~repro.flows.generators.merge_flow_packets` documents.  Each
     flow's schedule comes from :func:`~repro.flows.generators.
-    iter_flow_schedules` on ``seed`` as the merge admits it.  Yields
+    iter_flow_schedules` on ``seed`` as the merge admits it, and is
+    passed to ``on_schedule(spec, times, flags)`` first.  Yields
     ``(times, flows, retransmissions, fins, malicious)`` for the records
     at or before ``horizon``, :data:`MERGE_CHUNK` rows at a time.
 
@@ -530,10 +560,13 @@ def merged_columns(
     time, so few of them live long enough to be promoted by the garbage
     collector; the columns themselves are a handful of lists.
     """
+    schedules = iter_flow_schedules(specs, seed)
+    if on_schedule is not None:
+        schedules = _tapped(schedules, on_schedule)
     stream = merge_flow_packets(
         (rank, spec, times, flags)
         for rank, (spec, times, flags) in zip(
-            count() if ranks is None else ranks, iter_flow_schedules(specs, seed)
+            count() if ranks is None else ranks, schedules
         )
     )
     columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
@@ -559,6 +592,15 @@ def merged_columns(
             columns = ([], [], [], [], [])
     if columns[0]:
         yield columns
+
+
+def _tapped(
+    schedules: Iterator[Tuple[FlowSpec, List[float], List[bool]]],
+    tap: Callable[[FlowSpec, List[float], List[bool]], None],
+) -> Iterator[Tuple[FlowSpec, List[float], List[bool]]]:
+    for schedule in schedules:
+        tap(*schedule)
+        yield schedule
 
 
 def feed_columns(

@@ -19,6 +19,7 @@ Three integration surfaces:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -529,9 +530,20 @@ class TraceReplaySession:
 
         Row ``i`` is the record ``(times[i], flows[i], retransmissions[i],
         fins[i], malicious[i])``, and the chunk has exactly the effect of
-        one :meth:`feed` per row — same samples, decisions and reroutes
-        — but no :class:`TraceRecord` is built: each row goes straight to
-        :meth:`BlinkSwitch._deliver`.
+        one :meth:`feed` per row — same samples, decisions, reroutes,
+        selector statistics and ``state()`` — but no :class:`TraceRecord`
+        is built: each row goes straight to :meth:`BlinkSwitch._deliver`.
+
+        Rows a bare (unsupervised) monitor's selector would ignore skip
+        that chain: the reset is not due and the flow's cell (its index
+        memoised as :meth:`FlowSelector.observe` does) is held by
+        another flow still inside the eviction timeout.  Such a row only
+        bumps ``collisions_ignored`` and the monitor's clock, and runs
+        inference only when it could fire.  Between rows that change the
+        cells, the retransmitting count can only fall as time grows, so
+        once inference has declined it stays declined until the next
+        such row or sample; the other ways out are the reroute holddown
+        expiring and a probe's duration elapsing.
         """
         if not times:
             return
@@ -542,22 +554,100 @@ class TraceReplaySession:
         next_sample = self._next_sample
         if next_sample is None:
             next_sample = times[0]
+        # The bare monitor whose state the locals below hold, or None.
+        # Any row that takes the full chain, and any sample, drops it.
+        lane = None
         for time, flow, retrans, fin, mal in zip(
             times, flows, retransmissions, fins, malicious
         ):
             if time >= next_sample:
                 next_sample = self._sample_until(time, next_sample)
+                lane = None
             prefix = matched(flow.dst) or prefix_for(flow.dst)
             if prefix is None:
                 continue
+            if prefix != lane:
+                state = self._lane_state(prefix)
+                if state is not None:
+                    (
+                        monitor, stats, cells, cached_index, index_miss,
+                        timeout, reset_interval, last_reset, holddown,
+                        last_reroute, probe_duration, probe_start,
+                    ) = state
+                    lane = prefix
+                    # Inference declined at this time and nothing has
+                    # changed the cells since (inf: not known to decline).
+                    quiet_from = math.inf
+            if prefix == lane and time - last_reset < reset_interval:
+                index = cached_index(flow)
+                if index is None:
+                    index = index_miss(flow)
+                cell = cells[index]
+                occupant = cell.flow
+                # Unequal cached hashes settle ``occupant != flow``
+                # without FiveTuple.__eq__; equal ones take the chain.
+                if (
+                    occupant is not None
+                    and occupant._hash != flow._hash
+                    and time - cell.last_activity < timeout
+                ):
+                    stats.collisions_ignored += 1
+                    monitor._now = time
+                    if probe_start is not None:
+                        if time - probe_start < probe_duration:
+                            continue
+                        decisions = monitor._maybe_finish_probe(time)
+                    elif time - last_reroute < holddown or time >= quiet_from:
+                        continue
+                    else:
+                        decisions = monitor._maybe_infer_failure(time)
+                        if not decisions and monitor._probe_start is None:
+                            quiet_from = time
+                            continue
+                    probe_start = monitor._probe_start
+                    last_reroute = monitor._last_reroute_time
+                    if decisions:
+                        self._release(decisions)
+                    continue
             decisions = deliver(prefix, flow, time, retrans, fin, None, mal)
+            lane = None
             if decisions:
-                switch.metrics.counter("blink.decisions_released").increment(
-                    len(decisions)
-                )
-                switch.decisions.extend(decisions)
+                self._release(decisions)
         self._next_sample = next_sample
         self.packets += len(times)
+
+    def _lane_state(self, prefix: str) -> Optional[tuple]:
+        """The state :meth:`feed_batch`'s ignored-row check reads, or None.
+
+        None when ``prefix``'s driver is supervised (its signals must
+        reach the wrapper) or the selector's index cache is stale (the
+        next :meth:`FlowSelector.observe` rebuilds it).
+        """
+        if prefix not in self.switch._ingest:
+            return None
+        monitor = self.switch.monitors[prefix]
+        selector = monitor.selector
+        if selector._index_cache_seed != selector.hash_seed:
+            return None
+        return (
+            monitor,
+            selector.stats,
+            selector.cells,
+            selector._index_cache.get,
+            selector._index_miss,
+            selector.eviction_timeout,
+            selector.reset_interval,
+            selector._last_reset,
+            monitor.reroute_holddown,
+            monitor._last_reroute_time,
+            monitor.probe_duration,
+            monitor._probe_start,
+        )
+
+    def _release(self, decisions: List[Decision]) -> None:
+        switch = self.switch
+        switch.metrics.counter("blink.decisions_released").increment(len(decisions))
+        switch.decisions.extend(decisions)
 
     def _sample_until(self, time: float, next_sample: float) -> float:
         """Take every sample due at or before ``time``; returns the next boundary.

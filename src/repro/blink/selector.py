@@ -153,9 +153,7 @@ class FlowSelector:
             self._index_cache_seed = self.hash_seed
         index = cache.get(flow)
         if index is None:
-            if len(cache) >= 65536:
-                cache.clear()
-            index = cache[flow] = flow.cell_index(len(self.cells), seed=self.hash_seed)
+            index = self._index_miss(flow)
         cell = self.cells[index]
         occupant = cell.flow
 
@@ -222,6 +220,14 @@ class FlowSelector:
             self._record_occupancy(cell, now)
             cell.clear()
             return None
+        return index
+
+    def _index_miss(self, flow: FiveTuple) -> int:
+        """Compute and memoise ``flow``'s cell index (cache seed in sync)."""
+        cache = self._index_cache
+        if len(cache) >= 65536:
+            cache.clear()
+        index = cache[flow] = flow.cell_index(len(self.cells), seed=self.hash_seed)
         return index
 
     def _record_occupancy(self, cell: Cell, evicted_at: float) -> None:

@@ -320,15 +320,17 @@ def iter_flow_schedules(
 ) -> Iterator[Tuple[FlowSpec, List[float], List[bool]]]:
     """Per-flow packet batches, with the same RNG tree as :func:`emit_trace`.
 
-    Each spec gets an independent generator seeded by
-    :func:`flow_stream_seed`, so any consumer — offline trace
-    rendering, the event-driven driver, or the streaming workload
-    engine — sees identical schedules for identical flows, regardless
-    of what other specs surround them.  Accepts any iterable and yields
+    Each spec's stream is seeded by :func:`flow_stream_seed`, so any
+    consumer — offline trace rendering, the event-driven driver, or the
+    streaming workload engine — sees identical schedules for identical
+    flows, regardless of what other specs surround them.  Accepts any iterable and yields
     lazily (one flow's batch in memory at a time).
     """
+    # One generator re-seeded per flow: ``Random(x)`` is ``seed(x)`` on a
+    # fresh instance, so each flow's stream is the same.
+    flow_rng = random.Random()
     for spec in specs:
-        flow_rng = random.Random(flow_stream_seed(seed, spec))
+        flow_rng.seed(flow_stream_seed(seed, spec))
         times, flags = flow_packet_schedule(spec, flow_rng)
         yield spec, times, flags
 

@@ -13,10 +13,7 @@ is one batch-level call over plain Python containers, and each is
   Rows are ascending and contain only finite flips (< horizon).
   ``blink_occupancy_counts`` and ``blink_crossing_times`` are pure
   functions of the sampled rows.
-* **PCC** — ``pcc_utilities`` is :func:`~repro.pcc.utility.allegro_utility`
-  per pair, ``pcc_loss_for_targets`` is
-  :func:`~repro.pcc.utility.loss_for_target_utility` per pair, and
-  ``pcc_oscillation_stats`` reduces rate rows to the mean /
+* **PCC** — ``pcc_oscillation_stats`` reduces rate rows to the mean /
   coefficient-of-variation / peak-to-trough amplitude of the
   oscillation analysis (population stddev, CV = σ/|µ|).
 * **Bloom** — bulk insert/query with the same FNV-1a
@@ -155,36 +152,6 @@ def blink_crossing_times(
 
 
 # -- PCC ±ε experiments (Section 4.2) --------------------------------------
-
-
-@_metered
-def pcc_utilities(
-    rates: Sequence[float], losses: Sequence[float], alpha: float
-) -> List[float]:
-    """Allegro utility, elementwise over (rate, loss) pairs."""
-    from repro.pcc.utility import allegro_utility
-
-    if len(rates) != len(losses):
-        raise ConfigurationError("rates and losses must have equal length")
-    return [allegro_utility(r, l, alpha) for r, l in zip(rates, losses)]
-
-
-@_metered
-def pcc_loss_for_targets(
-    rates: Sequence[float],
-    targets: Sequence[float],
-    alpha: float,
-    tolerance: float = 1e-9,
-) -> List[float]:
-    """Smallest loss with utility ≤ target, per (rate, target)."""
-    from repro.pcc.utility import loss_for_target_utility
-
-    if len(rates) != len(targets):
-        raise ConfigurationError("rates and targets must have equal length")
-    return [
-        loss_for_target_utility(r, u, alpha, tolerance)
-        for r, u in zip(rates, targets)
-    ]
 
 
 @_metered

@@ -213,7 +213,8 @@ class StreamingTraceAggregator:
     the packet-level Blink pipeline consumes traffic inline without a
     2-million-record trace ever existing.  :meth:`observe_batch` takes
     a whole chunk as parallel columns and builds records only for the
-    rows the ring keeps.
+    rows the ring keeps; a caller that knows each flow's rows up front
+    can account them once per flow with :meth:`observe_flow` instead.
 
     Like :class:`Trace`, observation times must be non-decreasing.
     """
@@ -326,6 +327,7 @@ class StreamingTraceAggregator:
         fins: Sequence[bool],
         malicious: Sequence[bool],
         observation_point: str = "",
+        per_flow: bool = True,
     ) -> None:
         """Account a chunk of observations given as parallel columns.
 
@@ -337,8 +339,15 @@ class StreamingTraceAggregator:
         :class:`ValueError` after the rows before it are accounted.
         Only the rows the ring keeps become :class:`TraceRecord`
         objects; with a sink, every row goes through :meth:`observe`.
+
+        ``per_flow=False`` leaves :attr:`flows` alone — for a caller
+        that accounts each flow's rows once with :meth:`observe_flow` —
+        and updates only the totals, the point counts and the ring, with
+        no per-row Python work.  It needs ``sink=None``.
         """
         n = len(times)
+        if not per_flow and self.sink is not None:
+            raise ValueError("per_flow=False bypasses the sink; it needs sink=None")
         if self.sink is not None:
             observe = self.observe
             for time, flow, size, retrans, fin, mal in zip(
@@ -351,7 +360,9 @@ class StreamingTraceAggregator:
         bad = self._first_decrease(times)
         if bad is not None:
             columns = (times, flows, sizes, retransmissions, fins, malicious)
-            self.observe_batch(*(column[:bad] for column in columns), observation_point)
+            self.observe_batch(
+                *(column[:bad] for column in columns), observation_point, per_flow
+            )
             self.observe(  # raises observe's own error for the bad row
                 times[bad],
                 flows[bad],
@@ -369,23 +380,24 @@ class StreamingTraceAggregator:
         self.retransmissions += sum(map(bool, retransmissions))
         self.fin_rst += sum(map(bool, fins))
         self.malicious_packets += sum(map(bool, malicious))
-        by_flow = self.flows
-        get = by_flow.get
-        for time, flow, size, retrans, fin, mal in zip(
-            times, flows, sizes, retransmissions, fins, malicious
-        ):
-            stats = get(flow)
-            if stats is None:
-                stats = by_flow[flow] = FlowStats(time)
-            stats.packets += 1
-            stats.bytes += size
-            stats.last_time = time
-            if retrans:
-                stats.retransmissions += 1
-            if fin:
-                stats.fin_rst += 1
-            if mal:
-                stats.malicious += 1
+        if per_flow:
+            by_flow = self.flows
+            get = by_flow.get
+            for time, flow, size, retrans, fin, mal in zip(
+                times, flows, sizes, retransmissions, fins, malicious
+            ):
+                stats = get(flow)
+                if stats is None:
+                    stats = by_flow[flow] = FlowStats(time)
+                stats.packets += 1
+                stats.bytes += size
+                stats.last_time = time
+                if retrans:
+                    stats.retransmissions += 1
+                if fin:
+                    stats.fin_rst += 1
+                if mal:
+                    stats.malicious += 1
         if observation_point:
             points = self.points
             points[observation_point] = points.get(observation_point, 0) + n
@@ -402,6 +414,46 @@ class StreamingTraceAggregator:
                 )
                 for i in range(max(0, n - self.ring_capacity), n)
             )
+
+    def observe_flow(
+        self,
+        flow: FiveTuple,
+        times: Sequence[float],
+        retransmissions: Sequence[bool],
+        size: int,
+        fin_time: Optional[float] = None,
+        fin_size: int = 0,
+        malicious: bool = False,
+    ) -> None:
+        """Account one flow's rows to its :class:`FlowStats` only.
+
+        The rows are data packets of ``size`` bytes at ``times``
+        (non-decreasing), flagged by ``retransmissions``, then — unless
+        ``fin_time`` is None — a FIN of ``fin_size`` bytes at
+        ``fin_time``, no earlier than the last data packet.  Together
+        with :meth:`observe_batch` ``(per_flow=False)`` over every row,
+        calling this per flow in the order of the flows' first rows
+        leaves the state per-row observation would; a flow seen again
+        keeps its first time and key position, as it would.
+        """
+        n = len(times)
+        packets = n + (fin_time is not None)
+        if not packets:
+            return
+        last = times[-1] if fin_time is None else fin_time
+        stats = self.flows.get(flow)
+        if stats is None:
+            stats = self.flows[flow] = FlowStats(times[0] if n else last)
+        stats.packets += packets
+        stats.bytes += n * size
+        stats.retransmissions += sum(map(bool, retransmissions))
+        if fin_time is not None:
+            stats.bytes += fin_size
+            stats.fin_rst += 1
+        if malicious:
+            stats.malicious += packets
+        if last > stats.last_time:
+            stats.last_time = last
 
     def _first_decrease(self, times: Sequence[float]) -> Optional[int]:
         """Index of the first of ``times`` that :meth:`observe` would reject."""

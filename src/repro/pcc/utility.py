@@ -20,7 +20,6 @@ computation.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
 
 from repro.core.errors import ConfigurationError
 
@@ -53,37 +52,6 @@ def allegro_utility(rate: float, loss: float, alpha: float = ALPHA) -> float:
         raise ConfigurationError(f"loss must be in [0, 1], got {loss}")
     goodput = rate * (1.0 - loss)
     return goodput * sigmoid(loss - LOSS_THRESHOLD, alpha) - rate * loss
-
-
-def allegro_utility_batch(
-    rates: Sequence[float], losses: Sequence[float], alpha: float = ALPHA
-) -> List[float]:
-    """Allegro utility over (rate, loss) pairs.
-
-    The batched form of :func:`allegro_utility` — what a sweep (or an
-    attacker planning over many candidate rates) evaluates per ±ε
-    experiment batch.
-    """
-    from repro.kernels import pcc_utilities
-
-    return pcc_utilities(list(rates), list(losses), alpha)
-
-
-def loss_for_target_utility_batch(
-    rates: Sequence[float],
-    targets: Sequence[float],
-    alpha: float = ALPHA,
-    tolerance: float = 1e-9,
-) -> List[float]:
-    """Batched :func:`loss_for_target_utility` over (rate, target) pairs.
-
-    The attacker's ±ε planning primitive at sweep scale: for each rate
-    PCC might test, the loss to induce so the observed utility lands on
-    the attacker's target.
-    """
-    from repro.kernels import pcc_loss_for_targets
-
-    return pcc_loss_for_targets(list(rates), list(targets), alpha, tolerance)
 
 
 def vivace_utility(

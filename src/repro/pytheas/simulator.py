@@ -131,7 +131,6 @@ class PytheasSimulation:
         qoe_model: QoEModel,
         populations: Sequence[GroupPopulation],
         throttler: Optional[Throttler] = None,
-        seed: int = 0,
     ):
         if not populations:
             raise ConfigurationError("need at least one population")
@@ -139,7 +138,6 @@ class PytheasSimulation:
         self.qoe_model = qoe_model
         self.populations = list(populations)
         self.throttler = throttler
-        self._rng = random.Random(seed)
         self.round_stats: List[RoundStats] = []
         self.benign_qoe_series: Dict[str, TimeSeries] = {}
         self._round = 0

@@ -9,8 +9,11 @@ parameters — workload shape, driver mode, fault gates and all.
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.blink import packet_level
 from repro.blink.packet_level import (
@@ -21,8 +24,16 @@ from repro.blink.packet_level import (
 from repro.core.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.faults.injectors import TelemetryFault
-from repro.flows.generators import emit_trace, iter_flow_schedules
+from repro.flows.flow import FiveTuple
+from repro.flows.generators import (
+    FlowSpec,
+    emit_trace,
+    flow_packet_schedule,
+    flow_stream_seed,
+    iter_flow_schedules,
+)
 from repro.netsim.events import DEFAULT_SCHEDULER, EventLoop
+from repro.netsim.trace import FlowStats, StreamingTraceAggregator
 
 # Small-but-nontrivial scale: ~45k packets, a handful of resets.
 SMALL = dict(horizon=90.0, legitimate_flows=120, malicious_flows=7)
@@ -281,3 +292,130 @@ class TestBatchScalarEquivalence:
             assert record.flow == flow
             assert record.is_retransmission == retrans
             assert record.is_fin_or_rst == fin
+
+    def test_one_generator_reseeded_equals_one_per_flow(self):
+        specs = blink_attack_specs(seed=4, **SMALL)[:300]
+        fresh = [
+            (spec, *flow_packet_schedule(spec, random.Random(flow_stream_seed(9, spec))))
+            for spec in specs
+        ]
+        assert list(iter_flow_schedules(specs, seed=9)) == fresh
+
+
+HORIZON = 5.0
+
+
+def _spec(i, start, duration, fin=True, malicious=False, retrans=0.3, constant=False):
+    return FlowSpec(
+        flow=FiveTuple(f"10.1.0.{i + 1}", "198.51.100.7", 2000 + i, 443),
+        start=start,
+        duration=duration,
+        packet_rate=3.0,
+        malicious=malicious,
+        retransmit_probability=retrans,
+        sends_fin=fin,
+        constant_rate=constant,
+    )
+
+
+#: One flow per case the per-flow accounting must clip right.
+EDGE_SPECS = [
+    _spec(0, 0.0, 8.0),                      # cut mid-schedule, FIN past
+    _spec(1, 1.0, 4.0),                      # FIN exactly at the horizon
+    _spec(2, 2.5, 2.5, constant=True),       # FIN at the horizon, paced
+    _spec(3, 4.0, 3.0, malicious=True, fin=False),  # cut, never FINs
+    _spec(4, 3.0, 0.0),                      # FIN only, no data packet
+    _spec(5, 3.0, 0.0, fin=False),           # admitted, no row at all
+    _spec(6, HORIZON, 1.0),                  # first row at the horizon
+    _spec(0, 6.0, 1.0),                      # same 5-tuple, after the horizon
+    _spec(1, 0.5, 0.8, malicious=True),      # same 5-tuple as 1, earlier
+]
+
+
+def _aggregator_state(aggregator):
+    return (
+        [
+            (flow, tuple(getattr(stats, slot) for slot in FlowStats.__slots__))
+            for flow, stats in aggregator.flows.items()
+        ],
+        aggregator.summary(),
+        list(aggregator.ring),
+        aggregator.points,
+    )
+
+
+def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON, ring_capacity=4):
+    """Aggregator state of ``_run_merged`` and of per-row ``observe_batch``
+    over the same merged chunks."""
+    merged = StreamingTraceAggregator(name="a", ring_capacity=ring_capacity)
+    packet_level._run_merged(list(specs), seed, horizon, merged, None, None)
+    order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+    admitted = [specs[i] for i in order if specs[i].start <= horizon]
+    per_row = StreamingTraceAggregator(name="a", ring_capacity=ring_capacity)
+    for times, flows, retrans, fins, malicious in packet_level.merged_columns(
+        admitted, seed, horizon=horizon
+    ):
+        sizes = [
+            packet_level.FIN_PACKET_BYTES if fin else packet_level.DATA_PACKET_BYTES
+            for fin in fins
+        ]
+        per_row.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
+    return _aggregator_state(merged), _aggregator_state(per_row)
+
+
+class TestPerFlowTraceAccounting:
+    """The loop-free path accounts FlowStats once per flow; the result
+    must be per-row observe_batch's, key order included."""
+
+    def test_edge_specs_cover_every_clipping_case(self):
+        merged, per_row = _per_flow_vs_per_row(EDGE_SPECS)
+        assert merged == per_row
+        stats = {flow: fields for flow, fields in merged[0]}
+        fields = FlowStats.__slots__
+
+        def get(i, name):
+            return stats[EDGE_SPECS[i].flow][fields.index(name)]
+
+        assert get(0, "fin_rst") == 0 and get(0, "last_time") < HORIZON
+        assert get(1, "fin_rst") == 2 and get(1, "last_time") == HORIZON
+        assert get(1, "first_time") == 0.5 and get(1, "malicious") > 0
+        assert get(2, "fin_rst") == 1 and get(2, "last_time") == HORIZON
+        assert get(3, "malicious") == get(3, "packets") > 1
+        assert get(4, "packets") == get(4, "fin_rst") == 1
+        assert get(4, "bytes") == packet_level.FIN_PACKET_BYTES
+        assert EDGE_SPECS[5].flow not in stats
+        assert get(6, "packets") == 1 and get(6, "first_time") == HORIZON
+        # Keys in first-row order, as per-row observation inserts them.
+        firsts = [fields_[fields.index("first_time")] for _, fields_ in merged[0]]
+        assert firsts == sorted(firsts)
+
+    @given(
+        shape=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),  # 5-tuple (repeats allowed)
+                st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 4.9, HORIZON, 5.5]),
+                st.sampled_from([0.0, 0.25, 1.0, 2.0, 2.5, 4.0, 9.0]),
+                st.booleans(),  # sends_fin
+                st.booleans(),  # malicious
+                st.booleans(),  # constant_rate
+            ),
+            max_size=14,
+        ),
+        seed=st.integers(min_value=0, max_value=50),
+        ring_capacity=st.sampled_from([0, 3, 64]),
+    )
+    @example(shape=[], seed=0, ring_capacity=3)
+    @settings(max_examples=80, deadline=None)
+    def test_random_specs_equal_per_row(self, shape, seed, ring_capacity):
+        specs = [
+            _spec(i, start, duration, fin=fin, malicious=mal, constant=constant)
+            for i, start, duration, fin, mal, constant in shape
+        ]
+        merged, per_row = _per_flow_vs_per_row(specs, seed, HORIZON, ring_capacity)
+        assert merged == per_row
+
+    def test_per_flow_needs_no_sink(self):
+        aggregator = StreamingTraceAggregator(sink=lambda record: None)
+        with pytest.raises(ValueError, match="sink"):
+            aggregator.observe_batch([0.0], [EDGE_SPECS[0].flow], [1], [False],
+                                     [False], [False], per_flow=False)

@@ -142,7 +142,7 @@ class TestPytheasDefenseEndToEnd:
             attacker_fraction=0.15,
             attacker_strategy=TargetedLiar("cdn-A"),
         )
-        simulation = PytheasSimulation(controller, model, [population], seed=3)
+        simulation = PytheasSimulation(controller, model, [population])
         simulation.run(100)
         group_id = controller.groups.group_ids()[0]
         assert controller.preferred_decision(group_id) == "cdn-A"

@@ -64,46 +64,6 @@ def test_bloom_membership_exact(items, probes, capacity):
     assert bulk.query_bulk(universe) == [key in single for key in universe]
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        ),
-        max_size=30,
-    ),
-    alpha=st.floats(min_value=1.0, max_value=200.0, allow_nan=False),
-)
-def test_pcc_utilities_close(pairs, alpha):
-    from repro.pcc.utility import allegro_utility
-
-    rates = [rate for rate, _ in pairs]
-    losses = [loss for _, loss in pairs]
-    expected = [allegro_utility(rate, loss, alpha) for rate, loss in pairs]
-    assert kernels.pcc_utilities(rates, losses, alpha) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-            st.floats(min_value=-50.0, max_value=1e3, allow_nan=False),
-        ),
-        max_size=12,
-    ),
-    alpha=st.floats(min_value=1.0, max_value=100.0, allow_nan=False),
-)
-def test_pcc_loss_for_targets_close(pairs, alpha):
-    from repro.pcc.utility import loss_for_target_utility
-
-    rates = [rate for rate, _ in pairs]
-    targets = [target for _, target in pairs]
-    expected = [loss_for_target_utility(rate, target, alpha) for rate, target in pairs]
-    assert kernels.pcc_loss_for_targets(rates, targets, alpha) == expected
-
-
 @settings(max_examples=60, deadline=None)
 @given(items=keys)
 def test_fnv1a_bulk_exact(items):

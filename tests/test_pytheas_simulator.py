@@ -31,7 +31,7 @@ def _simulation(attacker_fraction=0.0, rounds=80, throttler=None, seed=0):
         attacker_fraction=attacker_fraction,
         attacker_strategy=TargetedLiar("cdn-A") if attacker_fraction else None,
     )
-    simulation = PytheasSimulation(controller, model, [population], throttler=throttler, seed=seed + 3)
+    simulation = PytheasSimulation(controller, model, [population], throttler=throttler)
     simulation.run(rounds)
     return simulation, controller
 
