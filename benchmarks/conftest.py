@@ -39,7 +39,6 @@ import time
 import pytest
 
 from repro.obs import MetricRegistry, Tracer, activate
-from repro.obs import metrics as obs_metrics
 
 #: Whether --metrics was passed: run_once meters its timed region.
 _METRICS_ON = False
@@ -118,12 +117,8 @@ def run_once(benchmark, fn, *args, **kwargs):
 
     def traced(*call_args, **call_kwargs):
         started = time.perf_counter()
-        if registry is not None:
-            with activate(tracer), obs_metrics.activate(registry):
-                result = fn(*call_args, **call_kwargs)
-        else:
-            with activate(tracer):
-                result = fn(*call_args, **call_kwargs)
+        with activate(tracer, registry):
+            result = fn(*call_args, **call_kwargs)
         benchmark.extra_info["wall_seconds"] = time.perf_counter() - started
         return result
 

@@ -30,6 +30,7 @@ from repro.flows.generators import (
     malicious_flow_schedule,
     summarize_packets,
 )
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
 
@@ -203,6 +204,9 @@ class BlinkCaptureAttack(Attack):
                 malicious_records += sum(columns[4])
                 feed_columns(session, telemetry_fault, *columns)
             series = session.finish()[prefix]
+        # The same merge counters as the packet-level driver's.
+        obs_metrics.inc("netsim.merge.records", records)
+        obs_metrics.inc("netsim.merge.flow_starts", len(ordered))
         # The workload as generated; ``packets`` below counts what Blink
         # saw after the telemetry fault.
         summary = summarize_packets(specs, records, malicious_records)

@@ -33,11 +33,12 @@ from repro.blink.constants import (
 from repro.blink.selector import FlowSelector
 from repro.core.entities import Signal, SignalKind
 from repro.core.errors import ConfigurationError
-from repro.core.metrics import MetricRegistry, TimeSeries
+from repro.core.metrics import TimeSeries
 from repro.core.system import DataDrivenSystem, Decision, SystemState
 from repro.flows.flow import FiveTuple, ip_in_prefix
 from repro.netsim.packet import Packet, Protocol, TcpFlags
 from repro.netsim.trace import Trace, TraceRecord
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
 
@@ -288,12 +289,18 @@ class BlinkPrefixMonitor(DataDrivenSystem):
 
 
 class BlinkSwitch:
-    """Multi-prefix Blink switch with trace replay and network modes."""
+    """Multi-prefix Blink switch with trace replay and network modes.
+
+    Counts ``blink.decisions_released`` (both modes) and
+    ``blink.packets_seen`` (network mode) on the active
+    :mod:`repro.obs.metrics` registry, and a finished replay writes each
+    prefix's selector statistics there as ``blink.<prefix>.*`` gauges
+    (the prefix folded by :func:`repro.obs.metrics.label`).
+    """
 
     def __init__(
         self,
         prefixes: Dict[str, Sequence[str]],
-        metrics: Optional[MetricRegistry] = None,
         supervise: Optional[Callable[[BlinkPrefixMonitor], DataDrivenSystem]] = None,
         **monitor_kwargs: object,
     ):
@@ -318,13 +325,11 @@ class BlinkSwitch:
             for prefix, monitor in self.monitors.items()
             if self.drivers[prefix] is monitor
         }
-        self.metrics = metrics or MetricRegistry()
         self.decisions: List[Decision] = []
         # destination -> matched prefix memo; exact because the prefix
         # set is fixed at construction and matching is pure.  Without it
         # every packet re-parses ip_network() strings.
         self._prefix_cache: Dict[str, Optional[str]] = {}
-        obs.attach_metrics("blink", self.metrics)
 
     def prefix_for(self, destination: str) -> Optional[str]:
         cache = self._prefix_cache
@@ -363,9 +368,13 @@ class BlinkSwitch:
             record.malicious_ground_truth,
         )
         if decisions:
-            self.metrics.counter("blink.decisions_released").increment(len(decisions))
-        self.decisions.extend(decisions)
+            self._release(decisions)
         return decisions
+
+    def _release(self, decisions: List[Decision]) -> None:
+        """Record released decisions; the one place either mode does."""
+        obs_metrics.inc("blink.decisions_released", len(decisions))
+        self.decisions.extend(decisions)
 
     def _deliver(
         self,
@@ -429,9 +438,14 @@ class BlinkSwitch:
             session.finish()
         return session.series
 
-    def _snapshot_selector_metrics(self) -> None:
-        """Fold per-prefix selector statistics into the metric registry."""
+    def _publish_selector_metrics(self) -> None:
+        """Write per-prefix selector statistics as gauges on the active
+        registry (nothing when metrics are off)."""
+        registry = obs_metrics.current()
+        if registry is None:
+            return
         for prefix, monitor in self.monitors.items():
+            label = obs_metrics.label(prefix)
             stats = monitor.selector.stats
             for name, value in (
                 ("installs", stats.installs),
@@ -441,7 +455,7 @@ class BlinkSwitch:
                 ("collisions_ignored", stats.collisions_ignored),
                 ("reroutes", len(monitor.reroutes)),
             ):
-                self.metrics.gauge(f"blink.{prefix}.{name}").set(float(value))
+                registry.gauge_set(f"blink.{label}.{name}", float(value))
 
     # -- dataplane program mode (hijack experiment) ----------------------------
 
@@ -465,8 +479,9 @@ class BlinkSwitch:
             packet.tcp.seq,
             packet.malicious_ground_truth,
         )
-        self.decisions.extend(decisions)
-        self.metrics.counter("blink.packets_seen").increment()
+        if decisions:
+            self._release(decisions)
+        obs_metrics.inc("blink.packets_seen")
         if monitor.probing:
             probe_hop = monitor.probe_next_hop_for(packet.five_tuple)
             if probe_hop is not None:
@@ -490,8 +505,8 @@ class TraceReplaySession:
     :meth:`BlinkSwitch.replay_trace` (which is now built on this class): before any record at or past the next sample boundary
     is processed, every monitor's reset timer is serviced and the
     ground-truth malicious occupancy is appended to the per-prefix
-    series.  Call :meth:`finish` once the source is exhausted to fold
-    selector statistics into the metric registry.
+    series.  Call :meth:`finish` once the source is exhausted to write
+    selector statistics to the active metric registry.
     """
 
     def __init__(self, switch: BlinkSwitch, sample_interval: float = 1.0):
@@ -500,7 +515,7 @@ class TraceReplaySession:
         self.switch = switch
         self.sample_interval = sample_interval
         self.series: Dict[str, TimeSeries] = {
-            prefix: switch.metrics.timeseries(f"blink.{prefix}.malicious_monitored")
+            prefix: TimeSeries(f"blink.{prefix}.malicious_monitored")
             for prefix in switch.monitors
         }
         self.packets = 0
@@ -551,6 +566,7 @@ class TraceReplaySession:
         prefix_for = switch.prefix_for
         matched = switch._prefix_cache.get
         deliver = switch._deliver
+        release = switch._release
         next_sample = self._next_sample
         if next_sample is None:
             next_sample = times[0]
@@ -607,12 +623,12 @@ class TraceReplaySession:
                     probe_start = monitor._probe_start
                     last_reroute = monitor._last_reroute_time
                     if decisions:
-                        self._release(decisions)
+                        release(decisions)
                     continue
             decisions = deliver(prefix, flow, time, retrans, fin, None, mal)
             lane = None
             if decisions:
-                self._release(decisions)
+                release(decisions)
         self._next_sample = next_sample
         self.packets += len(times)
 
@@ -644,11 +660,6 @@ class TraceReplaySession:
             monitor._probe_start,
         )
 
-    def _release(self, decisions: List[Decision]) -> None:
-        switch = self.switch
-        switch.metrics.counter("blink.decisions_released").increment(len(decisions))
-        switch.decisions.extend(decisions)
-
     def _sample_until(self, time: float, next_sample: float) -> float:
         """Take every sample due at or before ``time``; returns the next boundary.
 
@@ -668,5 +679,5 @@ class TraceReplaySession:
 
     def finish(self) -> Dict[str, TimeSeries]:
         """Seal the session; returns the per-prefix series."""
-        self.switch._snapshot_selector_metrics()
+        self.switch._publish_selector_metrics()
         return self.series

@@ -177,25 +177,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
 
-    tracing = bool(args.trace or args.metrics or args.metrics_out)
-    tracer = None
-    registry = None
+    from repro import obs
+
+    tracer, registry = _run_observers(args)
     started = _wallclock.perf_counter()
     try:
         if profiler is not None:
             profiler.enable()
         try:
-            if tracing:
-                from repro.obs import MetricRegistry, Tracer, activate
-                from repro.obs import metrics as obs_metrics
-
-                registry = MetricRegistry()
-                tracer = Tracer(metrics=registry)
-                with activate(tracer), obs_metrics.activate(registry), tracer.span(
-                    f"attack.{attack.name}"
-                ):
-                    result = execute()
-            else:
+            with obs.activate(tracer, registry), obs.span(f"attack.{attack.name}"):
                 result = execute()
         finally:
             if profiler is not None:
@@ -245,44 +235,70 @@ def cmd_run(args: argparse.Namespace) -> int:
             print()
             print(ascii_table(rows, title="details"))
 
-    if tracer is not None:
-        if args.metrics and not args.json:
-            _print_metrics_snapshot(tracer)
-        if args.trace:
-            from repro.obs import RunLedger
-
-            ledger = RunLedger.from_tracer(
-                tracer,
-                attack=result.attack_name,
-                params=params,
-                seed=params.get("seed", None),
-                success=result.success,
-                magnitude=result.magnitude,
-                wall_seconds=wall_seconds,
-            )
-            try:
-                if args.trace.endswith(".csv"):
-                    ledger.to_csv(args.trace)
-                else:
-                    ledger.to_jsonl(args.trace)
-            except OSError as exc:
-                print(f"cannot write trace ledger to {args.trace}: {exc}", file=sys.stderr)
-                return 2
-            if not args.json:
-                print(f"\ntrace ledger written to {args.trace}", file=sys.stderr)
-    if registry is not None and args.metrics_out:
-        code = _write_metrics_out(
-            args.metrics_out,
-            registry,
+    code = _write_observations(
+        args,
+        tracer,
+        registry,
+        quiet=args.json,
+        ledger_info=dict(
+            attack=result.attack_name,
+            params=params,
+            seed=params.get("seed", None),
+            success=result.success,
+            magnitude=result.magnitude,
+            wall_seconds=wall_seconds,
+        ),
+        snapshot_meta=dict(
             attack=result.attack_name,
             seed=params.get("seed"),
             wall_seconds=wall_seconds,
-        )
+        ),
+    )
+    if code:
+        return code
+    return 0 if result.success else 1
+
+
+def _run_observers(args):
+    """The (tracer, registry) pair a run's ``--trace``, ``--metrics`` or
+    ``--metrics-out`` asks for, or (None, None) when it asks for none."""
+    if not (args.trace or args.metrics or args.metrics_out):
+        return None, None
+    from repro.obs import MetricRegistry, Tracer
+
+    return Tracer(), MetricRegistry()
+
+
+def _write_observations(
+    args, tracer, registry, quiet: bool, ledger_info: dict, snapshot_meta: dict
+) -> int:
+    """Print the metrics table, write the ledger and the metrics export
+    that the run's flags ask for; 2 when a file cannot be written."""
+    if registry is None:
+        return 0
+    if args.metrics and not quiet:
+        _print_metrics(registry)
+    if args.trace:
+        from repro.obs import RunLedger
+
+        ledger = RunLedger.from_tracer(tracer, metrics=registry, **ledger_info)
+        try:
+            if args.trace.endswith(".csv"):
+                ledger.to_csv(args.trace)
+            else:
+                ledger.to_jsonl(args.trace)
+        except OSError as exc:
+            print(f"cannot write trace ledger to {args.trace}: {exc}", file=sys.stderr)
+            return 2
+        if not quiet:
+            print(f"\ntrace ledger written to {args.trace}", file=sys.stderr)
+    if args.metrics_out:
+        code = _write_metrics_out(args.metrics_out, registry, **snapshot_meta)
         if code:
             return code
-        if not args.json:
+        if not quiet:
             print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-    return 0 if result.success else 1
+    return 0
 
 
 def _write_metrics_out(path: str, registry, **meta: object) -> int:
@@ -337,24 +353,11 @@ def _cmd_run_sweep(attack: Attack, params: Dict[str, object], args) -> int:
         print(f"invalid --jobs: {exc}", file=sys.stderr)
         return 2
 
-    tracer = None
-    registry = None
-    try:
-        if args.trace or args.metrics_out:
-            from repro.obs import MetricRegistry, Tracer, activate
-            from repro.obs import metrics as obs_metrics
+    from repro import obs
 
-            registry = MetricRegistry()
-            tracer = Tracer(metrics=registry)
-            with activate(tracer), obs_metrics.activate(registry), tracer.span(
-                f"sweep.{attack.name}"
-            ):
-                report = executor.run(
-                    RegistryAttackFactory(attack.name),
-                    cells,
-                    checkpoint_path=args.resume,
-                )
-        else:
+    tracer, registry = _run_observers(args)
+    try:
+        with obs.activate(tracer, registry), obs.span(f"sweep.{attack.name}"):
             report = executor.run(
                 RegistryAttackFactory(attack.name), cells, checkpoint_path=args.resume
             )
@@ -388,37 +391,26 @@ def _cmd_run_sweep(attack: Attack, params: Dict[str, object], args) -> int:
             f"{stats.stores} store(s)",
             file=sys.stderr,
         )
-    if tracer is not None and args.trace:
-        from repro.obs import RunLedger
-
-        ledger = RunLedger.from_tracer(
-            tracer,
+    code = _write_observations(
+        args,
+        tracer,
+        registry,
+        quiet=False,
+        ledger_info=dict(
             attack=attack.name,
             params=params,
             seeds=seeds,
             jobs=executor.jobs,
             success=report.failed == 0,
-        )
-        try:
-            if args.trace.endswith(".csv"):
-                ledger.to_csv(args.trace)
-            else:
-                ledger.to_jsonl(args.trace)
-        except OSError as exc:
-            print(f"cannot write trace ledger to {args.trace}: {exc}", file=sys.stderr)
-            return 2
-        print(f"trace ledger written to {args.trace}", file=sys.stderr)
-    if registry is not None and args.metrics_out:
-        code = _write_metrics_out(
-            args.metrics_out,
-            registry,
+        ),
+        snapshot_meta=dict(
             attack=attack.name,
             seeds=",".join(str(s) for s in seeds),
             jobs=executor.jobs,
-        )
-        if code:
-            return code
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
+        ),
+    )
+    if code:
+        return code
     return 0 if report.failed == 0 else 1
 
 
@@ -450,18 +442,16 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_metrics_snapshot(tracer) -> None:
+def _print_metrics(registry) -> None:
     from repro.obs import jsonable
 
-    snapshot = tracer.metrics_snapshot()
-    for source, values in sorted(snapshot.items()):
-        rows = [
-            {"metric": key, "value": format_value(jsonable(value))}
-            for key, value in sorted(values.items())
-        ]
-        if rows:
-            print()
-            print(ascii_table(rows, title=f"metrics: {source}"))
+    rows = [
+        {"metric": key, "value": format_value(jsonable(value))}
+        for key, value in registry.snapshot().items()
+    ]
+    if rows:
+        print()
+        print(ascii_table(rows, title="metrics: run"))
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
@@ -674,18 +664,9 @@ def _load_ledger_tolerant(path: str):
         if not line:
             continue
         try:
-            record = json.loads(line)
+            ledger.add_record(json.loads(line))
         except json.JSONDecodeError:
             continue
-        if not isinstance(record, dict):
-            continue
-        record_type = record.pop("record", None)
-        if record_type == "run":
-            ledger.run = record
-        elif record_type == "metrics":
-            ledger.metrics[str(record.get("source", ""))] = record.get("values", {})
-        elif record_type == "event":
-            ledger.events.append(record)
     return ledger
 
 
@@ -694,7 +675,7 @@ def _sharded_adaptivity_line(metric_values: Dict[str, object]) -> Optional[str]:
 
     Summarises the adaptive-window controller — sync rounds, window
     grows/resets, fast-forwards and the window-width distribution —
-    whenever a metrics source carries ``sharded.*`` series.
+    whenever the metrics carry ``sharded.*`` series.
     """
     windows = metric_values.get("counter.sharded.windows")
     if windows is None:
@@ -725,7 +706,7 @@ def _sharded_adaptivity_line(metric_values: Dict[str, object]) -> Optional[str]:
     return "sharded adaptivity: " + " ".join(parts)
 
 
-def _render_top(ledger, snapshots: List[dict], source: str, width: int) -> str:
+def _render_top(ledger, snapshots: List[dict], width: int) -> str:
     """One frame of the ``top`` view: run header, event mix, metrics."""
     from repro.analysis.reporting import sparkline
 
@@ -775,9 +756,9 @@ def _render_top(ledger, snapshots: List[dict], source: str, width: int) -> str:
             from repro.obs import MetricRegistry
 
             metric_values = MetricRegistry.from_dict(metrics).snapshot()
-    elif source in ledger.metrics:
-        lines.append(f"metrics (ledger source {source!r}):")
-        metric_values = dict(ledger.metrics[source])
+    elif "run" in ledger.metrics:
+        lines.append("metrics (ledger run block):")
+        metric_values = dict(ledger.metrics["run"])
     if metric_values:
         adaptivity = _sharded_adaptivity_line(metric_values)
         if adaptivity:
@@ -808,7 +789,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     def frame() -> str:
         ledger = _load_ledger_tolerant(args.ledger)
         snapshots = obs_metrics.read_snapshots(args.metrics) if args.metrics else []
-        return _render_top(ledger, snapshots, source=args.source, width=width)
+        return _render_top(ledger, snapshots, width=width)
 
     if not args.follow:
         print(frame())
@@ -980,13 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSONL metrics snapshots (run --metrics-out); the latest "
         "snapshot is rendered alongside the event view",
-    )
-    top_parser.add_argument(
-        "--source",
-        default="run",
-        metavar="NAME",
-        help="ledger metrics source to show when no --metrics file is "
-        "given (default: run)",
     )
     top_parser.add_argument(
         "--follow",

@@ -33,9 +33,6 @@ from repro.core.errors import (
     SupervisorVeto,
 )
 from repro.core.metrics import (
-    Counter,
-    Gauge,
-    MetricRegistry,
     TimeSeries,
     coefficient_of_variation,
     first_crossing_time,
@@ -63,16 +60,13 @@ __all__ = [
     "Capability",
     "CheckpointError",
     "ConfigurationError",
-    "Counter",
     "DEGRADATION_POLICIES",
     "DataDrivenSystem",
     "DecodeError",
     "Decision",
     "ExperimentTimeout",
     "FaultSpecError",
-    "Gauge",
     "Impact",
-    "MetricRegistry",
     "OperatingRange",
     "PlausibilityModel",
     "Privilege",

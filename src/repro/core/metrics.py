@@ -1,16 +1,16 @@
-"""Lightweight metric collection used across simulators and benches.
+"""Result statistics used across simulators and benches.
 
-Provides counters, gauges and time series with percentile summaries —
-enough to express every quantity the paper reports (sampled-flow
-counts over time, rates, QoE, inversion counts) without pulling in a
-heavyweight metrics framework.
+Time series with percentile summaries and the scalar statistics over
+them — enough to express every quantity the paper reports
+(sampled-flow counts over time, rates, QoE, inversion counts).  Run
+telemetry (counters, gauges, histograms) lives in
+:mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -37,37 +37,6 @@ def percentile(values: Sequence[float], q: float, presorted: bool = False) -> fl
         return float(ordered[int(rank)])
     weight = rank - lower
     return float(ordered[lower] * (1.0 - weight) + ordered[upper] * weight)
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing counter."""
-
-    name: str
-    value: float = 0.0
-
-    def increment(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase; use a Gauge instead")
-        self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A value that can move in both directions, with min/max tracking."""
-
-    name: str
-    value: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
 
 
 class TimeSeries:
@@ -132,45 +101,6 @@ class TimeSeries:
             "p50": percentile(ordered, 50, presorted=True),
             "p95": percentile(ordered, 95, presorted=True),
         }
-
-
-@dataclass
-class MetricRegistry:
-    """Named registry of counters, gauges and time series.
-
-    Every simulator component takes an optional registry; experiments
-    create one registry per run so results never leak between seeds.
-    """
-
-    counters: Dict[str, Counter] = field(default_factory=dict)
-    gauges: Dict[str, Gauge] = field(default_factory=dict)
-    series: Dict[str, TimeSeries] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
-
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(name)
-        return self.gauges[name]
-
-    def timeseries(self, name: str) -> TimeSeries:
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
-
-    def snapshot(self) -> Dict[str, object]:
-        """Flat dict of every metric's current value / summary."""
-        snap: Dict[str, object] = {}
-        for name, counter in self.counters.items():
-            snap[f"counter.{name}"] = counter.value
-        for name, gauge in self.gauges.items():
-            snap[f"gauge.{name}"] = gauge.value
-        for name, ts in self.series.items():
-            snap[f"series.{name}"] = ts.summary()
-        return snap
 
 
 def mean(values: Sequence[float]) -> float:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
-from repro.core.metrics import MetricRegistry
 from repro.netsim.events import EventLoop
 from repro.netsim.packet import Packet
+from repro.obs import metrics as obs_metrics
 
 DeliveryCallback = Callable[[Packet], None]
 
@@ -72,6 +72,9 @@ class Link:
         src/dst: node names (for tracing only; delivery goes to the
             callback given per-transmit).
         queue_packets: max packets buffered behind the serialiser.
+        metrics: the registry the ``link.<src>-><dst>.*`` counters go
+            to; by default the registry active when the link is built,
+            else a private one, so :meth:`stats` always has them.
     """
 
     def __init__(
@@ -84,7 +87,7 @@ class Link:
         loss_rate: float = 0.0,
         queue_packets: int = 1000,
         rng: Optional[random.Random] = None,
-        metrics: Optional[MetricRegistry] = None,
+        metrics: Optional[obs_metrics.MetricRegistry] = None,
         seed: int = 0,
     ):
         if bandwidth_bps <= 0:
@@ -104,17 +107,20 @@ class Link:
         # every directly-constructed link used to share random.Random(0)
         # and therefore replayed the *same* loss sequence on every link.
         self.rng = rng or random.Random(derive_link_seed(seed, src, dst))
-        self.metrics = metrics or MetricRegistry()
+        if metrics is None:
+            metrics = obs_metrics.current()
+        self.metrics = metrics if metrics is not None else obs_metrics.MetricRegistry()
+        self._counters = self.metrics.counters
         self.up = True
         self.tap: Optional[LinkTap] = None
         self._queue: Deque[Tuple[Packet, DeliveryCallback]] = deque()
         self._busy_until = 0.0
         self._metric_prefix = f"link.{src}->{dst}"
         self._deliver_name = f"{self._metric_prefix}.deliver"
-        # Hot-path counters, resolved lazily on first use so stats()
-        # keeps reporting only counters that actually fired.
-        self._accepted_counter = None
-        self._delivered_counter = None
+        # Hot-path counter names, built once; a counter appears in
+        # stats() only once it has fired.
+        self._accepted_name = f"{self._metric_prefix}.accepted"
+        self._delivered_name = f"{self._metric_prefix}.delivered"
 
     # -- public API ----------------------------------------------------
 
@@ -149,12 +155,9 @@ class Link:
             self._count("queue_dropped")
             return False
 
-        counter = self._accepted_counter
-        if counter is None:
-            counter = self._accepted_counter = self.metrics.counter(
-                f"{self._metric_prefix}.accepted"
-            )
-        counter.increment()
+        counters = self._counters
+        name = self._accepted_name
+        counters[name] = counters.get(name, 0.0) + 1.0
         serialisation = packet.size * 8.0 / self.bandwidth_bps
         start = max(now, self._busy_until)
         self._busy_until = start + serialisation
@@ -201,12 +204,9 @@ class Link:
             self._count("random_dropped")
             return None
 
-        counter = self._accepted_counter
-        if counter is None:
-            counter = self._accepted_counter = self.metrics.counter(
-                f"{self._metric_prefix}.accepted"
-            )
-        counter.increment()
+        counters = self._counters
+        name = self._accepted_name
+        counters[name] = counters.get(name, 0.0) + 1.0
         serialisation = packet.size * 8.0 / self.bandwidth_bps
         start = max(now, self._busy_until)
         self._busy_until = start + serialisation
@@ -239,26 +239,25 @@ class Link:
         return max(0.0, self._busy_until - now)
 
     def stats(self) -> dict:
+        # The trailing dot keeps link a->b from claiming a->b1's counters.
+        prefix = f"{self._metric_prefix}."
         return {
-            name: counter.value
-            for name, counter in self.metrics.counters.items()
-            if name.startswith(self._metric_prefix)
+            name: value
+            for name, value in self._counters.items()
+            if name.startswith(prefix)
         }
 
     # -- internals -----------------------------------------------------
 
     def _deliver_front(self) -> None:
         packet, deliver = self._queue.popleft()
-        counter = self._delivered_counter
-        if counter is None:
-            counter = self._delivered_counter = self.metrics.counter(
-                f"{self._metric_prefix}.delivered"
-            )
-        counter.increment()
+        counters = self._counters
+        name = self._delivered_name
+        counters[name] = counters.get(name, 0.0) + 1.0
         deliver(packet)
 
     def _count(self, what: str) -> None:
-        self.metrics.counter(f"{self._metric_prefix}.{what}").increment()
+        self.metrics.inc(f"{self._metric_prefix}.{what}")
 
 
 class DropTap(LinkTap):

@@ -13,12 +13,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.errors import ConfigurationError, RoutingError
-from repro.core.metrics import MetricRegistry
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link, LinkTap
 from repro.netsim.packet import IcmpType, Packet, Protocol as IpProto, icmp_time_exceeded
 from repro.netsim.routing import StaticRouter
 from repro.netsim.topology import Topology
+from repro.obs import metrics as obs_metrics
 
 HostHandler = Callable[[Packet, float], None]
 
@@ -41,7 +41,12 @@ class DataplaneProgram(Protocol):
 
 
 class Network:
-    """A runnable packet network on top of the event loop."""
+    """A runnable packet network on top of the event loop.
+
+    The ``network.*`` and per-link ``link.*`` counters go to the
+    :mod:`repro.obs.metrics` registry active when the network is built,
+    else to a private one (:attr:`metrics` either way).
+    """
 
     def __init__(
         self,
@@ -49,7 +54,6 @@ class Network:
         loop: Optional[EventLoop] = None,
         seed: int = 0,
         default_queue_packets: int = 1000,
-        metrics: Optional[MetricRegistry] = None,
         scheduler: Optional[str] = None,
         local_nodes: "Optional[set] | None" = None,
         remote_egress: Optional[RemoteEgress] = None,
@@ -57,7 +61,8 @@ class Network:
     ):
         self.topology = topology
         self.loop = loop or EventLoop(scheduler=scheduler)
-        self.metrics = metrics or MetricRegistry()
+        registry = obs_metrics.current()
+        self.metrics = registry if registry is not None else obs_metrics.MetricRegistry()
         if router is not None:
             # A precomputed (possibly destination-restricted) router,
             # shared across shard networks: tables for a 1k-router
@@ -177,7 +182,7 @@ class Network:
         try:
             route = self.router.table(node).lookup(packet.dst)
         except RoutingError:
-            self.metrics.counter("network.no_route").increment()
+            self.metrics.inc("network.no_route")
             return
         next_hop = route.next_hop
 
@@ -187,7 +192,7 @@ class Network:
                 next_hop = override
 
         if not self.topology.has_link(node, next_hop):
-            self.metrics.counter("network.bad_next_hop").increment()
+            self.metrics.inc("network.bad_next_hop")
             return
 
         link = self._links[(node, next_hop)]
@@ -210,7 +215,7 @@ class Network:
         return packet.dst in addresses
 
     def _deliver_local(self, packet: Packet, node: str) -> None:
-        self.metrics.counter("network.delivered").increment()
+        self.metrics.inc("network.delivered")
         handler = self._host_handlers.get(node)
         if handler is not None:
             handler(packet, self.loop.now)
@@ -220,7 +225,7 @@ class Network:
             packet.release()
 
     def _handle_ttl_expiry(self, packet: Packet, node: str) -> None:
-        self.metrics.counter("network.ttl_expired").increment()
+        self.metrics.inc("network.ttl_expired")
         if packet.protocol == IpProto.ICMP and packet.icmp is not None:
             # Never answer an ICMP error with another ICMP error.
             if packet.icmp.icmp_type == IcmpType.TIME_EXCEEDED:

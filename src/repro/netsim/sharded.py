@@ -57,7 +57,6 @@ from repro.flows.generators import (
 from repro.netsim.events import MAX_EVENTS
 from repro.netsim.topology import partition_nodes, star_topology
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracer as obs
 
 #: Leaf count of the fan-in topology flows are hashed onto before the
 #: partitioner splits the leaves over shards.  Also the ceiling on the
@@ -728,11 +727,6 @@ class ShardedPacketEngine(ShardPipeMixin):
                     # Distinct per-shard labels: same-named counters
                     # from different shards must not silently sum.
                     registry.merge_dict(registry_dict, prefix=f"shard{shard}.")
-                if obs.enabled():
-                    obs.attach_metrics(
-                        f"shard{shard}",
-                        obs_metrics.MetricRegistry.from_dict(registry_dict),
-                    )
             result.packets = packets_total
         finally:
             self._shutdown()

@@ -11,14 +11,15 @@ machinery — or an import cycle — into simulator import time.
 Typical use::
 
     from repro.obs import MetricRegistry, Tracer, RunLedger, activate
-    from repro.obs import metrics as obs_metrics
 
-    registry = MetricRegistry()
-    tracer = Tracer(metrics=registry)
-    with activate(tracer), obs_metrics.activate(registry):
+    tracer, registry = Tracer(), MetricRegistry()
+    with activate(tracer, registry):
         result = attack.run(seed=1)
-    ledger = RunLedger.from_tracer(tracer, attack=attack.name, seed=1)
+    ledger = RunLedger.from_tracer(tracer, metrics=registry, attack=attack.name, seed=1)
     ledger.to_jsonl("run.jsonl")
+
+:func:`activate` is the one installer of the active tracer and the
+active registry; either argument may be None.
 """
 
 from repro.obs.metrics import Histogram, MetricRegistry
@@ -27,7 +28,6 @@ from repro.obs.tracer import (
     TraceEvent,
     Tracer,
     activate,
-    attach_metrics,
     current,
     emit,
     enabled,
@@ -44,7 +44,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "activate",
-    "attach_metrics",
     "current",
     "emit",
     "enabled",

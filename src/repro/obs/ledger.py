@@ -12,8 +12,9 @@ the benches print.
 JSONL schema (``schema`` field versions it):
 
 * ``{"record": "run", ...}`` — exactly one, first line: provenance.
-* ``{"record": "metrics", "source": s, "values": {...}}`` — one per
-  attached metrics source.
+* ``{"record": "metrics", "source": "run", "values": {...}}`` — at
+  most one: the run's :class:`~repro.obs.metrics.MetricRegistry`
+  snapshot.
 * ``{"record": "event", "kind": k, "t": seconds, ...fields}`` — the
   trace, in emission order; spans appear as ``kind == "span"`` and
   metric snapshots are mirrored as ``kind == "metrics.snapshot"``
@@ -30,6 +31,7 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.obs.metrics import MetricRegistry
 from repro.obs.tracer import Tracer
 
 SCHEMA_VERSION = 1
@@ -112,21 +114,29 @@ class RunLedger:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_tracer(cls, tracer: Tracer, **run_info: object) -> "RunLedger":
-        """Freeze a tracer into a ledger.
+    def from_tracer(
+        cls,
+        tracer: Tracer,
+        metrics: Optional[MetricRegistry] = None,
+        **run_info: object,
+    ) -> "RunLedger":
+        """Freeze a tracer, and the run's registry if any, into a ledger.
 
+        ``metrics`` becomes the ledger's one ``run`` metrics block, equal
+        to its :meth:`~repro.obs.metrics.MetricRegistry.snapshot`.
         ``run_info`` supplies provenance (attack, params, seed,
         wall_seconds, ...); git version and trace roll-ups are added
         here so every ledger is attributable.
         """
-        metrics = tracer.metrics_snapshot()
         events: List[Dict[str, object]] = [
             {"kind": event.kind, "t": event.time, **event.fields}
             for event in tracer.events
         ]
-        for source, values in metrics.items():
+        blocks: Dict[str, Dict[str, object]] = {}
+        if metrics is not None:
+            blocks["run"] = metrics.snapshot()
             events.append(
-                {"kind": "metrics.snapshot", "t": None, "source": source, "values": values}
+                {"kind": "metrics.snapshot", "t": None, "source": "run", "values": blocks["run"]}
             )
         run: Dict[str, object] = {
             "schema": SCHEMA_VERSION,
@@ -135,7 +145,28 @@ class RunLedger:
             "events_dropped": tracer.dropped,
             "span_totals": tracer.span_totals(),
         }
-        return cls(run=run, metrics=metrics, events=events)
+        return cls(run=run, metrics=blocks, events=events)
+
+    def add_record(self, record: object) -> bool:
+        """File one parsed JSONL record under its ``record`` type.
+
+        Returns False, filing nothing, when ``record`` is not a dict of
+        a known type: :meth:`from_jsonl` raises on such a line, while
+        ``repro top`` skips it.
+        """
+        if not isinstance(record, dict):
+            return False
+        record_type = record.get("record")
+        if record_type == "run":
+            self.run = record
+        elif record_type == "metrics":
+            self.metrics[str(record.get("source", ""))] = record.get("values", {})
+        elif record_type == "event":
+            self.events.append(record)
+        else:
+            return False
+        del record["record"]
+        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -258,16 +289,8 @@ class RunLedger:
                     raise ConfigurationError(
                         f"{path}:{line_number}: not valid JSON: {exc}"
                     ) from exc
-                record_type = record.pop("record", None)
-                if record_type == "run":
-                    ledger.run = record
-                elif record_type == "metrics":
-                    ledger.metrics[str(record.get("source", ""))] = record.get(
-                        "values", {}
-                    )
-                elif record_type == "event":
-                    ledger.events.append(record)
-                else:
+                if not ledger.add_record(record):
+                    record_type = record.get("record") if isinstance(record, dict) else None
                     raise ConfigurationError(
                         f"{path}:{line_number}: unknown record type {record_type!r}"
                     )

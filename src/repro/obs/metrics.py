@@ -17,11 +17,17 @@ families:
   addition and never re-bins.
 
 Instrumented code never takes a registry parameter.  Like the tracer,
-the active registry is a module global installed by :func:`activate`;
-the module-level :func:`inc` / :func:`observe` / :func:`gauge_set`
-helpers route to it, and the disabled path is one ``is None`` check —
-the property the ``--metrics-budget`` bench gate (metrics-on within
-3 % of metrics-off wall time) enforces in CI.
+the active registry is a module global, installed by
+:func:`repro.obs.activate` (:func:`activate` here is its metrics-only
+form); the module-level :func:`inc` / :func:`observe` /
+:func:`gauge_set` helpers route to it, and the disabled path is one
+``is None`` check — the property the ``--metrics-budget`` bench gate
+(metrics-on within 3 % of metrics-off wall time) enforces in CI.
+Simulators that keep end-of-run roll-ups (Blink's selector statistics,
+PCC's and Pytheas's summaries) write them as gauges on the active
+registry when their run returns; ``RunLedger.from_tracer(tracer,
+metrics=registry)`` records the registry's :meth:`~MetricRegistry.
+snapshot` as the ledger's one ``run`` metrics block.
 
 Determinism contract: registries serialise via :meth:`to_dict` /
 :meth:`from_dict` and merge via :meth:`merge` / :meth:`merge_dict`
@@ -164,11 +170,9 @@ class Histogram:
 class MetricRegistry:
     """Named counters, gauges and log2 histograms for one run (or shard).
 
-    Implements the :data:`repro.obs.tracer.MetricsProvider` protocol
-    (``snapshot() -> dict``), so a registry can be attached to a
-    :class:`~repro.obs.tracer.Tracer` — or passed to its ``metrics=``
-    constructor argument — and its end-of-run state lands in the run
-    ledger automatically.
+    The program's one metric registry: the simulators, the sweep
+    executor, the sharded coordinators, ``--metrics-out`` and the run
+    ledger all read and write this class.
     """
 
     __slots__ = ("counters", "gauges", "histograms")
@@ -227,7 +231,7 @@ class MetricRegistry:
         return len(self.counters) + len(self.gauges) + len(self.histograms)
 
     def snapshot(self) -> Dict[str, object]:
-        """Flat, sorted, JSON-safe view (the MetricsProvider protocol).
+        """Flat, sorted, JSON-safe view (the ledger's ``run`` block).
 
         Counters appear as ``counter.<name>``, gauges as
         ``gauge.<name>`` (scalar; watermarks as ``.min``/``.max``) and
@@ -485,16 +489,9 @@ def observe(name: str, value: float) -> None:
 
 @contextmanager
 def activate(registry: MetricRegistry) -> Iterator[MetricRegistry]:
-    """Install ``registry`` as the routing target for the enclosed block.
+    """Metrics-only :func:`repro.obs.activate`: install ``registry``
+    for the enclosed block, leaving the active tracer as it is."""
+    from repro.obs.tracer import activate as activate_both
 
-    Nests: the previous registry (usually None) is restored on exit, so
-    tests, benches and sweep workers can scope collection without
-    global cleanup.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
-    try:
+    with activate_both(metrics=registry):
         yield registry
-    finally:
-        _ACTIVE = previous

@@ -20,6 +20,10 @@ installed.  The disabled path is a single module-global ``is None``
 check, so always-on instrumentation costs simulators effectively
 nothing (the property the fig2 bench acceptance bound guards).
 
+:func:`activate` is also the one installer of the active
+:class:`~repro.obs.metrics.MetricRegistry`: a run scopes its tracer,
+its registry or both with a single ``with activate(tracer, registry)``.
+
 This module is deliberately stdlib-only: anything in :mod:`repro` may
 import it without risking an import cycle.
 """
@@ -29,11 +33,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
-#: A metrics source: either a ``MetricRegistry``-like object exposing
-#: ``snapshot() -> dict`` or a zero-argument callable returning a dict.
-MetricsProvider = Union[object, Callable[[], Dict[str, object]]]
+from repro.obs import metrics as _metrics
 
 DEFAULT_MAX_EVENTS = 50_000
 
@@ -58,7 +60,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects spans, events and metric sources for one run.
+    """Collects spans and events for one run.
 
     Args:
         max_events: bound on the event log; once full, the *oldest*
@@ -66,18 +68,12 @@ class Tracer:
             context matters more for diagnosis than ancient history).
         clock: monotonic time source, injectable for deterministic
             tests.
-        metrics: optional :data:`MetricsProvider` (typically a
-            :class:`repro.obs.metrics.MetricRegistry`) attached under
-            the ``"run"`` source, so its end-of-run ``snapshot()``
-            lands in the ledger without a separate
-            :meth:`attach_metrics` call.
     """
 
     def __init__(
         self,
         max_events: int = DEFAULT_MAX_EVENTS,
         clock: Callable[[], float] = time.perf_counter,
-        metrics: Optional[MetricsProvider] = None,
     ):
         if max_events < 1:
             raise ValueError("max_events must be at least 1")
@@ -89,9 +85,6 @@ class Tracer:
         self._depth = 0
         #: Per-span-name aggregates: name -> [count, total_s, max_s].
         self._span_stats: Dict[str, List[float]] = {}
-        self._metric_sources: List[Tuple[str, MetricsProvider]] = []
-        if metrics is not None:
-            self.attach_metrics("run", metrics)
 
     # -- events ------------------------------------------------------------
 
@@ -167,28 +160,6 @@ class Tracer:
             for name, stats in self._span_stats.items()
         }
 
-    # -- metrics -----------------------------------------------------------
-
-    def attach_metrics(self, source: str, provider: MetricsProvider) -> None:
-        """Register a metrics source to include in run snapshots.
-
-        Simulators attach their :class:`~repro.core.metrics.MetricRegistry`
-        (or a callable returning a plain dict) at construction time;
-        :meth:`metrics_snapshot` polls every source at ledger-build
-        time, so the snapshot reflects end-of-run state.
-        """
-        self._metric_sources.append((source, provider))
-
-    def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Poll every attached source: ``{source: {metric: value}}``."""
-        merged: Dict[str, Dict[str, object]] = {}
-        for source, provider in self._metric_sources:
-            snapshot_fn = getattr(provider, "snapshot", None)
-            values = snapshot_fn() if callable(snapshot_fn) else provider()  # type: ignore[operator]
-            bucket = merged.setdefault(source, {})
-            bucket.update(values)
-        return merged
-
     # -- rollups -----------------------------------------------------------
 
     def summary(self) -> Dict[str, object]:
@@ -257,24 +228,29 @@ def span(name: str, **attrs: object):
     return tracer.span(name, **attrs)
 
 
-def attach_metrics(source: str, provider: MetricsProvider) -> None:
-    """Attach a metrics source to the active tracer, if any."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.attach_metrics(source, provider)
-
-
 @contextmanager
-def activate(tracer: Tracer) -> Iterator[Tracer]:
-    """Install ``tracer`` as the routing target for the enclosed block.
+def activate(
+    tracer: Optional[Tracer] = None,
+    metrics: Optional[_metrics.MetricRegistry] = None,
+) -> Iterator[Optional[Tracer]]:
+    """Install ``tracer`` and/or ``metrics`` for the enclosed block.
 
-    Nests: the previous tracer (usually None) is restored on exit, so
-    tests and benches can scope tracing without global cleanup.
+    The only installer of either active slot.  A None argument leaves
+    its slot as it is, so one ``with activate(tracer, registry)``
+    serves runs that asked for either, both or neither.  Nests: each
+    slot's previous occupant (usually None) is restored on exit, so
+    tests and benches can scope collection without global cleanup.
+    Yields the tracer.
     """
     global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
+    previous_tracer = _ACTIVE
+    previous_metrics = _metrics._ACTIVE
+    if tracer is not None:
+        _ACTIVE = tracer
+    if metrics is not None:
+        _metrics._ACTIVE = metrics
     try:
         yield tracer
     finally:
-        _ACTIVE = previous
+        _ACTIVE = previous_tracer
+        _metrics._ACTIVE = previous_metrics

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import TimeSeries, coefficient_of_variation
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 from repro.pcc.controller import ControlState, MonitorResult, PccAllegroController
 
@@ -100,24 +101,29 @@ class PccSimulation:
         self.records: List[MiRecord] = []
         self.aggregate_rate_series = TimeSeries("pcc.aggregate_rate")
         self._time = 0.0
-        obs.attach_metrics("pcc", self._metrics_snapshot)
 
     @property
     def mi_duration(self) -> float:
         return self.MI_RTT_MULTIPLIER * self.path.rtt
 
-    def _metrics_snapshot(self) -> Dict[str, object]:
-        """End-of-run roll-up polled by the tracer at ledger-build time."""
-        snapshot: Dict[str, object] = {
+    def _publish_metrics(self) -> None:
+        """Write the run's roll-up as gauges on the active registry
+        (nothing when metrics are off)."""
+        registry = obs_metrics.current()
+        if registry is None:
+            return
+        gauges: Dict[str, float] = {
             "pcc.flows": len(self.controllers),
             "pcc.mis_simulated": len(self.aggregate_rate_series),
-            "pcc.aggregate_rate": self.aggregate_rate_series.summary(),
             "pcc.injected_loss_total": self.injected_loss_total(),
             "pcc.attack_budget_fraction": self.attack_budget_fraction(),
         }
+        for name, value in self.aggregate_rate_series.summary().items():
+            gauges[f"pcc.aggregate_rate.{name}"] = value
         for flow_id in range(len(self.controllers)):
-            snapshot[f"pcc.flow{flow_id}.oscillation_cv"] = self.rate_oscillation(flow_id)
-        return snapshot
+            gauges[f"pcc.flow{flow_id}.oscillation_cv"] = self.rate_oscillation(flow_id)
+        for name, value in gauges.items():
+            registry.gauge_set(name, value)
 
     def run(self, mis: int) -> None:
         """Advance the simulation by ``mis`` monitor intervals."""
@@ -125,6 +131,7 @@ class PccSimulation:
             raise ConfigurationError("mis must be positive")
         with obs.span("pcc.run", mis=mis, flows=len(self.controllers)):
             self._run(mis)
+        self._publish_metrics()
 
     def _run(self, mis: int) -> None:
         for _ in range(mis):

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.entities import Signal, SignalKind
 from repro.core.errors import ConfigurationError
 from repro.core.system import DataDrivenSystem, Decision, SystemState
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 from repro.pytheas.e2 import DiscountedUcb
 from repro.pytheas.session import GroupTable, QoEReport, Session
@@ -65,11 +66,14 @@ class PytheasController(DataDrivenSystem):
         self._preferred: Dict[str, str] = {}
         self._now = 0.0
         self.decisions_log: List[Decision] = []
-        obs.attach_metrics("pytheas", self._metrics_snapshot)
 
-    def _metrics_snapshot(self) -> Dict[str, object]:
-        """End-of-run roll-up polled by the tracer at ledger-build time."""
-        return {
+    def _publish_metrics(self) -> None:
+        """Write the controller's roll-up as gauges on the active
+        registry (nothing when metrics are off)."""
+        registry = obs_metrics.current()
+        if registry is None:
+            return
+        gauges = {
             "pytheas.groups": len(self._state),
             "pytheas.sessions_served": sum(
                 state.sessions_served for state in self._state.values()
@@ -82,6 +86,8 @@ class PytheasController(DataDrivenSystem):
             ),
             "pytheas.preference_changes": len(self.decisions_log),
         }
+        for name, value in gauges.items():
+            registry.gauge_set(name, value)
 
     # -- serving sessions ------------------------------------------------------
 
@@ -133,6 +139,7 @@ class PytheasController(DataDrivenSystem):
                 groups=len(by_group),
                 filtered=filtered_total,
             )
+        self._publish_metrics()
 
     def _emit_preference_change(self, group_id: str, state: GroupState) -> None:
         best = state.bandit.best_mean_arm()

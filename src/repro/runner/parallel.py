@@ -151,25 +151,10 @@ def _execute_cell(
     tracer = obs.Tracer() if traced else None
     registry = obs_metrics.MetricRegistry() if metered else None
 
-    def run_once():
+    with obs.activate(tracer, registry), obs.span(f"sweep.cell[{index}]", index=index):
         outcome = runner.run(
             lambda: attack.run(**params), label=f"{attack.name}[{index}]"
         )
-        return outcome
-
-    if tracer is not None and registry is not None:
-        with obs.activate(tracer), obs_metrics.activate(registry), tracer.span(
-            f"sweep.cell[{index}]", index=index
-        ):
-            outcome = run_once()
-    elif tracer is not None:
-        with obs.activate(tracer), tracer.span(f"sweep.cell[{index}]", index=index):
-            outcome = run_once()
-    elif registry is not None:
-        with obs_metrics.activate(registry):
-            outcome = run_once()
-    else:
-        outcome = run_once()
     shard = None
     if tracer is not None:
         shard = [

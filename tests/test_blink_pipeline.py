@@ -13,6 +13,7 @@ from repro.flows.flow import FiveTuple
 from repro.flows.generators import DurationDistribution, blink_attack_workload
 from repro.netsim.packet import TcpFlags, tcp_packet
 from repro.netsim.trace import TraceRecord
+from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
 PREFIX = "198.51.100.0/24"
@@ -287,22 +288,24 @@ def _small_attack_trace():
 def _replay(switch, trace, cuts):
     """Feed ``trace`` per record, or, with ``cuts``, as column chunks."""
     session = switch.replay_session(sample_interval=0.5)
-    if cuts is None:
-        for record in trace:
-            session.feed(record)
-    else:
-        records = list(trace)
-        bounds = [0] + sorted(min(cut, len(records)) for cut in cuts) + [len(records)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            chunk = records[lo:hi]
-            session.feed_batch(
-                [r.time for r in chunk],
-                [r.flow for r in chunk],
-                [r.is_retransmission for r in chunk],
-                [r.is_fin_or_rst for r in chunk],
-                [r.malicious_ground_truth for r in chunk],
-            )
-    series = session.finish()[PREFIX]
+    registry = obs_metrics.MetricRegistry()
+    with obs_metrics.activate(registry):
+        if cuts is None:
+            for record in trace:
+                session.feed(record)
+        else:
+            records = list(trace)
+            bounds = [0] + sorted(min(cut, len(records)) for cut in cuts) + [len(records)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                chunk = records[lo:hi]
+                session.feed_batch(
+                    [r.time for r in chunk],
+                    [r.flow for r in chunk],
+                    [r.is_retransmission for r in chunk],
+                    [r.is_fin_or_rst for r in chunk],
+                    [r.malicious_ground_truth for r in chunk],
+                )
+        series = session.finish()[PREFIX]
     monitor = switch.monitors[PREFIX]
     return (
         series.times,
@@ -311,7 +314,7 @@ def _replay(switch, trace, cuts):
         switch.decisions,
         monitor.reroutes,
         monitor.selector.stats,
-        switch.metrics.snapshot(),
+        registry.snapshot(),
     )
 
 
@@ -363,7 +366,8 @@ def _rows_outcome(rows, cuts, next_hops, sample_interval, **monitor_kwargs):
     chunks."""
     switch = BlinkSwitch({PREFIX: next_hops}, **monitor_kwargs)
     session = switch.replay_session(sample_interval=sample_interval)
-    with obs.activate(obs.Tracer()) as tracer:
+    registry = obs_metrics.MetricRegistry()
+    with obs.activate(obs.Tracer(), registry) as tracer:
         if cuts is None:
             for time, flow, retrans, fin in rows:
                 session.feed(TraceRecord(time, flow, 1500, "", retrans, fin, False))
@@ -378,7 +382,7 @@ def _rows_outcome(rows, cuts, next_hops, sample_interval, **monitor_kwargs):
                     [row[3] for row in chunk],
                     [False] * len(chunk),
                 )
-    series = session.finish()[PREFIX]
+        series = session.finish()[PREFIX]
     monitor = switch.monitors[PREFIX]
     return {
         "series": (series.times, series.values),
@@ -388,7 +392,7 @@ def _rows_outcome(rows, cuts, next_hops, sample_interval, **monitor_kwargs):
         "stats": monitor.selector.stats,
         "state": monitor.state(),
         "hash_seed": monitor.selector.hash_seed,
-        "metrics": switch.metrics.snapshot(),
+        "metrics": registry.snapshot(),
         "events": [(event.kind, event.fields) for event in tracer.events],
     }
 

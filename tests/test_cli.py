@@ -152,7 +152,9 @@ class TestTraceAndReport:
              "-p", "malicious_flows=40", "-p", "cells=16", "-p", "seed=1"]
         )
         assert code == 0
-        assert "metrics: blink" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "metrics: run" in out
+        assert "gauge.blink." in out
 
     def test_report_missing_file(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 2

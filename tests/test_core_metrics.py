@@ -1,13 +1,11 @@
-"""Tests for metric primitives."""
+"""Tests for metric primitives: result statistics (repro.core.metrics)
+and the counters and gauges of the run registry (repro.obs.metrics)."""
 
 import math
 
 import pytest
 
 from repro.core.metrics import (
-    Counter,
-    Gauge,
-    MetricRegistry,
     TimeSeries,
     coefficient_of_variation,
     first_crossing_time,
@@ -15,6 +13,7 @@ from repro.core.metrics import (
     percentile,
     stddev,
 )
+from repro.obs.metrics import MetricRegistry
 
 
 class TestPercentile:
@@ -40,22 +39,21 @@ class TestPercentile:
 
 class TestCounterGauge:
     def test_counter_accumulates(self):
-        counter = Counter("c")
-        counter.increment()
-        counter.increment(2.5)
-        assert counter.value == 3.5
+        registry = MetricRegistry()
+        registry.inc("c")
+        registry.inc("c", 2.5)
+        assert registry.counter("c") == 3.5
 
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
-            Counter("c").increment(-1)
+            MetricRegistry().inc("c", -1)
 
     def test_gauge_tracks_extremes(self):
-        gauge = Gauge("g")
-        gauge.set(5.0)
-        gauge.add(-7.0)
-        assert gauge.value == -2.0
-        assert gauge.minimum == -2.0
-        assert gauge.maximum == 5.0
+        registry = MetricRegistry()
+        registry.gauge_set("g", 5.0)
+        registry.gauge_set("g", -2.0)
+        assert registry.gauge("g") == -2.0
+        assert registry.gauges["g"] == [-2.0, -2.0, 5.0]
 
 
 class TestTimeSeries:
@@ -90,20 +88,15 @@ class TestTimeSeries:
 
 
 class TestRegistry:
-    def test_same_name_same_object(self):
-        registry = MetricRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.timeseries("y") is registry.timeseries("y")
-
     def test_snapshot_flat_keys(self):
         registry = MetricRegistry()
-        registry.counter("a").increment()
-        registry.gauge("b").set(2.0)
-        registry.timeseries("c").record(0.0, 1.0)
+        registry.inc("a")
+        registry.gauge_set("b", 2.0)
+        registry.observe("c", 1.0)
         snap = registry.snapshot()
         assert snap["counter.a"] == 1.0
         assert snap["gauge.b"] == 2.0
-        assert snap["series.c"]["count"] == 1
+        assert snap["hist.c"]["count"] == 1
 
 
 class TestStatistics:

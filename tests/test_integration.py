@@ -13,6 +13,7 @@ from repro.flows.flow import FiveTuple, hosts_in_prefix
 from repro.netsim.network import Network
 from repro.netsim.packet import tcp_packet
 from repro.netsim.topology import triangle_with_hosts
+from repro.obs import metrics as obs_metrics
 
 
 class TestBlinkHijackOverNetwork:
@@ -64,6 +65,23 @@ class TestBlinkHijackOverNetwork:
         assert monitor.active_next_hop != "r2"
         # Ground truth confirms the sample was attacker-dominated.
         assert monitor.reroutes[0].malicious_monitored_ground_truth >= 8
+
+    def test_released_decisions_are_counted(self):
+        """Network mode counts ``blink.decisions_released`` as replay does."""
+        registry = obs_metrics.MetricRegistry()
+        with obs_metrics.activate(registry):
+            network, switch = self._build()
+            destinations = list(hosts_in_prefix(self.PREFIX, 40))
+            t = 0.0
+            for _round in range(8):
+                for i, dst in enumerate(destinations):
+                    packet = tcp_packet("h0", dst, 30000 + i, 443, seq=0, malicious=True)
+                    network.loop.schedule_at(t, lambda p=packet: network.send(p, "h0"))
+                t += 0.5
+            network.run_until(t + 1.0)
+        assert switch.decisions
+        assert registry.counter("blink.decisions_released") == len(switch.decisions)
+        assert registry.counter("blink.packets_seen") > 0
 
 
 class TestSupervisedBlinkEndToEnd:

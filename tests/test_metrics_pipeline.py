@@ -1,8 +1,8 @@
 """End-to-end tests for the unified metrics pipeline.
 
 Covers the instrumented subsystems (netsim event loop, kernel dispatch,
-result cache, fault injectors, supervisor), the ``Tracer(metrics=...)``
-hook, the serial-vs-parallel merge determinism pin, ledger round-trip
+result cache, fault injectors, supervisor), the ledger's ``run``
+metrics block, the serial-vs-parallel merge determinism pin, ledger round-trip
 byte identity under telemetry fault plans, and the CLI surface
 (``run --metrics-out``, ``report --profile``, ``top``).
 """
@@ -173,10 +173,11 @@ class TestTracerMetricsHook:
     def test_registry_snapshot_lands_in_ledger(self):
         registry = MetricRegistry()
         registry.inc("demo.calls", 4)
-        tracer = Tracer(metrics=registry)
+        tracer = Tracer()
         with tracer.span("work"):
             pass
-        ledger = RunLedger.from_tracer(tracer, attack="unit")
+        ledger = RunLedger.from_tracer(tracer, metrics=registry, attack="unit")
+        assert ledger.metrics == {"run": registry.snapshot()}
         assert ledger.metrics["run"]["counter.demo.calls"] == 4
 
     def test_hook_is_optional(self):
@@ -246,6 +247,34 @@ class TestSweepMergeDeterminism:
                 assert ours.buckets == theirs.buckets, name
                 assert ours.total == theirs.total, name
 
+    @pytest.mark.parametrize(
+        "scenario, family",
+        [
+            ("blink-web-search", "blink."),
+            ("pcc-diurnal-sway", "pcc."),
+            ("pytheas-flash-crowd", "pytheas."),
+        ],
+    )
+    def test_pushed_gauges_merge_identically(self, scenario, family):
+        """The gauges Blink, PCC and Pytheas write when a run returns
+        merge to the same values at jobs=1 and jobs=2."""
+        from repro.workloads.scenarios import run_scenario
+
+        merged = []
+        for jobs in (1, 2):
+            registry = MetricRegistry()
+            with om.activate(registry):
+                run_scenario(scenario, jobs=jobs)
+            merged.append(registry)
+        serial, parallel = merged
+        pushed = {
+            name: value for name, value in serial.gauges.items()
+            if name.startswith(family)
+        }
+        assert pushed, sorted(serial.gauges)
+        assert serial.gauges == parallel.gauges
+        assert serial.counters == parallel.counters
+
     def test_sweep_counters_cover_every_cell(self):
         registry = _run_metered_sweep(2, [0, 1, 2])
         assert registry.counter("sweep.cells_executed") == 3
@@ -273,11 +302,12 @@ class TestLedgerByteIdentity:
         registry.inc("demo", 3)
         registry.observe("lat", 0.004)
         registry.gauge_set("depth", 2)
-        tracer = Tracer(metrics=registry)
+        tracer = Tracer()
         with tracer.span("phase"):
             tracer.emit("custom", value=1.5)
         ledger = RunLedger.from_tracer(
-            tracer, attack="unit", params={"seed": 1}, seed=1, wall_seconds=0.25
+            tracer, metrics=registry, attack="unit", params={"seed": 1}, seed=1,
+            wall_seconds=0.25,
         )
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"

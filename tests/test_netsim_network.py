@@ -5,6 +5,7 @@ import pytest
 from repro.netsim.network import Network
 from repro.netsim.packet import IcmpType, Packet, Protocol, tcp_packet
 from repro.netsim.topology import line_topology, triangle_with_hosts
+from repro.obs import metrics as obs_metrics
 
 
 def _line_net():
@@ -77,7 +78,9 @@ class TestTtlExpiry:
         assert replies == []
 
     def test_no_icmp_error_for_expired_icmp_error(self):
-        network = _line_net()
+        registry = obs_metrics.MetricRegistry()
+        with obs_metrics.activate(registry):
+            network = _line_net()
         from repro.netsim.packet import IcmpHeader
 
         # A time-exceeded packet whose own TTL expires must not recurse.
@@ -90,7 +93,29 @@ class TestTtlExpiry:
         )
         network.send(poison, from_node="r3")
         network.run_until(1.0)
-        assert network.metrics.counter("network.ttl_expired").value >= 1
+        assert registry.counter("network.ttl_expired") >= 1
+
+
+class TestLinkStats:
+    def test_stats_exclude_a_link_whose_name_extends_this_one(self):
+        # h->l1 and h->l10 count into one registry; l1's stats must not
+        # pick up l10's counters.
+        from repro.netsim.topology import Topology
+
+        topology = Topology()
+        topology.add_node("h", role="router")
+        for leaf in ("l1", "l10"):
+            topology.add_node(leaf, role="host")
+            topology.add_link("h", leaf)
+        network = Network(topology, seed=1)
+        network.attach_host("l10", lambda p, t: None)
+        network.send(tcp_packet("l1", "l10", 1, 2, seq=0))
+        network.run_until(1.0)
+        assert network.link("h", "l1").stats() == {}
+        assert network.link("h", "l10").stats() == {
+            "link.h->l10.accepted": 1.0,
+            "link.h->l10.delivered": 1.0,
+        }
 
 
 class TestDataplanePrograms:
@@ -128,7 +153,9 @@ class TestDataplanePrograms:
         assert received[0].ttl == 64 - 3
 
     def test_bad_override_counted_not_crashed(self):
-        network = _line_net()
+        registry = obs_metrics.MetricRegistry()
+        with obs_metrics.activate(registry):
+            network = _line_net()
 
         class Broken:
             def process(self, packet, now, node):
@@ -137,7 +164,7 @@ class TestDataplanePrograms:
         network.attach_program("r1", Broken())
         network.send(tcp_packet("src", "dst", 1, 2, seq=0))
         network.run_until(1.0)
-        assert network.metrics.counter("network.bad_next_hop").value == 1
+        assert registry.counter("network.bad_next_hop") == 1
 
 
 class TestTapInstallation:

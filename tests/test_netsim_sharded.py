@@ -474,9 +474,8 @@ class TestShardMetricsLabelling:
 
         registry = obs_metrics.MetricRegistry()
         tracer = Tracer()
-        with activate(tracer):
-            with obs_metrics.activate(registry):
-                packet_level_experiment(**TINY, seed=4, shards=2)
+        with activate(tracer, registry):
+            packet_level_experiment(**TINY, seed=4, shards=2)
         snapshot = registry.to_dict()
         counters = snapshot["counters"]
         assert counters.get("sharded.windows", 0) >= 1
@@ -489,6 +488,14 @@ class TestShardMetricsLabelling:
                 name.startswith(f"shard{shard}.netsim.") for name in counters
             ), sorted(counters)
         assert "sharded.horizon_stall_s" in snapshot["histograms"]
-        # And the ledger sees each shard as its own metrics source.
-        ledger = RunLedger.from_tracer(tracer, attack="blink-packet-level")
-        assert {"shard0", "shard1"} <= set(ledger.metrics)
+        # The ledger's one run block carries each shard's counters once.
+        ledger = RunLedger.from_tracer(
+            tracer, metrics=registry, attack="blink-packet-level"
+        )
+        assert set(ledger.metrics) == {"run"}
+        block = ledger.metrics["run"]
+        for shard in (0, 1):
+            assert any(
+                name.startswith(f"counter.shard{shard}.netsim.") for name in block
+            ), sorted(block)
+        assert block == registry.snapshot()

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro import obs
-from repro.core.metrics import MetricRegistry, TimeSeries
-from repro.obs import RunLedger, Tracer, activate, jsonable
+from repro.core.metrics import TimeSeries
+from repro.obs import MetricRegistry, RunLedger, Tracer, activate, jsonable
+from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import _NULL_SPAN
 
 
@@ -105,7 +106,6 @@ class TestNoOpPath:
         obs.emit("ignored", x=1)
         with obs.span("ignored"):
             pass
-        obs.attach_metrics("ignored", lambda: {})
 
     def test_disabled_span_is_shared_singleton(self):
         # The no-op path allocates nothing: same object every call.
@@ -133,24 +133,46 @@ class TestNoOpPath:
         assert len(inner.events_of("who")) == 1
         assert len(outer.events_of("who")) == 1
 
+    def test_activate_installs_both_slots_and_restores(self):
+        tracer, registry = Tracer(clock=FakeClock()), MetricRegistry()
+        with activate(tracer, registry) as active:
+            assert active is tracer
+            assert obs.current() is tracer
+            assert obs_metrics.current() is registry
+            obs_metrics.inc("routed")
+        assert obs.current() is None
+        assert obs_metrics.current() is None
+        assert registry.counter("routed") == 1
 
-class TestMetricsAttachment:
-    def test_registry_and_callable_sources(self):
+    def test_none_leaves_a_slot_as_it_is(self):
+        tracer, registry = Tracer(clock=FakeClock()), MetricRegistry()
+        with activate(metrics=registry):
+            with activate(tracer):
+                assert obs_metrics.current() is registry
+            with activate(None, None):
+                assert obs.current() is None
+                assert obs_metrics.current() is registry
+        assert obs_metrics.current() is None
+
+    def test_metrics_only_form_keeps_the_tracer(self):
+        tracer, registry = Tracer(clock=FakeClock()), MetricRegistry()
+        with activate(tracer):
+            with obs_metrics.activate(registry) as active:
+                assert active is registry
+                assert obs.current() is tracer
+                assert obs_metrics.current() is registry
+            assert obs_metrics.current() is None
+            assert obs.current() is tracer
+
+
+class TestLedgerMetricsBlock:
+    def test_snapshot_taken_at_ledger_build(self):
         tracer = Tracer(clock=FakeClock())
         registry = MetricRegistry()
-        registry.counter("packets").increment(7)
-        tracer.attach_metrics("sim", registry)
-        tracer.attach_metrics("loop", lambda: {"events_per_s": 123.0})
-        snapshot = tracer.metrics_snapshot()
-        assert snapshot["sim"]["counter.packets"] == 7
-        assert snapshot["loop"]["events_per_s"] == 123.0
-
-    def test_snapshot_polls_at_call_time(self):
-        tracer = Tracer(clock=FakeClock())
-        registry = MetricRegistry()
-        tracer.attach_metrics("sim", registry)
-        registry.counter("late").increment(3)
-        assert tracer.metrics_snapshot()["sim"]["counter.late"] == 3
+        registry.inc("late", 3)
+        ledger = RunLedger.from_tracer(tracer, metrics=registry, attack="unit")
+        assert ledger.metrics == {"run": registry.snapshot()}
+        assert ledger.metrics["run"]["counter.late"] == 3
 
 
 class TestJsonable:
@@ -185,19 +207,17 @@ class TestJsonable:
 
 
 class TestRunLedger:
-    def _make_tracer(self) -> Tracer:
+    def _make_ledger(self, **run_info) -> RunLedger:
         tracer = Tracer(clock=FakeClock())
         registry = MetricRegistry()
-        registry.counter("widgets").increment(2)
-        tracer.attach_metrics("sim", registry)
+        registry.inc("widgets", 2)
         with tracer.span("phase", stage=1):
             tracer.emit("custom", value=0.5)
-        return tracer
+        return RunLedger.from_tracer(tracer, metrics=registry, **run_info)
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = self._make_tracer()
-        ledger = RunLedger.from_tracer(
-            tracer, attack="unit-test", params={"seed": 3}, seed=3, wall_seconds=0.1
+        ledger = self._make_ledger(
+            attack="unit-test", params={"seed": 3}, seed=3, wall_seconds=0.1
         )
         path = tmp_path / "run.jsonl"
         ledger.to_jsonl(str(path))
@@ -205,7 +225,7 @@ class TestRunLedger:
         assert loaded.run["attack"] == "unit-test"
         assert loaded.run["seed"] == 3
         assert loaded.run["schema"] == 1
-        assert loaded.metrics["sim"]["counter.widgets"] == 2
+        assert loaded.metrics["run"]["counter.widgets"] == 2
         kinds = {event["kind"] for event in loaded.events}
         assert {"custom", "span", "metrics.snapshot"} <= kinds
         # Every line must be valid standalone JSON.
@@ -213,8 +233,7 @@ class TestRunLedger:
             json.loads(line)
 
     def test_csv_export(self, tmp_path):
-        tracer = self._make_tracer()
-        ledger = RunLedger.from_tracer(tracer, attack="unit-test")
+        ledger = self._make_ledger(attack="unit-test")
         path = tmp_path / "run.csv"
         ledger.to_csv(str(path))
         lines = path.read_text().splitlines()
@@ -222,11 +241,10 @@ class TestRunLedger:
         assert len(lines) == 1 + len(ledger.events)
 
     def test_render_smoke(self):
-        tracer = self._make_tracer()
-        ledger = RunLedger.from_tracer(tracer, attack="unit-test")
+        ledger = self._make_ledger(attack="unit-test")
         rendered = ledger.render()
         assert "unit-test" in rendered
-        assert "metrics: sim" in rendered
+        assert "metrics: run" in rendered
         assert "event log" in rendered
 
     def test_from_jsonl_rejects_garbage(self, tmp_path):
@@ -249,10 +267,10 @@ class TestRunLedger:
 class TestInstrumentation:
     """End-to-end: real simulators emitting through the module router."""
 
-    def _defended_capture(self, tracer: Tracer):
+    def _defended_capture(self, tracer: Tracer, registry=None):
         from repro.attacks import BlinkCaptureAttack
 
-        with activate(tracer):
+        with activate(tracer, registry):
             return BlinkCaptureAttack().run(
                 horizon=40.0,
                 legitimate_flows=40,
@@ -275,9 +293,11 @@ class TestInstrumentation:
         assert result.details["reroutes_released"] == 0
 
     def test_defended_blink_ledger_is_self_contained(self, tmp_path):
-        tracer = Tracer()
-        self._defended_capture(tracer)
-        ledger = RunLedger.from_tracer(tracer, attack="blink-capture-packet-level")
+        tracer, registry = Tracer(), MetricRegistry()
+        self._defended_capture(tracer, registry)
+        ledger = RunLedger.from_tracer(
+            tracer, metrics=registry, attack="blink-capture-packet-level"
+        )
         path = tmp_path / "defended.jsonl"
         ledger.to_jsonl(str(path))
         loaded = RunLedger.from_jsonl(str(path))
@@ -285,7 +305,8 @@ class TestInstrumentation:
         kinds = {event["kind"] for event in loaded.events}
         assert "span" in kinds
         assert "metrics.snapshot" in kinds
-        assert any(source == "blink" for source in loaded.metrics)
+        assert set(loaded.metrics) == {"run"}
+        assert any(name.startswith("gauge.blink.") for name in loaded.metrics["run"])
 
     def test_undefended_blink_reroute_event(self):
         from repro.attacks import BlinkCaptureAttack
@@ -308,22 +329,23 @@ class TestInstrumentation:
     def test_pcc_rate_moves_and_mis_traced(self):
         from repro.pcc.simulator import PathModel, PccSimulation
 
-        tracer = Tracer()
-        with activate(tracer):
+        tracer, registry = Tracer(), MetricRegistry()
+        with activate(tracer, registry):
             sim = PccSimulation(PathModel(capacity=50.0), flows=2, seed=0)
             sim.run(60)
         assert len(tracer.events_of("pcc.mi")) == 120
         assert tracer.events_of("pcc.rate_move")
-        snapshot = tracer.metrics_snapshot()["pcc"]
-        assert snapshot["pcc.flows"] == 2
-        assert snapshot["pcc.mis_simulated"] == 60
+        assert registry.gauge("pcc.flows") == 2
+        assert registry.gauge("pcc.mis_simulated") == 60
+        assert registry.gauge("pcc.aggregate_rate.count") == 60
+        assert registry.gauge("pcc.flow1.oscillation_cv") == sim.rate_oscillation(1)
 
     def test_pytheas_ingest_and_preference_events(self):
         from repro.pytheas.controller import PytheasController
         from repro.pytheas.session import QoEReport, Session, SessionFeatures
 
-        tracer = Tracer()
-        with activate(tracer):
+        tracer, registry = Tracer(), MetricRegistry()
+        with activate(tracer, registry):
             controller = PytheasController(["cdn-a", "cdn-b"], seed=0)
             features = SessionFeatures(asn="as1", location="loc1")
             for _ in range(4):
@@ -343,8 +365,8 @@ class TestInstrumentation:
             )
         assert tracer.events_of("pytheas.ingest")
         assert tracer.events_of("pytheas.preference_change")
-        snapshot = tracer.metrics_snapshot()["pytheas"]
-        assert snapshot["pytheas.reports_received"] == 3
+        assert registry.gauge("pytheas.reports_received") == 3
+        assert registry.gauge("pytheas.sessions_served") == 4
 
     def test_netsim_run_rollup(self):
         from repro.netsim.events import EventLoop
