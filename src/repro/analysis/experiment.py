@@ -77,45 +77,6 @@ class SweepResult:
         return rows
 
 
-def _scenario_experiment(seed: int, params: Dict[str, object]) -> Dict[str, float]:
-    """Module-level (picklable) body: run one scenario cell as a metric dict."""
-    from repro.attacks import resolve_attack
-
-    cell_params = dict(params)
-    attack = resolve_attack(str(cell_params.pop("attack")))
-    result = attack.run(seed=seed, **cell_params)
-    return {
-        "success": 1.0 if result.success else 0.0,
-        "magnitude": float(result.magnitude),
-        "time_to_success": (
-            float(result.time_to_success)
-            if result.time_to_success is not None
-            else float("nan")
-        ),
-    }
-
-
-def sweep_from_scenario(name_or_spec, seeds: Optional[Sequence[int]] = None) -> "Sweep":
-    """A :class:`Sweep` over one registered scenario's binding.
-
-    Bridges the scenario registry into the analysis layer: the sweep's
-    single point carries the scenario's fully resolved attack params
-    (plus the attack name, popped by the experiment body), so benches
-    can aggregate a scenario with the same mean/p5/p95 machinery the
-    paper-figure sweeps use.  ``seeds`` overrides the scenario's grid.
-    """
-    from repro.workloads.scenarios import resolve_scenario
-
-    spec = resolve_scenario(name_or_spec)
-    sweep = Sweep(
-        f"scenario:{spec.name}",
-        _scenario_experiment,
-        seeds=list(seeds) if seeds is not None else list(spec.seeds),
-    )
-    sweep.add_point(attack=spec.attack, **spec.resolve_params())
-    return sweep
-
-
 class Sweep:
     """Run an experiment over a parameter grid × seeds."""
 

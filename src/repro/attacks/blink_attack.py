@@ -159,7 +159,7 @@ class BlinkCaptureAttack(Attack):
                 spread_start=2.0,
             )
             # Ties between equal times go by position in the start-sorted
-            # list, as in stream_trace_records.
+            # list, as in emit_trace over that list.
             specs = sorted(legit + bad, key=lambda s: s.start)
             ordered, ranks = specs, None
         else:

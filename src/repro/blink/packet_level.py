@@ -528,9 +528,7 @@ def _run_merged(
         if aggregator is None:
             continue
         sizes = [FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES for fin in fins]
-        aggregator.observe_batch(
-            times, flows, sizes, retrans, fins, malicious, "ingress", per_flow=False
-        )
+        aggregator.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
         if session is not None:
             feed_columns(session, fault, times, flows, retrans, fins, malicious)
     obs_metrics.inc("netsim.merge.records", records)

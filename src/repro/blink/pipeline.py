@@ -502,10 +502,10 @@ class TraceReplaySession:
 
     Replays records pushed via :meth:`feed` (or whole column chunks via
     :meth:`feed_batch`) with exactly the sampling cadence of
-    :meth:`BlinkSwitch.replay_trace` (which is now built on this class): before any record at or past the next sample boundary
-    is processed, every monitor's reset timer is serviced and the
-    ground-truth malicious occupancy is appended to the per-prefix
-    series.  Call :meth:`finish` once the source is exhausted to write
+    :meth:`BlinkSwitch.replay_trace`, which runs on this class: before
+    any record at or past the next sample boundary is processed, every
+    monitor's reset timer is serviced and the ground-truth malicious
+    occupancy is appended to the per-prefix series.  Call :meth:`finish` once the source is exhausted to write
     selector statistics to the active metric registry.
     """
 

@@ -62,9 +62,7 @@ from repro.netsim.topology import (
 from repro.netsim.trace import (
     FlowStats,
     StreamingTraceAggregator,
-    StreamingTraceCollector,
     Trace,
-    TraceCollector,
     TraceRecord,
 )
 
@@ -90,13 +88,11 @@ __all__ = [
     "RoutingTable",
     "StaticRouter",
     "StreamingTraceAggregator",
-    "StreamingTraceCollector",
     "TapVerdict",
     "TcpFlags",
     "TcpHeader",
     "Topology",
     "Trace",
-    "TraceCollector",
     "TraceRecord",
     "available_schedulers",
     "cluster_assignment",

@@ -8,9 +8,8 @@ inter-arrival statistics).  The CAIDA-substitute generator in
 consumes them — mirroring how the paper computed tR from CAIDA traces.
 
 For experiments too large to hold a full trace in memory (the
-packet-level Blink runs observe millions of packets), the streaming
-side of this module — :class:`StreamingTraceAggregator` and
-:class:`StreamingTraceCollector` — maintains the same aggregate
+packet-level Blink runs observe millions of packets),
+:class:`StreamingTraceAggregator` maintains the same aggregate
 statistics incrementally, retains only a bounded ring of the most
 recent records, and can forward each record to a sink (e.g. a Blink
 switch) as it is observed.
@@ -38,8 +37,6 @@ from typing import (
 
 from typing import TYPE_CHECKING
 
-from repro.netsim.packet import Packet
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flows.flow import FiveTuple
 
@@ -55,22 +52,6 @@ class TraceRecord:
     is_retransmission: bool = False
     is_fin_or_rst: bool = False
     malicious_ground_truth: bool = False
-
-    @classmethod
-    def from_packet(
-        cls, time: float, packet: Packet, observation_point: str = ""
-    ) -> "TraceRecord":
-        retrans = bool(packet.tcp and packet.tcp.is_retransmission_ground_truth)
-        fin_rst = bool(packet.tcp and (packet.tcp.flags & 0x01 or packet.tcp.flags & 0x04))
-        return cls(
-            time=time,
-            flow=packet.five_tuple,
-            size=packet.size,
-            observation_point=observation_point,
-            is_retransmission=retrans,
-            is_fin_or_rst=fin_rst,
-            malicious_ground_truth=packet.malicious_ground_truth,
-        )
 
 
 class Trace:
@@ -195,10 +176,6 @@ class FlowStats:
         self.first_time = time
         self.last_time = time
 
-    @property
-    def span(self) -> Tuple[float, float]:
-        return (self.first_time, self.last_time)
-
 
 class StreamingTraceAggregator:
     """Single-pass trace statistics with bounded retention.
@@ -211,10 +188,13 @@ class StreamingTraceAggregator:
     entirely; ``0`` is the same).  An optional ``sink`` callable
     receives each :class:`TraceRecord` as it is observed, which is how
     the packet-level Blink pipeline consumes traffic inline without a
-    2-million-record trace ever existing.  :meth:`observe_batch` takes
-    a whole chunk as parallel columns and builds records only for the
-    rows the ring keeps; a caller that knows each flow's rows up front
-    can account them once per flow with :meth:`observe_flow` instead.
+    2-million-record trace ever existing.
+
+    A caller that knows each flow's rows up front splits that work:
+    :meth:`observe_batch` takes a whole chunk as parallel columns for
+    the totals, point counts and ring (building records only for the
+    rows the ring keeps), and :meth:`observe_flow` accounts each flow's
+    :class:`FlowStats` once.
 
     Like :class:`Trace`, observation times must be non-decreasing.
     """
@@ -327,42 +307,28 @@ class StreamingTraceAggregator:
         fins: Sequence[bool],
         malicious: Sequence[bool],
         observation_point: str = "",
-        per_flow: bool = True,
     ) -> None:
         """Account a chunk of observations given as parallel columns.
 
         Row ``i`` is ``observe(times[i], flows[i], sizes[i],
-        observation_point, retransmissions[i], fins[i], malicious[i])``,
-        and the chunk leaves exactly the state those calls would: the
-        same totals, per-flow stats (in the same key order), point
-        counts and ring contents.  A decreasing time raises the same
-        :class:`ValueError` after the rows before it are accounted.
-        Only the rows the ring keeps become :class:`TraceRecord`
-        objects; with a sink, every row goes through :meth:`observe`.
-
-        ``per_flow=False`` leaves :attr:`flows` alone — for a caller
-        that accounts each flow's rows once with :meth:`observe_flow` —
-        and updates only the totals, the point counts and the ring, with
-        no per-row Python work.  It needs ``sink=None``.
+        observation_point, retransmissions[i], fins[i], malicious[i])``
+        minus the per-flow part: the chunk leaves the totals, point
+        counts and ring contents those calls would, and leaves
+        :attr:`flows` alone for :meth:`observe_flow` to account.  A
+        decreasing time raises the same :class:`ValueError` after the
+        rows before it are accounted.  Only the rows the ring keeps
+        become :class:`TraceRecord` objects, so no sink sees the rest:
+        with a sink set this raises :class:`ValueError`.
         """
-        n = len(times)
-        if not per_flow and self.sink is not None:
-            raise ValueError("per_flow=False bypasses the sink; it needs sink=None")
         if self.sink is not None:
-            observe = self.observe
-            for time, flow, size, retrans, fin, mal in zip(
-                times, flows, sizes, retransmissions, fins, malicious
-            ):
-                observe(time, flow, size, observation_point, retrans, fin, mal)
-            return
+            raise ValueError("observe_batch bypasses the sink; it needs sink=None")
+        n = len(times)
         if not n:
             return
         bad = self._first_decrease(times)
         if bad is not None:
             columns = (times, flows, sizes, retransmissions, fins, malicious)
-            self.observe_batch(
-                *(column[:bad] for column in columns), observation_point, per_flow
-            )
+            self.observe_batch(*(column[:bad] for column in columns), observation_point)
             self.observe(  # raises observe's own error for the bad row
                 times[bad],
                 flows[bad],
@@ -380,24 +346,6 @@ class StreamingTraceAggregator:
         self.retransmissions += sum(map(bool, retransmissions))
         self.fin_rst += sum(map(bool, fins))
         self.malicious_packets += sum(map(bool, malicious))
-        if per_flow:
-            by_flow = self.flows
-            get = by_flow.get
-            for time, flow, size, retrans, fin, mal in zip(
-                times, flows, sizes, retransmissions, fins, malicious
-            ):
-                stats = get(flow)
-                if stats is None:
-                    stats = by_flow[flow] = FlowStats(time)
-                stats.packets += 1
-                stats.bytes += size
-                stats.last_time = time
-                if retrans:
-                    stats.retransmissions += 1
-                if fin:
-                    stats.fin_rst += 1
-                if mal:
-                    stats.malicious += 1
         if observation_point:
             points = self.points
             points[observation_point] = points.get(observation_point, 0) + n
@@ -431,10 +379,10 @@ class StreamingTraceAggregator:
         (non-decreasing), flagged by ``retransmissions``, then — unless
         ``fin_time`` is None — a FIN of ``fin_size`` bytes at
         ``fin_time``, no earlier than the last data packet.  Together
-        with :meth:`observe_batch` ``(per_flow=False)`` over every row,
-        calling this per flow in the order of the flows' first rows
-        leaves the state per-row observation would; a flow seen again
-        keeps its first time and key position, as it would.
+        with :meth:`observe_batch` over every row, calling this per flow
+        in the order of the flows' first rows leaves the state per-row
+        :meth:`observe` would; a flow seen again keeps its first time
+        and key position, as it would.
         """
         n = len(times)
         packets = n + (fin_time is not None)
@@ -467,63 +415,6 @@ class StreamingTraceAggregator:
                 return index
             previous = time
         return None  # only NaN broke the order, and observe accepts NaN
-
-    def observe_record(self, record: TraceRecord) -> None:
-        """Account an existing :class:`TraceRecord`."""
-        if self.packets and record.time < self.last_time:
-            raise ValueError(
-                f"stream {self.name!r} requires non-decreasing times: "
-                f"{record.time} < {self.last_time}"
-            )
-        if not self.packets:
-            self.first_time = record.time
-        self.last_time = record.time
-        self.packets += 1
-        self.bytes += record.size
-        if record.is_retransmission:
-            self.retransmissions += 1
-        if record.is_fin_or_rst:
-            self.fin_rst += 1
-        if record.malicious_ground_truth:
-            self.malicious_packets += 1
-        stats = self.flows.get(record.flow)
-        if stats is None:
-            stats = self.flows[record.flow] = FlowStats(record.time)
-        stats.packets += 1
-        stats.bytes += record.size
-        stats.last_time = record.time
-        if record.is_retransmission:
-            stats.retransmissions += 1
-        if record.is_fin_or_rst:
-            stats.fin_rst += 1
-        if record.malicious_ground_truth:
-            stats.malicious += 1
-        if record.observation_point:
-            points = self.points
-            points[record.observation_point] = points.get(record.observation_point, 0) + 1
-        if self.ring_capacity:
-            self.ring.append(record)
-        if self.sink is not None:
-            self.sink(record)
-
-    def observe_packet(self, time: float, packet: Packet, point: str = "") -> None:
-        """Account a live :class:`Packet` (no record retained unless needed)."""
-        tcp = packet.tcp
-        self.observe(
-            time,
-            packet.five_tuple,
-            packet.size,
-            observation_point=point,
-            is_retransmission=bool(tcp and tcp.is_retransmission_ground_truth),
-            is_fin_or_rst=bool(tcp and (tcp.flags & 0x01 or tcp.flags & 0x04)),
-            malicious=packet.malicious_ground_truth,
-        )
-
-    def consume(self, records: Iterable[TraceRecord]) -> "StreamingTraceAggregator":
-        """Feed every record through :meth:`observe_record`; returns self."""
-        for record in records:
-            self.observe_record(record)
-        return self
 
     # -- queries ----------------------------------------------------------
 
@@ -569,43 +460,3 @@ class StreamingTraceAggregator:
                 "dropped": self.packets - len(self.ring) if self.ring_capacity else self.packets,
             },
         }
-
-
-class TraceCollector:
-    """Dataplane program / host handler that records packets to a trace."""
-
-    def __init__(self, name: str = "collector"):
-        self.trace = Trace(name)
-
-    def process(self, packet: Packet, now: float, node: str) -> Optional[str]:
-        self.trace.append(TraceRecord.from_packet(now, packet, observation_point=node))
-        return None
-
-    def __call__(self, packet: Packet, now: float) -> None:
-        self.trace.append(TraceRecord.from_packet(now, packet))
-
-
-class StreamingTraceCollector:
-    """Drop-in :class:`TraceCollector` that aggregates instead of retaining.
-
-    Same dataplane-program / host-handler interface, but packets feed a
-    :class:`StreamingTraceAggregator` — bounded memory no matter how
-    long the run is.
-    """
-
-    def __init__(
-        self,
-        name: str = "collector",
-        ring_capacity: Optional[int] = 1024,
-        sink: Optional[Callable[[TraceRecord], None]] = None,
-    ):
-        self.aggregator = StreamingTraceAggregator(
-            name, ring_capacity=ring_capacity, sink=sink
-        )
-
-    def process(self, packet: Packet, now: float, node: str) -> Optional[str]:
-        self.aggregator.observe_packet(now, packet, point=node)
-        return None
-
-    def __call__(self, packet: Packet, now: float) -> None:
-        self.aggregator.observe_packet(now, packet)

@@ -32,10 +32,8 @@ from repro.workloads.engine import (
     measured_tr,
     resolve_workload,
     size_to_packets,
-    stream_trace_records,
     tr_for_workload,
     workload_names,
-    workload_records,
 )
 from repro.workloads.scenarios import (
     ScenarioRun,
@@ -89,9 +87,7 @@ __all__ = [
     "scenario_names",
     "shaped_arrival_times",
     "size_to_packets",
-    "stream_trace_records",
     "tr_for_workload",
     "with_golden",
     "workload_names",
-    "workload_records",
 ]

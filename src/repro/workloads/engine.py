@@ -8,23 +8,25 @@ classes ship: ``web-search``, ``data-mining``, ``diurnal``,
 ``flash-crowd``, ``incast`` and ``elephant-mice``.
 
 Everything is **streaming**: :func:`iter_workload_specs` yields specs
-lazily in start order, and :func:`stream_trace_records` lazily merges
-per-flow packet schedules into one time-ordered record stream holding
-only the *active* flows' schedules in memory — a million-flow trace
-never materialises (the PR 5 streaming-trace layer is the consumer).
-Determinism: arrivals come from one derived stream, and every per-flow
-attribute (5-tuple, size, duration) comes from a
-``derive_seed``-derived RNG keyed on the flow index, so the streams
-replay exactly per seed and are independent of each other.
+lazily in start order, and
+:func:`~repro.flows.generators.iter_flow_schedules` turns them into
+per-flow packet schedules one flow at a time;
+:func:`~repro.flows.generators.merge_flow_packets` merges those into one
+time-ordered stream holding only the *active* flows' schedules, so a
+million-flow trace never materialises.  Determinism: arrivals come from
+one derived stream, and every per-flow attribute (5-tuple, size,
+duration) comes from a ``derive_seed``-derived RNG keyed on the flow
+index, so the streams replay exactly per seed and are independent of
+each other.
 
 ``size_scale`` scales the sampled KB sizes (CI presets use scaled-down
 flows so packet-level scenarios stay cheap); ``max_packets`` caps a
 single flow's packet budget against the data-mining tail.
 
-tR recalibration: :func:`measured_tr` replays a workload through the
-span statistic Blink's Fig. 2 uses (active span + eviction timeout),
-giving each workload class its own tR for the analytical model —
-see EXPERIMENTS.md, "Workload classes".
+tR recalibration: :func:`measured_tr` computes the span statistic
+Blink's Fig. 2 uses (active span + eviction timeout) from each flow's
+schedule, giving each workload class its own tR for the analytical
+model — see EXPERIMENTS.md, "Workload classes".
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple, hosts_in_prefix
-from repro.flows.generators import FlowSpec, iter_flow_schedules, merge_flow_packets
+from repro.flows.generators import FlowSpec, iter_flow_schedules
 from repro.kernels import derive_seed
-from repro.netsim.trace import TraceRecord
 from repro.workloads.cdf import EmpiricalCDF, resolve_cdf
 from repro.workloads.shapers import (
     ConstantShaper,
@@ -346,79 +347,6 @@ def iter_workload_specs(
     return cls.builder(name, int(seed), float(horizon), params)
 
 
-# -- streaming record merge -------------------------------------------------
-
-
-def stream_trace_records(
-    specs: Iterable[FlowSpec],
-    seed: int = 0,
-    observation_point: str = "ingress",
-    stats: Optional[Dict[str, int]] = None,
-) -> Iterator[TraceRecord]:
-    """Lazily merge flow schedules into one time-ordered record stream.
-
-    The streaming counterpart of
-    :func:`repro.flows.generators.emit_trace`: byte-identical records
-    in the identical order (specs must arrive in non-decreasing start
-    order), rendered by :func:`~repro.flows.generators.merge_flow_packets`
-    with rank = position in the stream — schedules are generated only as
-    flows are admitted, so peak memory is bounded by flow concurrency,
-    not trace length.  Feed it to a
-    :class:`~repro.netsim.trace.StreamingTraceAggregator` and a
-    million-flow trace never exists in memory.
-
-    ``stats`` (optional dict) is filled with ``peak_pending`` (largest
-    number of not-yet-emitted records held), ``admitted`` flows and
-    ``emitted`` records — the test layer's bounded-memory check.
-    """
-    peak_pending = 0
-    admitted = 0
-    held = 0
-    emitted = 0
-
-    def ranked() -> Iterator[Tuple[int, FlowSpec, List[float], List[bool]]]:
-        nonlocal peak_pending, admitted, held
-        for spec, times, flags in iter_flow_schedules(specs, seed):
-            held += len(times) + (1 if spec.sends_fin else 0)
-            if held - emitted > peak_pending:
-                peak_pending = held - emitted
-            yield admitted, spec, times, flags
-            admitted += 1
-
-    for time, _rank, _index, spec, is_retransmission, is_fin in merge_flow_packets(
-        ranked()
-    ):
-        emitted += 1
-        yield TraceRecord(
-            time=time,
-            flow=spec.flow,
-            size=40 if is_fin else 1500,
-            observation_point=observation_point,
-            is_retransmission=is_retransmission,
-            is_fin_or_rst=is_fin,
-            malicious_ground_truth=spec.malicious,
-        )
-    if stats is not None:
-        stats["peak_pending"] = peak_pending
-        stats["admitted"] = admitted
-        stats["emitted"] = emitted
-
-
-def workload_records(
-    name: str,
-    seed: int = 0,
-    horizon: float = 60.0,
-    stats: Optional[Dict[str, int]] = None,
-    **overrides: object,
-) -> Iterator[TraceRecord]:
-    """The full streaming pipeline: specs -> time-ordered records."""
-    return stream_trace_records(
-        iter_workload_specs(name, seed=seed, horizon=horizon, **overrides),
-        seed=derive_seed("workload", name, seed, "packets"),
-        stats=stats,
-    )
-
-
 # -- Blink tR recalibration -------------------------------------------------
 
 
@@ -431,21 +359,40 @@ def measured_tr(
 ) -> float:
     """The Blink sampled-time statistic tR for one workload class.
 
-    Replays the workload's record stream and computes the mean per-flow
-    active span plus the eviction timeout — the same statistic
-    :func:`repro.flows.caida.mean_sampled_time` extracts from a
-    materialised trace, computed here in one streaming pass.
+    The mean per-flow active span plus the eviction timeout — the same
+    statistic :func:`repro.flows.caida.mean_sampled_time` extracts from
+    a materialised trace, read here straight from each flow's schedule
+    (seeded as :func:`~repro.flows.generators.emit_trace` seeds it).
+    A flow's span runs from its start (where its first packet, or a
+    zero-length flow's FIN, is) to its FIN, or to its last packet when
+    it sends none; flows sharing a 5-tuple share one span.  Specs
+    arrive in start order, so the spans are met, and summed, in the
+    order of their first packets, ties by start position: the order
+    :meth:`~repro.netsim.trace.Trace.flow_activity_spans` of the
+    rendered trace holds them in, so the float sum is the same.
     """
     from repro.flows.caida import EVICTION_TIMEOUT
 
     timeout = EVICTION_TIMEOUT if eviction_timeout is None else eviction_timeout
+    specs = iter_workload_specs(name, seed=seed, horizon=horizon, **overrides)
+    packet_seed = derive_seed("workload", name, seed, "packets")
     spans: Dict[FiveTuple, Tuple[float, float]] = {}
-    for record in workload_records(name, seed=seed, horizon=horizon, **overrides):
-        span = spans.get(record.flow)
-        if span is None:
-            spans[record.flow] = (record.time, record.time)
+    previous = -math.inf
+    for spec, times, _flags in iter_flow_schedules(specs, packet_seed):
+        if spec.start < previous:
+            raise ConfigurationError(
+                f"workload {name!r} yielded a decreasing start: "
+                f"{spec.start} < {previous}"
+            )
+        previous = spec.start
+        if spec.sends_fin:
+            last = spec.end
+        elif times:
+            last = times[-1]
         else:
-            spans[record.flow] = (span[0], record.time)
+            continue  # no packet at all
+        first, seen = spans.get(spec.flow, (spec.start, last))
+        spans[spec.flow] = (first, max(seen, last))
     if not spans:
         raise ConfigurationError(f"workload {name!r} produced no packets")
     total = sum(last - first for first, last in spans.values())

@@ -85,9 +85,9 @@ PREFIX = "198.51.100.0/24"
 def _reference_payload(**params):
     """The capture attack on its reference path, as a journaled payload.
 
-    The whole workload is materialised as a :class:`Trace` (``emit_trace``
-    on the default branch, ``stream_trace_records`` on the workload
-    branch), degraded whole by the telemetry fault, and replayed record
+    The whole workload is materialised as a :class:`Trace` by
+    ``emit_trace`` (on the start-sorted specs on the workload branch,
+    so ties go by start position), degraded whole by the telemetry fault, and replayed record
     by record through ``BlinkSwitch.replay_trace``.  The attack's merged
     column feed must give the same payload, byte for byte.
     """
@@ -102,9 +102,8 @@ def _reference_payload(**params):
         malicious_flow_schedule,
         summarize_workload,
     )
-    from repro.netsim.trace import Trace
     from repro.runner.checkpoint import result_payload
-    from repro.workloads.engine import iter_workload_specs, stream_trace_records
+    from repro.workloads.engine import iter_workload_specs
 
     horizon = float(params.get("horizon", 510.0))
     legitimate_flows = int(params.get("legitimate_flows", 2000))
@@ -122,8 +121,7 @@ def _reference_payload(**params):
             spread_start=2.0,
         )
         specs = sorted(legit + bad, key=lambda s: s.start)
-        trace = Trace("blink-attack")
-        trace.extend(stream_trace_records(specs, seed=seed + 2))
+        trace = emit_trace(specs, seed=seed + 2, name="blink-attack")
     else:
         specs = blink_attack.blink_attack_specs(
             destination_prefix=PREFIX,

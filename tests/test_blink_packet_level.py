@@ -345,8 +345,8 @@ def _aggregator_state(aggregator):
 
 
 def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON, ring_capacity=4):
-    """Aggregator state of ``_run_merged`` and of per-row ``observe_batch``
-    over the same merged chunks."""
+    """Aggregator state of ``_run_merged`` and of per-row ``observe`` over
+    the same merged records."""
     merged = StreamingTraceAggregator(name="a", ring_capacity=ring_capacity)
     packet_level._run_merged(list(specs), seed, horizon, merged, None, None)
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
@@ -355,17 +355,15 @@ def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON, ring_capacity=4):
     for times, flows, retrans, fins, malicious in packet_level.merged_columns(
         admitted, seed, horizon=horizon
     ):
-        sizes = [
-            packet_level.FIN_PACKET_BYTES if fin else packet_level.DATA_PACKET_BYTES
-            for fin in fins
-        ]
-        per_row.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
+        for time, flow, is_retrans, fin, mal in zip(times, flows, retrans, fins, malicious):
+            size = packet_level.FIN_PACKET_BYTES if fin else packet_level.DATA_PACKET_BYTES
+            per_row.observe(time, flow, size, "ingress", is_retrans, fin, mal)
     return _aggregator_state(merged), _aggregator_state(per_row)
 
 
 class TestPerFlowTraceAccounting:
     """The loop-free path accounts FlowStats once per flow; the result
-    must be per-row observe_batch's, key order included."""
+    must be per-row observe's, key order included."""
 
     def test_edge_specs_cover_every_clipping_case(self):
         merged, per_row = _per_flow_vs_per_row(EDGE_SPECS)
@@ -415,7 +413,10 @@ class TestPerFlowTraceAccounting:
         assert merged == per_row
 
     def test_per_flow_needs_no_sink(self):
+        """observe_batch builds records only for the ring, so it refuses a
+        sink instead of skipping it silently."""
         aggregator = StreamingTraceAggregator(sink=lambda record: None)
         with pytest.raises(ValueError, match="sink"):
             aggregator.observe_batch([0.0], [EDGE_SPECS[0].flow], [1], [False],
-                                     [False], [False], per_flow=False)
+                                     [False], [False])
+        assert aggregator.packets == 0

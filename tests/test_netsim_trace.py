@@ -82,21 +82,18 @@ class TestQueries:
         assert trace.duration == 3.0
 
 
-class TestFromPacket:
-    def test_tcp_flags_extracted(self):
-        from repro.netsim.packet import TcpFlags, tcp_packet
-
-        packet = tcp_packet("a", "b", 1, 2, seq=5, flags=TcpFlags.FIN | TcpFlags.ACK)
-        record = TraceRecord.from_packet(1.0, packet, "r0")
-        assert record.is_fin_or_rst
-        assert record.observation_point == "r0"
-
-    def test_retransmission_marker_carried(self):
-        from repro.netsim.packet import tcp_packet
-
-        packet = tcp_packet("a", "b", 1, 2, seq=5, retransmission=True)
-        record = TraceRecord.from_packet(0.0, packet)
-        assert record.is_retransmission
+def _observe_records(agg, records):
+    for r in records:
+        agg.observe(
+            r.time,
+            r.flow,
+            r.size,
+            r.observation_point,
+            r.is_retransmission,
+            r.is_fin_or_rst,
+            r.malicious_ground_truth,
+        )
+    return agg
 
 
 class TestStreamingAggregator:
@@ -122,7 +119,7 @@ class TestStreamingAggregator:
         records = self._records()
         trace = Trace("t")
         trace.extend(records)
-        agg = StreamingTraceAggregator("t").consume(records)
+        agg = _observe_records(StreamingTraceAggregator("t"), records)
         assert agg.packets == len(trace)
         assert agg.duration == trace.duration
         assert agg.malicious_fraction() == trace.malicious_fraction()
@@ -131,31 +128,11 @@ class TestStreamingAggregator:
         assert agg.retransmissions == sum(1 for r in trace if r.is_retransmission)
         assert agg.fin_rst == sum(1 for r in trace if r.is_fin_or_rst)
 
-    def test_observe_fields_equals_observe_record(self):
-        from repro.netsim.trace import StreamingTraceAggregator
-
-        records = self._records()
-        by_record = StreamingTraceAggregator("a").consume(records)
-        by_fields = StreamingTraceAggregator("b")
-        for r in records:
-            by_fields.observe(
-                r.time,
-                r.flow,
-                r.size,
-                r.observation_point,
-                r.is_retransmission,
-                r.is_fin_or_rst,
-                r.malicious_ground_truth,
-            )
-        sa, sb = by_record.summary(), by_fields.summary()
-        sa.pop("name"), sb.pop("name")
-        assert sa == sb
-
     def test_ring_is_bounded_and_holds_the_tail(self):
         from repro.netsim.trace import StreamingTraceAggregator
 
         records = self._records(300)
-        agg = StreamingTraceAggregator(ring_capacity=16).consume(records)
+        agg = _observe_records(StreamingTraceAggregator(ring_capacity=16), records)
         recent = agg.recent()
         assert len(recent) == 16
         assert recent == records[-16:]
@@ -165,7 +142,7 @@ class TestStreamingAggregator:
     def test_zero_capacity_disables_retention(self):
         from repro.netsim.trace import StreamingTraceAggregator
 
-        agg = StreamingTraceAggregator(ring_capacity=0).consume(self._records(50))
+        agg = _observe_records(StreamingTraceAggregator(ring_capacity=0), self._records(50))
         assert agg.recent() == []
         assert agg.packets == 50
 
@@ -174,52 +151,17 @@ class TestStreamingAggregator:
 
         seen = []
         records = self._records(80)
-        agg = StreamingTraceAggregator(ring_capacity=0, sink=seen.append)
-        for r in records:
-            agg.observe(
-                r.time,
-                r.flow,
-                r.size,
-                r.observation_point,
-                r.is_retransmission,
-                r.is_fin_or_rst,
-                r.malicious_ground_truth,
-            )
+        _observe_records(StreamingTraceAggregator(ring_capacity=0, sink=seen.append), records)
         assert seen == records
 
     def test_rejects_time_regression(self):
         from repro.netsim.trace import StreamingTraceAggregator
 
         agg = StreamingTraceAggregator()
-        agg.observe_record(_record(1.0))
-        with pytest.raises(ValueError):
-            agg.observe_record(_record(0.5))
+        agg.observe(1.0, _record(1.0).flow, 100)
         with pytest.raises(ValueError):
             agg.observe(0.5, _record(1.0).flow, 100)
-
-    def test_observe_packet_matches_from_packet(self):
-        from repro.netsim.packet import TcpFlags, tcp_packet
-        from repro.netsim.trace import StreamingTraceAggregator
-
-        packet = tcp_packet(
-            "a", "b", 1, 2, seq=5, flags=TcpFlags.FIN | TcpFlags.ACK,
-            retransmission=True, malicious=True,
-        )
-        agg = StreamingTraceAggregator(ring_capacity=4)
-        agg.observe_packet(2.0, packet, point="r0")
-        record = agg.recent()[0]
-        assert record == TraceRecord.from_packet(2.0, packet, observation_point="r0")
-
-    def test_streaming_collector_is_a_dropin(self):
-        from repro.netsim.packet import tcp_packet
-        from repro.netsim.trace import StreamingTraceCollector
-
-        collector = StreamingTraceCollector("c", ring_capacity=8)
-        packet = tcp_packet("a", "b", 1, 2, seq=0)
-        assert collector.process(packet, 0.5, "r1") is None
-        collector(packet, 1.0)
-        assert collector.aggregator.packets == 2
-        assert collector.aggregator.points == {"r1": 1}
+        assert agg.packets == 1 and agg.last_time == 1.0
 
 
 # Rows of (time step, flow, size, retransmission, fin, malicious); the
@@ -259,24 +201,10 @@ def _chunks(columns, cuts):
 
 
 def _state(agg):
-    return (
-        agg.summary(),
-        [
-            (
-                flow,
-                stats.packets,
-                stats.bytes,
-                stats.retransmissions,
-                stats.fin_rst,
-                stats.malicious,
-                stats.first_time,
-                stats.last_time,
-            )
-            for flow, stats in agg.flows.items()
-        ],
-        list(agg.points.items()),
-        agg.recent(),
-    )
+    """Everything but the per-flow stats, which observe_batch leaves alone."""
+    summary = agg.summary()
+    summary.pop("flows")
+    return summary, list(agg.points.items()), agg.recent()
 
 
 def _observe_rows(agg, columns, point):
@@ -285,7 +213,9 @@ def _observe_rows(agg, columns, point):
 
 
 class TestObserveBatch:
-    """observe_batch over any chunking is per-row observe."""
+    """observe_batch over any chunking is per-row observe, minus the
+    per-flow stats (observe_flow's job, checked against per-row observe
+    in tests/test_blink_packet_level.py)."""
 
     @given(
         rows=_rows,
@@ -302,6 +232,7 @@ class TestObserveBatch:
         for chunk in _chunks(columns, cuts):
             batched.observe_batch(*chunk, point)
         assert _state(batched) == _state(per_row)
+        assert batched.flows == {}
 
     @given(
         rows=_rows.filter(lambda rows: len(rows) >= 2),
@@ -327,14 +258,13 @@ class TestObserveBatch:
         assert _state(batched) == _state(per_row)
 
     def test_sink_sees_every_row(self):
+        """A sink on per-row observe sees the records the batch builds."""
         columns = _columns([(0.5, i % 3, 1500, i % 4 == 0, False, i % 2 == 0) for i in range(20)])
-        seen, expected = [], []
-        StreamingTraceAggregator(ring_capacity=0, sink=seen.append).observe_batch(
-            *columns, "ingress"
-        )
+        seen = []
         _observe_rows(
-            StreamingTraceAggregator(ring_capacity=0, sink=expected.append),
-            columns,
-            "ingress",
+            StreamingTraceAggregator(ring_capacity=0, sink=seen.append), columns, "ingress"
         )
-        assert seen == expected and len(seen) == 20
+        batched = StreamingTraceAggregator(ring_capacity=64)
+        batched.observe_batch(*columns, "ingress")
+        assert batched.recent() == seen and len(seen) == 20
+

@@ -4,9 +4,9 @@ Satellite-2 layer: Hypothesis pins the spec round-trip and the
 content-address (``scenario_id``) stability rules — the id must ignore
 display data (name, description, goldens) and spelling (list vs tuple
 seeds, key order) while tracking every binding change.  The run-layer
-tests execute one cheap scenario against its pinned golden, through the
-result cache, and through the ``repro scenarios`` CLI (exit code 6 on
-golden mismatch).
+tests execute every registered scenario against its pinned golden, and
+one cheap scenario through the result cache and through the ``repro
+scenarios`` CLI (exit code 6 on golden mismatch).
 """
 
 import json
@@ -241,8 +241,9 @@ class TestResolveParams:
 
 
 class TestRunScenario:
-    def test_cheap_scenario_matches_golden(self):
-        run = run_scenario(CHEAP)
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_cheap_scenario_matches_golden(self, name):
+        run = run_scenario(name, jobs=1)
         assert run.matches_golden is True
         assert run.report_hash == run.spec.golden
         assert report_hash(run.report) == run.report_hash

@@ -6,30 +6,45 @@ The engine's contract has three legs:
   the same spec stream, and seeds are independent per flow (the
   satellite-4 regression: splicing a flow into a schedule must not
   perturb any other flow's packets).
-* **Streaming parity** — :func:`stream_trace_records` is byte-identical
-  to the offline :func:`emit_trace` for every shipped workload class.
-* **Bounded memory** — a million-flow trace streams through a heap
-  whose peak size tracks flow *concurrency*, not trace length.
+* **Streaming parity** — :func:`merge_flow_packets` over a workload's
+  lazily generated schedules (rank = start position) renders the
+  records of the offline :func:`emit_trace`, byte for byte and in
+  order, for every shipped workload class; :func:`measured_tr` equals
+  the same statistic read from that trace.
+* **Bounded memory** — a million-flow trace streams through the merge's
+  heap, whose peak occupancy tracks flow *concurrency*, not trace
+  length.
 """
 
 import math
-from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple
-from repro.flows.generators import FlowSpec, emit_trace, flow_stream_seed
+from repro.flows.caida import EVICTION_TIMEOUT
+from repro.flows.generators import (
+    FlowSpec,
+    emit_trace,
+    flow_stream_seed,
+    iter_flow_schedules,
+    merge_flow_packets,
+)
+from repro.kernels import derive_seed
+from repro.netsim.trace import TraceRecord
+from repro.workloads import engine
 from repro.workloads.engine import (
     DEFAULT_MAX_PACKETS,
     MSS_BYTES,
     WORKLOAD_CLASSES,
     iter_workload_specs,
+    measured_tr,
     size_to_packets,
-    stream_trace_records,
     tr_for_workload,
     workload_names,
-    workload_records,
 )
 
 #: Cheap packet-level preset shared by the parity tests.
@@ -137,34 +152,138 @@ class TestFlowIdentityRng:
 # -- streaming parity --------------------------------------------------------
 
 
+def _ranked(specs, seed):
+    """Each flow's schedule as the merge takes it, rank = start position."""
+    for rank, (spec, times, flags) in enumerate(iter_flow_schedules(specs, seed)):
+        yield rank, spec, times, flags
+
+
+def _merged_records(specs, seed):
+    """The merged stream rendered as :func:`emit_trace` renders records."""
+    return [
+        TraceRecord(time, spec.flow, 40 if fin else 1500, "ingress", retrans, fin,
+                    spec.malicious)
+        for time, _rank, _index, spec, retrans, fin in merge_flow_packets(
+            _ranked(specs, seed)
+        )
+    ]
+
+
 class TestStreamingParity:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_CLASSES))
     def test_stream_matches_emit_trace(self, name):
         """Byte-identical records in identical order, per class."""
         specs = list(iter_workload_specs(name, seed=0, horizon=20.0, **FAST))
         offline = list(emit_trace(specs, seed=5))
-        streamed = list(stream_trace_records(iter(specs), seed=5))
-        assert streamed == offline
+        assert _merged_records(iter(specs), seed=5) == offline
 
     def test_decreasing_starts_rejected(self):
         specs = list(iter_workload_specs("web-search", seed=0, horizon=10.0))
         backwards = [specs[1], specs[0]]
         with pytest.raises(ConfigurationError, match="non-decreasing"):
-            list(stream_trace_records(backwards, seed=0))
-
-    def test_workload_records_deterministic(self):
-        a = list(workload_records("incast", seed=2, horizon=10.0, **FAST))
-        b = list(workload_records("incast", seed=2, horizon=10.0, **FAST))
-        assert a == b
-        assert a  # non-empty
+            _merged_records(backwards, seed=0)
 
     def test_empty_stream(self):
-        stats = {}
-        assert list(stream_trace_records([], seed=0, stats=stats)) == []
-        assert stats == {"peak_pending": 0, "admitted": 0, "emitted": 0}
+        occupancy = _Occupancy().drain([])
+        assert (occupancy.admitted, occupancy.held, occupancy.emitted) == (0, 0, 0)
+        assert occupancy.peak_pending == 0
+
+
+# -- measured_tr oracle ------------------------------------------------------
+
+
+def _trace_tr(specs, seed):
+    """tR read from the rendered trace's spans, summed in their order."""
+    spans = emit_trace(specs, seed=seed).flow_activity_spans()
+    total = sum(last - first for first, last in spans.values())
+    return total / len(spans) + EVICTION_TIMEOUT
+
+
+class TestMeasuredTrOracle:
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_CLASSES))
+    def test_equals_trace_spans(self, name):
+        """Bit for bit, the statistic of the materialised trace."""
+        specs = list(iter_workload_specs(name, seed=1, horizon=20.0, **FAST))
+        expected = _trace_tr(specs, derive_seed("workload", name, 1, "packets"))
+        got = measured_tr(name, seed=1, horizon=20.0, **FAST)
+        assert got.hex() == expected.hex()
+
+    def test_one_shared_five_tuple(self):
+        """Every flow on one 5-tuple: one span, from the first flow's first
+        packet to the last packet of any of them."""
+        specs = list(_short_flows(300, 0.5))
+        seed = derive_seed("workload", "web-search", 0, "packets")
+        assert len(emit_trace(specs, seed=seed).flow_activity_spans()) == 1
+        assert _measured_tr_of(specs).hex() == _trace_tr(specs, seed).hex()
+
+    @given(
+        shape=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=4),  # 5-tuple (repeats allowed)
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # start
+                st.sampled_from([0.0, 0.25, 1.0, 3.0]),  # duration
+                st.booleans(),  # sends_fin
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_specs_equal_trace_spans(self, shape):
+        """Repeated 5-tuples, zero durations, FIN-only and silent flows."""
+        specs = sorted(
+            (
+                FlowSpec(
+                    flow=FiveTuple("10.0.0.1", "198.51.100.9", 1024 + port, 443),
+                    start=start, duration=duration, packet_rate=4.0,
+                    sends_fin=fin,
+                )
+                for port, start, duration, fin in shape
+            ),
+            key=lambda spec: spec.start,
+        )
+        seed = derive_seed("workload", "web-search", 0, "packets")
+        if not emit_trace(specs, seed=seed).flow_activity_spans():
+            with pytest.raises(ConfigurationError, match="no packets"):
+                _measured_tr_of(specs)
+            return
+        assert _measured_tr_of(specs).hex() == _trace_tr(specs, seed).hex()
+
+    def test_decreasing_starts_rejected(self):
+        specs = list(iter_workload_specs("web-search", seed=0, horizon=10.0))
+        with pytest.raises(ConfigurationError, match="decreasing start"):
+            _measured_tr_of([specs[1], specs[0]])
+
+
+def _measured_tr_of(specs):
+    """``measured_tr`` with ``specs`` standing in for web-search seed 0."""
+    with mock.patch.object(engine, "iter_workload_specs", lambda *a, **k: iter(specs)):
+        return measured_tr("web-search", seed=0)
 
 
 # -- bounded memory ----------------------------------------------------------
+
+
+class _Occupancy:
+    """Counts what one merge holds: the lazy input generator adds each
+    admitted flow's records to ``held``, draining the merge counts
+    ``emitted``, and ``peak_pending`` is the most held but not yet
+    emitted at any admission."""
+
+    def __init__(self):
+        self.admitted = self.held = self.emitted = self.peak_pending = 0
+
+    def _flows(self, specs, seed):
+        for rank, spec, times, flags in _ranked(specs, seed):
+            self.held += len(times) + spec.sends_fin
+            self.peak_pending = max(self.peak_pending, self.held - self.emitted)
+            self.admitted += 1
+            yield rank, spec, times, flags
+
+    def drain(self, specs, seed=0):
+        for _ in merge_flow_packets(self._flows(specs, seed)):
+            self.emitted += 1
+        return self
 
 
 def _short_flows(n, concurrency_window=0.25):
@@ -184,40 +303,30 @@ class TestBoundedMemory:
         """10^6 flows stream through with peak heap occupancy tracking
         concurrency (~100 active flows), not trace length.
 
-        The acceptance check for the streaming engine: the full trace
+        The acceptance check for the streaming merge: the full trace
         (over a million records) never materialises.
         """
-        stats = {}
-        deque(
-            stream_trace_records(_short_flows(1_000_000), seed=0, stats=stats),
-            maxlen=0,
-        )
-        assert stats["admitted"] == 1_000_000
-        assert stats["emitted"] >= 1_000_000
+        occupancy = _Occupancy().drain(_short_flows(1_000_000))
+        assert occupancy.admitted == 1_000_000
+        assert occupancy.emitted == occupancy.held >= 1_000_000
         # ~100 concurrently active flows, a few records each; orders of
         # magnitude below the emitted count is the invariant that matters.
-        assert stats["peak_pending"] < 1_000
+        assert occupancy.peak_pending < 1_000
 
     def test_peak_pending_tracks_concurrency(self):
         """Doubling flow overlap doubles peak occupancy; trace length
         (flow count) alone does not move it."""
-        short, long_, many = {}, {}, {}
-        deque(stream_trace_records(_short_flows(2_000, 0.25), seed=0,
-                                   stats=short), maxlen=0)
-        deque(stream_trace_records(_short_flows(2_000, 0.5), seed=0,
-                                   stats=long_), maxlen=0)
-        deque(stream_trace_records(_short_flows(4_000, 0.25), seed=0,
-                                   stats=many), maxlen=0)
-        assert long_["peak_pending"] > 1.5 * short["peak_pending"]
-        assert many["peak_pending"] < 2 * short["peak_pending"]
+        short = _Occupancy().drain(_short_flows(2_000, 0.25))
+        long_ = _Occupancy().drain(_short_flows(2_000, 0.5))
+        many = _Occupancy().drain(_short_flows(4_000, 0.25))
+        assert long_.peak_pending > 1.5 * short.peak_pending
+        assert many.peak_pending < 2 * short.peak_pending
 
 
 # -- tR recalibration cache --------------------------------------------------
 
 
 def test_tr_for_workload_memoised_and_exact():
-    from repro.workloads.engine import measured_tr
-
     direct = measured_tr("incast", seed=0, horizon=30.0, **FAST)
     cached_first = tr_for_workload("incast", seed=0, horizon=30.0, **FAST)
     cached_second = tr_for_workload("incast", seed=0, horizon=30.0, **FAST)

@@ -19,11 +19,12 @@ import math
 import pytest
 
 from repro.workloads.cdf import resolve_cdf
+from repro.flows.generators import iter_flow_schedules, merge_flow_packets
+from repro.kernels import derive_seed
 from repro.workloads.engine import (
     WORKLOAD_CLASSES,
     iter_workload_specs,
     measured_tr,
-    workload_records,
 )
 
 N = 20_000
@@ -247,16 +248,18 @@ class TestRecalibratedTr:
 class TestStreamStats:
     @pytest.mark.parametrize("name", sorted(WORKLOAD_CLASSES))
     def test_stats_reconcile(self, name):
-        """emitted = admitted flows' packets + FINs; no record lost."""
-        stats = {}
-        records = list(
-            workload_records(
-                name, seed=0, horizon=20.0, stats=stats,
-                size_scale=0.05, max_packets=200,
+        """The merge emits the admitted flows' packets + FINs; no record lost."""
+        specs = _specs(name, horizon=20.0, size_scale=0.05, max_packets=200)
+        held = []
+
+        def admitted():
+            schedules = iter_flow_schedules(
+                iter(specs), derive_seed("workload", name, 0, "packets")
             )
-        )
-        assert stats["emitted"] == len(records)
-        assert stats["admitted"] == len(_specs(name, horizon=20.0,
-                                                size_scale=0.05,
-                                                max_packets=200))
-        assert 0 < stats["peak_pending"] <= stats["emitted"]
+            for rank, (spec, times, flags) in enumerate(schedules):
+                held.append(len(times) + spec.sends_fin)
+                yield rank, spec, times, flags
+
+        emitted = sum(1 for _ in merge_flow_packets(admitted()))
+        assert len(held) == len(specs)
+        assert 0 < emitted == sum(held)
