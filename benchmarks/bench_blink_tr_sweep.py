@@ -13,20 +13,17 @@ plus ablations of Blink's reset interval (a shorter reset shrinks the
 attacker's budget — the design-choice ablation from DESIGN.md §6).
 """
 
-import os
-
 from conftest import banner, run_once
 
-from repro.analysis import Sweep, ascii_table
+from repro.analysis import ascii_table
 from repro.blink import mean_crossing_time, minimum_qm
 from repro.flows import SyntheticCaidaConfig, SyntheticCaidaTrace
 
 
-def _frontier_point(seed, params):
-    """One feasibility-frontier cell (module-level: picklable for jobs>1)."""
-    tr = float(params["tr"])
+def _frontier_point(tr):
+    """(tR, minimum qm for a 95 %-confident capture, mean crossing at it)."""
     qm = minimum_qm(32, tr, budget=510.0, cells=64, confidence=0.95)
-    return {"qm": qm, "crossing": mean_crossing_time(32, qm, tr, 64)}
+    return tr, qm, mean_crossing_time(32, qm, tr, 64)
 
 
 def _experiment():
@@ -35,18 +32,8 @@ def _experiment():
     )
     report = backbone.top_prefix_report()
     summary = backbone.summary()
-    # The frontier is a parameter sweep; fan it over the process pool
-    # when $REPRO_JOBS asks for one (merge order is deterministic, so
-    # the table is identical for any worker count).
-    jobs = int(os.environ.get("REPRO_JOBS", "1"))
-    sweep = (
-        Sweep("tr-frontier", _frontier_point, seeds=[0])
-        .add_axis("tr", [2.0, 5.0, 8.37, 10.0, 15.0, 20.0, 30.0])
-        .run(jobs=jobs)
-    )
     frontier = [
-        (point.params["tr"], point.results[0]["qm"], point.results[0]["crossing"])
-        for point in sweep.points
+        _frontier_point(tr) for tr in (2.0, 5.0, 8.37, 10.0, 15.0, 20.0, 30.0)
     ]
     resets = {
         budget: minimum_qm(32, 8.37, budget=budget, confidence=0.95)

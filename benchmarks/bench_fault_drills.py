@@ -17,12 +17,13 @@ Every drill is seeded through the fault plan, so the numbers printed
 here reproduce exactly across invocations (the CI chaos job asserts
 this for the first two drills).
 
-The heavy Blink/PCC drill runs flow through the content-addressed
+The heavy Blink and PCC drills run as sweeps of the parallel sweep
+executor, one cell per parameter set, through the content-addressed
 result cache (``$REPRO_CACHE_DIR``, default ``.repro-cache``): a warm
 rerun of this bench serves every drill from disk and spends its wall
-time only on the resilience exercise.  The kill-and-resume drill rides
-the parallel sweep executor (worker count from ``$REPRO_JOBS``), so it
-also exercises the process-pool path end to end.
+time only on the resilience exercise.  Every sweep here takes its
+worker count from ``$REPRO_JOBS`` (default: the CPU count), so the
+bench also exercises the process-pool path end to end.
 """
 
 from conftest import banner, run_once
@@ -37,31 +38,38 @@ from repro.runner import (
     ParallelSweepExecutor,
     ResultCache,
     RetryPolicy,
-    cached_attack_run,
+    SweepCell,
     default_cache_dir,
     seed_cells,
 )
 
+BLINK_DROPOUTS = (0.05, 0.10, 0.20)
+
+
+def _drill_payloads(attack, cache, base_params, faults):
+    """One cached sweep: the clean run, then one cell per fault spec."""
+    drills = [{}] + [{"faults": spec, "fault_seed": 1} for spec in faults]
+    cells = [
+        SweepCell(index=i, params={**base_params, **drill})
+        for i, drill in enumerate(drills)
+    ]
+    report = ParallelSweepExecutor(cache=cache).run(attack, cells)
+    return [cell["result"] for cell in report.cells]
+
 
 def _experiment(tmp_dir, cache):
-    blink = BlinkCaptureAttack()
-    blink_params = dict(
-        horizon=200.0, legitimate_flows=400, malicious_flows=60, cells=64, seed=0
+    blink_clean, *blink_runs = _drill_payloads(
+        BlinkCaptureAttack(),
+        cache,
+        dict(horizon=200.0, legitimate_flows=400, malicious_flows=60, cells=64, seed=0),
+        [f"telemetry-drop:p={p}" for p in BLINK_DROPOUTS],
     )
-    blink_clean, _ = cached_attack_run(blink, cache, **blink_params)
-    blink_drills = {}
-    for p in (0.05, 0.10, 0.20):
-        payload, _ = cached_attack_run(
-            blink, cache, **blink_params,
-            faults=f"telemetry-drop:p={p}", fault_seed=1,
-        )
-        blink_drills[p] = payload
-
-    pcc = PccOscillationAttack()
-    pcc_params = dict(mis=600, warmup_mis=200, seed=0)
-    pcc_clean, _ = cached_attack_run(pcc, cache, **pcc_params)
-    pcc_drill, _ = cached_attack_run(
-        pcc, cache, **pcc_params, faults="telemetry-drop:p=0.1", fault_seed=1
+    blink_drills = dict(zip(BLINK_DROPOUTS, blink_runs))
+    pcc_clean, pcc_drill = _drill_payloads(
+        PccOscillationAttack(),
+        cache,
+        dict(mis=600, warmup_mis=200, seed=0),
+        ["telemetry-drop:p=0.1"],
     )
 
     # Kill-and-resume drill through the parallel executor: run two

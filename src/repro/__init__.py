@@ -12,8 +12,10 @@ The library implements, from scratch and in pure Python:
   Espresso-style egress selection, SilkRoad-style connection tables,
   and in-network binary neural networks (one subpackage each);
 * the concrete attacks (:mod:`repro.attacks`) and the proposed
-  defenses (:mod:`repro.defenses`); and
-* analysis/experiment tooling (:mod:`repro.analysis`).
+  defenses (:mod:`repro.defenses`);
+* the seed-sweep engine with checkpoints and a result cache
+  (:mod:`repro.runner`); and
+* plain-text reporting (:mod:`repro.analysis`).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced figure/claim.

@@ -1,6 +1,5 @@
-"""Experiment tooling: sweeps, aggregation, plain-text reporting."""
+"""Plain-text reporting: tables, series blocks, sparklines."""
 
-from repro.analysis.experiment import Sweep, SweepPoint, SweepResult
 from repro.analysis.reporting import (
     ascii_table,
     comparison_line,
@@ -10,9 +9,6 @@ from repro.analysis.reporting import (
 )
 
 __all__ = [
-    "Sweep",
-    "SweepPoint",
-    "SweepResult",
     "ascii_table",
     "comparison_line",
     "format_value",

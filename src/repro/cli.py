@@ -17,7 +17,8 @@ Seven subcommands:
   kill-safely; sweeps fan out over ``--jobs`` worker processes (default
   ``$REPRO_JOBS``, then the CPU count) with deterministic seed-order
   merging, and ``--cache-dir DIR`` serves already-computed cells from a
-  content-addressed result cache (``--no-cache`` bypasses it);
+  content-addressed result cache.  ``--resume``, ``--jobs`` and
+  ``--cache-dir`` without ``--seeds`` are usage errors;
 * ``faults`` — list the injectable fault kinds and the ``--faults``
   spec grammar;
 * ``fig2`` — reproduce the paper's Fig. 2 headline numbers quickly
@@ -142,14 +143,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         params["faults"] = args.faults
         params["fault_seed"] = args.fault_seed
 
-    if args.resume and not args.seeds:
-        print(
-            "--resume requires --seeds (checkpoints journal multi-seed sweeps)",
-            file=sys.stderr,
-        )
-        return 2
     if args.seeds:
-        return _cmd_run_sweep(attack, params, args)
+        return _cmd_sweep(attack, params, args)
+    # A single run would otherwise ignore the sweep-only flags silently.
+    for flag, given, why in (
+        ("--resume", args.resume, "checkpoints journal multi-seed sweeps"),
+        ("--jobs", args.jobs is not None, "only sweep cells fan out"),
+        ("--cache-dir", args.cache_dir, "only sweep cells are cached"),
+    ):
+        if given:
+            print(f"{flag} requires --seeds ({why})", file=sys.stderr)
+            return 2
 
     runner = None
     if args.timeout is not None or args.retries:
@@ -319,13 +323,48 @@ def _write_metrics_out(path: str, registry, **meta: object) -> int:
     return 0
 
 
-def _cmd_run_sweep(attack: Attack, params: Dict[str, object], args) -> int:
+def _sweep_jobs(jobs: Optional[int]) -> Optional[int]:
+    """Resolve ``--jobs`` (then ``$REPRO_JOBS``, then the CPU count).
+
+    Returns None after printing the usage error for an invalid count.
+    """
+    from repro.core.errors import ConfigurationError
+    from repro.runner import resolve_jobs
+
+    try:
+        return resolve_jobs(jobs)
+    except ConfigurationError as exc:
+        print(f"invalid --jobs: {exc}", file=sys.stderr)
+        return None
+
+
+def _open_cache(cache_dir: Optional[str]):
+    """The ``--cache-dir`` result cache, or None without the flag."""
+    if not cache_dir:
+        return None
+    from repro.runner import ResultCache
+
+    return ResultCache(cache_dir)
+
+
+def _print_cache_stats(cache) -> None:
+    """One stderr line with the cache's hit/miss/store counts."""
+    if cache is None:
+        return
+    stats = cache.stats
+    print(
+        f"cache {cache.root}: {stats.hits} hit(s), {stats.misses} miss(es), "
+        f"{stats.stores} store(s)",
+        file=sys.stderr,
+    )
+
+
+def _cmd_sweep(attack: Attack, params: Dict[str, object], args) -> int:
     """``run --seeds ...``: a parallel, cached, checkpointable sweep."""
     from repro.core.errors import CheckpointError, ConfigurationError
     from repro.runner import (
         ParallelSweepExecutor,
         RegistryAttackFactory,
-        ResultCache,
         RetryPolicy,
         seed_cells,
     )
@@ -339,19 +378,18 @@ def _cmd_run_sweep(attack: Attack, params: Dict[str, object], args) -> int:
         print("--seeds lists no seeds", file=sys.stderr)
         return 2
     cells = seed_cells(params, seeds)
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-    try:
-        executor = ParallelSweepExecutor(
-            jobs=args.jobs,
-            retry=RetryPolicy(max_retries=args.retries),
-            timeout_s=args.timeout,
-            cache=cache,
-        )
-    except ConfigurationError as exc:
-        print(f"invalid --jobs: {exc}", file=sys.stderr)
+    jobs = _sweep_jobs(args.jobs)
+    if jobs is None:
         return 2
+    try:
+        retry = RetryPolicy(max_retries=args.retries)
+    except ConfigurationError as exc:
+        print(f"invalid --retries: {exc}", file=sys.stderr)
+        return 2
+    cache = _open_cache(args.cache_dir)
+    executor = ParallelSweepExecutor(
+        jobs=jobs, retry=retry, timeout_s=args.timeout, cache=cache
+    )
 
     from repro import obs
 
@@ -384,13 +422,7 @@ def _cmd_run_sweep(attack: Attack, params: Dict[str, object], args) -> int:
         print(counts)
         if args.resume:
             print(f"checkpoint journal: {args.resume}")
-    if cache is not None:
-        stats = cache.stats
-        print(
-            f"cache {args.cache_dir}: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.stores} store(s)",
-            file=sys.stderr,
-        )
+    _print_cache_stats(cache)
     code = _write_observations(
         args,
         tracer,
@@ -586,14 +618,14 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
     # scenarios run
     from repro.core.errors import ConfigurationError
-    from repro.runner import ResultCache
     from repro.workloads.scenarios import run_scenario
 
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(args.cache_dir)
+    jobs = _sweep_jobs(args.jobs)
+    if jobs is None:
+        return 2
+    cache = _open_cache(args.cache_dir)
     try:
-        run = run_scenario(spec, jobs=args.jobs, cache=cache)
+        run = run_scenario(spec, jobs=jobs, cache=cache)
     except ConfigurationError as exc:
         print(f"scenario failed to resolve: {exc}", file=sys.stderr)
         return 2
@@ -622,13 +654,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"golden: {run.golden_hash} ({status})")
         else:
             print("golden: (none pinned)")
-    if cache is not None:
-        stats = cache.stats
-        print(
-            f"cache {args.cache_dir}: {stats.hits} hit(s), {stats.misses} miss(es), "
-            f"{stats.stores} store(s)",
-            file=sys.stderr,
-        )
+    _print_cache_stats(cache)
     if args.verify:
         if verdict is None:
             print("--verify: no golden hash pinned", file=sys.stderr)
@@ -896,11 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with identical params and code version are served from disk",
     )
     run_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir (force every cell to execute)",
-    )
-    run_parser.add_argument(
         "--profile",
         metavar="PATH",
         help="profile the run under cProfile: dump pstats to PATH and "
@@ -1023,9 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="PATH",
         help="content-addressed result cache shared with `run --seeds`",
-    )
-    scenarios_run.add_argument(
-        "--no-cache", action="store_true", help="ignore --cache-dir"
     )
     scenarios_run.add_argument(
         "--json", action="store_true", help="emit the outcome as one JSON object"

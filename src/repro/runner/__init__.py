@@ -1,14 +1,16 @@
 """Resilient experiment harness: timeouts, retries, checkpointed
 parallel sweeps with result caching.
 
-:mod:`repro.runner.resilient` makes a single run survive transient
-failures and hangs; :mod:`repro.runner.checkpoint` makes a multi-seed
-sweep survive being killed outright; :mod:`repro.runner.parallel` fans
-sweep cells over a process pool with deterministic merge order; and
-:mod:`repro.runner.cache` skips cells whose results are already
-content-addressed on disk.  The CLI's ``--timeout``, ``--retries``,
-``--seeds``, ``--resume``, ``--jobs`` and ``--cache-dir`` flags are
-thin wrappers over these.
+:class:`ParallelSweepExecutor` (:mod:`repro.runner.parallel`) is the
+one engine that runs sweep cells: it fans them over a process pool (or
+runs them inline at ``jobs=1``) with deterministic merge order.
+:mod:`repro.runner.resilient` makes each cell survive transient
+failures and hangs; :mod:`repro.runner.checkpoint` holds the cell,
+journal and report types that let a sweep survive being killed
+outright; and :mod:`repro.runner.cache` skips cells whose results are
+already content-addressed on disk.  The CLI's ``--timeout``,
+``--retries``, ``--seeds``, ``--resume``, ``--jobs`` and
+``--cache-dir`` flags are thin wrappers over these.
 """
 
 from repro.runner.cache import (
@@ -17,7 +19,6 @@ from repro.runner.cache import (
     CacheStats,
     ResultCache,
     cache_key,
-    cached_attack_run,
     code_version,
     default_cache_dir,
 )
@@ -27,7 +28,6 @@ from repro.runner.checkpoint import (
     SweepReport,
     repair_torn_jsonl_tail,
     result_payload,
-    run_sweep,
     seed_cells,
     sweep_fingerprint,
 )
@@ -36,7 +36,6 @@ from repro.runner.parallel import (
     ParallelSweepExecutor,
     RegistryAttackFactory,
     resolve_jobs,
-    run_sweep_parallel,
 )
 from repro.runner.resilient import (
     AttemptRecord,
@@ -63,7 +62,6 @@ __all__ = [
     "SweepCheckpoint",
     "SweepReport",
     "cache_key",
-    "cached_attack_run",
     "call_with_timeout",
     "code_version",
     "default_cache_dir",
@@ -71,8 +69,6 @@ __all__ = [
     "repair_torn_jsonl_tail",
     "resolve_jobs",
     "result_payload",
-    "run_sweep",
-    "run_sweep_parallel",
     "seed_cells",
     "sweep_fingerprint",
 ]

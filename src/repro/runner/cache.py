@@ -246,24 +246,3 @@ class ResultCache:
             "quarantined": quarantined,
         }
 
-
-def cached_attack_run(attack, cache: Optional[ResultCache] = None, **params):
-    """Run one attack through the cache; returns (payload, hit).
-
-    The returned payload is the journal-form dict of
-    :func:`repro.runner.checkpoint.result_payload` — the same shape a
-    sweep cell stores — so benches and sweeps read cache entries
-    identically.  With ``cache=None`` this is a plain run (always a
-    miss), letting callers keep one code path.
-    """
-    from repro.runner.checkpoint import result_payload
-
-    key = cache_key(attack.name, params) if cache is not None else ""
-    if cache is not None:
-        stored = cache.get(key)
-        if stored is not None:
-            return stored, True
-    payload = result_payload(attack.run(**params))
-    if cache is not None:
-        cache.put(key, attack.name, payload)
-    return payload, False

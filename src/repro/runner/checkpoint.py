@@ -3,7 +3,8 @@
 A sweep is a list of *cells* — (attack, params) points, typically one
 per seed.  :class:`SweepCheckpoint` journals each completed cell to a
 JSONL file (flushed and fsynced per line, so a ``SIGTERM`` mid-sweep
-loses at most the in-flight cell); :func:`run_sweep` consults the
+loses at most the in-flight cell);
+:class:`~repro.runner.parallel.ParallelSweepExecutor` consults the
 journal first and re-executes only the incomplete cells.  Aggregates
 are computed purely from the journaled result payloads, so a resumed
 sweep produces **byte-identical** aggregate JSON to an uninterrupted
@@ -31,12 +32,11 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.attack import Attack, AttackResult
+from repro.core.attack import AttackResult
 from repro.core.errors import CheckpointError
 from repro.obs import tracer as obs
-from repro.runner.resilient import ResilientRunner
 
 SCHEMA_VERSION = 1
 
@@ -257,68 +257,3 @@ def result_payload(result: AttackResult) -> dict:
         "details": _jsonable(result.details),
     }
 
-
-def run_sweep(
-    attack: Attack,
-    cells: Sequence[SweepCell],
-    runner: Optional[ResilientRunner] = None,
-    checkpoint_path: Optional[str] = None,
-    progress: Optional[Callable[[SweepCell, dict], None]] = None,
-) -> SweepReport:
-    """Run every cell, skipping the ones a checkpoint already journals.
-
-    ``progress`` (if given) is invoked after each *freshly executed*
-    cell with (cell, result-payload) — the hook tests use to kill a
-    sweep mid-run.  Failed cells (retries exhausted) are journaled with
-    a null result so a resume retries them.
-    """
-    runner = runner or ResilientRunner()
-    checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint_path:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            sweep_fingerprint(attack.name, cells),
-            attack_name=attack.name,
-        )
-    report = SweepReport(attack=attack.name)
-    for cell in cells:
-        journaled = checkpoint.completed.get(cell.index) if checkpoint else None
-        if journaled is not None and journaled.get("result"):
-            report.cells.append(
-                {"index": cell.index, "params": journaled.get("params"), "result": journaled["result"]}
-            )
-            report.resumed += 1
-            obs.emit("runner.cell_resumed", index=cell.index)
-            continue
-        outcome = runner.run(
-            lambda cell=cell: attack.run(**cell.params),
-            label=f"{attack.name}[{cell.index}]",
-        )
-        report.executed += 1
-        if not outcome.succeeded:
-            report.failed += 1
-            report.cells.append(
-                {
-                    "index": cell.index,
-                    "params": _jsonable(cell.params),
-                    "result": None,
-                    "error": outcome.error,
-                    "timed_out": outcome.timed_out,
-                }
-            )
-            continue
-        payload = result_payload(outcome.result)  # type: ignore[arg-type]
-        if checkpoint is not None:
-            checkpoint.record_cell(cell, payload)
-        report.cells.append(
-            {"index": cell.index, "params": _jsonable(cell.params), "result": payload}
-        )
-        obs.emit(
-            "runner.cell_done",
-            index=cell.index,
-            attempts=len(outcome.attempts),
-            success=payload["success"],
-        )
-        if progress is not None:
-            progress(cell, payload)
-    return report

@@ -5,19 +5,19 @@ The paper's quantitative claims are Monte-Carlo estimates over many
 seeded runs; serially those sweeps are wall-clock bound on one core.
 :class:`ParallelSweepExecutor` fans a cell list (typically one cell per
 seed, from :func:`repro.runner.checkpoint.seed_cells`) over a
-``concurrent.futures.ProcessPoolExecutor`` while preserving every
-guarantee the serial path gives:
+``concurrent.futures.ProcessPoolExecutor`` while preserving these
+guarantees:
 
 * **Determinism** — each cell is seeded through its params, every
   worker rebuilds its attack fresh, and the report's cells are merged
   in *submission* (seed) order regardless of completion order.  The
   aggregate JSON of a ``jobs=N`` sweep is byte-identical to ``jobs=1``
-  and to the legacy serial :func:`~repro.runner.checkpoint.run_sweep`
-  (the property ``tests/test_determinism.py`` pins).
-* **Resumability** — completed cells stream into the same JSONL
-  checkpoint format as the serial path (journaled in completion order
-  for durability; the loader keys by index), so ``--resume`` works
-  across serial and parallel runs interchangeably.
+  and to running each cell's attack in index order by hand (the
+  property ``tests/test_determinism.py`` pins).
+* **Resumability** — completed cells stream into one JSONL checkpoint
+  format (journaled in completion order for durability; the loader
+  keys by index), so ``--resume`` works across worker counts
+  interchangeably.
 * **Caching** — with a :class:`~repro.runner.cache.ResultCache`, cells
   whose canonical key (attack + params + code version) is already
   stored are answered without touching the pool.
@@ -127,7 +127,6 @@ def _execute_cell(
     params: Dict[str, object],
     retry: RetryPolicy,
     timeout_s: Optional[float],
-    runner_seed: int,
     traced: bool,
     metered: bool = False,
 ) -> dict:
@@ -136,7 +135,7 @@ def _execute_cell(
     Everything in and out of this function is picklable.  Non-retryable
     errors (configuration bugs, privilege violations) propagate, which
     the pool surfaces in the parent — the same fail-loud behaviour as
-    the serial path.
+    an inline (``jobs=1``) cell.
 
     ``metered`` cells collect into a fresh per-cell
     :class:`~repro.obs.metrics.MetricRegistry` shipped back as
@@ -147,7 +146,7 @@ def _execute_cell(
     attack = _materialise(attack_source)
     # Per-cell jitter seed: retries inside different workers must not
     # share RNG state, but the sequence stays reproducible per cell.
-    runner = ResilientRunner(retry, timeout_s=timeout_s, seed=runner_seed ^ index)
+    runner = ResilientRunner(retry, timeout_s=timeout_s, seed=index)
     tracer = obs.Tracer() if traced else None
     registry = obs_metrics.MetricRegistry() if metered else None
 
@@ -188,7 +187,6 @@ class ParallelSweepExecutor:
         timeout_s: per-attempt wall-clock budget inside each worker.
         cache: optional content-addressed result cache consulted (and
             filled) per cell.
-        runner_seed: base seed for per-cell backoff jitter streams.
 
     A worker process dying mid-sweep surfaces as
     :class:`~repro.core.errors.WorkerCrashError` rather than the pool's
@@ -203,13 +201,11 @@ class ParallelSweepExecutor:
         retry: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
         cache: Optional[ResultCache] = None,
-        runner_seed: int = 0,
     ):
         self.jobs = resolve_jobs(jobs)
         self.retry = retry or RetryPolicy()
         self.timeout_s = timeout_s
         self.cache = cache
-        self.runner_seed = runner_seed
 
     # -- internals ---------------------------------------------------------
 
@@ -303,7 +299,7 @@ class ParallelSweepExecutor:
             shard_metrics = outcome.get("metrics")
             if shard_metrics is not None:
                 # Stash now (completion order), merge later in cell-index
-                # order so serial and parallel sweeps agree exactly.
+                # order so jobs=1 and jobs=N sweeps agree exactly.
                 metric_shards[outcome["index"]] = shard_metrics
             report.executed += 1
             record = self._cell_record(cell, outcome)
@@ -345,7 +341,6 @@ class ParallelSweepExecutor:
                         cell.params,
                         self.retry,
                         self.timeout_s,
-                        self.runner_seed,
                         traced,
                         metered,
                     ),
@@ -364,7 +359,6 @@ class ParallelSweepExecutor:
                             cell.params,
                             self.retry,
                             self.timeout_s,
-                            self.runner_seed,
                             traced,
                             metered,
                         )
@@ -396,7 +390,7 @@ class ParallelSweepExecutor:
         registry = obs_metrics.current()
         if registry is not None:
             # Cell-index order, independent of completion order — the
-            # property the serial-vs-parallel determinism test pins.
+            # property the jobs=1-vs-jobs=N determinism test pins.
             for index in sorted(metric_shards):
                 registry.merge_dict(metric_shards[index])
             registry.inc("sweep.cells_executed", report.executed)
@@ -415,24 +409,3 @@ class ParallelSweepExecutor:
         )
         return report
 
-
-def run_sweep_parallel(
-    attack_name: str,
-    cells: Sequence[SweepCell],
-    jobs: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
-    timeout_s: Optional[float] = None,
-    cache: Optional[ResultCache] = None,
-    checkpoint_path: Optional[str] = None,
-    progress: Optional[Callable[[SweepCell, dict], None]] = None,
-) -> SweepReport:
-    """Convenience wrapper: registry attack by name, one call."""
-    executor = ParallelSweepExecutor(
-        jobs=jobs, retry=retry, timeout_s=timeout_s, cache=cache
-    )
-    return executor.run(
-        RegistryAttackFactory(attack_name),
-        cells,
-        checkpoint_path=checkpoint_path,
-        progress=progress,
-    )

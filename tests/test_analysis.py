@@ -1,8 +1,7 @@
-"""Tests for the experiment sweep runner and reporting helpers."""
+"""Tests for the plain-text reporting helpers."""
 
 import pytest
 
-from repro.analysis.experiment import Sweep
 from repro.analysis.reporting import (
     ascii_table,
     comparison_line,
@@ -11,48 +10,6 @@ from repro.analysis.reporting import (
     sparkline,
 )
 from repro.core.errors import ConfigurationError
-
-
-def _experiment(seed, params):
-    return {"value": seed + params.get("x", 0) * 10, "constant": 5.0}
-
-
-class TestSweep:
-    def test_grid_crossing(self):
-        sweep = Sweep("s", _experiment, seeds=[0])
-        sweep.add_axis("x", [1, 2]).add_axis("y", ["a", "b"])
-        result = sweep.run()
-        assert len(result.points) == 4
-        params = [tuple(sorted(p.params.items())) for p in result.points]
-        assert len(set(params)) == 4
-
-    def test_aggregation_over_seeds(self):
-        sweep = Sweep("s", _experiment, seeds=[0, 1, 2])
-        sweep.add_point(x=1)
-        result = sweep.run()
-        aggregated = result.points[0].aggregate()
-        assert aggregated["value.mean"] == pytest.approx(11.0)
-        assert aggregated["value.std"] > 0
-        assert aggregated["constant.std"] == 0.0
-
-    def test_rows_flatten_params_and_metrics(self):
-        sweep = Sweep("s", _experiment, seeds=[0, 1])
-        sweep.add_axis("x", [1, 2])
-        rows = sweep.run().rows(metrics=["value"])
-        assert rows[0]["x"] == 1
-        assert "value.mean" in rows[0]
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Sweep("s", _experiment).add_axis("x", [])
-
-    def test_needs_seeds(self):
-        with pytest.raises(ConfigurationError):
-            Sweep("s", _experiment, seeds=[])
-
-    def test_runs_with_empty_grid(self):
-        result = Sweep("s", _experiment, seeds=[3]).run()
-        assert len(result.points) == 1
 
 
 class TestReporting:

@@ -38,7 +38,6 @@ HELP_CONTRACT = [
             "--resume",
             "--jobs",
             "--cache-dir",
-            "--no-cache",
             "--timeout",
             "--retries",
             "--trace",
@@ -103,6 +102,25 @@ class TestUsageErrors:
         proc = run_cli("run", "blink-analytical", "--resume", "x.jsonl")
         assert proc.returncode == 2
         assert "--resume requires --seeds" in proc.stderr
+
+    def test_sweep_flags_without_seeds(self, tmp_path):
+        """A single run rejects --jobs/--cache-dir instead of ignoring them."""
+        cache = tmp_path / "cache"
+        for flags in (
+            ["--cache-dir", str(cache), "--jobs", "0"],
+            ["--jobs", "2"],
+            ["--cache-dir", str(cache)],
+        ):
+            proc = run_cli("run", "blink-analytical", "-p", "runs=2", *flags)
+            assert proc.returncode == 2, flags
+            assert "requires --seeds" in proc.stderr, flags
+        assert not cache.exists()
+
+    def test_scenario_jobs_zero_is_a_jobs_error(self):
+        proc = run_cli("scenarios", "run", "pcc-diurnal-sway", "--jobs", "0")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("invalid --jobs:")
+        assert "failed to resolve" not in proc.stderr
 
     def test_jobs_zero_rejected(self):
         proc = run_cli(
@@ -185,14 +203,3 @@ class TestHappyPaths:
         report = run_cli("report", "--cache-dir", cache)
         assert report.returncode == 0
         assert "blink-capture-analytical" in report.stdout
-
-    def test_no_cache_forces_execution(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        args = [
-            "run", "blink-analytical", "--seeds", "0,1", "--jobs", "1",
-            "--json", "--cache-dir", cache, "-p", "runs=2",
-        ]
-        assert run_cli(*args).returncode == 0
-        rerun = run_cli(*args, "--no-cache")
-        assert rerun.returncode == 0
-        assert "executed 2" in rerun.stderr

@@ -175,25 +175,20 @@ class TestNethideDensityHelpers:
         assert max_flow_density({}) == 0
 
 
-class TestAnalysisSweepIntegration:
+class TestSweepIntegration:
     def test_sweep_drives_real_attack(self):
-        """The Sweep runner works against actual attack objects."""
-        from repro.analysis import Sweep
+        """The sweep engine works against actual attack objects."""
         from repro.attacks import BlinkAnalyticalAttack
+        from repro.runner import ParallelSweepExecutor, seed_cells
 
-        def experiment(seed, params):
-            result = BlinkAnalyticalAttack().run(
-                qm=params["qm"], tr=8.37, runs=3, seed=seed, horizon=300.0
-            )
-            return {"success": 1.0 if result.success else 0.0}
+        def success_rate(qm):
+            cells = seed_cells({"qm": qm, "tr": 8.37, "runs": 3, "horizon": 300.0}, [0, 1])
+            report = ParallelSweepExecutor(jobs=1).run(BlinkAnalyticalAttack(), cells)
+            return report.aggregate()["success_rate"]
 
-        sweep = Sweep("qm-sweep", experiment, seeds=[0, 1])
-        sweep.add_axis("qm", [0.002, 0.0525])
-        rows = sweep.run().rows(metrics=["success"])
-        weak = next(r for r in rows if r["qm"] == 0.002)
-        strong = next(r for r in rows if r["qm"] == 0.0525)
-        assert weak["success.mean"] < strong["success.mean"]
-        assert strong["success.mean"] == 1.0
+        weak, strong = success_rate(0.002), success_rate(0.0525)
+        assert weak < strong
+        assert strong == 1.0
 
 
 class TestErrorsCarryContext:

@@ -14,16 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.experiment import Sweep
 from repro.core.attack import Attack, AttackResult
 from repro.core.entities import Capability, Impact, Privilege, Target
+from repro.obs import jsonable
 from repro.runner import (
     ParallelSweepExecutor,
     RegistryAttackFactory,
-    ResilientRunner,
     ResultCache,
-    RetryPolicy,
-    run_sweep,
+    SweepReport,
+    result_payload,
     seed_cells,
 )
 
@@ -36,10 +35,24 @@ HEADLINE_ATTACKS = [
 ]
 
 
+def serial_report(attack, cells):
+    """The oracle sweep: each cell's attack run in cell order, in process.
+
+    No retry, journal, cache or pool — the executor at any ``jobs`` must
+    report exactly this.
+    """
+    report = SweepReport(attack=attack.name, executed=len(cells))
+    for cell in cells:
+        payload = result_payload(attack.run(**cell.params))
+        report.cells.append(
+            {"index": cell.index, "params": jsonable(cell.params), "result": payload}
+        )
+    return report
+
+
 def _serial_aggregate(name, params, seeds):
     attack = RegistryAttackFactory(name)()
-    runner = ResilientRunner(RetryPolicy(max_retries=0), sleep=lambda s: None)
-    return run_sweep(attack, seed_cells(params, seeds), runner).aggregate_json()
+    return serial_report(attack, seed_cells(params, seeds)).aggregate_json()
 
 
 class TestSerialParallelEquality:
@@ -177,45 +190,14 @@ def test_random_grids_never_violate_merge_order(seeds, scale, offset, jobs):
     """Aggregates and per-cell order match the serial run for any grid."""
     params = {"scale": scale, "offset": offset}
     cells = seed_cells(params, seeds)
-    serial = run_sweep(
-        GridAttack(),
-        cells,
-        ResilientRunner(RetryPolicy(max_retries=0), sleep=lambda s: None),
-    )
-    parallel = ParallelSweepExecutor(jobs=jobs).run(GridAttack(), cells)
-    assert parallel.aggregate_json() == serial.aggregate_json()
-    assert [c["index"] for c in parallel.cells] == [c["index"] for c in serial.cells]
-    assert json.dumps(parallel.cells, sort_keys=True) == json.dumps(
-        serial.cells, sort_keys=True
-    )
-
-
-# -- analysis.experiment.Sweep ----------------------------------------------
-
-
-def _grid_experiment(seed, params):
-    """Module-level (picklable) experiment body for Sweep jobs tests."""
-    x = float(params.get("x", 1.0))
-    return {"metric": (seed * 31 % 97) * x, "seed": float(seed)}
-
-
-class TestAnalysisSweepJobs:
-    def test_parallel_sweep_result_matches_serial(self):
-        def build():
-            return (
-                Sweep("grid", _grid_experiment, seeds=[0, 1, 2, 3])
-                .add_axis("x", [0.5, 1.0, 2.0])
-            )
-
-        serial = build().run()
-        parallel = build().run(jobs=3)
-        assert json.dumps(serial.rows(), sort_keys=True) == json.dumps(
-            parallel.rows(), sort_keys=True
+    serial = serial_report(GridAttack(), cells)
+    for n in (1, jobs):
+        report = ParallelSweepExecutor(jobs=n).run(GridAttack(), cells)
+        assert report.aggregate_json() == serial.aggregate_json()
+        assert [c["index"] for c in report.cells] == [c["index"] for c in serial.cells]
+        assert json.dumps(report.cells, sort_keys=True) == json.dumps(
+            serial.cells, sort_keys=True
         )
-
-    def test_single_task_stays_inline(self):
-        result = Sweep("one", _grid_experiment, seeds=[5]).run(jobs=4)
-        assert result.points[0].results[0]["seed"] == 5.0
 
 
 # -- scenario parity grid ----------------------------------------------------

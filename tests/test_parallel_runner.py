@@ -5,6 +5,7 @@ import os
 import signal
 
 import pytest
+from test_determinism import serial_report
 
 from repro.core.attack import Attack, AttackResult
 from repro.core.entities import Capability, Impact, Privilege, Target
@@ -18,15 +19,10 @@ from repro.obs import Tracer, activate
 from repro.runner import (
     ParallelSweepExecutor,
     RegistryAttackFactory,
-    ResilientRunner,
     ResultCache,
-    RetryPolicy,
     cache_key,
-    cached_attack_run,
     code_version,
     resolve_jobs,
-    run_sweep,
-    run_sweep_parallel,
     seed_cells,
 )
 
@@ -92,10 +88,6 @@ class SignalProbeAttack(ToyAttack):
         return result
 
 
-def _no_retry():
-    return RetryPolicy(max_retries=0)
-
-
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
@@ -128,21 +120,19 @@ class TestRegistryFactory:
 
 
 class TestExecutorBasics:
-    def test_inline_matches_serial_run_sweep(self):
+    def test_inline_matches_serial_oracle(self):
         cells = seed_cells({}, [0, 1, 2, 3])
-        serial = run_sweep(
-            ToyAttack(), cells, ResilientRunner(_no_retry(), sleep=lambda s: None)
-        )
-        parallel = ParallelSweepExecutor(jobs=1).run(ToyAttack(), cells)
-        assert parallel.aggregate_json() == serial.aggregate_json()
+        serial = serial_report(ToyAttack(), cells)
+        inline = ParallelSweepExecutor(jobs=1).run(ToyAttack(), cells)
+        assert inline.aggregate_json() == serial.aggregate_json()
+        assert inline.cells == serial.cells
 
-    def test_pool_matches_serial_run_sweep(self):
+    def test_pool_matches_serial_oracle(self):
         cells = seed_cells({"scale": 3}, [0, 1, 2, 3, 4])
-        serial = run_sweep(
-            ToyAttack(), cells, ResilientRunner(_no_retry(), sleep=lambda s: None)
-        )
+        serial = serial_report(ToyAttack(), cells)
         parallel = ParallelSweepExecutor(jobs=3).run(ToyAttack(), cells)
         assert parallel.aggregate_json() == serial.aggregate_json()
+        assert parallel.cells == serial.cells
         assert parallel.executed == 5
 
     def test_cells_merge_in_seed_order(self):
@@ -174,7 +164,9 @@ class TestExecutorBasics:
 
     def test_registry_attack_through_pool(self):
         cells = seed_cells({"runs": 3}, [0, 1, 2])
-        report = run_sweep_parallel("blink-capture-analytical", cells, jobs=2)
+        report = ParallelSweepExecutor(jobs=2).run(
+            RegistryAttackFactory("blink-capture-analytical"), cells
+        )
         assert report.executed == 3
         assert report.aggregate()["completed"] == 3
 
@@ -205,10 +197,11 @@ class TestPoolWorkerSafety:
 
 
 class TestCheckpointInterop:
+    """A checkpoint written at one worker count resumes at another."""
+
     def test_parallel_resumes_serial_checkpoint(self, tmp_path):
         path = str(tmp_path / "sweep.jsonl")
         cells = seed_cells({}, [0, 1, 2, 3])
-        runner = ResilientRunner(_no_retry(), sleep=lambda s: None)
 
         class _Killed(Exception):
             pass
@@ -218,13 +211,15 @@ class TestCheckpointInterop:
                 raise _Killed()
 
         with pytest.raises(_Killed):
-            run_sweep(ToyAttack(), cells, runner, path, progress=kill_after_two)
+            ParallelSweepExecutor(jobs=1).run(
+                ToyAttack(), cells, checkpoint_path=path, progress=kill_after_two
+            )
 
         resumed = ParallelSweepExecutor(jobs=2).run(
             ToyAttack(), cells, checkpoint_path=path
         )
         assert resumed.resumed == 2 and resumed.executed == 2
-        clean = run_sweep(ToyAttack(), cells, runner)
+        clean = serial_report(ToyAttack(), cells)
         assert resumed.aggregate_json() == clean.aggregate_json()
 
     def test_serial_resumes_parallel_checkpoint(self, tmp_path):
@@ -244,10 +239,12 @@ class TestCheckpointInterop:
             ParallelSweepExecutor(jobs=2).run(
                 ToyAttack(), cells, checkpoint_path=path, progress=kill_early
             )
-        runner = ResilientRunner(_no_retry(), sleep=lambda s: None)
-        resumed = run_sweep(ToyAttack(), cells, runner, path)
+        resumed = ParallelSweepExecutor(jobs=1).run(
+            ToyAttack(), cells, checkpoint_path=path
+        )
         assert resumed.resumed >= 1
-        clean = run_sweep(ToyAttack(), cells, runner)
+        assert resumed.resumed + resumed.executed == len(cells)
+        clean = serial_report(ToyAttack(), cells)
         assert resumed.aggregate_json() == clean.aggregate_json()
 
     def test_mismatched_checkpoint_raises(self, tmp_path):
@@ -333,17 +330,6 @@ class TestResultCache:
     def test_empty_root_rejected(self):
         with pytest.raises(ConfigurationError):
             ResultCache("")
-
-    def test_cached_attack_run_payload_identical(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        cold, hit_cold = cached_attack_run(ToyAttack(), cache=cache, seed=2)
-        warm, hit_warm = cached_attack_run(ToyAttack(), cache=cache, seed=2)
-        assert (hit_cold, hit_warm) == (False, True)
-        assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
-
-    def test_cached_attack_run_without_cache(self):
-        payload, hit = cached_attack_run(ToyAttack(), cache=None, seed=2)
-        assert not hit and payload["success"]
 
 
 class TestExecutorCache:

@@ -14,11 +14,11 @@ from repro.core.errors import (
     SimulationError,
 )
 from repro.runner import (
+    ParallelSweepExecutor,
     ResilientRunner,
     RetryPolicy,
     SweepCheckpoint,
     call_with_timeout,
-    run_sweep,
     seed_cells,
     sweep_fingerprint,
 )
@@ -178,9 +178,10 @@ class _CountingAttack(Attack):
         )
 
 
-def _no_sleep_runner(retries=0):
-    return ResilientRunner(
-        RetryPolicy(max_retries=retries, backoff_base_s=0.001), sleep=lambda s: None
+def _inline_sweep(attack, cells, checkpoint_path=None, progress=None):
+    """A jobs=1 sweep: every cell runs in this process, on ``attack`` itself."""
+    return ParallelSweepExecutor(jobs=1).run(
+        attack, cells, checkpoint_path=checkpoint_path, progress=progress
     )
 
 
@@ -227,7 +228,8 @@ class TestSweepCheckpoint:
 class TestRunSweep:
     def test_clean_sweep_executes_all(self):
         attack = _CountingAttack()
-        report = run_sweep(attack, seed_cells({}, [0, 1, 2]), _no_sleep_runner())
+        report = _inline_sweep(attack, seed_cells({}, [0, 1, 2]))
+        assert attack.executions == [0, 1, 2]
         assert report.executed == 3
         assert report.resumed == 0
         assert report.aggregate()["completed"] == 3
@@ -245,35 +247,33 @@ class TestRunSweep:
 
         first = _CountingAttack()
         with pytest.raises(_Killed):
-            run_sweep(
-                first, cells, _no_sleep_runner(), str(path), progress=kill_after_two
-            )
+            _inline_sweep(first, cells, str(path), progress=kill_after_two)
         assert first.executions == [0, 1]
 
         second = _CountingAttack()
-        resumed = run_sweep(second, cells, _no_sleep_runner(), str(path))
+        resumed = _inline_sweep(second, cells, str(path))
         assert second.executions == [2, 3]
         assert resumed.resumed == 2
         assert resumed.executed == 2
 
-        clean = run_sweep(_CountingAttack(), cells, _no_sleep_runner())
+        clean = _inline_sweep(_CountingAttack(), cells)
         assert resumed.aggregate_json() == clean.aggregate_json()
 
     def test_failed_cell_retried_on_resume(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         cells = seed_cells({}, [0, 1])
         flaky = _CountingAttack(fail_seeds={1})
-        report = run_sweep(flaky, cells, _no_sleep_runner(), str(path))
+        report = _inline_sweep(flaky, cells, str(path))
         assert report.failed == 1
 
         recovered = _CountingAttack()  # seed 1 no longer fails
-        again = run_sweep(recovered, cells, _no_sleep_runner(), str(path))
+        again = _inline_sweep(recovered, cells, str(path))
         assert recovered.executions == [1]
         assert again.failed == 0
         assert again.resumed == 1
 
     def test_aggregate_json_sorted_and_stable(self):
-        report = run_sweep(_CountingAttack(), seed_cells({}, [2, 4]), _no_sleep_runner())
+        report = _inline_sweep(_CountingAttack(), seed_cells({}, [2, 4]))
         payload = json.loads(report.aggregate_json())
         assert payload["success_rate"] == 1.0
         assert report.aggregate_json() == report.aggregate_json()
