@@ -20,7 +20,13 @@ from typing import Dict, List, Optional
 
 from repro.blink.analysis import fig2_headline
 from repro.blink.constants import DEFAULT_CELLS
-from repro.blink.packet_level import blink_attack_specs, feed_columns, merged_columns
+from repro.blink.packet_level import (
+    blink_attack_specs,
+    compact_rows,
+    feed_columns,
+    flow_rows,
+    merged_columns,
+)
 from repro.blink.pipeline import BlinkSwitch
 from repro.core.attack import Attack, AttackResult
 from repro.core.entities import Capability, Impact, Privilege, Target
@@ -192,17 +198,29 @@ class BlinkCaptureAttack(Attack):
         switch = BlinkSwitch(
             {prefix: ["nh-primary", "nh-backup"]}, cells=cells, supervise=supervise
         )
-        # Every flow's packets, merged in time order and fed to Blink in
-        # column chunks; no trace of the whole workload is ever built.
+        # No trace of the whole workload is ever built.  A bare monitor
+        # gets every flow's rows at once and solves its selector per
+        # cell; a supervisor, or a telemetry fault drawing once per
+        # record, gets the packets merged in time order, in column chunks.
         session = switch.replay_session(sample_interval=sample_interval)
         records = malicious_records = 0
         with obs.span(
             "blink.replay_trace", flows=len(specs), prefixes=len(switch.monitors)
         ):
-            for columns in merged_columns(ordered, seed + 2, ranks=ranks):
-                records += len(columns[0])
-                malicious_records += sum(columns[4])
-                feed_columns(session, telemetry_fault, *columns)
+            if telemetry_fault is None and supervise is None:
+                flows, zeros = [], {}
+                for flow in flow_rows(ordered, seed + 2, ranks=ranks):
+                    _rank, _tuple, times, _flags, fin, malicious = flow
+                    rows = len(times) + (fin is not None)
+                    records += rows
+                    malicious_records += rows if malicious else 0
+                    flows.append(compact_rows(flow, zeros))
+                session.feed_flows(flows)
+            else:
+                for columns in merged_columns(ordered, seed + 2, ranks=ranks):
+                    records += len(columns[0])
+                    malicious_records += sum(columns[4])
+                    feed_columns(session, telemetry_fault, *columns)
             series = session.finish()[prefix]
         # The same merge counters as the packet-level driver's.
         obs_metrics.inc("netsim.merge.records", records)

@@ -8,17 +8,20 @@ experiment streams each flow's packets as the flow starts.  Which
 engine orders the stream depends on the run:
 
 * **Default — no event loop.**  With one shard, no ``preload`` and no
-  ``scheduler=`` named, E2 is open loop: no timers, no feedback.  The
-  flows' schedules are merged by
-  :func:`~repro.flows.generators.merge_flow_packets` in the loop's
-  own order and handed over in fixed-size chunks:
-  :meth:`~repro.netsim.trace.StreamingTraceAggregator.observe_batch`
-  keeps the running totals plus a bounded ring buffer (each flow's
-  stats are accounted once, from its schedule, as the merge admits
-  it), and :meth:`~repro.blink.pipeline.TraceReplaySession.feed_batch`
-  feeds Blink with the exact sampling cadence of the offline
-  :meth:`~repro.blink.pipeline.BlinkSwitch.replay_trace`.
-  ``PacketLevelReport.scheduler`` reads ``"merge"``.
+  ``scheduler=`` named, E2 is open loop: no timers, no feedback, and
+  the records are never merged.  Each flow's schedule is generated once
+  and accounted once:
+  :meth:`~repro.netsim.trace.StreamingTraceAggregator.observe_flow`
+  takes its stats, :meth:`~repro.netsim.trace.StreamingTraceAggregator.
+  observe_totals` the run's totals and the ring's tail, and
+  :meth:`~repro.blink.pipeline.TraceReplaySession.feed_flows` solves
+  Blink's selector per cell, so only the rows that change a cell go
+  through the monitor — with the exact outcome of the offline
+  :meth:`~repro.blink.pipeline.BlinkSwitch.replay_trace` over the
+  loop's order.  A :class:`~repro.faults.injectors.TelemetryFault`
+  draws once per record, so a fault run instead merges the schedules
+  with :func:`~repro.flows.generators.merge_flow_packets` and feeds
+  both in chunks.  ``PacketLevelReport.scheduler`` reads ``"merge"``.
 * **Event loop — the reference.**  ``preload`` or a named
   ``scheduler=`` runs the flows through an
   :class:`~repro.netsim.events.EventLoop`:
@@ -31,7 +34,8 @@ engine orders the stream depends on the run:
 These are keyword arguments only — no command-line flag or environment
 variable selects them, and no registered attack runs this driver.
 ``blink-capture-packet-level`` shares the loop-free path's feed
-instead: :func:`merged_columns` and :func:`feed_columns`.
+instead: :func:`flow_rows` for a bare monitor, :func:`merged_columns`
+and :func:`feed_columns` under a supervisor or a telemetry fault.
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,
@@ -44,15 +48,17 @@ the same hash for the same parameters.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import time as _wallclock
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.blink.pipeline import BlinkSwitch, TraceReplaySession
+from repro.blink.pipeline import BlinkSwitch, FlowRows, TraceReplaySession
 from repro.core.errors import SimulationError
 from repro.core.metrics import first_crossing_time
 from repro.flows.flow import FiveTuple
@@ -477,63 +483,159 @@ def _run_merged(
     session: Optional[TraceReplaySession],
     fault: Optional[object],
 ) -> Tuple[int, int]:
-    """The loop-free path: merge the flows' schedules, feed them in chunks.
+    """The loop-free path: every admitted flow's rows, without an event loop.
 
-    Ranks are positions in ``(start, spec index)`` order, so the merge
-    yields exactly the callback order of :func:`schedule_workload` on
-    either scheduler.  Schedules are generated as the merge admits
-    flows; flows starting after ``horizon`` are never admitted, since
-    none of their records could fall inside it.  Returns ``(events,
-    records)``, where ``events`` counts what the loop would have
-    dispatched: every record plus one flow-start per admitted flow.
+    Ranks are positions in ``(start, spec index)`` order, so merging
+    the rows by ``(time, rank, index)`` gives exactly the callback order
+    of :func:`schedule_workload` on either scheduler.  Flows starting
+    after ``horizon`` are never admitted, since none of their records
+    could fall inside it.  Returns ``(events, records)``, where
+    ``events`` counts what the loop would have dispatched: every record
+    plus one flow-start per admitted flow.
 
-    The aggregator's per-flow stats are accounted once per flow, from
-    its schedule clipped to ``horizon`` as the merge admits it: flows
-    are admitted in the order of their first records, so the stats come
-    out in the key order per-record observation gives them.  The
-    chunks then update only the totals, point counts and ring.
+    The aggregator accounts each flow once (:meth:`~repro.netsim.trace.
+    StreamingTraceAggregator.observe_flow`) and the run's totals and ring
+    tail once (:func:`_account_totals`), and Blink solves its selector
+    per cell (:meth:`~repro.blink.pipeline.TraceReplaySession.
+    feed_flows`), so without a fault the rows are never merged.  A
+    :class:`~repro.faults.injectors.TelemetryFault` draws from its RNG
+    once per record in merge order, so a fault run merges the flows'
+    schedules again for Blink and feeds it in chunks.
     """
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
     admitted = [specs[i] for i in order if specs[i].start <= horizon]
     starts = len(admitted)
     records = 0
-    account = None
-    if aggregator is not None:
-        observe_flow = aggregator.observe_flow
-
-        def account(spec: FlowSpec, times: List[float], flags: List[bool]) -> None:
-            cut = bisect_right(times, horizon)
-            if cut < len(times):
-                times, flags = times[:cut], flags[:cut]
-            fin = spec.sends_fin and spec.end <= horizon
-            observe_flow(
-                spec.flow,
-                times,
-                flags,
-                DATA_PACKET_BYTES,
-                spec.end if fin else None,
-                FIN_PACKET_BYTES,
-                spec.malicious,
-            )
-
-    for times, flows, retrans, fins, malicious in merged_columns(
-        admitted, seed, horizon=horizon, on_schedule=account
-    ):
-        records += len(times)
+    flows: List[FlowRows] = []
+    zeros: Dict[int, bytes] = {}
+    for flow in flow_rows(admitted, seed, horizon=horizon):
+        _rank, five_tuple, times, flags, fin, malicious = flow
+        rows = len(times) + (fin is not None)
+        if not rows:
+            continue
+        records += rows
         if records + starts >= MAX_EVENTS:
             raise SimulationError(
                 f"exceeded max_events={MAX_EVENTS} before reaching t={horizon}",
-                sim_time=times[-1],
+                sim_time=times[-1] if fin is None else fin,
             )
-        if aggregator is None:
+        if aggregator is None:  # no trace, so no Blink either
             continue
-        sizes = [FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES for fin in fins]
-        aggregator.observe_batch(times, flows, sizes, retrans, fins, malicious, "ingress")
-        if session is not None:
-            feed_columns(session, fault, times, flows, retrans, fins, malicious)
+        aggregator.observe_flow(
+            five_tuple, times, flags, DATA_PACKET_BYTES, fin, FIN_PACKET_BYTES, malicious
+        )
+        flows.append(compact_rows(flow, zeros))
+    if aggregator is not None:
+        _account_totals(aggregator, flows)
+    if session is not None and fault is None:
+        session.feed_flows(flows)
+    elif session is not None:
+        for columns in merged_columns(admitted, seed, horizon=horizon):
+            feed_columns(session, fault, *columns)
     obs_metrics.inc("netsim.merge.records", records)
     obs_metrics.inc("netsim.merge.flow_starts", starts)
     return records + starts, records
+
+
+def flow_rows(
+    specs: Sequence[FlowSpec],
+    seed: int,
+    ranks: Optional[Iterable[int]] = None,
+    horizon: float = math.inf,
+) -> Iterator[FlowRows]:
+    """Each flow's rows as :meth:`~repro.blink.pipeline.TraceReplaySession.
+    feed_flows` takes them: ``(rank, flow, times, retransmissions,
+    fin_time, malicious)``.
+
+    Schedules come from :func:`~repro.flows.generators.
+    iter_flow_schedules` on ``seed``; ``ranks`` (default: positions)
+    break ties between equal times as :func:`merged_columns` documents.
+    Rows after ``horizon`` are dropped, and so is a FIN after it.  A
+    caller holding every flow at once can keep each with
+    :func:`compact_rows`.
+    """
+    for rank, (spec, times, flags) in zip(
+        count() if ranks is None else ranks, iter_flow_schedules(specs, seed)
+    ):
+        cut = bisect_right(times, horizon)
+        if cut < len(times):
+            times, flags = times[:cut], flags[:cut]
+        fin = spec.end if spec.sends_fin and spec.end <= horizon else None
+        yield rank, spec.flow, times, flags, fin, spec.malicious
+
+
+def compact_rows(flow: FlowRows, zeros: Dict[int, bytes]) -> FlowRows:
+    """``flow`` with its times as an ``array('d')`` and its flags as
+    ``bytes``: 9 bytes a row instead of a float object and two list
+    slots.  Flows without a retransmission share the all-zero flags of
+    their length in ``zeros``, one dict per run."""
+    rank, five_tuple, times, flags, fin, malicious = flow
+    if any(flags):
+        flags = bytes(flags)
+    else:
+        n = len(flags)
+        flags = zeros.get(n)
+        if flags is None:
+            flags = zeros[n] = bytes(n)
+    return rank, five_tuple, array("d", times), flags, fin, malicious
+
+
+def _account_totals(aggregator: StreamingTraceAggregator, flows: List[FlowRows]) -> None:
+    """Hand the aggregator the totals and the ring tail of ``flows``' rows.
+
+    The ring keeps the last ``ring_capacity`` rows in merge order.  A
+    flow's last row is its largest time, so at least that many rows lie
+    at or after the ``ring_capacity``-th largest last time, and every row
+    of the tail does too; only those rows (at most the last
+    ``ring_capacity`` of each flow) are merged.
+    """
+    packets = size = retransmissions = fins = malicious = 0
+    first, last = math.inf, -math.inf
+    ends = []
+    for _rank, _flow, times, flags, fin, mal in flows:
+        n = len(times)
+        rows = n + (fin is not None)
+        if not rows:
+            continue
+        packets += rows
+        size += n * DATA_PACKET_BYTES
+        retransmissions += sum(flags)
+        if fin is not None:
+            fins += 1
+            size += FIN_PACKET_BYTES
+        if mal:
+            malicious += rows
+        start, end = times[0] if n else fin, times[-1] if fin is None else fin
+        first, last = min(first, start), max(last, end)
+        ends.append(end)
+    if not packets:
+        return
+    capacity = aggregator.ring_capacity
+    tail: List[tuple] = []
+    if capacity:
+        bound = heapq.nlargest(capacity, ends)[-1] if len(ends) >= capacity else -math.inf
+        for rank, flow, times, flags, fin, mal in flows:
+            n = len(times)
+            rows = n + (fin is not None)
+            if not rows or (times[-1] if fin is None else fin) < bound:
+                continue
+            for index in range(max(bisect_left(times, bound), rows - capacity), n):
+                tail.append((times[index], rank, index, flow, bool(flags[index]), False, mal))
+            if fin is not None:
+                tail.append((fin, rank, n, flow, False, True, mal))
+        tail.sort()  # merge keys lead and are unique
+        del tail[:-capacity]
+    aggregator.observe_totals(
+        packets, size, retransmissions, fins, malicious, first, last,
+        [
+            TraceRecord(
+                time, flow, FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES,
+                "ingress", retrans, fin, mal,
+            )
+            for time, _rank, _index, flow, retrans, fin, mal in tail
+        ],
+        "ingress",
+    )
 
 
 def merged_columns(
@@ -541,7 +643,6 @@ def merged_columns(
     seed: int,
     ranks: Optional[Iterable[int]] = None,
     horizon: float = math.inf,
-    on_schedule: Optional[Callable[[FlowSpec, List[float], List[bool]], None]] = None,
 ) -> Iterator[Tuple[list, list, list, list, list]]:
     """The flows' merged packet records as Blink's columns, in chunks.
 
@@ -549,8 +650,7 @@ def merged_columns(
     their positions) break ties between equal times, as
     :func:`~repro.flows.generators.merge_flow_packets` documents.  Each
     flow's schedule comes from :func:`~repro.flows.generators.
-    iter_flow_schedules` on ``seed`` as the merge admits it, and is
-    passed to ``on_schedule(spec, times, flags)`` first.  Yields
+    iter_flow_schedules` on ``seed`` as the merge admits it.  Yields
     ``(times, flows, retransmissions, fins, malicious)`` for the records
     at or before ``horizon``, :data:`MERGE_CHUNK` rows at a time.
 
@@ -559,8 +659,6 @@ def merged_columns(
     collector; the columns themselves are a handful of lists.
     """
     schedules = iter_flow_schedules(specs, seed)
-    if on_schedule is not None:
-        schedules = _tapped(schedules, on_schedule)
     stream = merge_flow_packets(
         (rank, spec, times, flags)
         for rank, (spec, times, flags) in zip(
@@ -590,15 +688,6 @@ def merged_columns(
             columns = ([], [], [], [], [])
     if columns[0]:
         yield columns
-
-
-def _tapped(
-    schedules: Iterator[Tuple[FlowSpec, List[float], List[bool]]],
-    tap: Callable[[FlowSpec, List[float], List[bool]], None],
-) -> Iterator[Tuple[FlowSpec, List[float], List[bool]]]:
-    for schedule in schedules:
-        tap(*schedule)
-        yield schedule
 
 
 def feed_columns(

@@ -19,9 +19,14 @@ Three integration surfaces:
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from operator import itemgetter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blink.constants import (
     DEFAULT_CELLS,
@@ -40,6 +45,13 @@ from repro.netsim.packet import Packet, Protocol, TcpFlags
 from repro.netsim.trace import Trace, TraceRecord
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
+
+#: One flow's rows for :meth:`TraceReplaySession.feed_flows`: ``(rank,
+#: flow, times, retransmissions, fin_time, malicious)``.
+FlowRows = Tuple[int, FiveTuple, Sequence[float], Sequence[bool], Optional[float], bool]
+
+#: A merge key ``(time, rank, index)`` before every row.
+_BEFORE_ALL = (-math.inf, -math.inf, -math.inf)
 
 
 @dataclass
@@ -141,6 +153,10 @@ class BlinkPrefixMonitor(DataDrivenSystem):
         """Process one TCP packet of this prefix from its plain fields."""
         self._now = now
         self.selector.observe(flow, now, retrans, fin, seq, malicious)
+        return self._react(now)
+
+    def _react(self, now: float) -> List[Decision]:
+        """Finish a running probe, or else run failure inference, at ``now``."""
         if self._probe_start is not None:
             return self._maybe_finish_probe(now)
         return self._maybe_infer_failure(now)
@@ -501,12 +517,13 @@ class TraceReplaySession:
     """Incremental trace replay against a :class:`BlinkSwitch`.
 
     Replays records pushed via :meth:`feed` (or whole column chunks via
-    :meth:`feed_batch`) with exactly the sampling cadence of
-    :meth:`BlinkSwitch.replay_trace`, which runs on this class: before
-    any record at or past the next sample boundary is processed, every
-    monitor's reset timer is serviced and the ground-truth malicious
-    occupancy is appended to the per-prefix series.  Call :meth:`finish` once the source is exhausted to write
-    selector statistics to the active metric registry.
+    :meth:`feed_batch`, or whole flows via :meth:`feed_flows`) with
+    exactly the sampling cadence of :meth:`BlinkSwitch.replay_trace`,
+    which runs on this class: before any record at or past the next
+    sample boundary is processed, every monitor's reset timer is
+    serviced and the ground-truth malicious occupancy is appended to the
+    per-prefix series.  Call :meth:`finish` once the source is exhausted
+    to write selector statistics to the active metric registry.
     """
 
     def __init__(self, switch: BlinkSwitch, sample_interval: float = 1.0):
@@ -548,117 +565,145 @@ class TraceReplaySession:
         one :meth:`feed` per row — same samples, decisions, reroutes,
         selector statistics and ``state()`` — but no :class:`TraceRecord`
         is built: each row goes straight to :meth:`BlinkSwitch._deliver`.
-
-        Rows a bare (unsupervised) monitor's selector would ignore skip
-        that chain: the reset is not due and the flow's cell (its index
-        memoised as :meth:`FlowSelector.observe` does) is held by
-        another flow still inside the eviction timeout.  Such a row only
-        bumps ``collisions_ignored`` and the monitor's clock, and runs
-        inference only when it could fire.  Between rows that change the
-        cells, the retransmitting count can only fall as time grows, so
-        once inference has declined it stays declined until the next
-        such row or sample; the other ways out are the reroute holddown
-        expiring and a probe's duration elapsing.
         """
         if not times:
             return
         switch = self.switch
         prefix_for = switch.prefix_for
-        matched = switch._prefix_cache.get
         deliver = switch._deliver
         release = switch._release
         next_sample = self._next_sample
         if next_sample is None:
             next_sample = times[0]
-        # The bare monitor whose state the locals below hold, or None.
-        # Any row that takes the full chain, and any sample, drops it.
-        lane = None
         for time, flow, retrans, fin, mal in zip(
             times, flows, retransmissions, fins, malicious
         ):
             if time >= next_sample:
                 next_sample = self._sample_until(time, next_sample)
-                lane = None
-            prefix = matched(flow.dst) or prefix_for(flow.dst)
+            prefix = prefix_for(flow.dst)
             if prefix is None:
                 continue
-            if prefix != lane:
-                state = self._lane_state(prefix)
-                if state is not None:
-                    (
-                        monitor, stats, cells, cached_index, index_miss,
-                        timeout, reset_interval, last_reset, holddown,
-                        last_reroute, probe_duration, probe_start,
-                    ) = state
-                    lane = prefix
-                    # Inference declined at this time and nothing has
-                    # changed the cells since (inf: not known to decline).
-                    quiet_from = math.inf
-            if prefix == lane and time - last_reset < reset_interval:
-                index = cached_index(flow)
-                if index is None:
-                    index = index_miss(flow)
-                cell = cells[index]
-                occupant = cell.flow
-                # Unequal cached hashes settle ``occupant != flow``
-                # without FiveTuple.__eq__; equal ones take the chain.
-                if (
-                    occupant is not None
-                    and occupant._hash != flow._hash
-                    and time - cell.last_activity < timeout
-                ):
-                    stats.collisions_ignored += 1
-                    monitor._now = time
-                    if probe_start is not None:
-                        if time - probe_start < probe_duration:
-                            continue
-                        decisions = monitor._maybe_finish_probe(time)
-                    elif time - last_reroute < holddown or time >= quiet_from:
-                        continue
-                    else:
-                        decisions = monitor._maybe_infer_failure(time)
-                        if not decisions and monitor._probe_start is None:
-                            quiet_from = time
-                            continue
-                    probe_start = monitor._probe_start
-                    last_reroute = monitor._last_reroute_time
-                    if decisions:
-                        release(decisions)
-                    continue
             decisions = deliver(prefix, flow, time, retrans, fin, None, mal)
-            lane = None
             if decisions:
                 release(decisions)
         self._next_sample = next_sample
         self.packets += len(times)
 
-    def _lane_state(self, prefix: str) -> Optional[tuple]:
-        """The state :meth:`feed_batch`'s ignored-row check reads, or None.
+    def feed_flows(self, flows: Iterable[FlowRows]) -> None:
+        """Process whole flows' rows in merge order, solving Blink per cell.
 
-        None when ``prefix``'s driver is supervised (its signals must
-        reach the wrapper) or the selector's index cache is stale (the
-        next :meth:`FlowSelector.observe` rebuilds it).
+        Each ``(rank, flow, times, retransmissions, fin_time, malicious)``
+        stands for the data rows ``(times[i], flow, retransmissions[i],
+        False, malicious)`` (``times`` non-decreasing) and, unless
+        ``fin_time`` is None, a FIN at ``fin_time``, no earlier than the
+        last data row.  Ordered by ``(time, rank, index)``, with ranks
+        unique and the FIN's index ``len(times)``, the rows of all flows
+        are the stream :func:`~repro.flows.generators.merge_flow_packets`
+        yields, and this call has exactly the effect of one :meth:`feed`
+        per row of that stream: same samples, decisions, reroutes,
+        selector statistics, ``state()`` and obs events.  The switch must
+        have one prefix, unsupervised.
+
+        No merged stream is built.  Between two sample resets a flow
+        touches one cell only, so each cell is solved on its own (see
+        :func:`_cell_occupant_rows`): only its occupant's rows — installs,
+        activity, retransmissions, FINs — reach
+        :meth:`BlinkPrefixMonitor.ingest`, in merge order and interleaved
+        with the samples; every other row of the prefix is an ignored
+        collision and is only counted.  Inference on an ignored row can
+        fire only where the reroute holddown or a probe runs out (the
+        retransmitting count does not grow while no row changes a cell),
+        so it runs there, on the first row at or after that instant; the
+        resets are found the same way, by bisecting each flow's times.
         """
-        if prefix not in self.switch._ingest:
-            return None
-        monitor = self.switch.monitors[prefix]
+        switch = self.switch
+        if len(switch.monitors) != 1 or not switch._ingest:
+            raise ConfigurationError("feed_flows needs one unsupervised prefix")
+        monitor = next(iter(switch.monitors.values()))
         selector = monitor.selector
-        if selector._index_cache_seed != selector.hash_seed:
-            return None
-        return (
-            monitor,
-            selector.stats,
-            selector.cells,
-            selector._index_cache.get,
-            selector._index_miss,
-            selector.eviction_timeout,
-            selector.reset_interval,
-            selector._last_reset,
-            monitor.reroute_holddown,
-            monitor._last_reroute_time,
-            monitor.probe_duration,
-            monitor._probe_start,
+        prefix_for = switch.prefix_for
+        inside: List[FlowRows] = []
+        rows = inside_rows = 0
+        first = first_inside = math.inf
+        last = last_inside = -math.inf
+        for entry in flows:
+            _rank, flow, times, _retrans, fin, _mal = entry
+            count = len(times) + (fin is not None)
+            if not count:
+                continue
+            rows += count
+            head = times[0] if times else fin
+            tail = times[-1] if fin is None else fin
+            if head < first:
+                first = head
+            if tail > last:
+                last = tail
+            if prefix_for(flow.dst) is not None:
+                inside.append(entry)
+                inside_rows += count
+                if head < first_inside:
+                    first_inside = head
+                if tail > last_inside:
+                    last_inside = tail
+        if not rows:
+            return
+        prefix_rows = _PrefixRows(inside, last_inside)
+        next_sample = self._next_sample
+        if next_sample is None:
+            next_sample = first
+        thresholds = _reset_thresholds(
+            selector, prefix_rows, next_sample, last, self.sample_interval
         )
+        occupants, cells = _occupant_rows(selector, inside, thresholds)
+        occupants.sort()
+        obs_metrics.inc("blink.solve.cells", cells)
+        obs_metrics.inc("blink.solve.full_chain_rows", len(occupants))
+
+        ingest = monitor.ingest
+        release = switch._release
+
+        def next_check(
+            time: float, decisions: List[Decision], key: Tuple[float, int, int]
+        ) -> Optional[Tuple[float, int, int]]:
+            """After the row ``key`` at ``time``: the merge key of the next
+            ignored row whose inference could fire, or None."""
+            rule = _check_rule(monitor, time, decisions)
+            return None if rule is None else prefix_rows.first_due(*rule, key)
+
+        def check(key: Tuple[float, int, int]) -> Optional[Tuple[float, int, int]]:
+            """Run the inference of the ignored row ``key``."""
+            nonlocal next_sample
+            time = key[0]
+            if time >= next_sample:
+                next_sample = self._sample_until(time, next_sample)
+            decisions = monitor._react(time)
+            if decisions:
+                release(decisions)
+            return next_check(time, decisions, key)
+
+        # Merge key of the next ignored row that must run inference, or
+        # None while no ignored row can fire; a replay under way may owe
+        # one to this call's rows.
+        pending = next_check(-math.inf, [], _BEFORE_ALL)
+        for time, rank, index, retrans, fin, flow, mal in occupants:
+            key = (time, rank, index)
+            while pending is not None and pending < key:
+                pending = check(pending)
+            if time >= next_sample:
+                next_sample = self._sample_until(time, next_sample)
+            decisions = ingest(flow, time, retrans, fin, None, mal)
+            if decisions:
+                release(decisions)
+            pending = next_check(time, decisions, key)
+        while pending is not None:
+            pending = check(pending)
+        if last >= next_sample:
+            next_sample = self._sample_until(last, next_sample)
+        self._next_sample = next_sample
+        self.packets += rows
+        selector.stats.collisions_ignored += inside_rows - len(occupants)
+        if inside:
+            monitor._now = last_inside
 
     def _sample_until(self, time: float, next_sample: float) -> float:
         """Take every sample due at or before ``time``; returns the next boundary.
@@ -681,3 +726,398 @@ class TraceReplaySession:
         """Seal the session; returns the per-prefix series."""
         self.switch._publish_selector_metrics()
         return self.series
+
+
+class _PrefixRows:
+    """The rows of a prefix's flows, searched for the first row due at an
+    instant: a reset, a holddown's or a probe's end.
+
+    Such instants are few — one per reset, reroute or probe — so each is
+    found by bisecting the times of the flows that could hold it, and
+    kept.  Those are the flows still sending at the instant and the first
+    ones to start after it, so the flows are indexed, on the first
+    search, by first and last row time.
+    """
+
+    def __init__(self, flows: Sequence[FlowRows], last: float):
+        self.flows = flows
+        self.last = last
+        self._index: Optional[Tuple[List[FlowRows], array, array]] = None
+        self._due: Dict[Tuple[float, float], Optional[Tuple[float, int, int]]] = {}
+
+    def first_due(
+        self, base: float, span: float, after: Tuple[float, ...]
+    ) -> Optional[Tuple[float, int, int]]:
+        """The merge key of the first row after the key ``after`` whose
+        time ``t`` has ``t - base >= span`` — the monitor's own float
+        comparison — or None."""
+        if not self.last - base >= span:
+            return None
+        if not after[0] - base >= span:
+            # Every due row is later than ``after``: one answer per rule.
+            rule = (base, span)
+            if rule not in self._due:
+                self._due[rule] = self._search(base, span, _BEFORE_ALL)
+            return self._due[rule]
+        return self._search(base, span, after)
+
+    def _search(
+        self, base: float, span: float, after: Tuple[float, ...]
+    ) -> Optional[Tuple[float, int, int]]:
+        if self._index is None:
+            order = sorted(self.flows, key=_flow_start)
+            firsts = array("d", (_flow_start(flow)[0] for flow in order))
+            lasts = array("d", (
+                times[-1] if fin is None else fin for _r, _f, times, _x, fin, _m in order
+            ))
+            self._index = order, firsts, lasts
+        order, firsts, lasts = self._index
+        # Below any rounding of ``t - base``: a row earlier than this is
+        # never due.
+        bound = base + span - 1e-9 * (abs(base) + abs(span) + 1.0)
+        split = bisect_left(firsts, bound)
+        best = None
+        # Flows started before the bound: only those still sending.
+        for flow in compress(order, map(bound.__le__, islice(lasts, split))):
+            key = _first_due_row(flow, base, span, after)
+            if key is not None and (best is None or key < best):
+                best = key
+        # Later flows in start order, up to the first starting past the best.
+        for index in range(split, len(order)):
+            flow = order[index]
+            if best is not None and (firsts[index], flow[0]) > best[:2]:
+                break
+            key = _first_due_row(flow, base, span, after)
+            if key is not None and (best is None or key < best):
+                best = key
+        return best
+
+
+def _flow_start(flow: FlowRows) -> Tuple[float, int]:
+    """A flow's first row time and rank: its first merge key, less the index."""
+    rank, _flow, times, _retrans, fin, _mal = flow
+    return (times[0] if times else fin), rank
+
+
+def _first_due_row(
+    flow: FlowRows, base: float, span: float, after: Tuple[float, ...]
+) -> Optional[Tuple[float, int, int]]:
+    """The merge key of the flow's first row after ``after`` with ``t - base
+    >= span``, or None."""
+    rank, _flow, times, _retrans, fin, _mal = flow
+    n = len(times)
+    index = bisect_left(times, base + span)
+    while index > 0 and times[index - 1] - base >= span:
+        index -= 1
+    while index < n and times[index] - base < span:
+        index += 1
+    if after is not _BEFORE_ALL:
+        index = max(index, _after(times, rank, 0, n, after))
+    if index < n:
+        return times[index], rank, index
+    if fin is not None and fin - base >= span and (fin, rank, n) > after:
+        return fin, rank, n
+    return None
+
+
+def _reset_thresholds(
+    selector: FlowSelector,
+    rows: _PrefixRows,
+    next_sample: float,
+    last: float,
+    sample_interval: float,
+) -> List[tuple]:
+    """Merge keys at which the per-row replay resets the sample, in order.
+
+    A reset runs at the first sample boundary (taken before the first row
+    at or after it, up to the ``last`` row) or the first of the prefix's
+    ``rows`` (in :meth:`FlowSelector.observe`) whose time is at least the
+    reset interval past the last reset, whichever comes first — a
+    boundary on a tie.  Rows at or after a returned key belong to the
+    sample after that reset.
+    """
+    last_reset = selector._last_reset
+    interval = selector.reset_interval
+    thresholds: List[tuple] = []
+    boundary = next_sample
+    after: Tuple[float, ...] = _BEFORE_ALL
+    while True:
+        while boundary <= last and boundary - last_reset < interval:
+            boundary += sample_interval
+        row = rows.first_due(last_reset, interval, after)
+        if boundary <= last and (row is None or boundary <= row[0]):
+            now = boundary
+            after = (now, -math.inf, -math.inf)
+            boundary += sample_interval
+        elif row is not None:
+            now = row[0]
+            after = row
+        else:
+            return thresholds
+        thresholds.append(after)
+        last_reset += interval * int((now - last_reset) / interval)
+
+
+def _check_rule(
+    monitor: BlinkPrefixMonitor, now: float, decisions: List[Decision]
+) -> Optional[Tuple[float, float]]:
+    """After a row of the prefix at ``now``: ``(base, span)`` such that
+    the first later row with ``t - base >= span`` is the next ignored row
+    whose inference could fire, or None when no ignored row can.
+
+    A probe finishes on the first row past its duration.  A reroute, or
+    a holddown that declined this row, holds inference until the first
+    row past the holddown.  Otherwise inference declined on the
+    retransmitting count, which no ignored row can raise.
+    """
+    if monitor._probe_start is not None:
+        return monitor._probe_start, monitor.probe_duration
+    if decisions or now - monitor._last_reroute_time < monitor.reroute_holddown:
+        return monitor._last_reroute_time, monitor.reroute_holddown
+    return None
+
+
+def _occupant_rows(
+    selector: FlowSelector, flows: Sequence[FlowRows], thresholds: List[tuple]
+) -> Tuple[List[tuple], int]:
+    """Every occupant row of ``flows`` under ``selector``, and the number
+    of cells solved.
+
+    Rows are ``(time, rank, index, retransmission, fin, flow, malicious)``
+    in no particular order.  Each sample between resets (split at
+    ``thresholds``) hashes with its own seed and starts from empty cells
+    — the first from the selector's current cells.  A cell's buckets are
+    dropped once it is solved.
+    """
+    cells = len(selector.cells)
+    epochs = len(thresholds) + 1
+    seeds = [
+        selector.hash_seed + (epoch if selector.reseed_on_reset else 0)
+        for epoch in range(epochs)
+    ]
+    buckets: List[List[List[FlowRows]]] = [[[] for _ in range(cells)] for _ in seeds]
+    for entry in flows:
+        if thresholds:
+            first = _epoch_of(entry, thresholds, 0)
+            last = _epoch_of(entry, thresholds, -1)
+        else:
+            first = last = 0
+        for epoch in range(first, last + 1):
+            if first == last or _epoch_span(entry, thresholds, epoch) is not None:
+                buckets[epoch][entry[1].cell_index(cells, seeds[epoch])].append(entry)
+    out: List[tuple] = []
+    solved = 0
+    timeout = selector.eviction_timeout
+    for epoch, bucket in enumerate(buckets):
+        for index, entries in enumerate(bucket):
+            if not entries:
+                continue
+            if epoch == 0:
+                cell = selector.cells[index]
+                occupant, last_activity = cell.flow, cell.last_activity
+            else:
+                occupant, last_activity = None, 0.0
+            _cell_occupant_rows(
+                _cell_entries(entries, thresholds, epoch),
+                occupant, last_activity, timeout, out,
+            )
+            bucket[index] = []
+            solved += 1
+    return out, solved
+
+
+def _epoch_of(entry: FlowRows, thresholds: List[tuple], which: int) -> int:
+    """The sample of the flow's first (``which=0``) or last (``-1``) row."""
+    rank, _flow, times, _retrans, fin, _mal = entry
+    n = len(times)
+    if which == 0:
+        key = (times[0], rank, 0) if n else (fin, rank, 0)
+    else:
+        key = (fin, rank, n) if fin is not None else (times[-1], rank, n - 1)
+    return bisect_right(thresholds, key)
+
+
+def _epoch_span(
+    entry: FlowRows, thresholds: List[tuple], epoch: int
+) -> Optional[Tuple[int, int, Optional[float]]]:
+    """``(low, high, fin)``: the flow's data rows ``low:high`` in sample
+    ``epoch`` and its FIN time if the FIN falls in it; None for neither."""
+    rank, _flow, times, _retrans, fin, _mal = entry
+    n = len(times)
+    if not thresholds:
+        return 0, n, fin
+    low = _cut(times, rank, thresholds[epoch - 1]) if epoch else 0
+    high = _cut(times, rank, thresholds[epoch]) if epoch < len(thresholds) else n
+    if fin is not None and bisect_right(thresholds, (fin, rank, n)) != epoch:
+        fin = None
+    return (low, high, fin) if low < high or fin is not None else None
+
+
+def _cut(times: Sequence[float], rank: int, threshold: tuple) -> int:
+    """How many of a flow's data rows come before the merge key ``threshold``."""
+    time, threshold_rank, threshold_index = threshold
+    if rank < threshold_rank:
+        return bisect_right(times, time)
+    if rank > threshold_rank:
+        return bisect_left(times, time)
+    return threshold_index  # the row that triggered the reset is this flow's
+
+
+# Fields of a cell entry: one flow's rows in one sample.
+_FIRST, _RANK, _LOW, _HIGH, _FIN, _LAST, _TIMES, _RETRANS, _FLOW, _MAL, _TUPLE = range(11)
+
+
+def _cell_entries(
+    flows: List[FlowRows], thresholds: List[tuple], epoch: int
+) -> List[tuple]:
+    """One cell's flows in one sample as cell entries, in first-row order.
+
+    An entry holds its flow's rows in the sample, its first time and last
+    merge key, and a number per distinct 5-tuple of the cell.
+    """
+    tuples: Dict[FiveTuple, int] = {}
+    entries = []
+    for entry in flows:
+        rank, flow, times, retrans, fin, mal = entry
+        low, high, fin = _epoch_span(entry, thresholds, epoch)  # type: ignore[misc]
+        first = times[low] if low < high else fin
+        if fin is not None:
+            last = (fin, rank, len(times))
+        else:
+            last = (times[high - 1], rank, high - 1)
+        which = tuples.setdefault(flow, len(tuples))
+        entries.append((first, rank, low, high, fin, last, times, retrans, flow, mal, which))
+    entries.sort(key=itemgetter(_FIRST, _RANK))
+    return entries
+
+
+def _cell_occupant_rows(
+    entries: List[tuple],
+    occupant: Optional[FiveTuple],
+    last: float,
+    timeout: float,
+    out: List[tuple],
+) -> None:
+    """Append one cell's occupant rows in one sample to ``out``.
+
+    ``entries`` are the cell's flows (:func:`_cell_entries`),
+    ``occupant``/``last`` the cell's flow and last activity when the
+    sample starts.  The occupant keeps the cell through every row of its
+    5-tuple (repeated 5-tuples are one flow to the selector) until its
+    FIN, or until another flow of the cell sends at or after
+    ``last_activity + timeout``; that row — the earliest in merge order —
+    installs the next occupant.  An empty cell goes to its earliest next
+    row.
+    """
+    groups: Dict[int, List[tuple]] = {}
+    held = -1  # the occupant's 5-tuple number; -1 for an empty cell
+    for entry in entries:
+        groups.setdefault(entry[_TUPLE], []).append(entry)
+        if occupant is not None and held < 0 and entry[_FLOW] == occupant:
+            held = entry[_TUPLE]
+    if occupant is not None and held < 0:
+        held = len(groups)  # an occupant with no rows in this sample
+    live = list(entries)
+    key = _BEFORE_ALL
+    own = _rows_after(groups.get(held, ()), key)
+    upcoming = next(own, None)
+    while True:
+        if held < 0:
+            row = _earliest(live, key, None, timeout, -1)
+        else:
+            row = upcoming
+            if row is None or row[0] - last >= timeout:
+                rival = _earliest(live, key, last, timeout, held)
+                if rival is not None and (row is None or rival < row):
+                    row = rival
+        if row is None:
+            return
+        out.append(row[:7])
+        key = row[:3]
+        last = row[0]
+        if row[4]:  # a FIN empties the cell
+            held = -1
+        elif row[7] != held:  # an install
+            held = row[7]
+            own = _rows_after(groups[held], key)
+            upcoming = next(own, None)
+        else:
+            upcoming = next(own, None)
+
+
+def _rows_after(group: Sequence[tuple], key: tuple) -> Iterator[tuple]:
+    """The rows of one 5-tuple's entries after ``key``, in merge order."""
+    if len(group) == 1:
+        return _entry_rows(group[0], key)
+    return heapq.merge(*(_entry_rows(entry, key) for entry in group))
+
+
+def _entry_rows(entry: tuple, key: tuple) -> Iterator[tuple]:
+    _first, rank, low, high, fin, _last, times, retrans, flow, mal, which = entry
+    for index in range(_after(times, rank, low, high, key), high):
+        yield times[index], rank, index, retrans[index], False, flow, mal, which
+    if fin is not None and (fin, rank, len(times)) > key:
+        yield fin, rank, len(times), False, True, flow, mal, which
+
+
+def _after(times: Sequence[float], rank: int, low: int, high: int, key: tuple) -> int:
+    """First index in ``low:high`` whose row comes after ``key``."""
+    time, key_rank, key_index = key
+    if rank < key_rank:
+        return bisect_right(times, time, low, high)
+    if rank > key_rank:
+        return bisect_left(times, time, low, high)
+    return min(max(low, key_index + 1), high)
+
+
+def _earliest(
+    live: List[tuple], key: tuple, last: Optional[float], timeout: float, held: int
+) -> Optional[tuple]:
+    """The earliest row after ``key`` of a 5-tuple other than ``held``.
+
+    With ``last`` given, only rows at or after ``last + timeout`` count
+    (the eviction test, ``t - last >= timeout``; such a row is after
+    ``key``, whose time is ``last``).  ``live`` is in first-row order,
+    so the scan stops at the first entry starting after the best row;
+    entries with no row after ``key`` are dropped from it for good.
+    """
+    best = None
+    best_time = best_rank = 0.0
+    kept = []
+    scanned = 0
+    for entry in live:
+        first = entry[_FIRST]
+        if best is not None and (
+            first > best_time or (first == best_time and entry[_RANK] > best_rank)
+        ):
+            break
+        scanned += 1
+        if entry[_LAST] <= key:
+            continue
+        kept.append(entry)
+        if entry[_TUPLE] == held:
+            continue
+        times, low, high, fin = entry[_TIMES], entry[_LOW], entry[_HIGH], entry[_FIN]
+        rank = entry[_RANK]
+        if last is None:
+            index = _after(times, rank, low, high, key)
+        else:
+            index = bisect_left(times, last + timeout, low, high)
+            while index > low and times[index - 1] - last >= timeout:
+                index -= 1
+            while index < high and times[index] - last < timeout:
+                index += 1
+        if index < high:
+            row = (times[index], rank, index, entry[_RETRANS][index], False,
+                   entry[_FLOW], entry[_MAL], entry[_TUPLE])
+        elif fin is not None and (
+            fin - last >= timeout if last is not None else (fin, rank, len(times)) > key
+        ):
+            row = (fin, rank, len(times), False, True, entry[_FLOW], entry[_MAL], entry[_TUPLE])
+        else:
+            continue
+        if best is None or row < best:
+            best = row
+            best_time, best_rank = row[0], rank
+    live[:scanned] = kept
+    return best

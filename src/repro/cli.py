@@ -323,6 +323,22 @@ def _write_metrics_out(path: str, registry, **meta: object) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=`` for ``--retries``: out of range is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type=`` for ``--timeout``: out of range is a usage error."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _sweep_jobs(jobs: Optional[int]) -> Optional[int]:
     """Resolve ``--jobs`` (then ``$REPRO_JOBS``, then the CPU count).
 
@@ -361,7 +377,7 @@ def _print_cache_stats(cache) -> None:
 
 def _cmd_sweep(attack: Attack, params: Dict[str, object], args) -> int:
     """``run --seeds ...``: a parallel, cached, checkpointable sweep."""
-    from repro.core.errors import CheckpointError, ConfigurationError
+    from repro.core.errors import CheckpointError
     from repro.runner import (
         ParallelSweepExecutor,
         RegistryAttackFactory,
@@ -381,14 +397,12 @@ def _cmd_sweep(attack: Attack, params: Dict[str, object], args) -> int:
     jobs = _sweep_jobs(args.jobs)
     if jobs is None:
         return 2
-    try:
-        retry = RetryPolicy(max_retries=args.retries)
-    except ConfigurationError as exc:
-        print(f"invalid --retries: {exc}", file=sys.stderr)
-        return 2
     cache = _open_cache(args.cache_dir)
     executor = ParallelSweepExecutor(
-        jobs=jobs, retry=retry, timeout_s=args.timeout, cache=cache
+        jobs=jobs,
+        retry=RetryPolicy(max_retries=args.retries),
+        timeout_s=args.timeout,
+        cache=cache,
     )
 
     from repro import obs
@@ -885,14 +899,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="S",
         help="per-attempt wall-clock budget in seconds",
     )
     run_parser.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="retry transient simulation failures up to N times",

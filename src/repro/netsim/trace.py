@@ -17,12 +17,10 @@ switch) as it is observed.
 
 from __future__ import annotations
 
-import operator
 import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import (
     Callable,
     Deque,
@@ -191,10 +189,9 @@ class StreamingTraceAggregator:
     2-million-record trace ever existing.
 
     A caller that knows each flow's rows up front splits that work:
-    :meth:`observe_batch` takes a whole chunk as parallel columns for
-    the totals, point counts and ring (building records only for the
-    rows the ring keeps), and :meth:`observe_flow` accounts each flow's
-    :class:`FlowStats` once.
+    :meth:`observe_flow` accounts each flow's :class:`FlowStats` once,
+    and :meth:`observe_totals` takes the totals, point counts and ring
+    with only the records the ring keeps.
 
     Like :class:`Trace`, observation times must be non-decreasing.
     """
@@ -298,70 +295,55 @@ class StreamingTraceAggregator:
             if self.sink is not None:
                 self.sink(record)
 
-    def observe_batch(
+    def observe_totals(
         self,
-        times: Sequence[float],
-        flows: Sequence[FiveTuple],
-        sizes: Sequence[int],
-        retransmissions: Sequence[bool],
-        fins: Sequence[bool],
-        malicious: Sequence[bool],
+        packets: int,
+        size: int,
+        retransmissions: int,
+        fins: int,
+        malicious: int,
+        first_time: float,
+        last_time: float,
+        tail: Sequence[TraceRecord] = (),
         observation_point: str = "",
     ) -> None:
-        """Account a chunk of observations given as parallel columns.
+        """Account ``packets`` observations from their totals alone.
 
-        Row ``i`` is ``observe(times[i], flows[i], sizes[i],
-        observation_point, retransmissions[i], fins[i], malicious[i])``
-        minus the per-flow part: the chunk leaves the totals, point
-        counts and ring contents those calls would, and leaves
-        :attr:`flows` alone for :meth:`observe_flow` to account.  A
-        decreasing time raises the same :class:`ValueError` after the
-        rows before it are accounted.  Only the rows the ring keeps
-        become :class:`TraceRecord` objects, so no sink sees the rest:
-        with a sink set this raises :class:`ValueError`.
+        The rows total ``size`` bytes, of which ``retransmissions``,
+        ``fins`` and ``malicious`` are flagged; their times run from
+        ``first_time`` to ``last_time``, and ``tail`` holds their last
+        records in order — at least as many as the ring keeps, which are
+        the only records it takes.  The call leaves the totals, point
+        counts and ring one :meth:`observe` per row would, leaves
+        :attr:`flows` to :meth:`observe_flow`, and, since no other
+        record is ever built, refuses a sink.
         """
         if self.sink is not None:
-            raise ValueError("observe_batch bypasses the sink; it needs sink=None")
-        n = len(times)
-        if not n:
+            raise ValueError("observe_totals bypasses the sink; it needs sink=None")
+        if not packets:
             return
-        bad = self._first_decrease(times)
-        if bad is not None:
-            columns = (times, flows, sizes, retransmissions, fins, malicious)
-            self.observe_batch(*(column[:bad] for column in columns), observation_point)
-            self.observe(  # raises observe's own error for the bad row
-                times[bad],
-                flows[bad],
-                sizes[bad],
-                observation_point,
-                retransmissions[bad],
-                fins[bad],
-                malicious[bad],
+        if len(tail) < min(packets, self.ring_capacity):
+            raise ValueError(
+                f"the ring keeps {self.ring_capacity} records; the tail holds {len(tail)}"
+            )
+        if self.packets and first_time < self.last_time:
+            raise ValueError(
+                f"stream {self.name!r} requires non-decreasing times: "
+                f"{first_time} < {self.last_time}"
             )
         if not self.packets:
-            self.first_time = times[0]
-        self.last_time = times[-1]
-        self.packets += n
-        self.bytes += sum(sizes)
-        self.retransmissions += sum(map(bool, retransmissions))
-        self.fin_rst += sum(map(bool, fins))
-        self.malicious_packets += sum(map(bool, malicious))
+            self.first_time = first_time
+        self.last_time = last_time
+        self.packets += packets
+        self.bytes += size
+        self.retransmissions += retransmissions
+        self.fin_rst += fins
+        self.malicious_packets += malicious
         if observation_point:
             points = self.points
-            points[observation_point] = points.get(observation_point, 0) + n
+            points[observation_point] = points.get(observation_point, 0) + packets
         if self.ring_capacity:
-            self.ring.extend(
-                TraceRecord(
-                    times[i],
-                    flows[i],
-                    sizes[i],
-                    observation_point,
-                    retransmissions[i],
-                    fins[i],
-                    malicious[i],
-                )
-                for i in range(max(0, n - self.ring_capacity), n)
-            )
+            self.ring.extend(tail[-self.ring_capacity:])
 
     def observe_flow(
         self,
@@ -379,7 +361,7 @@ class StreamingTraceAggregator:
         (non-decreasing), flagged by ``retransmissions``, then — unless
         ``fin_time`` is None — a FIN of ``fin_size`` bytes at
         ``fin_time``, no earlier than the last data packet.  Together
-        with :meth:`observe_batch` over every row, calling this per flow
+        with :meth:`observe_totals` over every row, calling this per flow
         in the order of the flows' first rows leaves the state per-row
         :meth:`observe` would; a flow seen again keeps its first time
         and key position, as it would.
@@ -402,19 +384,6 @@ class StreamingTraceAggregator:
             stats.malicious += packets
         if last > stats.last_time:
             stats.last_time = last
-
-    def _first_decrease(self, times: Sequence[float]) -> Optional[int]:
-        """Index of the first of ``times`` that :meth:`observe` would reject."""
-        if not (self.packets and times[0] < self.last_time) and all(
-            map(operator.le, times, islice(times, 1, None))
-        ):
-            return None
-        previous = self.last_time if self.packets else times[0]
-        for index, time in enumerate(times):
-            if time < previous:
-                return index
-            previous = time
-        return None  # only NaN broke the order, and observe accepts NaN
 
     # -- queries ----------------------------------------------------------
 

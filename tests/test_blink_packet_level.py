@@ -33,7 +33,8 @@ from repro.flows.generators import (
     iter_flow_schedules,
 )
 from repro.netsim.events import DEFAULT_SCHEDULER, EventLoop
-from repro.netsim.trace import FlowStats, StreamingTraceAggregator
+from repro.netsim.trace import FlowStats, StreamingTraceAggregator, TraceRecord
+from repro.obs import metrics as obs_metrics
 
 # Small-but-nontrivial scale: ~45k packets, a handful of resets.
 SMALL = dict(horizon=90.0, legitimate_flows=120, malicious_flows=7)
@@ -194,6 +195,26 @@ class TestLoopFreeParity:
                 small_run(seed=1, scheduler=scheduler, fault=TelemetryFault(plan, role="blink"))
             )
         assert outcomes[None] == outcomes["heap"] == outcomes["calendar"]
+
+    def test_solve_counters_repeat_and_add_up(self):
+        """The per-cell solve counts its cells and full-chain rows; with
+        the ignored collisions they make every row, and a rerun repeats
+        them exactly."""
+        snapshots = []
+        for _ in range(2):
+            registry = obs_metrics.MetricRegistry()
+            with obs_metrics.activate(registry):
+                report = small_run(seed=3, cells=16)
+            snapshots.append(registry.snapshot())
+        assert snapshots[0] == snapshots[1]
+        counts = snapshots[0]
+        full_chain = counts["counter.blink.solve.full_chain_rows"]
+        ignored = counts[f"gauge.blink.{obs_metrics.label(report.prefix)}.collisions_ignored"]
+        assert 0 < full_chain < report.packets
+        assert full_chain + ignored == report.packets
+        assert 16 <= counts["counter.blink.solve.cells"] <= 16 * (1 + counts[
+            f"gauge.blink.{obs_metrics.label(report.prefix)}.resets"])
+        assert counts["counter.netsim.merge.records"] == report.packets
 
     def test_default_path_never_enters_the_loop(self, monkeypatch):
         expected = _single_shard_baseline("calendar")
@@ -413,10 +434,22 @@ class TestPerFlowTraceAccounting:
         assert merged == per_row
 
     def test_per_flow_needs_no_sink(self):
-        """observe_batch builds records only for the ring, so it refuses a
-        sink instead of skipping it silently."""
+        """observe_totals takes only the records the ring keeps, so it
+        refuses a sink instead of skipping it silently."""
         aggregator = StreamingTraceAggregator(sink=lambda record: None)
         with pytest.raises(ValueError, match="sink"):
-            aggregator.observe_batch([0.0], [EDGE_SPECS[0].flow], [1], [False],
-                                     [False], [False])
+            aggregator.observe_totals(1, 1500, 0, 0, 0, 0.0, 0.0)
         assert aggregator.packets == 0
+
+    def test_totals_need_the_ring_tail(self):
+        """observe_totals takes the ring's records from its caller, so a
+        tail shorter than what the ring keeps is refused."""
+        aggregator = StreamingTraceAggregator(ring_capacity=4)
+        record = TraceRecord(1.0, EDGE_SPECS[0].flow, 1500, "ingress")
+        with pytest.raises(ValueError, match="ring keeps 4"):
+            aggregator.observe_totals(3, 4500, 0, 0, 0, 0.0, 1.0, [record, record])
+        assert aggregator.packets == 0
+        aggregator.observe_totals(3, 4500, 0, 0, 0, 0.0, 1.0, [record] * 3, "ingress")
+        assert (aggregator.packets, len(aggregator.ring), aggregator.points) == (
+            3, 3, {"ingress": 3}
+        )

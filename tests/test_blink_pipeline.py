@@ -1,12 +1,16 @@
 """Tests for the Blink pipeline: inference, rerouting, replay modes."""
 
 import functools
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from repro.blink.packet_level import flow_rows
 from repro.blink.pipeline import BlinkPrefixMonitor, BlinkSwitch
+from repro.core.errors import ConfigurationError
 from repro.core.entities import Signal, SignalKind
 from repro.core.system import RecordingSystem
 from repro.flows.flow import FiveTuple
@@ -471,8 +475,9 @@ FAST_PATH_WORKLOADS = {
 
 
 class TestFeedBatchFastPath:
-    """Rows the selector ignores skip the ingest chain in feed_batch;
-    every outcome must still be per-record feed's."""
+    """feed_batch over any chunking is per-record feed, on workloads
+    whose ignored rows release a reroute, finish a probe and meet a
+    reset (TestFeedFlowsOracle runs the per-cell solve on them too)."""
 
     def test_workloads_hit_their_targets(self):
         rows, hops, interval, kwargs = _holddown_workload()
@@ -606,3 +611,173 @@ class TestFeedBatchFastPath:
             ]
 
         assert outcome(True) == outcome(False)
+
+
+def _oracle_flow(which):
+    """A new 5-tuple object: 0-5 distinct flows to the prefix, 6-8 equal to
+    0-2 (one flow to the selector), 9 outside the prefix."""
+    if which == 9:
+        return FiveTuple("10.9.9.9", "203.0.113.5", 4000, 443)
+    which %= 6
+    return FiveTuple(f"10.1.{which}.{which + 1}", "198.51.100.7", 2000 + 13 * which, 443)
+
+
+def _merged_records(flows):
+    """The rows of ``flows`` in (time, rank, index) order, as records."""
+    rows = []
+    for rank, flow, times, flags, fin, mal in flows:
+        rows += [(t, rank, i, flow, bool(flags[i]), False, mal) for i, t in enumerate(times)]
+        if fin is not None:
+            rows.append((fin, rank, len(times), flow, False, True, mal))
+    rows.sort(key=lambda row: row[:3])
+    return [TraceRecord(t, flow, 1500, "", retrans, fin, mal)
+            for t, _rank, _index, flow, retrans, fin, mal in rows]
+
+
+def _flows_outcome(flows, solve, next_hops, sample_interval, split=None, **monitor_kwargs):
+    """Everything a replay of ``flows`` leaves: per record through
+    ``feed``, or through ``feed_flows``; with ``split``, the rows before
+    it go through ``feed`` first either way."""
+    switch = BlinkSwitch({PREFIX: next_hops}, **monitor_kwargs)
+    session = switch.replay_session(sample_interval=sample_interval)
+    registry = obs_metrics.MetricRegistry()
+    with obs.activate(obs.Tracer(), registry) as tracer:
+        if split is not None:
+            for record in _merged_records(flows):
+                if record.time < split:
+                    session.feed(record)
+            flows = [
+                (rank, flow, times[bisect_left(times, split):],
+                 flags[bisect_left(times, split):],
+                 fin if fin is not None and fin >= split else None, mal)
+                for rank, flow, times, flags, fin, mal in flows
+            ]
+        if solve:
+            session.feed_flows(flows)
+        else:
+            for record in _merged_records(flows):
+                session.feed(record)
+        series = session.finish()[PREFIX]
+    monitor = switch.monitors[PREFIX]
+    metrics = registry.snapshot()
+    # The solve's own counters; the per-record path has none.
+    for name in ("counter.blink.solve.cells", "counter.blink.solve.full_chain_rows"):
+        metrics.pop(name, None)
+    return {
+        "series": (series.times, series.values),
+        "packets": session.packets,
+        "decisions": list(switch.decisions),
+        "reroutes": list(monitor.reroutes),
+        "stats": monitor.selector.stats,
+        "state": monitor.state(),
+        "hash_seed": monitor.selector.hash_seed,
+        "metrics": metrics,
+        "events": [(event.kind, event.fields) for event in tracer.events],
+    }
+
+
+def _rows_as_flows(rows):
+    """Each row of a FAST_PATH_WORKLOADS workload as a one-row flow."""
+    return [
+        (rank, flow, [] if fin else [time], [] if fin else [retrans],
+         time if fin else None, False)
+        for rank, (time, flow, retrans, fin) in enumerate(rows)
+    ]
+
+
+#: Times on a 0.5 s grid, so gaps equal the 2 s eviction timeout, the
+#: holddowns and the reset intervals exactly.
+_GRID = st.integers(min_value=0, max_value=24).map(lambda k: k * 0.5)
+
+
+class TestFeedFlowsOracle:
+    """feed_flows solves Blink per cell; everything it leaves must be
+    what per-record feed over the merged rows leaves."""
+
+    @pytest.mark.parametrize("name", sorted(FAST_PATH_WORKLOADS))
+    def test_targeted_workloads(self, name):
+        rows, hops, interval, kwargs = FAST_PATH_WORKLOADS[name]()
+        flows = _rows_as_flows(rows)
+        expected = _flows_outcome(flows, False, hops, interval, **kwargs)
+        assert _flows_outcome(flows, True, hops, interval, **kwargs) == expected
+
+    @given(
+        shape=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),  # 5-tuple
+                _GRID,                                   # first time
+                st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]), max_size=6),
+                st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0])),  # FIN gap
+                st.booleans(),                           # malicious
+                st.integers(min_value=0, max_value=3),   # retransmission pattern
+            ),
+            max_size=16,
+        ),
+        order=st.randoms(use_true_random=False),
+        cells=st.sampled_from([1, 2, 3, 5]),
+        sample_interval=st.sampled_from([0.5, 1.0, 3.0]),
+        holddown=st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+        reset_interval=st.sampled_from([2.5, 4.0, 510.0]),
+        probe=st.booleans(),
+        hash_seed=st.sampled_from([0, 5]),
+        split=st.one_of(st.none(), _GRID),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_flows(
+        self, shape, order, cells, sample_interval, holddown, reset_interval, probe,
+        hash_seed, split,
+    ):
+        ranks = list(range(len(shape)))
+        order.shuffle(ranks)
+        flows = []
+        for rank, (which, start, gaps, fin_gap, mal, pattern) in zip(ranks, shape):
+            # No gaps: a FIN-only flow, or a silent one without a FIN.
+            times = list(accumulate(gaps, initial=start))[1:]
+            flags = [(i * pattern) % 3 == 1 for i in range(len(times))]
+            fin = None if fin_gap is None else (times[-1] if times else start) + fin_gap
+            flows.append((rank, _oracle_flow(which), times, flags, fin, mal))
+        hops = ["nh1", "nh2", "nh3", "nh4"] if probe else ["nh1", "nh2"]
+        kwargs = dict(
+            cells=cells,
+            reroute_holddown=holddown,
+            reset_interval=reset_interval,
+            probe_backups=probe,
+            probe_duration=1.0,
+            hash_seed=hash_seed,
+            failure_threshold_fraction=0.5,
+        )
+        expected = _flows_outcome(flows, False, hops, sample_interval, split, **kwargs)
+        stats = expected["stats"]
+        event(f"reroutes={min(len(expected['reroutes']), 2)}")
+        event(f"probed={any(r.probe_counts for r in expected['reroutes'])}")
+        event(f"resets={min(stats.resets, 2)}")
+        event(f"timeout evictions={stats.evictions_inactive > 0}")
+        assert _flows_outcome(flows, True, hops, sample_interval, split, **kwargs) == expected
+
+    def test_attack_workload(self):
+        """The small attack trace's flows, ranked by spec index as
+        emit_trace ties them: the per-record replay of these rows is
+        that trace's, and reroutes on 16 cells."""
+        specs = blink_attack_workload(
+            PREFIX, horizon=20.0, legitimate_flows=60, malicious_flows=30,
+            duration_model=DurationDistribution(median=3.0), seed=0,
+        )[0]
+        ranks = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+        flows = list(flow_rows([specs[i] for i in ranks], 2, ranks=ranks))
+        assert _merged_records(flows) == [
+            TraceRecord(r.time, r.flow, 1500, "", r.is_retransmission, r.is_fin_or_rst,
+                        r.malicious_ground_truth)
+            for r in _small_attack_trace()
+        ]
+        expected = _flows_outcome(flows, False, ["nh1", "nh2"], 0.5, cells=16)
+        assert len(expected["reroutes"]) >= 1
+        assert _flows_outcome(flows, True, ["nh1", "nh2"], 0.5, cells=16) == expected
+
+    def test_needs_one_bare_prefix(self):
+        flows = [(0, _flow(1), [0.0], [False], None, False)]
+        for switch in (
+            BlinkSwitch({PREFIX: ["nh1"]}, supervise=RecordingSystem),
+            BlinkSwitch({PREFIX: ["nh1"], "203.0.113.0/24": ["nh1"]}),
+        ):
+            with pytest.raises(ConfigurationError, match="one unsupervised prefix"):
+                switch.replay_session().feed_flows(flows)

@@ -116,6 +116,21 @@ class TestUsageErrors:
             assert "requires --seeds" in proc.stderr, flags
         assert not cache.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--retries", "-1"], ["--timeout", "0"], ["--timeout", "-2.5"], ["--timeout", "nan"]],
+        ids=["retries=-1", "timeout=0", "timeout=-2.5", "timeout=nan"],
+    )
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "seeds"])
+    def test_out_of_range_resilience_flags(self, flags, sweep):
+        """Both the single run and the --seeds sweep reject these in
+        argparse, before any attack runs."""
+        seeds = ["--seeds", "0"] if sweep else []
+        proc = run_cli("run", "blink-analytical", "-p", "runs=1", *seeds, *flags)
+        assert proc.returncode == 2, proc.stderr
+        assert f"argument {flags[0]}: must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_scenario_jobs_zero_is_a_jobs_error(self):
         proc = run_cli("scenarios", "run", "pcc-diurnal-sway", "--jobs", "0")
         assert proc.returncode == 2

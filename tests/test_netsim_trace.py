@@ -201,7 +201,7 @@ def _chunks(columns, cuts):
 
 
 def _state(agg):
-    """Everything but the per-flow stats, which observe_batch leaves alone."""
+    """Everything but the per-flow stats, which observe_totals leaves alone."""
     summary = agg.summary()
     summary.pop("flows")
     return summary, list(agg.points.items()), agg.recent()
@@ -212,8 +212,25 @@ def _observe_rows(agg, columns, point):
         agg.observe(time, flow, size, point, retrans, fin, bad)
 
 
+def _observe_totals(agg, chunk, point):
+    """One observe_totals call for the rows of ``chunk``, handing it only
+    the records its ring keeps."""
+    times, flows, sizes, retrans, fins, malicious = chunk
+    if not times:
+        return
+    tail = [
+        TraceRecord(*row[:3], point, *row[3:])
+        for row in list(zip(*chunk))[-agg.ring_capacity:] if agg.ring_capacity
+    ]
+    agg.observe_totals(
+        len(times), sum(sizes), sum(retrans), sum(fins), sum(malicious),
+        times[0], times[-1], tail, point,
+    )
+
+
 class TestObserveBatch:
-    """observe_batch over any chunking is per-row observe, minus the
+    """observe_totals over any chunking, given each chunk's totals and
+    only the records the ring keeps, is per-row observe, minus the
     per-flow stats (observe_flow's job, checked against per-row observe
     in tests/test_blink_packet_level.py)."""
 
@@ -230,7 +247,7 @@ class TestObserveBatch:
         _observe_rows(per_row, columns, point)
         batched = StreamingTraceAggregator("s", ring_capacity=capacity)
         for chunk in _chunks(columns, cuts):
-            batched.observe_batch(*chunk, point)
+            _observe_totals(batched, chunk, point)
         assert _state(batched) == _state(per_row)
         assert batched.flows == {}
 
@@ -241,30 +258,21 @@ class TestObserveBatch:
     )
     @settings(max_examples=60, deadline=None)
     def test_decreasing_time_raises_the_same_error(self, rows, data, capacity):
+        """A chunk that starts before the stream's last time raises the
+        error per-row observe raises at that row, with the rows before
+        it accounted and none of the chunk's."""
         columns = _columns(rows)
         bad = data.draw(st.integers(min_value=1, max_value=len(rows) - 1))
-        columns[0][bad] = columns[0][bad - 1] - data.draw(
-            st.sampled_from([0.5, 1e-9, 10.0])
-        )
-        cuts = data.draw(st.lists(st.integers(min_value=0, max_value=len(rows)), max_size=4))
+        drop = data.draw(st.sampled_from([0.5, 1e-9, 10.0]))
+        columns[0][bad:] = [time - columns[0][bad] + columns[0][bad - 1] - drop
+                            for time in columns[0][bad:]]
         per_row = StreamingTraceAggregator("s", ring_capacity=capacity)
         with pytest.raises(ValueError) as expected:
             _observe_rows(per_row, columns, "p")
         batched = StreamingTraceAggregator("s", ring_capacity=capacity)
         with pytest.raises(ValueError) as raised:
-            for chunk in _chunks(columns, cuts):
-                batched.observe_batch(*chunk, "p")
+            for chunk in _chunks(columns, [bad]):
+                _observe_totals(batched, chunk, "p")
         assert str(raised.value) == str(expected.value)
         assert _state(batched) == _state(per_row)
-
-    def test_sink_sees_every_row(self):
-        """A sink on per-row observe sees the records the batch builds."""
-        columns = _columns([(0.5, i % 3, 1500, i % 4 == 0, False, i % 2 == 0) for i in range(20)])
-        seen = []
-        _observe_rows(
-            StreamingTraceAggregator(ring_capacity=0, sink=seen.append), columns, "ingress"
-        )
-        batched = StreamingTraceAggregator(ring_capacity=64)
-        batched.observe_batch(*columns, "ingress")
-        assert batched.recent() == seen and len(seen) == 20
 
