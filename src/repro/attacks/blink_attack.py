@@ -198,16 +198,17 @@ class BlinkCaptureAttack(Attack):
         switch = BlinkSwitch(
             {prefix: ["nh-primary", "nh-backup"]}, cells=cells, supervise=supervise
         )
-        # No trace of the whole workload is ever built.  A bare monitor
-        # gets every flow's rows at once and solves its selector per
-        # cell; a supervisor, or a telemetry fault drawing once per
-        # record, gets the packets merged in time order, in column chunks.
+        # No trace of the whole workload is ever built.  The monitor,
+        # bare or under supervised_blink's decision-only supervisor, gets
+        # every flow's rows at once and solves its selector per cell; a
+        # telemetry fault draws once per record, so it gets the packets
+        # merged in time order, in column chunks.
         session = switch.replay_session(sample_interval=sample_interval)
         records = malicious_records = 0
         with obs.span(
             "blink.replay_trace", flows=len(specs), prefixes=len(switch.monitors)
         ):
-            if telemetry_fault is None and supervise is None:
+            if telemetry_fault is None:
                 flows, zeros = [], {}
                 for flow in flow_rows(ordered, seed + 2, ranks=ranks):
                     _rank, _tuple, times, _flags, fin, malicious = flow

@@ -34,8 +34,9 @@ engine orders the stream depends on the run:
 These are keyword arguments only — no command-line flag or environment
 variable selects them, and no registered attack runs this driver.
 ``blink-capture-packet-level`` shares the loop-free path's feed
-instead: :func:`flow_rows` for a bare monitor, :func:`merged_columns`
-and :func:`feed_columns` under a supervisor or a telemetry fault.
+instead: :func:`flow_rows` for a bare or decision-only supervised
+monitor, :func:`merged_columns` and :func:`feed_columns` under a
+telemetry fault.
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,

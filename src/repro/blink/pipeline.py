@@ -39,6 +39,7 @@ from repro.blink.selector import FlowSelector
 from repro.core.entities import Signal, SignalKind
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import TimeSeries
+from repro.core.supervisor import SupervisedDriver
 from repro.core.system import DataDrivenSystem, Decision, SystemState
 from repro.flows.flow import FiveTuple, ip_in_prefix
 from repro.netsim.packet import Packet, Protocol, TcpFlags
@@ -347,6 +348,30 @@ class BlinkSwitch:
         # every packet re-parses ip_network() strings.
         self._prefix_cache: Dict[str, Optional[str]] = {}
 
+    def _solve_target(
+        self,
+    ) -> Optional[Tuple[BlinkPrefixMonitor, Optional[SupervisedDriver]]]:
+        """What :meth:`TraceReplaySession.feed_flows` can solve: the one
+        monitor and its supervisor (None when bare).  None unless the
+        switch has one prefix, driven by its bare monitor or by a plain,
+        decision-only :class:`~repro.core.supervisor.SupervisedDriver`
+        over it that is not degraded (a subclass may change what
+        ``observe`` does)."""
+        if len(self.monitors) != 1:
+            return None
+        prefix, monitor = next(iter(self.monitors.items()))
+        driver = self.drivers[prefix]
+        if driver is monitor:
+            return monitor, None
+        if (
+            type(driver) is not SupervisedDriver
+            or driver.driver is not monitor
+            or not driver.decision_only
+            or driver.supervisor.is_degraded
+        ):
+            return None
+        return monitor, driver
+
     def prefix_for(self, destination: str) -> Optional[str]:
         cache = self._prefix_cache
         try:
@@ -602,7 +627,18 @@ class TraceReplaySession:
         yields, and this call has exactly the effect of one :meth:`feed`
         per row of that stream: same samples, decisions, reroutes,
         selector statistics, ``state()`` and obs events.  The switch must
-        have one prefix, unsupervised.
+        have one prefix, bare or under a plain
+        :class:`~repro.core.supervisor.SupervisedDriver` that is
+        ``decision_only`` and not degraded; any other raises
+        :class:`ConfigurationError`.
+        Each decision then passes
+        :meth:`~repro.core.supervisor.SupervisedDriver.screen` at the
+        state of its row, with the same verdicts, suppressions and audit
+        trail as per-row feeding, and the supervisor's last signal time
+        ends at the prefix's last row.  Its model may read ``state()``
+        and the selector's ``retransmission_gaps``, which only occupant
+        rows move, but not ``collisions_ignored`` or :attr:`packets`:
+        those are settled when the call ends.
 
         No merged stream is built.  Between two sample resets a flow
         touches one cell only, so each cell is solved on its own (see
@@ -617,9 +653,12 @@ class TraceReplaySession:
         resets are found the same way, by bisecting each flow's times.
         """
         switch = self.switch
-        if len(switch.monitors) != 1 or not switch._ingest:
-            raise ConfigurationError("feed_flows needs one unsupervised prefix")
-        monitor = next(iter(switch.monitors.values()))
+        target = switch._solve_target()
+        if target is None:
+            raise ConfigurationError(
+                "feed_flows needs one prefix, bare or under a decision-only supervisor"
+            )
+        monitor, supervised = target
         selector = monitor.selector
         prefix_for = switch.prefix_for
         inside: List[FlowRows] = []
@@ -662,6 +701,13 @@ class TraceReplaySession:
         ingest = monitor.ingest
         release = switch._release
 
+        def release_screened(decisions: List[Decision]) -> None:
+            """Release what the supervisor, if any, lets through."""
+            if supervised is not None:
+                decisions = supervised.screen(decisions)
+            if decisions:
+                release(decisions)
+
         def next_check(
             time: float, decisions: List[Decision], key: Tuple[float, int, int]
         ) -> Optional[Tuple[float, int, int]]:
@@ -676,9 +722,10 @@ class TraceReplaySession:
             time = key[0]
             if time >= next_sample:
                 next_sample = self._sample_until(time, next_sample)
+            monitor._now = time  # what ingest() sets; state() reads it
             decisions = monitor._react(time)
             if decisions:
-                release(decisions)
+                release_screened(decisions)
             return next_check(time, decisions, key)
 
         # Merge key of the next ignored row that must run inference, or
@@ -693,7 +740,7 @@ class TraceReplaySession:
                 next_sample = self._sample_until(time, next_sample)
             decisions = ingest(flow, time, retrans, fin, None, mal)
             if decisions:
-                release(decisions)
+                release_screened(decisions)
             pending = next_check(time, decisions, key)
         while pending is not None:
             pending = check(pending)
@@ -704,6 +751,8 @@ class TraceReplaySession:
         selector.stats.collisions_ignored += inside_rows - len(occupants)
         if inside:
             monitor._now = last_inside
+            if supervised is not None:
+                supervised._last_signal_time = last_inside
 
     def _sample_until(self, time: float, next_sample: float) -> float:
         """Take every sample due at or before ``time``; returns the next boundary.

@@ -369,6 +369,30 @@ class SupervisedDriver(DataDrivenSystem):
         self._last_signal_time: Optional[float] = None
         self.name = f"supervised({driver.name})"
 
+    @property
+    def decision_only(self) -> bool:
+        """Whether only decisions can change this supervisor: synchronous,
+        with no ``stale_after``, no ``degrade_on_risk`` and no
+        ``raise_on_veto``.
+
+        While such a supervisor is not degraded, a signal that yields no
+        decision only moves :attr:`_last_signal_time`, so a caller that
+        knows every decision of a stream can pass just those through
+        :meth:`screen` (at the driver state of their signal) and set
+        :attr:`_last_signal_time` to the stream's last signal time.  Its
+        model may then read only the driver's ``state()`` and driver
+        statistics that move with the decision-making signals (as
+        ``RtoPlausibilityModel`` reads Blink's ``retransmission_gaps``):
+        such a caller may settle other statistics only when the stream
+        ends.
+        """
+        return (
+            self.synchronous
+            and self.stale_after is None
+            and self.degrade_on_risk is None
+            and not self.raise_on_veto
+        )
+
     def _update_degradation(self, signal: Signal, state: Optional[SystemState]) -> None:
         """Enter/exit degraded mode from signal-stream health.
 
@@ -407,6 +431,18 @@ class SupervisedDriver(DataDrivenSystem):
             return decisions
         state = self.driver.state() if self.degrade_on_risk is not None else None
         self._update_degradation(signal, state)
+        return self.screen(decisions, state) if decisions else []
+
+    def screen(
+        self, decisions: List[Decision], state: Optional[SystemState] = None
+    ) -> List[Decision]:
+        """The synchronous decision filter: returns the ``decisions`` the
+        supervisor (or, while degraded, its policy) releases, each delayed
+        by ``check_latency``; the others go to :attr:`suppressed`.
+
+        ``state`` is the driver's current state if the caller has built
+        it; otherwise it is built when the first decision needs it.
+        """
         released: List[Decision] = []
         for decision in decisions:
             if self.supervisor.is_degraded:

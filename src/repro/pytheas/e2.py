@@ -40,6 +40,10 @@ class DiscountedUcb:
     ``update`` applies the discount ``gamma`` to every arm, then adds
     the new reward — so a batch of adversarial reports both boosts the
     lie and fades the truth.
+
+    Once every arm is explored, ``choose`` draws nothing and reads only
+    the arm statistics, so its answer is kept until the next ``update``
+    (the only writer of :attr:`arms`).
     """
 
     def __init__(
@@ -59,8 +63,11 @@ class DiscountedUcb:
         self.gamma = gamma
         self.exploration = exploration
         self._rng = random.Random(seed)
+        self._best: Optional[str] = None
 
     def choose(self) -> str:
+        if self._best is not None:
+            return self._best
         unexplored = [arm for arm, stats in self.arms.items() if stats.weight == 0.0]
         if unexplored:
             return self._rng.choice(unexplored)
@@ -73,11 +80,13 @@ class DiscountedUcb:
             return stats.mean() + bonus
 
         best_arm, _ = max(self.arms.items(), key=score)
+        self._best = best_arm
         return best_arm
 
     def update(self, arm: str, reward: float) -> None:
         if arm not in self.arms:
             raise ConfigurationError(f"unknown arm {arm!r}")
+        self._best = None
         for stats in self.arms.values():
             stats.weight *= self.gamma
             stats.reward_sum *= self.gamma

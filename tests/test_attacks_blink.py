@@ -139,10 +139,14 @@ def _reference_payload(**params):
     if plan is not None:
         fault = TelemetryFault(plan, role="blink.telemetry")
         trace = fault.degrade_trace(trace)
+    gap = float(params.get("min_plausible_gap", 1.0))
     switch = BlinkSwitch(
         {PREFIX: ["nh-primary", "nh-backup"]},
         cells=cells,
-        supervise=supervised_blink if defended else None,
+        supervise=(
+            (lambda monitor: supervised_blink(monitor, min_plausible_gap=gap))
+            if defended else None
+        ),
     )
     series = switch.replay_trace(
         trace, sample_interval=float(params.get("sample_interval", 1.0))
@@ -216,22 +220,46 @@ class TestMergedFeedParity:
             _WORKLOAD_BRANCH,
             dict(_WORKLOAD_BRANCH, faults=_FAULTS),
             dict(_WORKLOAD_BRANCH, workload="flash-crowd", defended=True, seed=0),
+            dict(_DEFAULT_BRANCH, defended=True, min_plausible_gap=1e-6),
+            dict(_WORKLOAD_BRANCH, workload="flash-crowd", defended=True, seed=0,
+                 min_plausible_gap=1e-6),
+            dict(_WORKLOAD_BRANCH, defended=True),
+            dict(_WORKLOAD_BRANCH, defended=True, faults=_FAULTS),
         ],
         ids=[
             "default", "default-faults", "default-defended",
             "workload", "workload-faults", "flash-crowd-defended",
+            "default-defended-released", "flash-crowd-defended-rate-limited",
+            "workload-defended", "workload-defended-faults",
         ],
     )
     def test_payload_matches_reference(self, params):
+        from repro.obs import metrics as obs_metrics
         from repro.runner.checkpoint import result_payload
 
-        merged = result_payload(BlinkCaptureAttack().execute(Privilege.HOST, **params))
+        registry = obs_metrics.MetricRegistry()
+        with obs_metrics.activate(registry):
+            result = BlinkCaptureAttack().execute(Privilege.HOST, **params)
+        merged = result_payload(result)
         reference = _reference_payload(**params)
         assert _payload_json(merged) == _payload_json(reference)
-        assert merged["details"]["packets"] > 0
+        details = merged["details"]
+        assert details["packets"] > 0
+        # Fault-free runs, defended or not, solve the selector per cell;
+        # a telemetry fault takes the merged feed.
+        solved = registry.snapshot().get("counter.blink.solve.cells", 0)
+        assert (solved > 0) == ("faults" not in params)
         if "faults" in params:
-            assert merged["details"]["telemetry_dropped"] > 0
-            assert merged["details"]["telemetry_garbled"] > 0
+            assert details["telemetry_dropped"] > 0
+            assert details["telemetry_garbled"] > 0
+        if params.get("min_plausible_gap") == 1e-6:
+            assert details["reroutes_released"] >= 1
+        if params.get("workload") == "flash-crowd" and "min_plausible_gap" in params:
+            # Four reroutes inside the 60 s window: the operating range
+            # admits three.
+            assert details["reroute_events"] == 4
+            assert details["reroutes_released"] == 3
+            assert details["reroutes_vetoed"] == 1
 
     def test_equal_times_keep_spec_order(self, monkeypatch):
         """Ties go by spec index on the default branch, not by start.

@@ -12,7 +12,9 @@ from repro.blink.packet_level import flow_rows
 from repro.blink.pipeline import BlinkPrefixMonitor, BlinkSwitch
 from repro.core.errors import ConfigurationError
 from repro.core.entities import Signal, SignalKind
+from repro.core.supervisor import OperatingRange, SupervisedDriver, Supervisor, ThresholdModel
 from repro.core.system import RecordingSystem
+from repro.defenses.blink_defense import supervised_blink
 from repro.flows.flow import FiveTuple
 from repro.flows.generators import DurationDistribution, blink_attack_workload
 from repro.netsim.packet import TcpFlags, tcp_packet
@@ -634,11 +636,14 @@ def _merged_records(flows):
             for t, _rank, _index, flow, retrans, fin, mal in rows]
 
 
-def _flows_outcome(flows, solve, next_hops, sample_interval, split=None, **monitor_kwargs):
+def _flows_outcome(
+    flows, solve, next_hops, sample_interval, split=None, supervise=None, **monitor_kwargs
+):
     """Everything a replay of ``flows`` leaves: per record through
     ``feed``, or through ``feed_flows``; with ``split``, the rows before
-    it go through ``feed`` first either way."""
-    switch = BlinkSwitch({PREFIX: next_hops}, **monitor_kwargs)
+    it go through ``feed`` first either way.  A ``supervise`` wrapper's
+    audit trail, suppressions and last signal time count too."""
+    switch = BlinkSwitch({PREFIX: next_hops}, supervise=supervise, **monitor_kwargs)
     session = switch.replay_session(sample_interval=sample_interval)
     registry = obs_metrics.MetricRegistry()
     with obs.activate(obs.Tracer(), registry) as tracer:
@@ -663,7 +668,7 @@ def _flows_outcome(flows, solve, next_hops, sample_interval, split=None, **monit
     # The solve's own counters; the per-record path has none.
     for name in ("counter.blink.solve.cells", "counter.blink.solve.full_chain_rows"):
         metrics.pop(name, None)
-    return {
+    outcome = {
         "series": (series.times, series.values),
         "packets": session.packets,
         "decisions": list(switch.decisions),
@@ -674,6 +679,15 @@ def _flows_outcome(flows, solve, next_hops, sample_interval, split=None, **monit
         "metrics": metrics,
         "events": [(event.kind, event.fields) for event in tracer.events],
     }
+    driver = switch.drivers[PREFIX]
+    if driver is not monitor:
+        outcome["supervision"] = (
+            list(driver.supervisor.events),
+            list(driver.suppressed),
+            driver.supervisor._allowed_times,
+            driver._last_signal_time,
+        )
+    return outcome
 
 
 def _rows_as_flows(rows):
@@ -689,6 +703,33 @@ def _rows_as_flows(rows):
 #: holddowns and the reset intervals exactly.
 _GRID = st.integers(min_value=0, max_value=24).map(lambda k: k * 0.5)
 
+#: Flow shapes for :func:`_shaped_flows`.
+_SHAPE = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=9),  # 5-tuple
+        _GRID,                                   # first time
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]), max_size=6),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0])),  # FIN gap
+        st.booleans(),                           # malicious
+        st.integers(min_value=0, max_value=3),   # retransmission pattern
+    ),
+    max_size=16,
+)
+
+
+def _shaped_flows(shape, order):
+    """One flow per ``_SHAPE`` entry, ranked in the shuffled ``order``."""
+    ranks = list(range(len(shape)))
+    order.shuffle(ranks)
+    flows = []
+    for rank, (which, start, gaps, fin_gap, mal, pattern) in zip(ranks, shape):
+        # No gaps: a FIN-only flow, or a silent one without a FIN.
+        times = list(accumulate(gaps, initial=start))[1:]
+        flags = [(i * pattern) % 3 == 1 for i in range(len(times))]
+        fin = None if fin_gap is None else (times[-1] if times else start) + fin_gap
+        flows.append((rank, _oracle_flow(which), times, flags, fin, mal))
+    return flows
+
 
 class TestFeedFlowsOracle:
     """feed_flows solves Blink per cell; everything it leaves must be
@@ -702,17 +743,7 @@ class TestFeedFlowsOracle:
         assert _flows_outcome(flows, True, hops, interval, **kwargs) == expected
 
     @given(
-        shape=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=9),  # 5-tuple
-                _GRID,                                   # first time
-                st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]), max_size=6),
-                st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0])),  # FIN gap
-                st.booleans(),                           # malicious
-                st.integers(min_value=0, max_value=3),   # retransmission pattern
-            ),
-            max_size=16,
-        ),
+        shape=_SHAPE,
         order=st.randoms(use_true_random=False),
         cells=st.sampled_from([1, 2, 3, 5]),
         sample_interval=st.sampled_from([0.5, 1.0, 3.0]),
@@ -727,15 +758,7 @@ class TestFeedFlowsOracle:
         self, shape, order, cells, sample_interval, holddown, reset_interval, probe,
         hash_seed, split,
     ):
-        ranks = list(range(len(shape)))
-        order.shuffle(ranks)
-        flows = []
-        for rank, (which, start, gaps, fin_gap, mal, pattern) in zip(ranks, shape):
-            # No gaps: a FIN-only flow, or a silent one without a FIN.
-            times = list(accumulate(gaps, initial=start))[1:]
-            flags = [(i * pattern) % 3 == 1 for i in range(len(times))]
-            fin = None if fin_gap is None else (times[-1] if times else start) + fin_gap
-            flows.append((rank, _oracle_flow(which), times, flags, fin, mal))
+        flows = _shaped_flows(shape, order)
         hops = ["nh1", "nh2", "nh3", "nh4"] if probe else ["nh1", "nh2"]
         kwargs = dict(
             cells=cells,
@@ -779,5 +802,151 @@ class TestFeedFlowsOracle:
             BlinkSwitch({PREFIX: ["nh1"]}, supervise=RecordingSystem),
             BlinkSwitch({PREFIX: ["nh1"], "203.0.113.0/24": ["nh1"]}),
         ):
-            with pytest.raises(ConfigurationError, match="one unsupervised prefix"):
+            with pytest.raises(ConfigurationError, match="needs one prefix, bare or"):
                 switch.replay_session().feed_flows(flows)
+
+
+#: Decision-only supervisors over a monitor.  "rto" is the Section 5
+#: defense with a tight reroute rate limit; "state" reads the monitor's
+#: state() (monitored cells at the decision's time) for every verdict.
+_SUPERVISORS = {
+    "rto": lambda monitor: supervised_blink(
+        monitor, min_plausible_gap=1.0, max_reroutes_per_window=2, window_seconds=5.0
+    ),
+    "state": lambda monitor: SupervisedDriver(
+        monitor,
+        Supervisor(
+            ThresholdModel({"monitored": (0.0, 1.0)}),
+            OperatingRange(max_decisions_per_window=1, window_seconds=3.0),
+        ),
+    ),
+}
+
+
+def _state_at_check_workload():
+    """A reroute released by an ignored row once another cell's flow
+    has timed out: the "state" supervisor sees one monitored flow at the
+    ignored row's time, two at the last occupant row's."""
+    groups = _flows_by_cell(2)
+    a, c = groups[0]
+    b = groups[1][0]
+    rows = [
+        (0.0, b, False, False),  # installs b in the other cell
+        (0.5, a, True, False),   # installs a, retransmits: reroute 1 (vetoed)
+        (1.5, a, True, False),   # a retransmits again, held down
+        (2.0, c, False, False),  # ignored, holddown over, b timed out: reroute 2
+    ]
+    return rows, ["nh1", "nh2"], 5.0, dict(cells=2, reroute_holddown=1.5)
+
+
+#: FAST_PATH_WORKLOADS plus one whose check-row verdict reads state().
+_SUPERVISED_WORKLOADS = dict(FAST_PATH_WORKLOADS, state_at_check=_state_at_check_workload)
+
+
+class TestSupervisedSolve:
+    """feed_flows under a decision-only supervisor: every verdict,
+    suppression and audit event must be what per-record feeding, one
+    Signal per packet through the supervisor, leaves."""
+
+    @pytest.mark.parametrize("supervisor", sorted(_SUPERVISORS))
+    @pytest.mark.parametrize("name", sorted(_SUPERVISED_WORKLOADS))
+    def test_targeted_workloads(self, name, supervisor):
+        rows, hops, interval, kwargs = _SUPERVISED_WORKLOADS[name]()
+        flows = _rows_as_flows(rows)
+        supervise = _SUPERVISORS[supervisor]
+        expected = _flows_outcome(flows, False, hops, interval, supervise=supervise, **kwargs)
+        assert expected["reroutes"]
+        if (name, supervisor) == ("state_at_check", "state"):
+            kinds = [e.kind for e in expected["supervision"][0]]
+            assert kinds == ["veto", "check"]
+        got = _flows_outcome(flows, True, hops, interval, supervise=supervise, **kwargs)
+        assert got == expected
+
+    @given(
+        shape=_SHAPE,
+        order=st.randoms(use_true_random=False),
+        cells=st.sampled_from([1, 2, 3]),
+        holddown=st.sampled_from([0.0, 0.5, 2.0]),
+        reset_interval=st.sampled_from([2.5, 510.0]),
+        probe=st.booleans(),
+        supervisor=st.sampled_from(sorted(_SUPERVISORS)),
+        split=st.one_of(st.none(), _GRID),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_flows(
+        self, shape, order, cells, holddown, reset_interval, probe, supervisor, split
+    ):
+        flows = _shaped_flows(shape, order)
+        hops = ["nh1", "nh2", "nh3", "nh4"] if probe else ["nh1", "nh2"]
+        kwargs = dict(
+            cells=cells,
+            reroute_holddown=holddown,
+            reset_interval=reset_interval,
+            probe_backups=probe,
+            probe_duration=1.0,
+            failure_threshold_fraction=0.5,
+        )
+        expected = _flows_outcome(
+            flows, False, hops, 1.0, split, _SUPERVISORS[supervisor], **kwargs
+        )
+        events, suppressed, _allowed, _last = expected["supervision"]
+        event(f"released={min(len(expected['decisions']), 2)}")
+        event(f"suppressed={min(len(suppressed), 2)}")
+        event(f"range={any(e.kind == 'range-violation' for e in events)}")
+        got = _flows_outcome(flows, True, hops, 1.0, split, _SUPERVISORS[supervisor], **kwargs)
+        assert got == expected
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-6])
+    def test_attack_workload(self, gap):
+        """The small attack trace's flows under supervised_blink: vetoed
+        at the RTO floor, released (and then rate-limited) below it."""
+        specs = blink_attack_workload(
+            PREFIX, horizon=20.0, legitimate_flows=60, malicious_flows=30,
+            duration_model=DurationDistribution(median=3.0), seed=0,
+        )[0]
+        ranks = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
+        flows = list(flow_rows([specs[i] for i in ranks], 2, ranks=ranks))
+
+        def supervise(monitor):
+            return supervised_blink(
+                monitor, min_plausible_gap=gap, max_reroutes_per_window=1
+            )
+
+        expected = _flows_outcome(flows, False, ["nh1", "nh2"], 0.5, supervise=supervise,
+                                  cells=16, reroute_holddown=2.0)
+        kinds = [e.kind for e in expected["supervision"][0]]
+        if gap == 1.0:
+            assert kinds and set(kinds) == {"veto"}
+        else:
+            assert kinds[0] == "check" and "range-violation" in kinds
+        assert _flows_outcome(flows, True, ["nh1", "nh2"], 0.5, supervise=supervise,
+                              cells=16, reroute_holddown=2.0) == expected
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(stale_after=5.0),
+            dict(degrade_on_risk=0.5),
+            dict(raise_on_veto=True),
+            dict(synchronous=False),
+            "degraded",
+            "subclass",
+        ],
+        ids=str,
+    )
+    def test_other_supervisors_take_the_merge(self, shape):
+        class Subclass(SupervisedDriver):
+            """May change what observe() does, so it is not solved."""
+
+        def supervise(monitor):
+            supervisor = Supervisor(ThresholdModel())
+            if shape == "subclass":
+                return Subclass(monitor, supervisor)
+            if shape == "degraded":
+                supervisor.enter_degraded(0.0)
+                return SupervisedDriver(monitor, supervisor)
+            return SupervisedDriver(monitor, supervisor, **shape)
+
+        switch = BlinkSwitch({PREFIX: ["nh1"]}, supervise=supervise)
+        with pytest.raises(ConfigurationError, match="decision-only supervisor"):
+            switch.replay_session().feed_flows([(0, _flow(1), [0.0], [False], None, False)])

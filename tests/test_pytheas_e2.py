@@ -1,5 +1,8 @@
 """Tests for the exploration–exploitation engines."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -64,6 +67,51 @@ class TestDiscountedUcb:
         bandit = DiscountedUcb(["a", "b"], seed=4)
         bandit.update_batch({"a": [50.0, 60.0], "b": [10.0]})
         assert bandit.means()["a"] > bandit.means()["b"]
+
+
+def _ucb_argmax(bandit):
+    """The discounted-UCB arm computed from the arm statistics alone."""
+    total = sum(stats.weight for stats in bandit.arms.values())
+    log_total = math.log(max(total, math.e))
+    return max(
+        bandit.arms,
+        key=lambda arm: bandit.arms[arm].mean()
+        + bandit.exploration * math.sqrt(log_total / bandit.arms[arm].weight),
+    )
+
+
+class TestChooseMemo:
+    """choose() keeps its answer between updates; it must be the answer a
+    fresh computation gives, and draw exactly as an uncached one."""
+
+    def test_choose_after_update_recomputes(self):
+        bandit = DiscountedUcb(["a", "b", "c"], gamma=0.9, exploration=2.0, seed=5)
+        for arm in ("a", "b", "c"):
+            bandit.update(arm, 50.0)
+        rewards = random.Random(7)
+        seen = set()
+        for _ in range(200):
+            picks = {bandit.choose() for _ in range(3)}
+            assert picks == {_ucb_argmax(bandit)}
+            seen |= picks
+            # Rewards far apart, so the argmax moves between arms.
+            arm = rewards.choice(sorted(bandit.arms))
+            bandit.update(arm, rewards.choice([0.0, 100.0]))
+        assert seen == {"a", "b", "c"}
+
+    def test_unexplored_arms_draw_on_every_call(self):
+        bandit = DiscountedUcb(["a", "b", "c"], seed=9)
+        bandit.update("a", 10.0)
+        reference = random.Random(9)
+        picks = [bandit.choose() for _ in range(25)]
+        assert picks == [reference.choice(["b", "c"]) for _ in range(25)]
+        assert bandit._rng.getstate() == reference.getstate()
+        # Exploring the rest ends the draws.
+        bandit.update("b", 10.0)
+        bandit.update("c", 10.0)
+        for _ in range(5):
+            assert bandit.choose() == _ucb_argmax(bandit)
+        assert bandit._rng.getstate() == reference.getstate()
 
 
 class TestEpsilonGreedy:
