@@ -20,13 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.blink.analysis import fig2_headline
 from repro.blink.constants import DEFAULT_CELLS
-from repro.blink.packet_level import (
-    blink_attack_specs,
-    compact_rows,
-    feed_columns,
-    flow_rows,
-    merged_columns,
-)
+from repro.blink.packet_level import blink_attack_specs, feed_specs
 from repro.blink.pipeline import BlinkSwitch
 from repro.core.attack import Attack, AttackResult
 from repro.core.entities import Capability, Impact, Privilege, Target
@@ -36,7 +30,6 @@ from repro.flows.generators import (
     malicious_flow_schedule,
     summarize_packets,
 )
-from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
 
@@ -198,34 +191,18 @@ class BlinkCaptureAttack(Attack):
         switch = BlinkSwitch(
             {prefix: ["nh-primary", "nh-backup"]}, cells=cells, supervise=supervise
         )
-        # No trace of the whole workload is ever built.  The monitor,
-        # bare or under supervised_blink's decision-only supervisor, gets
-        # every flow's rows at once and solves its selector per cell; a
-        # telemetry fault draws once per record, so it gets the packets
-        # merged in time order, in column chunks.
+        # No trace of the whole workload is ever built: the packet-level
+        # driver's loop-free feed solves the monitor, bare or under
+        # supervised_blink's decision-only supervisor, per cell, and
+        # takes a telemetry fault record by record.
         session = switch.replay_session(sample_interval=sample_interval)
-        records = malicious_records = 0
         with obs.span(
             "blink.replay_trace", flows=len(specs), prefixes=len(switch.monitors)
         ):
-            if telemetry_fault is None:
-                flows, zeros = [], {}
-                for flow in flow_rows(ordered, seed + 2, ranks=ranks):
-                    _rank, _tuple, times, _flags, fin, malicious = flow
-                    rows = len(times) + (fin is not None)
-                    records += rows
-                    malicious_records += rows if malicious else 0
-                    flows.append(compact_rows(flow, zeros))
-                session.feed_flows(flows)
-            else:
-                for columns in merged_columns(ordered, seed + 2, ranks=ranks):
-                    records += len(columns[0])
-                    malicious_records += sum(columns[4])
-                    feed_columns(session, telemetry_fault, *columns)
+            records, malicious_records = feed_specs(
+                session, ordered, seed + 2, ranks=ranks, fault=telemetry_fault
+            )
             series = session.finish()[prefix]
-        # The same merge counters as the packet-level driver's.
-        obs_metrics.inc("netsim.merge.records", records)
-        obs_metrics.inc("netsim.merge.flow_starts", len(ordered))
         # The workload as generated; ``packets`` below counts what Blink
         # saw after the telemetry fault.
         summary = summarize_packets(specs, records, malicious_records)

@@ -20,8 +20,10 @@ engine orders the stream depends on the run:
   :meth:`~repro.blink.pipeline.BlinkSwitch.replay_trace` over the
   loop's order.  A :class:`~repro.faults.injectors.TelemetryFault`
   draws once per record, so a fault run instead merges the schedules
-  with :func:`~repro.flows.generators.merge_flow_packets` and feeds
-  both in chunks.  ``PacketLevelReport.scheduler`` reads ``"merge"``.
+  with :func:`~repro.flows.generators.merge_flow_packets` and hands
+  each record to the aggregator and, through the fault, to Blink, as
+  the event loop's sink does.  ``PacketLevelReport.scheduler`` reads
+  ``"merge"``.
 * **Event loop — the reference.**  ``preload`` or a named
   ``scheduler=`` runs the flows through an
   :class:`~repro.netsim.events.EventLoop`:
@@ -34,9 +36,8 @@ engine orders the stream depends on the run:
 These are keyword arguments only — no command-line flag or environment
 variable selects them, and no registered attack runs this driver.
 ``blink-capture-packet-level`` shares the loop-free path's feed
-instead: :func:`flow_rows` for a bare or decision-only supervised
-monitor, :func:`merged_columns` and :func:`feed_columns` under a
-telemetry fault.
+instead: :func:`feed_specs` turns start-ordered specs into Blink's
+input for both.
 
 The resulting :class:`PacketLevelReport` carries a canonical
 ``report_hash`` over everything deterministic (series, outcomes,
@@ -56,13 +57,12 @@ import time as _wallclock
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.blink.pipeline import BlinkSwitch, FlowRows, TraceReplaySession
 from repro.core.errors import SimulationError
 from repro.core.metrics import first_crossing_time
-from repro.flows.flow import FiveTuple
 from repro.flows.generators import (
     DurationDistribution,
     FlowSpec,
@@ -83,13 +83,6 @@ from repro.obs import tracer as obs
 #: trace rendering.
 DATA_PACKET_BYTES = 1500
 FIN_PACKET_BYTES = 40
-
-#: Records per hand-off to the aggregator and Blink on the loop-free path.
-MERGE_CHUNK = 4096
-
-#: Merged records transposed into columns at a time: below the garbage
-#: collector's default young-generation threshold (700 allocations).
-MERGE_SLICE = 512
 
 #: ``PacketLevelReport.scheduler`` on the loop-free path.
 MERGE_SCHEDULER = "merge"
@@ -223,7 +216,6 @@ def packet_level_experiment(
     sample_interval: float = 2.0,
     cells: int = 64,
     retransmission_window: float = 2.0,
-    with_blink: bool = True,
     with_trace: bool = True,
     preload: bool = False,
     ring_capacity: int = 256,
@@ -247,11 +239,9 @@ def packet_level_experiment(
         shard_crash_flag: optional crash-flag file path consumed by one
             shard worker (chaos drills; see
             :func:`repro.faults.process.consume_crash_flag`).
-        with_blink: when False, only the workload + streaming
-            aggregation runs (no Blink pipeline).
-        with_trace: when False (implies ``with_blink=False``), even the
-            streaming aggregator is skipped and packets are merely
-            counted — the pure engine-throughput configuration the
+        with_trace: when False, neither Blink nor the streaming
+            aggregator runs and packets are merely counted — the pure
+            engine-throughput configuration the
             ``blink_packet_level_events`` bench record measures, where
             per-event cost is scheduling + dispatch alone.
         preload: bulk-load every flow's packet schedule into the queue
@@ -291,11 +281,10 @@ def packet_level_experiment(
         seed=seed,
     )
 
-    if not with_trace:
-        with_blink = False
     switch: Optional[BlinkSwitch] = None
-    session = None
-    if with_blink:
+    session: Optional[TraceReplaySession] = None
+    aggregator: Optional[StreamingTraceAggregator] = None
+    if with_trace:
         switch = BlinkSwitch(
             {destination_prefix: ["nh-primary", "nh-backup"]},
             cells=cells,
@@ -310,16 +299,11 @@ def packet_level_experiment(
                     return
             session.feed(record)
 
-    else:
-        sink = None  # type: ignore[assignment]
-
-    aggregator: Optional[StreamingTraceAggregator] = None
-    if with_trace:
         aggregator = StreamingTraceAggregator(
             name="blink-attack",
             ring_capacity=ring_capacity,
-            # The loop-free path hands the aggregator and Blink whole
-            # chunks side by side instead of chaining them per record.
+            # The loop-free path feeds the aggregator and Blink side by
+            # side (feed_specs) instead of chaining them per record.
             sink=None if loop_free else sink,
         )
         observe = aggregator.observe
@@ -439,7 +423,7 @@ def packet_level_experiment(
     decisions = 0
     times: Tuple[float, ...] = ()
     values: Tuple[float, ...] = ()
-    if switch is not None and session is not None:
+    if switch is not None:
         series = session.finish()[destination_prefix]
         times, values = series.times, series.values
         crossing = first_crossing_time(times, values, threshold)
@@ -493,49 +477,132 @@ def _run_merged(
     could fall inside it.  Returns ``(events, records)``, where
     ``events`` counts what the loop would have dispatched: every record
     plus one flow-start per admitted flow.
-
-    The aggregator accounts each flow once (:meth:`~repro.netsim.trace.
-    StreamingTraceAggregator.observe_flow`) and the run's totals and ring
-    tail once (:func:`_account_totals`), and Blink solves its selector
-    per cell (:meth:`~repro.blink.pipeline.TraceReplaySession.
-    feed_flows`), so without a fault the rows are never merged.  A
-    :class:`~repro.faults.injectors.TelemetryFault` draws from its RNG
-    once per record in merge order, so a fault run merges the flows'
-    schedules again for Blink and feeds it in chunks.
     """
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
     admitted = [specs[i] for i in order if specs[i].start <= horizon]
-    starts = len(admitted)
-    records = 0
-    flows: List[FlowRows] = []
-    zeros: Dict[int, bytes] = {}
-    for flow in flow_rows(admitted, seed, horizon=horizon):
-        _rank, five_tuple, times, flags, fin, malicious = flow
-        rows = len(times) + (fin is not None)
-        if not rows:
-            continue
-        records += rows
-        if records + starts >= MAX_EVENTS:
-            raise SimulationError(
-                f"exceeded max_events={MAX_EVENTS} before reaching t={horizon}",
-                sim_time=times[-1] if fin is None else fin,
-            )
-        if aggregator is None:  # no trace, so no Blink either
-            continue
-        aggregator.observe_flow(
-            five_tuple, times, flags, DATA_PACKET_BYTES, fin, FIN_PACKET_BYTES, malicious
-        )
-        flows.append(compact_rows(flow, zeros))
-    if aggregator is not None:
-        _account_totals(aggregator, flows)
-    if session is not None and fault is None:
-        session.feed_flows(flows)
-    elif session is not None:
-        for columns in merged_columns(admitted, seed, horizon=horizon):
-            feed_columns(session, fault, *columns)
+    records, _malicious = feed_specs(
+        session, admitted, seed, horizon=horizon, fault=fault, aggregator=aggregator
+    )
+    return records + len(admitted), records
+
+
+def feed_specs(
+    session: Optional[TraceReplaySession],
+    specs: Sequence[FlowSpec],
+    seed: int,
+    ranks: Optional[Iterable[int]] = None,
+    horizon: float = math.inf,
+    fault: Optional[object] = None,
+    aggregator: Optional[StreamingTraceAggregator] = None,
+) -> Tuple[int, int]:
+    """Feed the packets of start-ordered ``specs`` to Blink's replay
+    ``session`` and to ``aggregator``; either may be None.
+
+    Rows and ties are those of :func:`merged_records` on the same
+    arguments, and each flow's schedule is generated once.  Without a
+    fault, the aggregator accounts each flow once (:meth:`~repro.netsim.
+    trace.StreamingTraceAggregator.observe_flow`) and the run's totals
+    and ring tail once (:func:`_account_totals`), and Blink gets every
+    flow's rows at once: :meth:`~repro.blink.pipeline.TraceReplaySession.
+    feed_flows` solves its selector per cell, so the rows are never
+    merged.  A :class:`~repro.faults.injectors.TelemetryFault` draws from
+    its RNG once per record, so a fault run takes the records of
+    :func:`merged_records` one at a time: the aggregator observes each,
+    and ``fault.degrade_record`` passes it on to
+    :meth:`~repro.blink.pipeline.TraceReplaySession.feed` — the sink of
+    the event-loop path, so the fault's noise stream is the same.
+
+    Counts ``netsim.merge.records`` and ``netsim.merge.flow_starts`` and
+    returns ``(records, malicious_records)``.  Raises
+    :class:`SimulationError` once records plus flow starts reach
+    :data:`~repro.netsim.events.MAX_EVENTS`, the events the loop would
+    have dispatched.
+    """
+    starts = len(specs)
+    records = malicious_records = 0
+    if fault is not None and session is not None:
+        degrade = fault.degrade_record  # type: ignore[attr-defined]
+        feed = session.feed
+        for record in merged_records(specs, seed, ranks, horizon):
+            records += 1
+            if record.malicious_ground_truth:
+                malicious_records += 1
+            if records + starts >= MAX_EVENTS:
+                raise _max_events_error(horizon, record.time)
+            if aggregator is not None:
+                aggregator.observe(
+                    record.time, record.flow, record.size, record.observation_point,
+                    record.is_retransmission, record.is_fin_or_rst,
+                    record.malicious_ground_truth,
+                )
+            record = degrade(record)
+            if record is not None:
+                feed(record)
+    else:
+        flows: List[FlowRows] = []
+        zeros: Dict[int, bytes] = {}
+        for flow in flow_rows(specs, seed, ranks, horizon):
+            _rank, five_tuple, times, flags, fin, malicious = flow
+            rows = len(times) + (fin is not None)
+            if not rows:
+                continue
+            records += rows
+            if malicious:
+                malicious_records += rows
+            if records + starts >= MAX_EVENTS:
+                raise _max_events_error(horizon, times[-1] if fin is None else fin)
+            if aggregator is not None:
+                aggregator.observe_flow(
+                    five_tuple, times, flags, DATA_PACKET_BYTES, fin, FIN_PACKET_BYTES,
+                    malicious,
+                )
+            flows.append(compact_rows(flow, zeros))
+        if aggregator is not None:
+            _account_totals(aggregator, flows)
+        if session is not None:
+            session.feed_flows(flows)
     obs_metrics.inc("netsim.merge.records", records)
     obs_metrics.inc("netsim.merge.flow_starts", starts)
-    return records + starts, records
+    return records, malicious_records
+
+
+def _max_events_error(horizon: float, sim_time: float) -> SimulationError:
+    return SimulationError(
+        f"exceeded max_events={MAX_EVENTS} before reaching t={horizon}",
+        sim_time=sim_time,
+    )
+
+
+def merged_records(
+    specs: Sequence[FlowSpec],
+    seed: int,
+    ranks: Optional[Iterable[int]] = None,
+    horizon: float = math.inf,
+) -> Iterator[TraceRecord]:
+    """The flows' packet records at or before ``horizon``, in time order.
+
+    ``specs`` must be in non-decreasing start order; ``ranks`` (default:
+    their positions) break ties between equal times, as
+    :func:`~repro.flows.generators.merge_flow_packets` documents.  Each
+    flow's schedule comes from :func:`~repro.flows.generators.
+    iter_flow_schedules` on ``seed`` as the merge admits it.  The records
+    are the ones the event loop's aggregator observes: ``"ingress"``,
+    with :data:`DATA_PACKET_BYTES` or :data:`FIN_PACKET_BYTES`.
+    """
+    schedules = iter_flow_schedules(specs, seed)
+    stream = merge_flow_packets(
+        (rank, spec, times, flags)
+        for rank, (spec, times, flags) in zip(
+            count() if ranks is None else ranks, schedules
+        )
+    )
+    for time, _rank, _index, spec, retrans, fin in stream:
+        if time > horizon:
+            return
+        yield TraceRecord(
+            time, spec.flow, FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES,
+            "ingress", retrans, fin, spec.malicious,
+        )
 
 
 def flow_rows(
@@ -550,7 +617,7 @@ def flow_rows(
 
     Schedules come from :func:`~repro.flows.generators.
     iter_flow_schedules` on ``seed``; ``ranks`` (default: positions)
-    break ties between equal times as :func:`merged_columns` documents.
+    break ties between equal times as :func:`merged_records` documents.
     Rows after ``horizon`` are dropped, and so is a FIN after it.  A
     caller holding every flow at once can keep each with
     :func:`compact_rows`.
@@ -637,86 +704,3 @@ def _account_totals(aggregator: StreamingTraceAggregator, flows: List[FlowRows])
         ],
         "ingress",
     )
-
-
-def merged_columns(
-    specs: Sequence[FlowSpec],
-    seed: int,
-    ranks: Optional[Iterable[int]] = None,
-    horizon: float = math.inf,
-) -> Iterator[Tuple[list, list, list, list, list]]:
-    """The flows' merged packet records as Blink's columns, in chunks.
-
-    ``specs`` must be in non-decreasing start order; ``ranks`` (default:
-    their positions) break ties between equal times, as
-    :func:`~repro.flows.generators.merge_flow_packets` documents.  Each
-    flow's schedule comes from :func:`~repro.flows.generators.
-    iter_flow_schedules` on ``seed`` as the merge admits it.  Yields
-    ``(times, flows, retransmissions, fins, malicious)`` for the records
-    at or before ``horizon``, :data:`MERGE_CHUNK` rows at a time.
-
-    The merge's record tuples are transposed :data:`MERGE_SLICE` at a
-    time, so few of them live long enough to be promoted by the garbage
-    collector; the columns themselves are a handful of lists.
-    """
-    schedules = iter_flow_schedules(specs, seed)
-    stream = merge_flow_packets(
-        (rank, spec, times, flags)
-        for rank, (spec, times, flags) in zip(
-            count() if ranks is None else ranks, schedules
-        )
-    )
-    columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
-    while True:
-        part = tuple(zip(*islice(stream, MERGE_SLICE)))
-        if not part:
-            break
-        times, _ranks, _indices, flow_specs, retrans, fins = part
-        past_horizon = times[-1] > horizon
-        if past_horizon:
-            cut = bisect_right(times, horizon)
-            times, flow_specs, retrans, fins = (
-                times[:cut], flow_specs[:cut], retrans[:cut], fins[:cut]
-            )
-        flows = [spec.flow for spec in flow_specs]
-        malicious = [spec.malicious for spec in flow_specs]
-        for column, values in zip(columns, (times, flows, retrans, fins, malicious)):
-            column.extend(values)
-        if past_horizon:
-            break
-        if len(columns[0]) >= MERGE_CHUNK:
-            yield columns
-            columns = ([], [], [], [], [])
-    if columns[0]:
-        yield columns
-
-
-def feed_columns(
-    session: TraceReplaySession,
-    fault: Optional[object],
-    times: Sequence[float],
-    flows: Sequence[FiveTuple],
-    retransmissions: Sequence[bool],
-    fins: Sequence[bool],
-    malicious: Sequence[bool],
-) -> None:
-    """Feed one chunk of :func:`merged_columns` to Blink.
-
-    With a :class:`~repro.faults.injectors.TelemetryFault`, each row
-    first passes ``fault.degrade_flag`` in record order — the rows a
-    per-record sink would have degraded, so the fault's RNG stream is
-    the same as on the loop path and over a materialised trace.
-    """
-    if fault is None:
-        session.feed_batch(times, flows, retransmissions, fins, malicious)
-        return
-    degrade = fault.degrade_flag  # type: ignore[attr-defined]
-    kept = []
-    for time, flow, retrans, fin, mal in zip(
-        times, flows, retransmissions, fins, malicious
-    ):
-        flag = degrade(time, retrans)
-        if flag is not None:
-            kept.append((time, flow, flag, fin, mal))
-    if kept:
-        session.feed_batch(*zip(*kept))

@@ -541,13 +541,12 @@ class BlinkSwitch:
 class TraceReplaySession:
     """Incremental trace replay against a :class:`BlinkSwitch`.
 
-    Replays records pushed via :meth:`feed` (or whole column chunks via
-    :meth:`feed_batch`, or whole flows via :meth:`feed_flows`) with
-    exactly the sampling cadence of :meth:`BlinkSwitch.replay_trace`,
-    which runs on this class: before any record at or past the next
-    sample boundary is processed, every monitor's reset timer is
-    serviced and the ground-truth malicious occupancy is appended to the
-    per-prefix series.  Call :meth:`finish` once the source is exhausted
+    Replays records pushed via :meth:`feed` (or whole flows via
+    :meth:`feed_flows`) with exactly the sampling cadence of
+    :meth:`BlinkSwitch.replay_trace`, which runs on this class: before
+    any record at or past the next sample boundary is processed, every
+    monitor's reset timer is serviced and the ground-truth malicious
+    occupancy is appended to the per-prefix series.  Call :meth:`finish` once the source is exhausted
     to write selector statistics to the active metric registry.
     """
 
@@ -574,45 +573,6 @@ class TraceReplaySession:
         self._next_sample = next_sample
         self.packets += 1
         self.switch.replay_record(record)
-
-    def feed_batch(
-        self,
-        times: Sequence[float],
-        flows: Sequence[FiveTuple],
-        retransmissions: Sequence[bool],
-        fins: Sequence[bool],
-        malicious: Sequence[bool],
-    ) -> None:
-        """Process a chunk of records given as parallel columns.
-
-        Row ``i`` is the record ``(times[i], flows[i], retransmissions[i],
-        fins[i], malicious[i])``, and the chunk has exactly the effect of
-        one :meth:`feed` per row — same samples, decisions, reroutes,
-        selector statistics and ``state()`` — but no :class:`TraceRecord`
-        is built: each row goes straight to :meth:`BlinkSwitch._deliver`.
-        """
-        if not times:
-            return
-        switch = self.switch
-        prefix_for = switch.prefix_for
-        deliver = switch._deliver
-        release = switch._release
-        next_sample = self._next_sample
-        if next_sample is None:
-            next_sample = times[0]
-        for time, flow, retrans, fin, mal in zip(
-            times, flows, retransmissions, fins, malicious
-        ):
-            if time >= next_sample:
-                next_sample = self._sample_until(time, next_sample)
-            prefix = prefix_for(flow.dst)
-            if prefix is None:
-                continue
-            decisions = deliver(prefix, flow, time, retrans, fin, None, mal)
-            if decisions:
-                release(decisions)
-        self._next_sample = next_sample
-        self.packets += len(times)
 
     def feed_flows(self, flows: Iterable[FlowRows]) -> None:
         """Process whole flows' rows in merge order, solving Blink per cell.

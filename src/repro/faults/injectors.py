@@ -13,8 +13,8 @@ Three planes of degradation, mirroring the tentpole:
 * **telemetry plane** — :class:`TelemetryFault`, a generic
   dropout/garble gate over (time, value) samples with adapters for the
   three data-driven systems: the packet feed of Blink's selector
-  (:meth:`TelemetryFault.degrade_flag` per record, or
-  :meth:`TelemetryFault.degrade_trace` over a whole trace), PCC
+  (:meth:`TelemetryFault.degrade_record`, one record at a time on
+  every driver's path into Blink), PCC
   monitor-interval loss readings (:func:`degrade_pcc`), and Pytheas
   QoE report ingestion (:meth:`TelemetryFault.report_filter`).
 
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.netsim.link import Link, LinkTap, TapVerdict
 from repro.netsim.packet import Packet
-from repro.netsim.trace import Trace, TraceRecord
+from repro.netsim.trace import TraceRecord
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 
@@ -208,10 +208,6 @@ class TelemetryFault:
         self.dropped = 0
         self.garbled = 0
 
-    @property
-    def engaged(self) -> bool:
-        return bool(self.specs)
-
     def drop(self, now: float) -> bool:
         """Should the sample observed at ``now`` be lost?"""
         self.seen += 1
@@ -243,56 +239,22 @@ class TelemetryFault:
 
     # -- adapters ----------------------------------------------------------
 
-    def degrade_flag(self, now: float, is_retransmission: bool) -> Optional[bool]:
-        """The retransmission flag Blink reads from a record seen at ``now``.
-
-        None means the record was lost.  Dropout removes the record (the
-        mirror/sampler lost it); garbling flips the retransmission
-        signal the selector keys on (a misread sensor).  The RNG is
-        consumed in record order — drop check first, garble draw only
-        for survivors — so the noise stream is identical whether the
-        caller materialises a :class:`Trace`, feeds records one at a
-        time from a live aggregator sink or degrades column chunks.
-        """
-        if self.drop(now):
-            return None
-        if self.garble(now, 1.0) != 1.0:
-            return not is_retransmission
-        return is_retransmission
-
     def degrade_record(self, record: TraceRecord) -> Optional[TraceRecord]:
-        """Drop/garble one Blink feed record (:meth:`degrade_flag`);
-        None means it was lost.  The timestamp stays intact."""
-        flag = self.degrade_flag(record.time, record.is_retransmission)
-        if flag is None:
+        """The Blink feed record as the selector reads it; None means it
+        was lost.
+
+        Dropout removes the record (the mirror/sampler lost it);
+        garbling flips the retransmission signal the selector keys on (a
+        misread sensor).  The timestamp stays intact.  The RNG is
+        consumed in record order — drop check first, garble draw only
+        for survivors — so every driver that feeds Blink records one at
+        a time in the same order sees the same noise stream.
+        """
+        if self.drop(record.time):
             return None
-        if flag != record.is_retransmission:
-            record = TraceRecord(
-                time=record.time,
-                flow=record.flow,
-                size=record.size,
-                observation_point=record.observation_point,
-                is_retransmission=flag,
-                is_fin_or_rst=record.is_fin_or_rst,
-                malicious_ground_truth=record.malicious_ground_truth,
-            )
+        if self.garble(record.time, 1.0) != 1.0:
+            record = replace(record, is_retransmission=not record.is_retransmission)
         return record
-
-    def degrade_records(
-        self, records: Iterable[TraceRecord]
-    ) -> Iterator[TraceRecord]:
-        """Streaming Blink adapter: drop/garble a record stream lazily."""
-        for record in records:
-            degraded = self.degrade_record(record)
-            if degraded is not None:
-                yield degraded
-
-    def degrade_trace(self, trace: Trace) -> Trace:
-        """Blink adapter: materialised form of :meth:`degrade_records`."""
-        degraded = Trace(name=f"{trace.name}:faulted")
-        for record in self.degrade_records(trace):
-            degraded.append(record)
-        return degraded
 
     def report_filter(self, inner=None):
         """Pytheas adapter: a ReportFilter dropping/garbling QoE reports.

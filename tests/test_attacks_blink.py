@@ -87,9 +87,10 @@ def _reference_payload(**params):
 
     The whole workload is materialised as a :class:`Trace` by
     ``emit_trace`` (on the start-sorted specs on the workload branch,
-    so ties go by start position), degraded whole by the telemetry fault, and replayed record
-    by record through ``BlinkSwitch.replay_trace``.  The attack's merged
-    column feed must give the same payload, byte for byte.
+    so ties go by start position), passed record by record through the
+    telemetry fault's ``degrade_record``, and replayed through
+    ``BlinkSwitch.replay_trace``.  The attack's feed (``feed_specs``)
+    must give the same payload, byte for byte.
     """
     from repro.attacks import blink_attack
     from repro.core.attack import AttackResult
@@ -138,7 +139,7 @@ def _reference_payload(**params):
     fault = None
     if plan is not None:
         fault = TelemetryFault(plan, role="blink.telemetry")
-        trace = fault.degrade_trace(trace)
+        trace = [r for r in map(fault.degrade_record, trace) if r is not None]
     gap = float(params.get("min_plausible_gap", 1.0))
     switch = BlinkSwitch(
         {PREFIX: ["nh-primary", "nh-backup"]},

@@ -61,7 +61,6 @@ class TestCrossSchedulerDeterminism:
             {"sample_interval": 0.5},
             {"cells": 16},
             {"packet_rate": 4.0, "horizon": 45.0},
-            {"with_blink": False},
             {"with_trace": False},
             {"preload": True},
             {"ring_capacity": 0},
@@ -118,7 +117,6 @@ class TestShardedDeterminism:
         [
             {"preload": True},
             {"with_trace": False},
-            {"with_blink": False},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -171,7 +169,6 @@ class TestLoopFreeParity:
             {"sample_interval": 0.5},
             {"cells": 16},
             {"packet_rate": 4.0, "horizon": 45.0},
-            {"with_blink": False},
             {"with_trace": False},
             {"ring_capacity": 0},
         ],
@@ -185,16 +182,17 @@ class TestLoopFreeParity:
             assert _outcome(loop) == _outcome(merged)
 
     def test_telemetry_fault(self):
-        outcomes = {}
-        for scheduler in (None, "heap", "calendar"):
-            plan = FaultPlan.parse(
-                "telemetry-drop:p=0.05;telemetry-garble:p=0.05,scale=1.0",
-                seed=9,
-            )
-            outcomes[scheduler] = _outcome(
-                small_run(seed=1, scheduler=scheduler, fault=TelemetryFault(plan, role="blink"))
-            )
-        assert outcomes[None] == outcomes["heap"] == outcomes["calendar"]
+        for seed in (1, 2):
+            outcomes = {}
+            for scheduler in (None, "heap", "calendar"):
+                plan = FaultPlan.parse(
+                    "telemetry-drop:p=0.05;telemetry-garble:p=0.05,scale=1.0",
+                    seed=9,
+                )
+                fault = TelemetryFault(plan, role="blink")
+                report = small_run(seed=seed, scheduler=scheduler, fault=fault)
+                outcomes[scheduler] = _outcome(report), fault.counters()
+            assert outcomes[None] == outcomes["heap"] == outcomes["calendar"]
 
     def test_solve_counters_repeat_and_add_up(self):
         """The per-cell solve counts its cells and full-chain rows; with
@@ -373,12 +371,11 @@ def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON, ring_capacity=4):
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
     admitted = [specs[i] for i in order if specs[i].start <= horizon]
     per_row = StreamingTraceAggregator(name="a", ring_capacity=ring_capacity)
-    for times, flows, retrans, fins, malicious in packet_level.merged_columns(
-        admitted, seed, horizon=horizon
-    ):
-        for time, flow, is_retrans, fin, mal in zip(times, flows, retrans, fins, malicious):
-            size = packet_level.FIN_PACKET_BYTES if fin else packet_level.DATA_PACKET_BYTES
-            per_row.observe(time, flow, size, "ingress", is_retrans, fin, mal)
+    for r in packet_level.merged_records(admitted, seed, horizon=horizon):
+        per_row.observe(
+            r.time, r.flow, r.size, r.observation_point, r.is_retransmission,
+            r.is_fin_or_rst, r.malicious_ground_truth,
+        )
     return _aggregator_state(merged), _aggregator_state(per_row)
 
 

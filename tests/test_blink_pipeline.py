@@ -5,7 +5,7 @@ from bisect import bisect_left
 from itertools import accumulate
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.blink.packet_level import flow_rows
@@ -279,8 +279,8 @@ class TestSupervisedParity:
 
 @functools.lru_cache(maxsize=None)
 def _small_attack_trace():
-    # Small enough to replay per example; the attack still makes Blink
-    # reroute twice on 16 cells.
+    # Small enough to replay in a unit test; the attack still makes
+    # Blink reroute twice on 16 cells.
     return blink_attack_workload(
         PREFIX,
         horizon=20.0,
@@ -291,116 +291,17 @@ def _small_attack_trace():
     )[1]
 
 
-def _replay(switch, trace, cuts):
-    """Feed ``trace`` per record, or, with ``cuts``, as column chunks."""
-    session = switch.replay_session(sample_interval=0.5)
-    registry = obs_metrics.MetricRegistry()
-    with obs_metrics.activate(registry):
-        if cuts is None:
-            for record in trace:
-                session.feed(record)
-        else:
-            records = list(trace)
-            bounds = [0] + sorted(min(cut, len(records)) for cut in cuts) + [len(records)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                chunk = records[lo:hi]
-                session.feed_batch(
-                    [r.time for r in chunk],
-                    [r.flow for r in chunk],
-                    [r.is_retransmission for r in chunk],
-                    [r.is_fin_or_rst for r in chunk],
-                    [r.malicious_ground_truth for r in chunk],
-                )
-        series = session.finish()[PREFIX]
-    monitor = switch.monitors[PREFIX]
-    return (
-        series.times,
-        series.values,
-        session.packets,
-        switch.decisions,
-        monitor.reroutes,
-        monitor.selector.stats,
-        registry.snapshot(),
-    )
-
-
-class TestFeedBatch:
-    """feed_batch over any chunking is per-record feed."""
-
-    @given(
-        cuts=st.lists(st.integers(min_value=0, max_value=4500), max_size=8),
-        supervised=st.booleans(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_chunked_equals_per_record(self, cuts, supervised):
-        trace = _small_attack_trace()
-        supervise = RecordingSystem if supervised else None
-
-        def switch():
-            return BlinkSwitch({PREFIX: ["nh1", "nh2"]}, cells=16, supervise=supervise)
-
-        expected = _replay(switch(), trace, None)
-        assert len(expected[4]) == 2
-        assert _replay(switch(), trace, cuts) == expected
-
-    def test_unmatched_destinations_are_counted_not_delivered(self):
-        switch = BlinkSwitch({PREFIX: ["nh1", "nh2"]}, cells=8)
-        session = switch.replay_session()
-        outside = FiveTuple("10.0.0.1", "203.0.113.9", 1000, 443)
-        session.feed_batch([0.0, 1.5], [outside, _flow(1)], [False, False],
-                           [False, False], [False, False])
-        assert session.packets == 2
-        assert switch.monitors[PREFIX].selector.stats.installs == 1
-
-
-def _flows_by_cell(cells, per_cell=2, seed=0):
-    """``per_cell`` flows for each cell index at hash seed ``seed``."""
+def _flows_by_cell(cells):
+    """Two flows for each cell index at hash seed 0."""
     groups = {cell: [] for cell in range(cells)}
     i = 0
-    while any(len(group) < per_cell for group in groups.values()):
+    while any(len(group) < 2 for group in groups.values()):
         flow = _flow(i)
-        group = groups[flow.cell_index(cells, seed)]
-        if len(group) < per_cell:
+        group = groups[flow.cell_index(cells, 0)]
+        if len(group) < 2:
             group.append(flow)
         i += 1
     return groups
-
-
-def _rows_outcome(rows, cuts, next_hops, sample_interval, **monitor_kwargs):
-    """Everything a replay of ``rows`` leaves, obs events included: per
-    row through ``feed``, or, with ``cuts``, through ``feed_batch``
-    chunks."""
-    switch = BlinkSwitch({PREFIX: next_hops}, **monitor_kwargs)
-    session = switch.replay_session(sample_interval=sample_interval)
-    registry = obs_metrics.MetricRegistry()
-    with obs.activate(obs.Tracer(), registry) as tracer:
-        if cuts is None:
-            for time, flow, retrans, fin in rows:
-                session.feed(TraceRecord(time, flow, 1500, "", retrans, fin, False))
-        else:
-            bounds = [0] + sorted(min(cut, len(rows)) for cut in cuts) + [len(rows)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                chunk = rows[lo:hi]
-                session.feed_batch(
-                    [row[0] for row in chunk],
-                    [row[1] for row in chunk],
-                    [row[2] for row in chunk],
-                    [row[3] for row in chunk],
-                    [False] * len(chunk),
-                )
-        series = session.finish()[PREFIX]
-    monitor = switch.monitors[PREFIX]
-    return {
-        "series": (series.times, series.values),
-        "packets": session.packets,
-        "decisions": list(switch.decisions),
-        "reroutes": list(monitor.reroutes),
-        "stats": monitor.selector.stats,
-        "state": monitor.state(),
-        "hash_seed": monitor.selector.hash_seed,
-        "metrics": registry.snapshot(),
-        "events": [(event.kind, event.fields) for event in tracer.events],
-    }
 
 
 def _row_marks(rows, next_hops, sample_interval, **monitor_kwargs):
@@ -477,9 +378,9 @@ FAST_PATH_WORKLOADS = {
 
 
 class TestFeedBatchFastPath:
-    """feed_batch over any chunking is per-record feed, on workloads
-    whose ignored rows release a reroute, finish a probe and meet a
-    reset (TestFeedFlowsOracle runs the per-cell solve on them too)."""
+    """The fast-path workloads: ignored rows that release a reroute,
+    finish a probe and meet a reset.  TestFeedFlowsOracle solves each
+    against per-record feed."""
 
     def test_workloads_hit_their_targets(self):
         rows, hops, interval, kwargs = _holddown_workload()
@@ -501,118 +402,6 @@ class TestFeedBatchFastPath:
         assert resets == 1
         # Without the reset, c would collide with a again.
         assert marks[4][1] and not marks[4][0]
-
-    @pytest.mark.parametrize("name", sorted(FAST_PATH_WORKLOADS))
-    @given(cuts=st.lists(st.integers(min_value=0, max_value=8), max_size=4))
-    @example(cuts=[])
-    @settings(max_examples=30, deadline=None)
-    def test_targeted_chunked_equals_per_record(self, name, cuts):
-        rows, hops, interval, kwargs = FAST_PATH_WORKLOADS[name]()
-        expected = _rows_outcome(rows, None, hops, interval, **kwargs)
-        assert _rows_outcome(rows, cuts, hops, interval, **kwargs) == expected
-
-    @given(
-        data=st.data(),
-        cells=st.sampled_from([2, 4]),
-        pool=st.integers(min_value=2, max_value=9),
-        sample_interval=st.sampled_from([0.5, 3.0, 100.0]),
-        holddown=st.sampled_from([0.5, 2.0, 10.0]),
-        reset_interval=st.sampled_from([2.5, 7.0, 510.0]),
-        probe=st.booleans(),
-        hash_seed=st.sampled_from([0, 5]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_random_rows_chunked_equals_per_record(
-        self, data, cells, pool, sample_interval, holddown, reset_interval, probe,
-        hash_seed,
-    ):
-        # Pool flows dealt round-robin over the cells at the first seed
-        # (consecutive _flow(i) mostly share a cell when cells is 2 or 4).
-        by_cell = _flows_by_cell(cells, per_cell=pool, seed=hash_seed)
-        flows = [
-            flow for group in zip(*by_cell.values()) for flow in group
-        ][:pool]
-        steps = data.draw(
-            st.lists(
-                st.tuples(
-                    # Mostly in time order; a negative gap now and
-                    # then, since feed never checks the order.
-                    st.sampled_from([0.0, 0.1, 0.4, 0.9, 1.7, 2.6, -0.7]),
-                    st.integers(min_value=0, max_value=pool - 1),
-                    st.booleans(),
-                    st.sampled_from([False, False, False, True]),
-                ),
-                min_size=1,
-                max_size=60,
-            )
-        )
-        rows = []
-        time = 0.0
-        for gap, which, retrans, fin in steps:
-            time += gap
-            rows.append((time, flows[which], retrans, fin))
-        cuts = data.draw(st.lists(st.integers(0, len(rows)), max_size=5))
-        hops = ["nh1", "nh2", "nh3"] if probe else ["nh1", "nh2"]
-        kwargs = dict(
-            cells=cells,
-            reroute_holddown=holddown,
-            reset_interval=reset_interval,
-            probe_backups=probe,
-            probe_duration=1.0,
-            hash_seed=hash_seed,
-        )
-        expected = _rows_outcome(rows, None, hops, sample_interval, **kwargs)
-        assert _rows_outcome(rows, cuts, hops, sample_interval, **kwargs) == expected
-
-    @given(
-        steps=st.lists(
-            st.tuples(
-                st.sampled_from([0.0, 0.2, 0.9, 2.1]),
-                st.integers(min_value=0, max_value=7),
-                st.booleans(),
-                st.sampled_from([False, False, True]),
-            ),
-            min_size=1,
-            max_size=60,
-        ),
-        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_two_prefixes_chunked_equals_per_record(self, steps, cuts):
-        # Rows alternate between two monitors (and an unmatched prefix),
-        # so the inline check keeps switching monitors mid-chunk.
-        other = "203.0.113.0/24"
-        flows = [
-            FiveTuple(f"10.0.{i}.{i + 1}", dst, 3000 + 7 * i, 443)
-            for i, dst in enumerate(["198.51.100.1", "203.0.113.1", "192.0.2.1"] * 3)
-        ][:8]
-        rows = []
-        time = 0.0
-        for gap, which, retrans, fin in steps:
-            time += gap
-            rows.append((time, flows[which], retrans, fin, False))
-
-        def outcome(chunked):
-            switch = BlinkSwitch(
-                {PREFIX: ["nh1", "nh2"], other: ["nh1", "nh2", "nh3"]},
-                cells=2, reroute_holddown=1.0, probe_backups=True,
-            )
-            session = switch.replay_session(sample_interval=0.7)
-            if chunked:
-                bounds = [0] + sorted(min(c, len(rows)) for c in cuts) + [len(rows)]
-                for lo, hi in zip(bounds, bounds[1:]):
-                    session.feed_batch(*map(list, zip(*rows[lo:hi])) if hi > lo
-                                       else ([],) * 5)
-            else:
-                for row in rows:
-                    session.feed(TraceRecord(row[0], row[1], 1500, "", *row[2:]))
-            session.finish()
-            return switch.decisions, [
-                (m.reroutes, m.selector.stats, m.state(), session.series[p].values)
-                for p, m in switch.monitors.items()
-            ]
-
-        assert outcome(True) == outcome(False)
 
 
 def _oracle_flow(which):

@@ -259,27 +259,26 @@ class TestClockInjector:
 
 
 class TestTelemetryAdapters:
-    def test_degrade_trace_drops_records(self):
+    def test_degrade_record_drops_records(self):
         plan = FaultPlan.parse("telemetry-drop:p=0.5", seed=2)
         fault = TelemetryFault(plan, role="blink")
-        trace = Trace(name="t")
-        for i in range(400):
-            trace.append(TraceRecord(time=float(i), flow=("a", 1, "b", 2), size=1000))
-        degraded = fault.degrade_trace(trace)
-        assert 100 < len(degraded) < 300
-        assert fault.counters()["telemetry_dropped"] == 400 - len(degraded)
+        records = [
+            TraceRecord(time=float(i), flow=("a", 1, "b", 2), size=1000)
+            for i in range(400)
+        ]
+        kept = [r for r in map(fault.degrade_record, records) if r is not None]
+        assert 100 < len(kept) < 300
+        assert fault.counters()["telemetry_dropped"] == 400 - len(kept)
 
-    def test_degrade_trace_garble_flips_retransmission(self):
+    def test_degrade_record_garble_flips_retransmission(self):
         plan = FaultPlan.parse("telemetry-garble:p=1.0", seed=2)
         fault = TelemetryFault(plan, role="blink")
-        trace = Trace(name="t")
-        trace.append(
-            TraceRecord(
-                time=0.0, flow=("a", 1, "b", 2), size=1000, is_retransmission=False
-            )
+        record = TraceRecord(
+            time=0.0, flow=("a", 1, "b", 2), size=1000, is_retransmission=False
         )
-        degraded = fault.degrade_trace(trace)
-        assert degraded[0].is_retransmission is True
+        assert fault.degrade_record(record) == TraceRecord(
+            time=0.0, flow=("a", 1, "b", 2), size=1000, is_retransmission=True
+        )
 
     def test_report_filter_composes_before_inner(self):
         plan = FaultPlan.parse("telemetry-drop:p=1.0", seed=2)
@@ -329,26 +328,28 @@ class TestStreamingDegrade:
             )
         return trace
 
-    def test_degrade_records_matches_degrade_trace(self):
-        """The lazy generator consumes the RNG exactly like the
-        materialised adapter: same plan seed, same surviving records."""
+    def test_degrade_record_repeats_for_a_seed(self):
+        """Two gates on one plan seed degrade a record stream alike, and
+        a survivor differs from its record in the flag at most."""
         spec = "telemetry-drop:p=0.2;telemetry-garble:p=0.3,scale=1.0"
         trace = self._trace()
-        eager = TelemetryFault(FaultPlan.parse(spec, seed=11), role="blink")
-        lazy = TelemetryFault(FaultPlan.parse(spec, seed=11), role="blink")
-        materialised = eager.degrade_trace(trace)
-        streamed = list(lazy.degrade_records(iter(trace)))
-        assert streamed == list(materialised)
-        assert lazy.counters() == eager.counters()
+        first = TelemetryFault(FaultPlan.parse(spec, seed=11), role="blink")
+        second = TelemetryFault(FaultPlan.parse(spec, seed=11), role="blink")
+        degraded = [first.degrade_record(record) for record in trace]
+        assert degraded == [second.degrade_record(record) for record in trace]
+        assert first.counters() == second.counters()
+        assert 0 < first.dropped and 0 < first.garbled
+        for record, out in zip(trace, degraded):
+            if out is not None:
+                assert (out.time, out.flow, out.size) == (record.time, record.flow, record.size)
 
-    def test_degrade_records_is_lazy(self):
+    def test_degrade_record_draws_per_record(self):
         fault = TelemetryFault(
             FaultPlan.parse("telemetry-drop:p=0.0", seed=0), role="blink"
         )
-        stream = fault.degrade_records(iter(self._trace(10)))
-        assert fault.seen == 0  # nothing consumed yet
-        next(stream)
-        assert fault.seen == 1
+        for seen, record in enumerate(self._trace(10), 1):
+            assert fault.degrade_record(record) == record
+            assert fault.seen == seen
 
     def test_degrade_record_none_on_drop(self):
         fault = TelemetryFault(
