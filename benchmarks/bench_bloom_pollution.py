@@ -2,10 +2,10 @@
 
 ``bench_sketch_pollution`` sweeps the full attack (flow generation,
 FlowRadar, LossRadar); this bench times *only* the structure-pollution
-phase — bulk-inserting the crafted keys and probing the saturated
-filter — which is exactly what the bloom kernels batch.  Keys are
-pre-packed outside the timed region so the measurement covers the
-kernels' hashing/indexing/bit-setting, not shared Python setup.
+phase — inserting the crafted keys with ``BloomFilter.add_all`` and
+probing the saturated filter with ``in``.  Keys are pre-packed outside
+the timed region so the measurement covers the filter's hashing,
+indexing and bit-setting, not shared Python setup.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def test_bloom_pollution(benchmark):
         for _ in range(REPS):
             bloom = BloomFilter.for_capacity(DESIGN_CAPACITY, TARGET_FPR)
             started = time.perf_counter()
-            bloom.add_bulk(attack)
-            hits = sum(bloom.query_bulk(probes))
+            bloom.add_all(attack)
+            hits = sum(probe in bloom for probe in probes)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
         timing["best_seconds"] = best

@@ -252,8 +252,8 @@ class PccOscillationAttack(Attack):
         baseline = run(False)
         attacked = run(True)
 
-        # Tail statistics go through the oscillation kernel, which
-        # replays rate_oscillation/rate_amplitude bit-for-bit.
+        # One read of each flow's tail rates gives both its CV and its
+        # amplitude (the values rate_oscillation/rate_amplitude return).
         stats_baseline = baseline.tail_rate_stats(tail)
         stats_attacked = attacked.tail_rate_stats(tail)
         osc_baseline = sum(s["cv"] for s in stats_baseline) / flows

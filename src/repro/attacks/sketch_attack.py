@@ -55,12 +55,12 @@ class BloomSaturationAttack(Attack):
 
         bloom = BloomFilter.for_capacity(design_capacity, target_fpr)
         legitimate = synthetic_flows(design_capacity, subnet=1)
-        bloom.add_bulk(flow.packed() for flow in legitimate)
+        bloom.add_all(flow.packed() for flow in legitimate)
         fpr_before = bloom.measured_false_positive_rate(
             flow.packed() for flow in synthetic_flows(2000, subnet=9)
         )
         attack = synthetic_flows(int(design_capacity * attack_multiplier), subnet=2)
-        bloom.add_bulk(flow.packed() for flow in attack)
+        bloom.add_all(flow.packed() for flow in attack)
         fpr_after = bloom.measured_false_positive_rate(
             flow.packed() for flow in synthetic_flows(2000, subnet=8)
         )
@@ -94,14 +94,14 @@ class FlowRadarOverloadAttack(Attack):
 
         baseline = FlowRadar.for_capacity(design_capacity)
         legit = synthetic_flows(legitimate_flows, subnet=1)
-        baseline.observe_bulk(legit, packets=3)
+        baseline.observe_trace((flow, 3) for flow in legit)
         success_before = baseline.decode_success_rate()
 
         attacked = FlowRadar.for_capacity(design_capacity)
-        attacked.observe_bulk(legit, packets=3)
-        attacked.observe_bulk(
-            synthetic_flows(int(design_capacity * attack_multiplier), subnet=2),
-            packets=1,
+        attacked.observe_trace((flow, 3) for flow in legit)
+        attacked.observe_trace(
+            (flow, 1)
+            for flow in synthetic_flows(int(design_capacity * attack_multiplier), subnet=2)
         )
         success_after = attacked.decode_success_rate()
         return AttackResult(
@@ -138,16 +138,13 @@ class LossRadarPollutionAttack(Attack):
 
         def run(attacked: bool) -> dict:
             segment = LossRadarSegment(cells=cells)
-            segment.transit_bulk(
-                [PacketId(flow, seq) for seq in range(legit_packets)],
-                [seq < true_losses for seq in range(legit_packets)],
-            )
+            for seq in range(legit_packets):
+                segment.transit(PacketId(flow, seq), lost=seq < true_losses)
             if attacked:
                 # Packets addressed to expire inside the segment: they
                 # enter the upstream meter but never exit.
-                segment.inject_upstream_only_bulk(
-                    [PacketId(attack_flow, seq) for seq in range(attack_packets)],
-                )
+                for seq in range(attack_packets):
+                    segment.inject_upstream_only(PacketId(attack_flow, seq))
             return segment.report()
 
         before = run(False)

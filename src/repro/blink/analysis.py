@@ -288,6 +288,10 @@ class CaptureCurve:
     cells: int
 
 
+def _sample_grid(horizon: float, step: float) -> List[float]:
+    return [i * step for i in range(int(horizon / step) + 1)]
+
+
 def theory_curves(
     qm: float,
     tr: float,
@@ -298,7 +302,7 @@ def theory_curves(
     """Average + 5th/95th-percentile capture curves (Fig. 2 lines)."""
     if step <= 0 or horizon <= 0:
         raise ConfigurationError("step and horizon must be positive")
-    times = [i * step for i in range(int(horizon / step) + 1)]
+    times = _sample_grid(horizon, step)
     return CaptureCurve(
         times=times,
         mean=[mean_captured(t, qm, tr, cells) for t in times],
@@ -322,25 +326,44 @@ class MonteCarloRun:
 def sample_flip_times(
     qm: float, tr: float, cells: int, horizon: float, rng: random.Random
 ) -> List[float]:
-    """Per-cell first-capture times (``math.inf`` = never), cell order.
+    """One run's cell-capture times, ascending.
 
-    The single-run sampling loop of :func:`simulate_capture`, split out
-    so :func:`repro.kernels.blink_flip_times` replays the exact same
-    draw sequence.
+    Each cell is refreshed by an independent Poisson process of rate
+    1/tR (a legitimate flow departing and a new flow being sampled);
+    each refresh installs a malicious flow with probability qm, after
+    which the cell stays captured until the horizon (sample reset).
+    Cells not captured before ``horizon`` are left out.
     """
-    flip_times: List[float] = []
+    flips: List[float] = []
     for _ in range(cells):
         t = 0.0
-        flipped = math.inf
         while t < horizon:
             t += rng.expovariate(1.0 / tr)
             if t >= horizon:
                 break
             if rng.random() < qm:
-                flipped = t
+                flips.append(t)
                 break
-        flip_times.append(flipped)
-    return flip_times
+    flips.sort()
+    return flips
+
+
+def captured_counts(flips: Sequence[float], times: Sequence[float]) -> List[int]:
+    """Captured cells at each of the ascending ``times``, given a run's
+    ascending ``flips``."""
+    captured: List[int] = []
+    idx = 0
+    for t in times:
+        while idx < len(flips) and flips[idx] <= t:
+            idx += 1
+        captured.append(idx)
+    return captured
+
+
+def crossing_time(flips: Sequence[float], threshold: int) -> Optional[float]:
+    """When the ``threshold``-th cell was captured, or None if it never
+    was.  A one-cell selector's threshold is 0: its one capture, if any."""
+    return flips[threshold - 1] if flips and threshold <= len(flips) else None
 
 
 def simulate_capture(
@@ -352,29 +375,18 @@ def simulate_capture(
     seed: int = 0,
     threshold: Optional[int] = None,
 ) -> MonteCarloRun:
-    """Cell-level Monte-Carlo of the capture process.
-
-    Each cell is refreshed by an independent Poisson process of rate
-    1/tR (a legitimate flow departing and a new flow being sampled);
-    each refresh installs a malicious flow with probability qm, after
-    which the cell stays captured until the horizon (sample reset).
-    """
+    """Cell-level Monte-Carlo of the capture process (one run of
+    :func:`sample_flip_times`, drawn from ``random.Random(seed)``)."""
     _validate(qm, tr)
-    rng = random.Random(seed)
     if threshold is None:
         threshold = cells // 2
-    flip_times = sample_flip_times(qm, tr, cells, horizon, rng)
-    flip_times.sort()
-    times = [i * step for i in range(int(horizon / step) + 1)]
-    captured: List[int] = []
-    idx = 0
-    for t in times:
-        while idx < len(flip_times) and flip_times[idx] <= t:
-            idx += 1
-        captured.append(idx)
-    crossing = flip_times[threshold - 1] if threshold <= len(flip_times) else math.inf
-    crossing_time = None if math.isinf(crossing) else crossing
-    return MonteCarloRun(times=times, captured=captured, crossing_time=crossing_time)
+    flips = sample_flip_times(qm, tr, cells, horizon, random.Random(seed))
+    times = _sample_grid(horizon, step)
+    return MonteCarloRun(
+        times=times,
+        captured=captured_counts(flips, times),
+        crossing_time=crossing_time(flips, threshold),
+    )
 
 
 @dataclass
@@ -451,19 +463,20 @@ def fig2_headline(
     :func:`binomial_quantile` calls are most of a Fig. 2 run, and a
     campaign cell reads only the numbers.
     """
-    from repro.kernels import blink_crossing_times, blink_flip_times
-
     _validate(qm, tr)
     if horizon <= 0:
         raise ConfigurationError("horizon must be positive")
     threshold = cells // 2
-    flip_rows = blink_flip_times(qm, tr, cells, horizon, runs, seed)
+    flip_rows = [
+        sample_flip_times(qm, tr, cells, horizon, random.Random(seed + i))
+        for i in range(runs)
+    ]
     return Fig2Headline(
         threshold=threshold,
         mean_crossing_theory=mean_crossing_time(threshold, qm, tr, cells),
         expected_hitting_theory=expected_hitting_time(threshold, qm, tr, cells),
         median_success_time_theory=success_time_quantile(threshold, qm, tr, cells, 0.5, horizon),
-        run_crossings=list(blink_crossing_times(flip_rows, threshold)),
+        run_crossings=[crossing_time(flips, threshold) for flips in flip_rows],
         flip_rows=flip_rows,
     )
 
@@ -482,15 +495,16 @@ def fig2_experiment(
     Run ``i`` draws from ``random.Random(seed + i)``; the headline
     numbers come from :func:`fig2_headline`.
     """
-    from repro.kernels import blink_occupancy_counts
-
     theory = theory_curves(qm, tr, cells, horizon, step)
     headline = fig2_headline(qm, tr, cells, horizon, runs, seed)
-    times = [i * step for i in range(int(horizon / step) + 1)]
-    counts = blink_occupancy_counts(headline.flip_rows, times)
+    times = _sample_grid(horizon, step)
     simulated = [
-        MonteCarloRun(times=list(times), captured=captured, crossing_time=crossing)
-        for captured, crossing in zip(counts, headline.run_crossings)
+        MonteCarloRun(
+            times=list(times),
+            captured=captured_counts(flips, times),
+            crossing_time=crossing,
+        )
+        for flips, crossing in zip(headline.flip_rows, headline.run_crossings)
     ]
     return Fig2Result(
         theory=theory,

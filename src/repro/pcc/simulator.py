@@ -22,6 +22,21 @@ from repro.obs import tracer as obs
 from repro.pcc.controller import ControlState, MonitorResult, PccAllegroController
 
 
+def oscillation_stats(rates: Sequence[float]) -> Dict[str, float]:
+    """``{"mean", "cv", "amplitude"}`` of a rate series.
+
+    ``cv`` is σ/|µ| (population σ; 0 for fewer than two rates) and
+    ``amplitude`` the peak-to-peak swing (max − min)/µ (0 when µ is 0).
+    An empty series is all zeros.
+    """
+    if not rates:
+        return {"mean": 0.0, "cv": 0.0, "amplitude": 0.0}
+    mean = sum(rates) / len(rates)
+    cv = coefficient_of_variation(rates) if len(rates) >= 2 else 0.0
+    amplitude = (max(rates) - min(rates)) / mean if mean else 0.0
+    return {"mean": mean, "cv": cv, "amplitude": amplitude}
+
+
 @dataclass
 class PathModel:
     """The shared bottleneck the PCC flows traverse.
@@ -162,26 +177,15 @@ class PccSimulation:
         return [r.result.rate for r in self.records if r.flow_id == flow_id]
 
     def tail_rate_stats(self, tail_mis: int = 100) -> List[Dict[str, float]]:
-        """Per-flow ``{"mean", "cv", "amplitude"}`` over the last MIs.
-
-        Batched form of :meth:`rate_oscillation` / :meth:`rate_amplitude`
-        through :func:`repro.kernels.pcc_oscillation_stats`, which
-        reproduces those methods bit-for-bit.
-        """
-        from repro.kernels import pcc_oscillation_stats
-
-        rows = [
-            self.flow_rates(flow_id)[-tail_mis:]
+        """Per-flow :func:`oscillation_stats` over the last MIs."""
+        return [
+            oscillation_stats(self.flow_rates(flow_id)[-tail_mis:])
             for flow_id in range(len(self.controllers))
         ]
-        return pcc_oscillation_stats(rows)
 
     def aggregate_rate_stats(self, tail_mis: int = 100) -> Dict[str, float]:
-        """``{"mean", "cv", "amplitude"}`` of the recent aggregate rate."""
-        from repro.kernels import pcc_oscillation_stats
-
-        values = list(self.aggregate_rate_series.values)[-tail_mis:]
-        return pcc_oscillation_stats([values])[0]
+        """:func:`oscillation_stats` of the recent aggregate rate."""
+        return oscillation_stats(list(self.aggregate_rate_series.values)[-tail_mis:])
 
     def rate_oscillation(self, flow_id: int, tail_mis: int = 100) -> float:
         """Coefficient of variation of the flow's rate over the last MIs.
@@ -189,26 +193,14 @@ class PccSimulation:
         The paper's claim is ±5 % fluctuation under attack versus
         convergence without; CV is the standard scalar for that.
         """
-        rates = self.flow_rates(flow_id)[-tail_mis:]
-        if len(rates) < 2:
-            return 0.0
-        return coefficient_of_variation(rates)
+        return oscillation_stats(self.flow_rates(flow_id)[-tail_mis:])["cv"]
 
     def rate_amplitude(self, flow_id: int, tail_mis: int = 100) -> float:
         """(max − min) / mean of the tail rates: peak-to-peak swing."""
-        rates = self.flow_rates(flow_id)[-tail_mis:]
-        if not rates:
-            return 0.0
-        mean = sum(rates) / len(rates)
-        if mean == 0:
-            return 0.0
-        return (max(rates) - min(rates)) / mean
+        return oscillation_stats(self.flow_rates(flow_id)[-tail_mis:])["amplitude"]
 
     def aggregate_oscillation(self, tail_mis: int = 100) -> float:
-        values = list(self.aggregate_rate_series.values)[-tail_mis:]
-        if len(values) < 2:
-            return 0.0
-        return coefficient_of_variation(values)
+        return self.aggregate_rate_stats(tail_mis)["cv"]
 
     def time_in_state(self, flow_id: int, state: ControlState, tail_mis: int = 100) -> float:
         """Fraction of the flow's recent MIs spent in ``state``."""

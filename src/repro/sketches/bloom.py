@@ -84,38 +84,21 @@ class BloomFilter:
         for item in items:
             self.add(item)
 
-    def add_bulk(self, items: Iterable[bytes]) -> None:
-        """Insert many items through the bulk kernel.
+    def add_if_absent(self, item: bytes) -> bool:
+        """Insert ``item`` unless the filter already answers yes for it;
+        return whether it was inserted.
 
-        Identical filter state to ``add_all``.
+        The bits and ``inserted`` count of ``if item not in self:
+        self.add(item)``, hashing ``item`` once.
         """
-        from repro.kernels import bloom_add_bulk
-
-        bloom_add_bulk(self, list(items))
-
-    def add_unique_bulk(self, items: Iterable[bytes]) -> List[bool]:
-        """Insert items not yet present; returns per-item "was new".
-
-        Exactly equivalent to testing ``item not in self`` and calling
-        ``add`` for each item in order: each membership test sees the
-        bits set by every *earlier* item in the batch, so within-batch
-        duplicates (and cross-item false positives) resolve the same
-        way as the scalar loop.  The hashing is bulk; only the cheap
-        bit test-and-set runs per item.
-        """
-        from repro.kernels import bloom_index_rows
-
-        rows = bloom_index_rows(self, list(items))
         array = self._array
-        fresh: List[bool] = []
-        for row in rows:
-            member = all(array[b >> 3] & _BITMASKS[b & 7] for b in row)
-            if not member:
-                for b in row:
-                    array[b >> 3] |= _BITMASKS[b & 7]
-                self.inserted += 1
-            fresh.append(not member)
-        return fresh
+        indices = _hash_indices(item, self.hashes, self.bits)
+        if all(array[index >> 3] & _BITMASKS[index & 7] for index in indices):
+            return False
+        for index in indices:
+            array[index >> 3] |= _BITMASKS[index & 7]
+        self.inserted += 1
+        return True
 
     def __contains__(self, item: bytes) -> bool:
         h1, h2 = _hash_pair(item)
@@ -125,12 +108,6 @@ class BloomFilter:
             if not array[index >> 3] & _BITMASKS[index & 7]:
                 return False
         return True
-
-    def query_bulk(self, items: Iterable[bytes]) -> List[bool]:
-        """Membership answer per item, exactly ``item in self``."""
-        from repro.kernels import bloom_query_bulk
-
-        return bloom_query_bulk(self, list(items))
 
     @property
     def fill_factor(self) -> float:
@@ -149,5 +126,5 @@ class BloomFilter:
         probe_list = list(probes)
         if not probe_list:
             raise ConfigurationError("need at least one probe")
-        hits = sum(self.query_bulk(probe_list))
+        hits = sum(probe in self for probe in probe_list)
         return hits / len(probe_list)

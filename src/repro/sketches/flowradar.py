@@ -19,21 +19,16 @@ per-flow counters for *everyone* (Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, DecodeError
-from repro.flows.flow import FiveTuple
+from repro.flows.flow import FiveTuple, fnv1a_64
 from repro.sketches.bloom import BloomFilter
 from repro.sketches.hashing import partitioned_indices
 
 
 def _flow_bytes(flow: FiveTuple) -> bytes:
     return flow.packed()
-
-
-def _flow_fingerprint(flow: FiveTuple) -> int:
-    """64-bit fingerprint used in the XOR field."""
-    return flow.stable_hash()
 
 
 @dataclass
@@ -101,13 +96,13 @@ class FlowRadar:
         if packets <= 0:
             raise ConfigurationError("packets must be positive")
         key = _flow_bytes(flow)
-        fingerprint = _flow_fingerprint(flow)
-        is_new = key not in self.bloom
+        fingerprint = fnv1a_64(key)  # the XOR field's 64-bit fingerprint
+        is_new = self.bloom.add_if_absent(key)
         if is_new:
-            self.bloom.add(key)
             self.flows_seen += 1
+        cells = self.cells
         for index in partitioned_indices(key, self.hashes, self.cell_count):
-            cell = self.cells[index]
+            cell = cells[index]
             if is_new:
                 cell.flow_xor ^= fingerprint
                 cell.flow_count += 1
@@ -115,45 +110,6 @@ class FlowRadar:
         self.packets_seen += packets
         self._truth[fingerprint] = self._truth.get(fingerprint, 0) + packets
         self._keys[fingerprint] = key
-
-    def observe_bulk(self, flows: Sequence[FiveTuple], packets: int = 1) -> None:
-        """Observe every flow at ``packets`` each, hashing in bulk.
-
-        The final state — cells, bloom bits, counters, ground truth —
-        is identical to calling :meth:`observe` per flow in order: the
-        hashes are bulk but exact, and the new-flow test stays
-        incremental (each flow is checked against a filter already
-        containing every earlier flow in the batch).
-        """
-        if packets <= 0:
-            raise ConfigurationError("packets must be positive")
-        flows = list(flows)
-        if not flows:
-            return
-        from repro.kernels import fnv1a_bulk, sketch_indices
-
-        keys = [_flow_bytes(flow) for flow in flows]
-        fingerprints = fnv1a_bulk(keys)
-        index_rows = sketch_indices(keys, self.hashes, self.cell_count)
-        newness = self.bloom.add_unique_bulk(keys)
-        cells = self.cells
-        truth = self._truth
-        for key, fingerprint, indices, is_new in zip(
-            keys, fingerprints, index_rows, newness
-        ):
-            if is_new:
-                self.flows_seen += 1
-                for index in indices:
-                    cell = cells[index]
-                    cell.flow_xor ^= fingerprint
-                    cell.flow_count += 1
-                    cell.packet_count += packets
-            else:
-                for index in indices:
-                    cells[index].packet_count += packets
-            truth[fingerprint] = truth.get(fingerprint, 0) + packets
-            self._keys[fingerprint] = key
-        self.packets_seen += packets * len(flows)
 
     def observe_trace(self, flows: Iterable[Tuple[FiveTuple, int]]) -> None:
         for flow, packets in flows:

@@ -17,7 +17,7 @@ capacity, so the operator can no longer locate *real* losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple, fnv1a_64
@@ -33,9 +33,6 @@ class PacketId:
 
     def packed(self) -> bytes:
         return self.flow.packed() + self.sequence.to_bytes(8, "big")
-
-    def fingerprint(self) -> int:
-        return fnv1a_64(self.packed())
 
 
 @dataclass
@@ -56,41 +53,18 @@ class PacketDigest:
         self.packets = 0
         self._keys: Dict[int, bytes] = {}
 
-    def observe(self, packet: PacketId) -> None:
+    def observe(self, packet: PacketId) -> int:
+        """Fold ``packet`` into the digest; returns its fingerprint."""
         key = packet.packed()
-        fingerprint = packet.fingerprint()
+        fingerprint = fnv1a_64(key)
+        cells = self.cells
         for index in partitioned_indices(key, self.hashes, self.cell_count):
-            cell = self.cells[index]
+            cell = cells[index]
             cell.xor_sum ^= fingerprint
             cell.count += 1
         self.packets += 1
         self._keys[fingerprint] = key
-
-    def observe_bulk(self, packet_ids: Sequence[PacketId]) -> List[int]:
-        """Observe every packet through the bulk hashing kernels.
-
-        Identical final digest state to calling :meth:`observe` per
-        packet (the bulk hashes are exact).  Returns each packet's
-        fingerprint so callers can update ground-truth sets without
-        rehashing.
-        """
-        packet_ids = list(packet_ids)
-        if not packet_ids:
-            return []
-        from repro.kernels import fnv1a_bulk, sketch_indices
-
-        keys = [packet.packed() for packet in packet_ids]
-        fingerprints = fnv1a_bulk(keys)
-        index_rows = sketch_indices(keys, self.hashes, self.cell_count)
-        cells = self.cells
-        for fingerprint, indices in zip(fingerprints, index_rows):
-            for index in indices:
-                cell = cells[index]
-                cell.xor_sum ^= fingerprint
-                cell.count += 1
-        self.packets += len(packet_ids)
-        self._keys.update(zip(fingerprints, keys))
-        return fingerprints
+        return fingerprint
 
     def subtract(self, other: "PacketDigest") -> "PacketDigest":
         """Upstream − downstream: the digest of the missing packets."""
@@ -146,44 +120,19 @@ class LossRadarSegment:
 
     def transit(self, packet: PacketId, lost: bool = False) -> None:
         """A packet enters the segment; ``lost`` drops it inside."""
-        self.upstream.observe(packet)
+        fingerprint = self.upstream.observe(packet)
         if lost:
-            self._lost_truth.add(packet.fingerprint())
+            self._lost_truth.add(fingerprint)
         else:
             self.downstream.observe(packet)
 
     def inject_downstream(self, packet: PacketId) -> None:
         """Attacker-injected packet that only the downstream meter sees."""
-        self.downstream.observe(packet)
-        self._injected_truth.add(packet.fingerprint())
+        self._injected_truth.add(self.downstream.observe(packet))
 
     def inject_upstream_only(self, packet: PacketId) -> None:
         """Attacker packet addressed to die inside the segment."""
-        self.upstream.observe(packet)
-        self._injected_truth.add(packet.fingerprint())
-
-    # -- bulk variants (bulk-hashed, exact) ----------------------------------
-
-    def transit_bulk(self, packets: Sequence[PacketId], lost: Sequence[bool]) -> None:
-        """Bulk :meth:`transit`: packet ``i`` is dropped iff ``lost[i]``."""
-        packets = list(packets)
-        lost = list(lost)
-        if len(packets) != len(lost):
-            raise ConfigurationError("packets and lost flags must have equal length")
-        fingerprints = self.upstream.observe_bulk(packets)
-        survivors = [p for p, dropped in zip(packets, lost) if not dropped]
-        self.downstream.observe_bulk(survivors)
-        self._lost_truth.update(
-            fp for fp, dropped in zip(fingerprints, lost) if dropped
-        )
-
-    def inject_downstream_bulk(self, packets: Sequence[PacketId]) -> None:
-        """Bulk :meth:`inject_downstream`."""
-        self._injected_truth.update(self.downstream.observe_bulk(packets))
-
-    def inject_upstream_only_bulk(self, packets: Sequence[PacketId]) -> None:
-        """Bulk :meth:`inject_upstream_only`."""
-        self._injected_truth.update(self.upstream.observe_bulk(packets))
+        self._injected_truth.add(self.upstream.observe(packet))
 
     def locate_losses(self) -> Tuple[Set[int], bool]:
         """Run the periodic loss localisation."""

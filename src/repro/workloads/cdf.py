@@ -10,10 +10,9 @@ generator uses, and samples flow sizes from them by inverse transform:
     cdf = resolve_cdf("web-search")
     sizes_kb = cdf.sample_sizes(10_000, seed=0)
 
-Determinism contract: the uniforms are always drawn from one
-``random.Random(seed)`` stream, and the bulk kernel's interpolation
-arithmetic is order-matched with :meth:`EmpiricalCDF.quantile`, so
-``sample_sizes`` is **byte-identical** to drawing one size at a time
+Determinism contract: every sampler maps the uniforms of one
+``random.Random(seed)`` stream through :meth:`EmpiricalCDF.quantile`,
+so ``sample_sizes`` is **byte-identical** to drawing one size at a time
 off the same stream.  The statistical test layer
 (``tests/test_workloads_stats.py``) pins KS distances against these
 source CDFs at fixed seeds.
@@ -26,6 +25,8 @@ mice, the web-search mix 15% on 6 KB queries.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
@@ -108,15 +109,10 @@ class EmpiricalCDF:
     # -- the inverse transform --------------------------------------------
 
     def quantile(self, u: float) -> float:
-        """Flow size at cumulative fraction ``u`` (scalar reference).
-
-        The same arithmetic as :func:`repro.kernels.cdf_quantiles`, for
-        one uniform at a time.
-        """
+        """Flow size at cumulative fraction ``u``: linear interpolation
+        on ``u``'s segment (a flat segment is an atom)."""
         if not 0.0 <= u <= 1.0:
             raise ConfigurationError(f"quantile fraction must be in [0, 1], got {u}")
-        from bisect import bisect_left
-
         fractions, sizes = self.fractions, self.sizes
         i = bisect_left(fractions, u)
         if i <= 0:
@@ -129,8 +125,6 @@ class EmpiricalCDF:
 
     def cdf(self, x: float) -> float:
         """P(size <= x); atoms contribute their whole mass at ``x``."""
-        from bisect import bisect_right
-
         fractions, sizes = self.fractions, self.sizes
         if x < sizes[0]:
             return 0.0
@@ -147,8 +141,6 @@ class EmpiricalCDF:
 
     def cdf_left(self, x: float) -> float:
         """P(size < x) — the left limit, *excluding* any atom at ``x``."""
-        from bisect import bisect_left
-
         fractions, sizes = self.fractions, self.sizes
         if x <= sizes[0]:
             return 0.0
@@ -193,18 +185,10 @@ class EmpiricalCDF:
             yield quantile(rng.random())
 
     def sample_sizes(self, n: int, seed: int) -> List[float]:
-        """``n`` seeded flow sizes through the bulk ``cdf_quantiles`` kernel.
-
-        The uniforms come from one ``random.Random(seed)`` stream and
-        ``cdf_quantiles`` is a deterministic pure function.
-        """
+        """``n`` flow sizes: the first ``n`` of :meth:`iter_samples`."""
         if n < 0:
             raise ConfigurationError(f"sample count must be >= 0, got {n}")
-        from repro.kernels import cdf_quantiles
-
-        rng = random.Random(seed)
-        us = [rng.random() for _ in range(n)]
-        return cdf_quantiles(self.fractions, self.sizes, us)
+        return list(islice(self.iter_samples(seed), n))
 
     # -- statistics --------------------------------------------------------
 

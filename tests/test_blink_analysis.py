@@ -137,6 +137,13 @@ class TestMonteCarlo:
             assert run.captured[index + 1 if index + 1 < len(run.captured) else index] >= 32
 
 
+    def test_one_cell_crosses_at_its_capture(self):
+        # cells // 2 == 0: the crossing is the cell's capture, if any.
+        captured = simulate_capture(0.3, 5.0, cells=1, seed=0)
+        assert captured.crossing_time == 12.031601283034082
+        assert simulate_capture(0.001, 5.0, cells=1, seed=0).crossing_time is None
+
+
 class TestFig2Experiment:
     @pytest.fixture(scope="class")
     def result(self):

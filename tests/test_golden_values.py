@@ -2,9 +2,11 @@
 
 The committed fixture ``tests/fixtures/golden_values.json`` pins the
 closed-form Blink capture probability surface (Section 3.1's
-``p = 1 − (1 − qm)^(t/tR)`` and its derived crossing/hitting times)
-and the PCC utility-equalisation oscillation amplitude (Section 4.2's
-±5 % swing) to the exact floats the current implementation produces.
+``p = 1 − (1 − qm)^(t/tR)`` and its derived crossing/hitting times),
+the PCC utility-equalisation oscillation amplitude (Section 4.2's
+±5 % swing) and the bloom/FlowRadar/LossRadar pollution results
+(Section 3.2, E10) to the exact floats the current implementation
+produces.
 A numeric refactor that silently drifts any of these figures fails
 here before it can corrupt the reproduced figures.
 
@@ -17,7 +19,7 @@ import os
 
 import pytest
 
-from repro.attacks import PccOscillationAttack
+from repro.attacks import PccOscillationAttack, attack_registry
 from repro.blink.analysis import (
     capture_probability,
     expected_hitting_time,
@@ -26,6 +28,7 @@ from repro.blink.analysis import (
     minimum_qm,
     probability_at_least,
 )
+from tests.test_lazy_imports import _CHEAP_CELLS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_values.json")
 
@@ -102,3 +105,17 @@ class TestPccOscillation:
         assert pinned["oscillation_cv_attacked"] == pytest.approx(0.05, abs=1e-6)
         assert pinned["rate_amplitude_attacked"] == pytest.approx(0.10, abs=1e-6)
         assert pinned["epsilon_pinned_fraction"] == 1.0
+
+
+class TestSketchPollution:
+    """E10 at the reduced sizes every attack family is smoke-run at."""
+
+    @pytest.mark.parametrize(
+        "name", ["bloom-saturation", "flowradar-overload", "lossradar-pollution"]
+    )
+    def test_seed0_details_pinned(self, golden, name):
+        pinned = golden["sketches"][name]
+        result = attack_registry()[name].run(seed=0, **_CHEAP_CELLS[name])
+        assert result.success == pinned["success"]
+        assert result.magnitude == pinned["magnitude"]
+        assert result.details == pinned["details"]

@@ -1,10 +1,9 @@
 """The kernel set's name and its seed derivation.
 
-:mod:`repro.kernels` is one concrete set of batch kernels; its name is
-recorded in benchmark fingerprints, and :func:`derive_seed` splits one
-experiment seed into the independent streams the workload engine and
-the sharded engines draw from.  Each kernel's exactness against the
-scalar code it batches is checked in ``tests/test_kernels_parity.py``.
+The kernel set's name is recorded in benchmark fingerprints, and
+:func:`derive_seed` splits one experiment seed into the independent
+streams the workload engine and the sharded engines draw from.  The
+``soa_*`` packing is checked in ``tests/test_kernels_parity.py``.
 """
 
 from __future__ import annotations

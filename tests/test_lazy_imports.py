@@ -45,8 +45,8 @@ def test_cli_help_does_not_import_numpy():
 
 
 def test_cli_list_keeps_kernel_fast_path_unloaded():
-    # `list` pulls the attack registry; neither it nor the kernels it
-    # can reach may load a heavy dependency.
+    # `list` pulls the attack registry; neither it nor `repro.kernels`
+    # may load a heavy dependency.
     probe = run_probe(
         "import sys\n"
         "from repro.cli import main\n"
@@ -58,7 +58,7 @@ def test_cli_list_keeps_kernel_fast_path_unloaded():
     assert probe.returncode == 0, probe.stderr
 
 
-#: One cheap cell of every attack family that runs through the kernels.
+#: One cheap cell of every Monte-Carlo attack family.
 _CHEAP_CELLS = {
     "blink-capture-analytical": {"runs": 2, "horizon": 120.0},
     "blink-capture-packet-level": {

@@ -1,7 +1,7 @@
 """End-to-end tests for the unified metrics pipeline.
 
-Covers the instrumented subsystems (netsim event loop, kernel dispatch,
-result cache, fault injectors, supervisor), the ledger's ``run``
+Covers the instrumented subsystems (netsim event loop, result cache,
+fault injectors, supervisor), the ledger's ``run``
 metrics block, the serial-vs-parallel merge determinism pin, ledger round-trip
 byte identity under telemetry fault plans, and the CLI surface
 (``run --metrics-out``, ``report --profile``, ``top``).
@@ -42,6 +42,16 @@ class TestNetsimRollup:
         assert registry.histograms["netsim.run_wall_s"].count == 1
         assert registry.gauge("netsim.queue_depth") == 0
 
+    def test_runs_accumulate_calls_and_wall_time(self):
+        registry = MetricRegistry()
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda: None)
+        with om.activate(registry):
+            loop.run_until(2.0)
+            loop.run_until(3.0)
+        assert registry.counter("netsim.runs") == 2
+        assert registry.histograms["netsim.run_wall_s"].count == 2
+
     def test_pool_hit_rate_gauge(self):
         registry = MetricRegistry()
         loop = EventLoop()
@@ -64,18 +74,11 @@ class TestNetsimRollup:
 
 
 class TestKernelDispatch:
-    def test_calls_and_wall_time_recorded(self):
-        registry = MetricRegistry()
-        with om.activate(registry):
-            kernels.fnv1a_bulk([b"a", b"b"])
-            kernels.fnv1a_bulk([b"c"])
-        assert registry.counter("kernels.calls.fnv1a_bulk") == 2
-        assert registry.histograms["kernels.wall_s"].count == 2
-
     def test_unmetered_calls_stay_free_and_correct(self):
         registry = MetricRegistry()
-        hashes = kernels.fnv1a_bulk([b"x"])
-        assert len(hashes) == 1
+        columns = [[1.5, 2.0], [3.0, -4.25]]
+        payload = kernels.soa_pack_f64(columns)
+        assert kernels.soa_unpack_f64(payload, 2) == columns
         assert len(registry) == 0
 
 
@@ -187,7 +190,8 @@ class TestTracerMetricsHook:
 
 
 class MeteredToyAttack(Attack):
-    """Deterministic, picklable attack that exercises netsim + kernels."""
+    """Deterministic, picklable attack that exercises netsim and a
+    telemetry fault."""
 
     name = "toy-metered"
     required_privilege = Privilege.HOST
@@ -201,12 +205,13 @@ class MeteredToyAttack(Attack):
         for i in range(2 + seed % 3):
             loop.schedule_transient(float(i), lambda: None)
         loop.run_until(10.0)
-        hashes = kernels.fnv1a_bulk([b"x" * (seed + 1)])
+        plan = FaultPlan.parse("telemetry-garble:p=1.0,scale=0.5", seed=seed)
+        reading = TelemetryFault(plan, role="toy").garble(0.0, 1.0)
         return AttackResult(
             attack_name=self.name,
             success=True,
             time_to_success=float(seed),
-            magnitude=float(hashes[0] % 97),
+            magnitude=reading,
             details={"seed": seed},
         )
 
@@ -223,7 +228,7 @@ class TestSweepMergeDeterminism:
     """Acceptance pin: serial and parallel sweeps merge to identical
     metric values (counter sums, histogram bucket counts) for the same
     seed grid.  Wall-time histograms (``..._s`` stems, e.g.
-    ``netsim.run_wall_s`` and ``kernels.wall_s``) are excluded
+    ``netsim.run_wall_s``) are excluded
     from the value identity — their bucket placement depends on real
     time — but their observation counts must still match.
     """
@@ -280,7 +285,7 @@ class TestSweepMergeDeterminism:
         assert registry.counter("sweep.cells_executed") == 3
         assert registry.counter("sweep.cells_failed") == 0
         assert registry.counter("netsim.runs") == 3
-        assert registry.counter("kernels.calls.fnv1a_bulk") == 3
+        assert registry.counter("faults.telemetry.garbled") == 3
 
     def test_unmetered_sweep_ships_no_shards(self):
         cells = seed_cells({}, [0, 1])

@@ -41,6 +41,20 @@ class TestBloomFilter:
         bloom.add_all(f.packed() for f in _flows(3000))
         assert bloom.false_positive_rate > 0.3
 
+    def test_add_if_absent_is_membership_then_add(self):
+        keys = [f.packed() for f in _flows(300)] * 2
+        reference = BloomFilter.for_capacity(100, 0.05)
+        expected = []
+        for key in keys:
+            absent = key not in reference
+            if absent:
+                reference.add(key)
+            expected.append(absent)
+        bloom = BloomFilter.for_capacity(100, 0.05)
+        assert [bloom.add_if_absent(key) for key in keys] == expected
+        assert bytes(bloom._array) == bytes(reference._array)
+        assert bloom.inserted == reference.inserted
+
     def test_optimal_parameters_sane(self):
         m, k = optimal_parameters(1000, 0.01)
         assert m > 1000
@@ -75,6 +89,21 @@ class TestFlowRadar:
         assert radar.flows_seen == 1
         result = radar.decode()
         assert result.flows[flow.stable_hash()] == 7
+
+    def test_observe_hashes_each_key_once(self, monkeypatch):
+        from repro.sketches import bloom as bloom_module
+
+        calls = []
+        real = bloom_module._hash_pair
+        monkeypatch.setattr(
+            bloom_module, "_hash_pair", lambda item: calls.append(item) or real(item)
+        )
+        radar = FlowRadar.for_capacity(100)
+        flows = _flows(40)
+        for flow in flows + flows[:10]:
+            radar.observe(flow)
+        assert len(calls) == 50
+        assert radar.flows_seen == radar.bloom.inserted == 40
 
     def test_overload_stalls_decode(self):
         radar = FlowRadar.for_capacity(500)

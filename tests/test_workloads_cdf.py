@@ -1,9 +1,10 @@
-"""Empirical-CDF construction, inverse transform, and kernel exactness.
+"""Empirical-CDF construction, inverse transform, and sampling.
 
 The workload engine's credibility rests on the samplers: the quantile
 function must hit the tabulated knots exactly, atoms must carry their
-whole mass, and the bulk ``cdf_quantiles`` kernel must reproduce the
-scalar quantile **byte-for-byte** (the scenario goldens depend on it).
+whole mass, and ``sample_sizes`` must equal drawing one size at a time
+off the same stream **byte-for-byte** (the scenario goldens depend on
+it).
 Hypothesis drives the structural invariants; the exact-value checks pin
 the shipped web-search and data-mining tables.
 """
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.kernels import cdf_quantiles
 from repro.workloads.cdf import (
     DATA_MINING_POINTS,
     WEB_SEARCH_POINTS,
@@ -205,7 +205,7 @@ def test_sampling_deterministic_per_seed(seed):
 
 
 def test_iter_samples_matches_sample_sizes():
-    """The endless stream and the batched kernel agree byte-for-byte."""
+    """The endless stream and the list sampler agree byte-for-byte."""
     cdf = resolve_cdf("web-search")
     stream = cdf.iter_samples(seed=7)
     assert [next(stream) for _ in range(200)] == cdf.sample_sizes(200, seed=7)
@@ -218,7 +218,7 @@ def test_sample_consumes_one_uniform():
     assert first == cdf.quantile(random.Random(3).random())
 
 
-# -- bulk kernel vs scalar quantile ---------------------------------------------
+# -- list sampling vs one draw at a time ---------------------------------------
 
 
 @pytest.mark.parametrize("name", ALL_CDFS)
@@ -226,8 +226,20 @@ def test_sample_consumes_one_uniform():
 def test_bulk_sampling_equals_scalar_sampling(name, seed):
     cdf = resolve_cdf(name)
     rng = random.Random(seed)
-    scalar = [cdf.quantile(rng.random()) for _ in range(4096)]
+    scalar = [cdf.sample(rng) for _ in range(4096)]
     assert cdf.sample_sizes(4096, seed=seed) == scalar  # exact, not approx
+
+
+def _scan_quantile(fractions, sizes, u):
+    """Reference inverse transform: a linear scan for ``u``'s segment in
+    place of the bisect, with the same interpolation expression."""
+    i = next((k for k, f in enumerate(fractions) if f >= u), len(fractions))
+    if i == 0:
+        return sizes[0]
+    if i == len(fractions):
+        return sizes[-1]
+    f_lo, y_lo = fractions[i - 1], sizes[i - 1]
+    return y_lo + (u - f_lo) * (sizes[i] - y_lo) / (fractions[i] - f_lo)
 
 
 @pytest.mark.parametrize("name", ALL_CDFS)
@@ -235,16 +247,17 @@ def test_kernel_quantiles_at_knots_and_edges(name):
     """Exact-knot uniforms are the bisect edge cases."""
     cdf = resolve_cdf(name)
     us = list(cdf.fractions) + [0.0, 1.0, 0.5000000000000001]
-    assert cdf_quantiles(cdf.fractions, cdf.sizes, us) == [cdf.quantile(u) for u in us]
+    expected = [_scan_quantile(cdf.fractions, cdf.sizes, u) for u in us]
+    assert [cdf.quantile(u) for u in us] == expected
 
 
 def test_quantile_matches_kernel_scalar():
-    """EmpiricalCDF.quantile inlines the kernel arithmetic exactly."""
+    """EmpiricalCDF.quantile agrees exactly with the reference scan."""
     cdf = resolve_cdf("data-mining")
     rng = random.Random(11)
     us = [rng.random() for _ in range(512)]
-    kernel = cdf_quantiles(cdf.fractions, cdf.sizes, us)
-    assert [cdf.quantile(u) for u in us] == kernel
+    expected = [_scan_quantile(cdf.fractions, cdf.sizes, u) for u in us]
+    assert [cdf.quantile(u) for u in us] == expected
 
 
 # -- serialisation round-trip -------------------------------------------------
