@@ -71,7 +71,6 @@ def test_packet_level_capture(benchmark, scheduler_name):
         {"quantity": "events processed", "value": report.events},
         {"quantity": "events/second", "value": int(report.events_per_second)},
         {"quantity": "qm (flows)", "value": round(report.qm, 4)},
-        {"quantity": "peak trace ring (bytes)", "value": report.peak_ring_bytes},
         {"quantity": "measured tR (s) [paper: 8.37]", "value": round(measured_tr, 2)},
         {
             "quantity": "time until half the sample is malicious (s) [paper: ~200]",
@@ -101,7 +100,6 @@ def test_packet_level_capture(benchmark, scheduler_name):
             "time_to_half_sample_s": crossing,
             "measured_tr_s": measured_tr,
             "reroutes": report.reroutes,
-            "peak_ring_bytes": report.peak_ring_bytes,
             "report_hash": report.report_hash,
         }
     )

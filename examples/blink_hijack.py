@@ -80,8 +80,7 @@ def main() -> None:
     print(
         f"engine: {report.events:,} events in {report.wall_seconds:.2f}s wall "
         f"({report.events_per_second:,.0f} events/s, "
-        f"scheduler={report.scheduler}); peak trace memory "
-        f"{report.peak_ring_bytes / 1024:.1f} KiB (streaming ring)"
+        f"scheduler={report.scheduler})"
     )
 
 

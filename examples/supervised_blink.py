@@ -96,8 +96,7 @@ def main() -> None:
     print(
         f"Packet-level engine check: {report.events:,} events in "
         f"{report.wall_seconds:.2f}s wall ({report.events_per_second:,.0f} "
-        f"events/s, scheduler={report.scheduler}); peak trace memory "
-        f"{report.peak_ring_bytes / 1024:.1f} KiB (streaming ring)"
+        f"events/s, scheduler={report.scheduler})"
     )
 
 

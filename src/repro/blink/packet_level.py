@@ -12,8 +12,7 @@ engine orders the stream depends on the run:
   the records are never merged.  Each flow's schedule is generated once
   and accounted once:
   :meth:`~repro.netsim.trace.StreamingTraceAggregator.observe_flow`
-  takes its stats, :meth:`~repro.netsim.trace.StreamingTraceAggregator.
-  observe_totals` the run's totals and the ring's tail, and
+  adds its rows to the trace statistics, and
   :meth:`~repro.blink.pipeline.TraceReplaySession.feed_flows` solves
   Blink's selector per cell, so only the rows that change a cell go
   through the monitor — with the exact outcome of the offline
@@ -50,12 +49,11 @@ the same hash for the same parameters.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import math
 import time as _wallclock
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -116,7 +114,6 @@ class PacketLevelReport:
     first_reroute: Optional[float]
     decisions: int
     trace_summary: Dict[str, object] = field(default_factory=dict)
-    peak_ring_bytes: int = 0
     #: Shard count the run executed under.  Excluded from
     #: :meth:`canonical` (like the scheduler name): the determinism
     #: contract makes it an execution detail, not an outcome.
@@ -136,12 +133,7 @@ class PacketLevelReport:
         return self.malicious_flows / self.flows
 
     def canonical(self) -> Dict[str, object]:
-        """The hashable view: deterministic fields only.
-
-        The aggregator's ring stats are excluded too — retention depth
-        is an observability knob, not an experiment outcome.
-        """
-        summary = {k: v for k, v in self.trace_summary.items() if k != "ring"}
+        """The hashable view: deterministic fields only."""
         return {
             "prefix": self.prefix,
             "seed": self.seed,
@@ -158,7 +150,7 @@ class PacketLevelReport:
             "reroutes": self.reroutes,
             "first_reroute": self.first_reroute,
             "decisions": self.decisions,
-            "trace_summary": summary,
+            "trace_summary": self.trace_summary,
         }
 
     @property
@@ -218,7 +210,6 @@ def packet_level_experiment(
     retransmission_window: float = 2.0,
     with_trace: bool = True,
     preload: bool = False,
-    ring_capacity: int = 256,
     fault: Optional[object] = None,
     shards: Optional[int] = None,
     shard_crash_flag: Optional[str] = None,
@@ -254,8 +245,6 @@ def packet_level_experiment(
             of same-timestamp events differs from the lazy mode (push
             order differs), so hashes are comparable within one mode
             only — still scheduler-invariant within each.
-        ring_capacity: bound of the aggregator's recent-record ring
-            buffer (0 disables retention entirely).
         fault: optional :class:`~repro.faults.injectors.TelemetryFault`
             gate applied per record (drop/garble) on the way into Blink,
             in record order on every path, so its RNG stream is the same.
@@ -301,7 +290,6 @@ def packet_level_experiment(
 
         aggregator = StreamingTraceAggregator(
             name="blink-attack",
-            ring_capacity=ring_capacity,
             # The loop-free path feeds the aggregator and Blink side by
             # side (feed_specs) instead of chaining them per record.
             sink=None if loop_free else sink,
@@ -413,7 +401,6 @@ def packet_level_experiment(
             else:
                 events = loop.run_until(horizon, max_events=MAX_EVENTS)
             wall_seconds = _wallclock.perf_counter() - wall_start
-    peak_ring = aggregator.ring_memory_bytes() if aggregator is not None else 0
 
     threshold = cells // 2
     crossing = None
@@ -455,7 +442,6 @@ def packet_level_experiment(
         first_reroute=first_reroute,
         decisions=decisions,
         trace_summary=aggregator.summary() if aggregator is not None else {},
-        peak_ring_bytes=peak_ring,
         shards=shard_count,
     )
 
@@ -501,8 +487,7 @@ def feed_specs(
     Rows and ties are those of :func:`merged_records` on the same
     arguments, and each flow's schedule is generated once.  Without a
     fault, the aggregator accounts each flow once (:meth:`~repro.netsim.
-    trace.StreamingTraceAggregator.observe_flow`) and the run's totals
-    and ring tail once (:func:`_account_totals`), and Blink gets every
+    trace.StreamingTraceAggregator.observe_flow`), and Blink gets every
     flow's rows at once: :meth:`~repro.blink.pipeline.TraceReplaySession.
     feed_flows` solves its selector per cell, so the rows are never
     merged.  A :class:`~repro.faults.injectors.TelemetryFault` draws from
@@ -554,11 +539,9 @@ def feed_specs(
             if aggregator is not None:
                 aggregator.observe_flow(
                     five_tuple, times, flags, DATA_PACKET_BYTES, fin, FIN_PACKET_BYTES,
-                    malicious,
+                    malicious, "ingress",
                 )
             flows.append(compact_rows(flow, zeros))
-        if aggregator is not None:
-            _account_totals(aggregator, flows)
         if session is not None:
             session.feed_flows(flows)
     obs_metrics.inc("netsim.merge.records", records)
@@ -646,61 +629,3 @@ def compact_rows(flow: FlowRows, zeros: Dict[int, bytes]) -> FlowRows:
         if flags is None:
             flags = zeros[n] = bytes(n)
     return rank, five_tuple, array("d", times), flags, fin, malicious
-
-
-def _account_totals(aggregator: StreamingTraceAggregator, flows: List[FlowRows]) -> None:
-    """Hand the aggregator the totals and the ring tail of ``flows``' rows.
-
-    The ring keeps the last ``ring_capacity`` rows in merge order.  A
-    flow's last row is its largest time, so at least that many rows lie
-    at or after the ``ring_capacity``-th largest last time, and every row
-    of the tail does too; only those rows (at most the last
-    ``ring_capacity`` of each flow) are merged.
-    """
-    packets = size = retransmissions = fins = malicious = 0
-    first, last = math.inf, -math.inf
-    ends = []
-    for _rank, _flow, times, flags, fin, mal in flows:
-        n = len(times)
-        rows = n + (fin is not None)
-        if not rows:
-            continue
-        packets += rows
-        size += n * DATA_PACKET_BYTES
-        retransmissions += sum(flags)
-        if fin is not None:
-            fins += 1
-            size += FIN_PACKET_BYTES
-        if mal:
-            malicious += rows
-        start, end = times[0] if n else fin, times[-1] if fin is None else fin
-        first, last = min(first, start), max(last, end)
-        ends.append(end)
-    if not packets:
-        return
-    capacity = aggregator.ring_capacity
-    tail: List[tuple] = []
-    if capacity:
-        bound = heapq.nlargest(capacity, ends)[-1] if len(ends) >= capacity else -math.inf
-        for rank, flow, times, flags, fin, mal in flows:
-            n = len(times)
-            rows = n + (fin is not None)
-            if not rows or (times[-1] if fin is None else fin) < bound:
-                continue
-            for index in range(max(bisect_left(times, bound), rows - capacity), n):
-                tail.append((times[index], rank, index, flow, bool(flags[index]), False, mal))
-            if fin is not None:
-                tail.append((fin, rank, n, flow, False, True, mal))
-        tail.sort()  # merge keys lead and are unique
-        del tail[:-capacity]
-    aggregator.observe_totals(
-        packets, size, retransmissions, fins, malicious, first, last,
-        [
-            TraceRecord(
-                time, flow, FIN_PACKET_BYTES if fin else DATA_PACKET_BYTES,
-                "ingress", retrans, fin, mal,
-            )
-            for time, _rank, _index, flow, retrans, fin, mal in tail
-        ],
-        "ingress",
-    )

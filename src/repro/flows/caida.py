@@ -13,8 +13,10 @@ Poisson flow arrivals and heavy-tailed durations whose parameters are
 drawn per-prefix so the cross-prefix distribution of mean sampled time
 spans the reported range.  The quantity the Blink analysis consumes —
 ``tR``, the mean time a flow occupies a selector cell — is then
-*measured* from the synthetic trace exactly as the authors measured it
-from CAIDA, keeping the downstream analysis honest.
+*measured* from the synthetic traffic exactly as the authors measured
+it from CAIDA, keeping the downstream analysis honest.  The flows'
+spans are read from their packet schedules
+(:func:`~repro.flows.generators.flow_spans`); no trace is rendered.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.metrics import percentile
 from repro.flows.generators import (
     DurationDistribution,
+    FlowSpans,
     FlowSpec,
-    emit_trace,
+    flow_spans,
     poisson_flow_schedule,
 )
-from repro.netsim.trace import Trace
 
 #: Blink evicts a monitored flow after 2 s of inactivity; a flow's
 #: "sampled time" is therefore its active lifetime plus this timeout.
@@ -86,7 +88,7 @@ class SyntheticCaidaTrace:
         self._rng = random.Random(self.config.seed)
         self.profiles: List[PrefixProfile] = self._build_profiles()
         self._specs: Dict[str, List[FlowSpec]] = {}
-        self._traces: Dict[str, Trace] = {}
+        self._spans: Dict[str, Tuple[FlowSpans, int]] = {}
 
     def _build_profiles(self) -> List[PrefixProfile]:
         cfg = self.config
@@ -119,14 +121,16 @@ class SyntheticCaidaTrace:
             )
         return self._specs[prefix]
 
-    def trace_for(self, prefix: str) -> Trace:
-        if prefix not in self._traces:
+    def spans_for(self, prefix: str) -> Tuple[FlowSpans, int]:
+        """``prefix``'s flow spans and packet count (see
+        :func:`~repro.flows.generators.flow_spans`)."""
+        if prefix not in self._spans:
             specs = self.specs_for(prefix)
             index = self.profiles.index(self._profile(prefix))
-            self._traces[prefix] = emit_trace(
-                specs, seed=self.config.seed * 2000 + index, name=f"caida-like:{prefix}"
+            self._spans[prefix] = flow_spans(
+                specs, seed=self.config.seed * 2000 + index
             )
-        return self._traces[prefix]
+        return self._spans[prefix]
 
     def _profile(self, prefix: str) -> PrefixProfile:
         for profile in self.profiles:
@@ -148,20 +152,19 @@ class SyntheticCaidaTrace:
         is its observed active span plus the eviction timeout — the
         same estimator the authors applied to CAIDA traces.
         """
-        return mean_sampled_time(self.trace_for(prefix))
+        return mean_sampled_time(self.spans_for(prefix)[0])
 
     def top_prefix_report(self) -> List[dict]:
         """Per-prefix tR table: the paper's top-20 analysis (E3)."""
         report = []
         for profile in self.profiles:
-            trace = self.trace_for(profile.prefix)
-            tr = mean_sampled_time(trace)
+            spans, packets = self.spans_for(profile.prefix)
             report.append(
                 {
                     "prefix": profile.prefix,
-                    "flows": trace.flow_count(),
-                    "packets": len(trace),
-                    "mean_sampled_time": tr,
+                    "flows": len(spans),
+                    "packets": packets,
+                    "mean_sampled_time": mean_sampled_time(spans),
                 }
             )
         report.sort(key=lambda row: row["mean_sampled_time"])
@@ -180,7 +183,7 @@ class SyntheticCaidaTrace:
         trs = [row["mean_sampled_time"] for row in self.top_prefix_report()]
         flow_times: List[float] = []
         for profile in self.profiles:
-            spans = self.trace_for(profile.prefix).flow_activity_spans()
+            spans, _packets = self.spans_for(profile.prefix)
             flow_times.extend(
                 (last - first) + EVICTION_TIMEOUT for first, last in spans.values()
             )
@@ -194,15 +197,14 @@ class SyntheticCaidaTrace:
         }
 
 
-def mean_sampled_time(trace: Trace, eviction_timeout: float = EVICTION_TIMEOUT) -> float:
+def mean_sampled_time(spans: FlowSpans, eviction_timeout: float = EVICTION_TIMEOUT) -> float:
     """Mean per-flow sampled time: active span + eviction timeout.
 
-    This is the trace-derived ``tR`` the Blink analysis (and Fig. 2)
-    consumes.
+    This is the ``tR`` the Blink analysis (and Fig. 2) consumes, over
+    the spans of :func:`~repro.flows.generators.flow_spans`.
     """
-    spans = trace.flow_activity_spans()
     if not spans:
-        raise ConfigurationError("empty trace has no sampled-time statistic")
+        raise ConfigurationError("no flow, so no sampled-time statistic")
     total = 0.0
     for first, last in spans.values():
         total += (last - first) + eviction_timeout
@@ -220,8 +222,8 @@ def calibrate_duration_model_for_tr(
 ) -> DurationDistribution:
     """Find a duration model whose measured tR matches ``target_tr``.
 
-    Bisects on the lognormal median until the trace-derived mean
-    sampled time is within ``tolerance`` seconds of the target.  Used
+    Bisects on the lognormal median until the measured mean sampled
+    time is within ``tolerance`` seconds of the target.  Used
     to reproduce Fig. 2's ``tR = 8.37 s`` without the original trace.
     """
     if target_tr <= EVICTION_TIMEOUT:
@@ -240,8 +242,7 @@ def calibrate_duration_model_for_tr(
             duration_model=model,
             seed=seed,
         )
-        trace = emit_trace(specs, seed=seed + 1)
-        measured = mean_sampled_time(trace)
+        measured = mean_sampled_time(flow_spans(specs, seed=seed + 1)[0])
         best = model
         if abs(measured - target_tr) <= tolerance:
             return model

@@ -14,7 +14,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple, hosts_in_prefix
@@ -333,6 +333,44 @@ def iter_flow_schedules(
         flow_rng.seed(flow_stream_seed(seed, spec))
         times, flags = flow_packet_schedule(spec, flow_rng)
         yield spec, times, flags
+
+
+#: Each 5-tuple's first and last packet time.
+FlowSpans = Dict[FiveTuple, Tuple[float, float]]
+
+
+def flow_spans(specs: Iterable[FlowSpec], seed: int = 0) -> Tuple[FlowSpans, int]:
+    """The spans and the packet count of the trace :func:`emit_trace`
+    renders from ``specs`` on ``seed``, read from the schedules.
+
+    ``specs`` must be in non-decreasing start order (else
+    :class:`ConfigurationError`).  A flow's span runs from its start
+    (its first packet, or a zero-length flow's FIN) to its FIN, or to
+    its last packet when it sends none; flows sharing a 5-tuple share
+    one span.  Spans are kept in the order of their first packets, ties
+    by position — the order of :meth:`~repro.netsim.trace.Trace.
+    flow_activity_spans` on the rendered trace, so float sums agree.
+    """
+    spans: FlowSpans = {}
+    packets = 0
+    previous = -math.inf
+    for spec, times, _flags in iter_flow_schedules(specs, seed):
+        if spec.start < previous:
+            raise ConfigurationError(
+                f"flow spans need specs in start order, got a decreasing start: "
+                f"{spec.start} < {previous}"
+            )
+        previous = spec.start
+        packets += len(times) + spec.sends_fin
+        if spec.sends_fin:
+            last = spec.end
+        elif times:
+            last = times[-1]
+        else:
+            continue  # no packet at all
+        first, seen = spans.get(spec.flow, (spec.start, last))
+        spans[spec.flow] = (first, max(seen, last))
+    return spans, packets
 
 
 def merge_flow_packets(

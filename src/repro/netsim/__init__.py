@@ -59,12 +59,7 @@ from repro.netsim.topology import (
 # (``from repro.netsim.forwarding import ...``) rather than re-exported
 # here: they pull in ``multiprocessing`` and the flow generators, which
 # the plain simulator path never needs.
-from repro.netsim.trace import (
-    FlowStats,
-    StreamingTraceAggregator,
-    Trace,
-    TraceRecord,
-)
+from repro.netsim.trace import StreamingTraceAggregator, Trace, TraceRecord
 
 __all__ = [
     "ChainTap",
@@ -73,7 +68,6 @@ __all__ = [
     "DropTap",
     "Event",
     "EventLoop",
-    "FlowStats",
     "IcmpHeader",
     "IcmpType",
     "Link",

@@ -3,37 +3,32 @@
 A :class:`TraceRecord` is one observed packet with its observation time
 and point; a :class:`Trace` is an append-only sequence with the handful
 of query helpers the analyses need (per-flow grouping, time slicing,
-inter-arrival statistics).  The CAIDA-substitute generator in
-:mod:`repro.flows.caida` produces these, and Blink's offline analysis
-consumes them — mirroring how the paper computed tR from CAIDA traces.
+inter-arrival statistics).  :func:`~repro.flows.generators.emit_trace`
+renders these from flow schedules, and Blink's offline analysis
+consumes them.
 
-For experiments too large to hold a full trace in memory (the
-packet-level Blink runs observe millions of packets),
-:class:`StreamingTraceAggregator` maintains the same aggregate
-statistics incrementally, retains only a bounded ring of the most
-recent records, and can forward each record to a sink (e.g. a Blink
-switch) as it is observed.
+For experiments too large to hold a full trace in memory,
+:class:`StreamingTraceAggregator` keeps the same aggregate statistics
+incrementally, retains no record, and can forward each record to a
+sink (e.g. a Blink switch) as it is observed.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Callable,
-    Deque,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
-
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flows.flow import FiveTuple
@@ -152,55 +147,23 @@ class Trace:
         return bad / len(self._records)
 
 
-class FlowStats:
-    """Incrementally maintained per-flow counters."""
-
-    __slots__ = (
-        "packets",
-        "bytes",
-        "retransmissions",
-        "fin_rst",
-        "malicious",
-        "first_time",
-        "last_time",
-    )
-
-    def __init__(self, time: float) -> None:
-        self.packets = 0
-        self.bytes = 0
-        self.retransmissions = 0
-        self.fin_rst = 0
-        self.malicious = 0
-        self.first_time = time
-        self.last_time = time
-
-
 class StreamingTraceAggregator:
-    """Single-pass trace statistics with bounded retention.
+    """Single-pass trace statistics that retain no record.
 
     The streaming counterpart of :class:`Trace`: every observation
-    updates totals, per-flow :class:`FlowStats` and per-observation-point
-    packet counts in O(1), and — instead of retaining every record —
-    keeps at most ``ring_capacity`` recent :class:`TraceRecord` objects
-    in a ring buffer (``ring_capacity=None`` disables retention
-    entirely; ``0`` is the same).  An optional ``sink`` callable
-    receives each :class:`TraceRecord` as it is observed, which is how
-    the packet-level Blink pipeline consumes traffic inline without a
-    2-million-record trace ever existing.
+    updates the totals, the per-observation-point packet counts and the
+    set of distinct 5-tuples.  An optional ``sink`` callable receives
+    each :class:`TraceRecord` as it is observed, which is how the
+    event-loop path feeds Blink inline.
 
-    A caller that knows each flow's rows up front splits that work:
-    :meth:`observe_flow` accounts each flow's :class:`FlowStats` once,
-    and :meth:`observe_totals` takes the totals, point counts and ring
-    with only the records the ring keeps.
-
-    Like :class:`Trace`, observation times must be non-decreasing.
+    :meth:`observe` takes one record, and like :class:`Trace` needs
+    non-decreasing times.  A caller that knows each flow's rows up front
+    hands them over with :meth:`observe_flow` instead, in any flow order.
     """
 
     __slots__ = (
         "name",
         "sink",
-        "ring",
-        "ring_capacity",
         "packets",
         "bytes",
         "retransmissions",
@@ -215,13 +178,10 @@ class StreamingTraceAggregator:
     def __init__(
         self,
         name: str = "stream",
-        ring_capacity: Optional[int] = 1024,
         sink: Optional[Callable[[TraceRecord], None]] = None,
     ):
         self.name = name
         self.sink = sink
-        self.ring_capacity = ring_capacity or 0
-        self.ring: Deque[TraceRecord] = deque(maxlen=self.ring_capacity)
         self.packets = 0
         self.bytes = 0
         self.retransmissions = 0
@@ -229,7 +189,7 @@ class StreamingTraceAggregator:
         self.malicious_packets = 0
         self.first_time = 0.0
         self.last_time = 0.0
-        self.flows: Dict[FiveTuple, FlowStats] = {}
+        self.flows: Set[FiveTuple] = set()
         self.points: Dict[str, int] = {}
 
     # -- ingestion --------------------------------------------------------
@@ -247,7 +207,7 @@ class StreamingTraceAggregator:
         """Account one observation from plain fields.
 
         This is the allocation-light hot path: a :class:`TraceRecord`
-        is only materialised when the ring or a sink needs it.
+        is only materialised for the sink.
         """
         if self.packets and time < self.last_time:
             raise ValueError(
@@ -265,85 +225,15 @@ class StreamingTraceAggregator:
             self.fin_rst += 1
         if malicious:
             self.malicious_packets += 1
-        stats = self.flows.get(flow)
-        if stats is None:
-            stats = self.flows[flow] = FlowStats(time)
-        stats.packets += 1
-        stats.bytes += size
-        stats.last_time = time
-        if is_retransmission:
-            stats.retransmissions += 1
-        if is_fin_or_rst:
-            stats.fin_rst += 1
-        if malicious:
-            stats.malicious += 1
+        self.flows.add(flow)
         if observation_point:
             points = self.points
             points[observation_point] = points.get(observation_point, 0) + 1
-        if self.ring_capacity or self.sink is not None:
-            record = TraceRecord(
-                time=time,
-                flow=flow,
-                size=size,
-                observation_point=observation_point,
-                is_retransmission=is_retransmission,
-                is_fin_or_rst=is_fin_or_rst,
-                malicious_ground_truth=malicious,
-            )
-            if self.ring_capacity:
-                self.ring.append(record)
-            if self.sink is not None:
-                self.sink(record)
-
-    def observe_totals(
-        self,
-        packets: int,
-        size: int,
-        retransmissions: int,
-        fins: int,
-        malicious: int,
-        first_time: float,
-        last_time: float,
-        tail: Sequence[TraceRecord] = (),
-        observation_point: str = "",
-    ) -> None:
-        """Account ``packets`` observations from their totals alone.
-
-        The rows total ``size`` bytes, of which ``retransmissions``,
-        ``fins`` and ``malicious`` are flagged; their times run from
-        ``first_time`` to ``last_time``, and ``tail`` holds their last
-        records in order — at least as many as the ring keeps, which are
-        the only records it takes.  The call leaves the totals, point
-        counts and ring one :meth:`observe` per row would, leaves
-        :attr:`flows` to :meth:`observe_flow`, and, since no other
-        record is ever built, refuses a sink.
-        """
         if self.sink is not None:
-            raise ValueError("observe_totals bypasses the sink; it needs sink=None")
-        if not packets:
-            return
-        if len(tail) < min(packets, self.ring_capacity):
-            raise ValueError(
-                f"the ring keeps {self.ring_capacity} records; the tail holds {len(tail)}"
-            )
-        if self.packets and first_time < self.last_time:
-            raise ValueError(
-                f"stream {self.name!r} requires non-decreasing times: "
-                f"{first_time} < {self.last_time}"
-            )
-        if not self.packets:
-            self.first_time = first_time
-        self.last_time = last_time
-        self.packets += packets
-        self.bytes += size
-        self.retransmissions += retransmissions
-        self.fin_rst += fins
-        self.malicious_packets += malicious
-        if observation_point:
-            points = self.points
-            points[observation_point] = points.get(observation_point, 0) + packets
-        if self.ring_capacity:
-            self.ring.extend(tail[-self.ring_capacity:])
+            self.sink(TraceRecord(
+                time, flow, size, observation_point, is_retransmission,
+                is_fin_or_rst, malicious,
+            ))
 
     def observe_flow(
         self,
@@ -354,36 +244,44 @@ class StreamingTraceAggregator:
         fin_time: Optional[float] = None,
         fin_size: int = 0,
         malicious: bool = False,
+        observation_point: str = "",
     ) -> None:
-        """Account one flow's rows to its :class:`FlowStats` only.
+        """Account one flow's rows at once.
 
         The rows are data packets of ``size`` bytes at ``times``
         (non-decreasing), flagged by ``retransmissions``, then — unless
         ``fin_time`` is None — a FIN of ``fin_size`` bytes at
-        ``fin_time``, no earlier than the last data packet.  Together
-        with :meth:`observe_totals` over every row, calling this per flow
-        in the order of the flows' first rows leaves the state per-row
-        :meth:`observe` would; a flow seen again keeps its first time
-        and key position, as it would.
+        ``fin_time``, no earlier than the last data packet.  The first
+        and last times are a minimum and a maximum, so calling this once
+        per flow, in any order, leaves the state per-row :meth:`observe`
+        over the merged rows would.  No record is built, so a sink is
+        refused rather than skipped.
         """
+        if self.sink is not None:
+            raise ValueError("observe_flow builds no records; it needs sink=None")
         n = len(times)
         packets = n + (fin_time is not None)
         if not packets:
             return
+        first = times[0] if n else fin_time
         last = times[-1] if fin_time is None else fin_time
-        stats = self.flows.get(flow)
-        if stats is None:
-            stats = self.flows[flow] = FlowStats(times[0] if n else last)
-        stats.packets += packets
-        stats.bytes += n * size
-        stats.retransmissions += sum(map(bool, retransmissions))
+        if not self.packets:
+            self.first_time, self.last_time = first, last
+        else:
+            self.first_time = min(self.first_time, first)
+            self.last_time = max(self.last_time, last)
+        self.packets += packets
+        self.bytes += n * size
+        self.retransmissions += sum(map(bool, retransmissions))
         if fin_time is not None:
-            stats.bytes += fin_size
-            stats.fin_rst += 1
+            self.bytes += fin_size
+            self.fin_rst += 1
         if malicious:
-            stats.malicious += packets
-        if last > stats.last_time:
-            stats.last_time = last
+            self.malicious_packets += packets
+        self.flows.add(flow)
+        if observation_point:
+            points = self.points
+            points[observation_point] = points.get(observation_point, 0) + packets
 
     # -- queries ----------------------------------------------------------
 
@@ -396,17 +294,6 @@ class StreamingTraceAggregator:
 
     def malicious_fraction(self) -> float:
         return self.malicious_packets / self.packets if self.packets else 0.0
-
-    def recent(self) -> List[TraceRecord]:
-        """The (bounded) tail of records still held in the ring."""
-        return list(self.ring)
-
-    def ring_memory_bytes(self) -> int:
-        """Approximate bytes held by the ring buffer (records + deque)."""
-        total = sys.getsizeof(self.ring)
-        for record in self.ring:
-            total += sys.getsizeof(record)
-        return total
 
     def summary(self) -> Dict[str, object]:
         """JSON-able aggregate summary (order-stable)."""
@@ -423,9 +310,4 @@ class StreamingTraceAggregator:
             "last_time": self.last_time,
             "duration": self.duration,
             "observation_points": dict(sorted(self.points.items())),
-            "ring": {
-                "capacity": self.ring_capacity,
-                "held": len(self.ring),
-                "dropped": self.packets - len(self.ring) if self.ring_capacity else self.packets,
-            },
         }

@@ -36,11 +36,11 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.flows.flow import FiveTuple, hosts_in_prefix
-from repro.flows.generators import FlowSpec, iter_flow_schedules
+from repro.flows.generators import FlowSpec, flow_spans
 from repro.kernels import derive_seed
 from repro.workloads.cdf import EmpiricalCDF, resolve_cdf
 from repro.workloads.shapers import (
@@ -359,40 +359,19 @@ def measured_tr(
 ) -> float:
     """The Blink sampled-time statistic tR for one workload class.
 
-    The mean per-flow active span plus the eviction timeout — the same
-    statistic :func:`repro.flows.caida.mean_sampled_time` extracts from
-    a materialised trace, read here straight from each flow's schedule
-    (seeded as :func:`~repro.flows.generators.emit_trace` seeds it).
-    A flow's span runs from its start (where its first packet, or a
-    zero-length flow's FIN, is) to its FIN, or to its last packet when
-    it sends none; flows sharing a 5-tuple share one span.  Specs
-    arrive in start order, so the spans are met, and summed, in the
-    order of their first packets, ties by start position: the order
-    :meth:`~repro.netsim.trace.Trace.flow_activity_spans` of the
-    rendered trace holds them in, so the float sum is the same.
+    The mean per-flow active span plus the eviction timeout, over the
+    spans :func:`~repro.flows.generators.flow_spans` reads from each
+    flow's schedule (seeded as :func:`~repro.flows.generators.emit_trace`
+    seeds it) — the statistic :class:`~repro.flows.caida.
+    SyntheticCaidaTrace` reports for its prefixes.
     """
     from repro.flows.caida import EVICTION_TIMEOUT
 
     timeout = EVICTION_TIMEOUT if eviction_timeout is None else eviction_timeout
     specs = iter_workload_specs(name, seed=seed, horizon=horizon, **overrides)
-    packet_seed = derive_seed("workload", name, seed, "packets")
-    spans: Dict[FiveTuple, Tuple[float, float]] = {}
-    previous = -math.inf
-    for spec, times, _flags in iter_flow_schedules(specs, packet_seed):
-        if spec.start < previous:
-            raise ConfigurationError(
-                f"workload {name!r} yielded a decreasing start: "
-                f"{spec.start} < {previous}"
-            )
-        previous = spec.start
-        if spec.sends_fin:
-            last = spec.end
-        elif times:
-            last = times[-1]
-        else:
-            continue  # no packet at all
-        first, seen = spans.get(spec.flow, (spec.start, last))
-        spans[spec.flow] = (first, max(seen, last))
+    spans, _packets = flow_spans(
+        specs, derive_seed("workload", name, seed, "packets")
+    )
     if not spans:
         raise ConfigurationError(f"workload {name!r} produced no packets")
     total = sum(last - first for first, last in spans.values())

@@ -33,7 +33,7 @@ from repro.flows.generators import (
     iter_flow_schedules,
 )
 from repro.netsim.events import DEFAULT_SCHEDULER, EventLoop
-from repro.netsim.trace import FlowStats, StreamingTraceAggregator, TraceRecord
+from repro.netsim.trace import StreamingTraceAggregator
 from repro.obs import metrics as obs_metrics
 
 # Small-but-nontrivial scale: ~45k packets, a handful of resets.
@@ -63,7 +63,6 @@ class TestCrossSchedulerDeterminism:
             {"packet_rate": 4.0, "horizon": 45.0},
             {"with_trace": False},
             {"preload": True},
-            {"ring_capacity": 0},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -149,7 +148,7 @@ class TestShardedDeterminism:
 
 
 def _outcome(report: PacketLevelReport) -> tuple:
-    return report.report_hash, report.packets, report.events, report.peak_ring_bytes
+    return report.report_hash, report.packets, report.events
 
 
 class TestLoopFreeParity:
@@ -170,7 +169,6 @@ class TestLoopFreeParity:
             {"cells": 16},
             {"packet_rate": 4.0, "horizon": 45.0},
             {"with_trace": False},
-            {"ring_capacity": 0},
         ],
         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -272,13 +270,6 @@ class TestDriverShape:
         assert report.trace_summary == {}
         assert report.packets > 0
 
-    def test_ring_memory_is_bounded(self):
-        small = small_run(seed=0, ring_capacity=64)
-        large = small_run(seed=0, ring_capacity=2048)
-        assert 0 < small.peak_ring_bytes < large.peak_ring_bytes
-        # Bounded retention must not change the outcome.
-        assert small.report_hash == large.report_hash
-
     def test_specs_match_offline_workload_helper(self):
         from repro.flows import blink_attack_workload
 
@@ -352,25 +343,17 @@ EDGE_SPECS = [
 
 
 def _aggregator_state(aggregator):
-    return (
-        [
-            (flow, tuple(getattr(stats, slot) for slot in FlowStats.__slots__))
-            for flow, stats in aggregator.flows.items()
-        ],
-        aggregator.summary(),
-        list(aggregator.ring),
-        aggregator.points,
-    )
+    return aggregator.summary(), aggregator.points, aggregator.flows
 
 
-def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON, ring_capacity=4):
+def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON):
     """Aggregator state of ``_run_merged`` and of per-row ``observe`` over
     the same merged records."""
-    merged = StreamingTraceAggregator(name="a", ring_capacity=ring_capacity)
+    merged = StreamingTraceAggregator(name="a")
     packet_level._run_merged(list(specs), seed, horizon, merged, None, None)
     order = sorted(range(len(specs)), key=lambda i: (specs[i].start, i))
     admitted = [specs[i] for i in order if specs[i].start <= horizon]
-    per_row = StreamingTraceAggregator(name="a", ring_capacity=ring_capacity)
+    per_row = StreamingTraceAggregator(name="a")
     for r in packet_level.merged_records(admitted, seed, horizon=horizon):
         per_row.observe(
             r.time, r.flow, r.size, r.observation_point, r.is_retransmission,
@@ -380,30 +363,19 @@ def _per_flow_vs_per_row(specs, seed=3, horizon=HORIZON, ring_capacity=4):
 
 
 class TestPerFlowTraceAccounting:
-    """The loop-free path accounts FlowStats once per flow; the result
-    must be per-row observe's, key order included."""
+    """The loop-free path accounts each flow's rows once; the result
+    must be per-row observe's over the merged records."""
 
     def test_edge_specs_cover_every_clipping_case(self):
         merged, per_row = _per_flow_vs_per_row(EDGE_SPECS)
         assert merged == per_row
-        stats = {flow: fields for flow, fields in merged[0]}
-        fields = FlowStats.__slots__
-
-        def get(i, name):
-            return stats[EDGE_SPECS[i].flow][fields.index(name)]
-
-        assert get(0, "fin_rst") == 0 and get(0, "last_time") < HORIZON
-        assert get(1, "fin_rst") == 2 and get(1, "last_time") == HORIZON
-        assert get(1, "first_time") == 0.5 and get(1, "malicious") > 0
-        assert get(2, "fin_rst") == 1 and get(2, "last_time") == HORIZON
-        assert get(3, "malicious") == get(3, "packets") > 1
-        assert get(4, "packets") == get(4, "fin_rst") == 1
-        assert get(4, "bytes") == packet_level.FIN_PACKET_BYTES
-        assert EDGE_SPECS[5].flow not in stats
-        assert get(6, "packets") == 1 and get(6, "first_time") == HORIZON
-        # Keys in first-row order, as per-row observation inserts them.
-        firsts = [fields_[fields.index("first_time")] for _, fields_ in merged[0]]
-        assert firsts == sorted(firsts)
+        summary, points, flows = merged
+        # Spec 5 has no row; specs 7 and 8 share 5-tuples with 0 and 1.
+        assert flows == {EDGE_SPECS[i].flow for i in (0, 1, 2, 3, 4, 6)}
+        # The FINs at or before the horizon: specs 1, 2, 4 and 8.
+        assert summary["fin_rst"] == 4
+        assert (summary["first_time"], summary["last_time"]) == (0.0, HORIZON)
+        assert 0 < summary["malicious_packets"] < summary["packets"] == points["ingress"]
 
     @given(
         shape=st.lists(
@@ -418,35 +390,21 @@ class TestPerFlowTraceAccounting:
             max_size=14,
         ),
         seed=st.integers(min_value=0, max_value=50),
-        ring_capacity=st.sampled_from([0, 3, 64]),
     )
-    @example(shape=[], seed=0, ring_capacity=3)
+    @example(shape=[], seed=0)
     @settings(max_examples=80, deadline=None)
-    def test_random_specs_equal_per_row(self, shape, seed, ring_capacity):
+    def test_random_specs_equal_per_row(self, shape, seed):
         specs = [
             _spec(i, start, duration, fin=fin, malicious=mal, constant=constant)
             for i, start, duration, fin, mal, constant in shape
         ]
-        merged, per_row = _per_flow_vs_per_row(specs, seed, HORIZON, ring_capacity)
+        merged, per_row = _per_flow_vs_per_row(specs, seed, HORIZON)
         assert merged == per_row
 
     def test_per_flow_needs_no_sink(self):
-        """observe_totals takes only the records the ring keeps, so it
-        refuses a sink instead of skipping it silently."""
+        """observe_flow builds no record, so it refuses a sink instead
+        of skipping it silently."""
         aggregator = StreamingTraceAggregator(sink=lambda record: None)
         with pytest.raises(ValueError, match="sink"):
-            aggregator.observe_totals(1, 1500, 0, 0, 0, 0.0, 0.0)
+            aggregator.observe_flow(EDGE_SPECS[0].flow, [0.0], [False], 1500)
         assert aggregator.packets == 0
-
-    def test_totals_need_the_ring_tail(self):
-        """observe_totals takes the ring's records from its caller, so a
-        tail shorter than what the ring keeps is refused."""
-        aggregator = StreamingTraceAggregator(ring_capacity=4)
-        record = TraceRecord(1.0, EDGE_SPECS[0].flow, 1500, "ingress")
-        with pytest.raises(ValueError, match="ring keeps 4"):
-            aggregator.observe_totals(3, 4500, 0, 0, 0, 0.0, 1.0, [record, record])
-        assert aggregator.packets == 0
-        aggregator.observe_totals(3, 4500, 0, 0, 0, 0.0, 1.0, [record] * 3, "ingress")
-        assert (aggregator.packets, len(aggregator.ring), aggregator.points) == (
-            3, 3, {"ingress": 3}
-        )

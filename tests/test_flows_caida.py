@@ -10,21 +10,24 @@ from repro.flows.caida import (
     calibrate_duration_model_for_tr,
     mean_sampled_time,
 )
-from repro.flows.generators import emit_trace, poisson_flow_schedule
+from repro.flows.generators import emit_trace, flow_spans, poisson_flow_schedule
 
 
 class TestMeanSampledTime:
     def test_includes_eviction_timeout(self):
         specs = poisson_flow_schedule("198.51.100.0/24", 30, 2.0, seed=1)
+        spans, packets = flow_spans(specs, seed=2)
         trace = emit_trace(specs, seed=2)
-        tr = mean_sampled_time(trace)
+        # The schedules give the rendered trace's spans, in its order.
+        assert list(spans.items()) == list(trace.flow_activity_spans().items())
+        assert packets == len(trace)
+        tr = mean_sampled_time(spans)
         assert tr >= EVICTION_TIMEOUT
+        assert tr == mean_sampled_time(trace.flow_activity_spans())
 
     def test_empty_trace_raises(self):
-        from repro.netsim.trace import Trace
-
         with pytest.raises(ConfigurationError):
-            mean_sampled_time(Trace())
+            mean_sampled_time(flow_spans([])[0])
 
 
 class TestCalibration:
@@ -33,7 +36,7 @@ class TestCalibration:
         specs = poisson_flow_schedule(
             "198.51.100.0/24", 120, 4.0, duration_model=model, seed=0
         )
-        measured = mean_sampled_time(emit_trace(specs, seed=1))
+        measured = mean_sampled_time(emit_trace(specs, seed=1).flow_activity_spans())
         assert measured == pytest.approx(8.37, abs=0.6)
 
     def test_rejects_infeasible_target(self):
@@ -53,7 +56,7 @@ class TestSyntheticBackbone:
 
     def test_per_prefix_traces_cached(self, backbone):
         prefix = backbone.prefixes[0]
-        assert backbone.trace_for(prefix) is backbone.trace_for(prefix)
+        assert backbone.spans_for(prefix) is backbone.spans_for(prefix)
 
     def test_report_sorted_by_tr(self, backbone):
         report = backbone.top_prefix_report()
@@ -70,4 +73,4 @@ class TestSyntheticBackbone:
 
     def test_unknown_prefix_rejected(self, backbone):
         with pytest.raises(ConfigurationError):
-            backbone.trace_for("203.0.113.0/24")
+            backbone.spans_for("203.0.113.0/24")

@@ -6,7 +6,9 @@ closed-form Blink capture probability surface (Section 3.1's
 the PCC utility-equalisation oscillation amplitude (Section 4.2's
 ±5 % swing) and the bloom/FlowRadar/LossRadar pollution results
 (Section 3.2, E10) to the exact floats the current implementation
-produces.
+produces, and the synthetic-CAIDA tR statistics behind E3 (Section
+3.1's "for half of them the average time a flow remains sampled is
+10 s", the median ~5 s) at the bench configuration.
 A numeric refactor that silently drifts any of these figures fails
 here before it can corrupt the reproduced figures.
 
@@ -27,6 +29,11 @@ from repro.blink.analysis import (
     mean_crossing_time,
     minimum_qm,
     probability_at_least,
+)
+from repro.flows.caida import (
+    SyntheticCaidaConfig,
+    SyntheticCaidaTrace,
+    calibrate_duration_model_for_tr,
 )
 from tests.test_lazy_imports import _CHEAP_CELLS
 
@@ -119,3 +126,22 @@ class TestSketchPollution:
         assert result.success == pinned["success"]
         assert result.magnitude == pinned["magnitude"]
         assert result.details == pinned["details"]
+
+
+class TestCaidaSampledTime:
+    """E3 on ``benchmarks/bench_blink_tr_sweep.py``'s configuration, to
+    the exact float."""
+
+    def test_bench_backbone_pinned(self, golden):
+        pinned = golden["caida"]["backbone_prefixes20_h200_seed7"]
+        backbone = SyntheticCaidaTrace(
+            SyntheticCaidaConfig(prefixes=20, horizon=200.0, seed=7)
+        )
+        assert backbone.top_prefix_report() == pinned["top_prefix_report"]
+        assert backbone.summary() == pinned["summary"]
+
+    def test_fig2_calibration_pinned(self, golden):
+        model = calibrate_duration_model_for_tr(
+            8.37, horizon=120, arrival_rate=4.0, seed=0
+        )
+        assert model.median == golden["caida"]["calibrated_median_tr8_37_seed0"]

@@ -128,30 +128,12 @@ class TestStreamingAggregator:
         assert agg.retransmissions == sum(1 for r in trace if r.is_retransmission)
         assert agg.fin_rst == sum(1 for r in trace if r.is_fin_or_rst)
 
-    def test_ring_is_bounded_and_holds_the_tail(self):
-        from repro.netsim.trace import StreamingTraceAggregator
-
-        records = self._records(300)
-        agg = _observe_records(StreamingTraceAggregator(ring_capacity=16), records)
-        recent = agg.recent()
-        assert len(recent) == 16
-        assert recent == records[-16:]
-        assert agg.ring_memory_bytes() > 0
-        assert agg.summary()["ring"] == {"capacity": 16, "held": 16, "dropped": 284}
-
-    def test_zero_capacity_disables_retention(self):
-        from repro.netsim.trace import StreamingTraceAggregator
-
-        agg = _observe_records(StreamingTraceAggregator(ring_capacity=0), self._records(50))
-        assert agg.recent() == []
-        assert agg.packets == 50
-
     def test_sink_sees_every_record_in_order(self):
         from repro.netsim.trace import StreamingTraceAggregator
 
         seen = []
         records = self._records(80)
-        _observe_records(StreamingTraceAggregator(ring_capacity=0, sink=seen.append), records)
+        _observe_records(StreamingTraceAggregator(sink=seen.append), records)
         assert seen == records
 
     def test_rejects_time_regression(self):
@@ -164,115 +146,60 @@ class TestStreamingAggregator:
         assert agg.packets == 1 and agg.last_time == 1.0
 
 
-# Rows of (time step, flow, size, retransmission, fin, malicious); the
-# zero step makes equal times common.
-_rows = st.lists(
+# Flows of (5-tuple, start, gaps, retransmission flags, FIN gap or None,
+# malicious); repeated 5-tuples and zero gaps make shared keys and equal
+# times common.
+_flows = st.lists(
     st.tuples(
-        st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.5]),
         st.integers(min_value=0, max_value=5),
-        st.sampled_from([40, 1500]),
-        st.booleans(),
-        st.booleans(),
+        st.sampled_from([0.0, 0.5, 1.0, 3.5]),
+        st.lists(st.sampled_from([0.0, 0.25, 1.0]), max_size=6),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.5])),
         st.booleans(),
     ),
-    max_size=60,
+    max_size=10,
 )
 
 
-def _columns(rows):
-    times, flows, sizes, retrans, fins, malicious = [], [], [], [], [], []
-    now = 0.0
-    for step, flow, size, retransmission, fin, bad in rows:
-        now += step
-        times.append(now)
-        flows.append(FiveTuple("10.0.0.1", "198.51.100.1", 1000 + flow, 443))
-        sizes.append(size)
-        retrans.append(retransmission)
-        fins.append(fin)
-        malicious.append(bad)
-    return [times, flows, sizes, retrans, fins, malicious]
+def _flow_rows(flows):
+    """Each flow as ``(flow, times, retransmissions, fin_time, malicious)``."""
+    rows = []
+    for key, start, gaps, retrans, fin_gap, bad in flows:
+        times = []
+        now = start
+        for gap in gaps:
+            times.append(now)
+            now += gap
+        fin = None if fin_gap is None else (times[-1] if times else start) + fin_gap
+        flow = FiveTuple("10.0.0.1", "198.51.100.1", 1000 + key, 443)
+        rows.append((flow, times, retrans[:len(times)], fin, bad))
+    return rows
 
 
-def _chunks(columns, cuts):
-    """Split parallel columns at the sorted ``cuts`` (empty chunks kept)."""
-    bounds = [0] + sorted(min(cut, len(columns[0])) for cut in cuts) + [len(columns[0])]
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield [column[lo:hi] for column in columns]
+class TestObserveFlow:
+    """observe_flow once per flow, in any flow order, is per-row observe
+    over the flows' rows in merge order."""
 
-
-def _state(agg):
-    """Everything but the per-flow stats, which observe_totals leaves alone."""
-    summary = agg.summary()
-    summary.pop("flows")
-    return summary, list(agg.points.items()), agg.recent()
-
-
-def _observe_rows(agg, columns, point):
-    for time, flow, size, retrans, fin, bad in zip(*columns):
-        agg.observe(time, flow, size, point, retrans, fin, bad)
-
-
-def _observe_totals(agg, chunk, point):
-    """One observe_totals call for the rows of ``chunk``, handing it only
-    the records its ring keeps."""
-    times, flows, sizes, retrans, fins, malicious = chunk
-    if not times:
-        return
-    tail = [
-        TraceRecord(*row[:3], point, *row[3:])
-        for row in list(zip(*chunk))[-agg.ring_capacity:] if agg.ring_capacity
-    ]
-    agg.observe_totals(
-        len(times), sum(sizes), sum(retrans), sum(fins), sum(malicious),
-        times[0], times[-1], tail, point,
-    )
-
-
-class TestObserveBatch:
-    """observe_totals over any chunking, given each chunk's totals and
-    only the records the ring keeps, is per-row observe, minus the
-    per-flow stats (observe_flow's job, checked against per-row observe
-    in tests/test_blink_packet_level.py)."""
-
-    @given(
-        rows=_rows,
-        cuts=st.lists(st.integers(min_value=0, max_value=60), max_size=6),
-        capacity=st.sampled_from([0, 1, 7, 1024]),
-        point=st.sampled_from(["", "ingress"]),
-    )
+    @given(flows=_flows, order=st.randoms(use_true_random=False),
+           point=st.sampled_from(["", "ingress"]))
     @settings(max_examples=80, deadline=None)
-    def test_chunked_equals_per_row(self, rows, cuts, capacity, point):
-        columns = _columns(rows)
-        per_row = StreamingTraceAggregator("s", ring_capacity=capacity)
-        _observe_rows(per_row, columns, point)
-        batched = StreamingTraceAggregator("s", ring_capacity=capacity)
-        for chunk in _chunks(columns, cuts):
-            _observe_totals(batched, chunk, point)
-        assert _state(batched) == _state(per_row)
-        assert batched.flows == {}
-
-    @given(
-        rows=_rows.filter(lambda rows: len(rows) >= 2),
-        data=st.data(),
-        capacity=st.sampled_from([0, 1, 7, 1024]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_decreasing_time_raises_the_same_error(self, rows, data, capacity):
-        """A chunk that starts before the stream's last time raises the
-        error per-row observe raises at that row, with the rows before
-        it accounted and none of the chunk's."""
-        columns = _columns(rows)
-        bad = data.draw(st.integers(min_value=1, max_value=len(rows) - 1))
-        drop = data.draw(st.sampled_from([0.5, 1e-9, 10.0]))
-        columns[0][bad:] = [time - columns[0][bad] + columns[0][bad - 1] - drop
-                            for time in columns[0][bad:]]
-        per_row = StreamingTraceAggregator("s", ring_capacity=capacity)
-        with pytest.raises(ValueError) as expected:
-            _observe_rows(per_row, columns, "p")
-        batched = StreamingTraceAggregator("s", ring_capacity=capacity)
-        with pytest.raises(ValueError) as raised:
-            for chunk in _chunks(columns, [bad]):
-                _observe_totals(batched, chunk, "p")
-        assert str(raised.value) == str(expected.value)
-        assert _state(batched) == _state(per_row)
-
+    def test_shuffled_flows_equal_per_row(self, flows, order, point):
+        rows = _flow_rows(flows)
+        merged = []
+        for rank, (flow, times, flags, fin_time, bad) in enumerate(rows):
+            for index, time in enumerate(times):
+                merged.append((time, rank, index, flow, 1500, flags[index], False, bad))
+            if fin_time is not None:
+                merged.append((fin_time, rank, len(times), flow, 40, False, True, bad))
+        merged.sort()  # (time, rank, index) is unique
+        per_row = StreamingTraceAggregator("s")
+        for time, _rank, _index, flow, size, retrans, fin, bad in merged:
+            per_row.observe(time, flow, size, point, retrans, fin, bad)
+        order.shuffle(rows)
+        per_flow = StreamingTraceAggregator("s")
+        for flow, times, flags, fin_time, bad in rows:
+            per_flow.observe_flow(flow, times, flags, 1500, fin_time, 40, bad, point)
+        assert per_flow.summary() == per_row.summary()
+        assert per_flow.points == per_row.points
+        assert per_flow.flows == per_row.flows
