@@ -16,14 +16,13 @@ attacker's budget — the design-choice ablation from DESIGN.md §6).
 from conftest import banner, run_once
 
 from repro.analysis import ascii_table
-from repro.blink import mean_crossing_time, minimum_qm
+from repro.blink import minimum_qm
 from repro.flows import SyntheticCaidaConfig, SyntheticCaidaTrace
 
 
 def _frontier_point(tr):
-    """(tR, minimum qm for a 95 %-confident capture, mean crossing at it)."""
-    qm = minimum_qm(32, tr, budget=510.0, cells=64, confidence=0.95)
-    return tr, qm, mean_crossing_time(32, qm, tr, 64)
+    """(tR, minimum qm for a 95 %-confident capture within 510 s)."""
+    return tr, minimum_qm(32, tr, budget=510.0, cells=64, confidence=0.95)
 
 
 def _experiment():
@@ -74,12 +73,8 @@ def test_tr_statistics_and_feasibility(benchmark):
     print()
 
     rows = [
-        {
-            "tR (s)": tr,
-            "min qm for 95% capture": round(qm, 4),
-            "mean crossing at that qm (s)": round(crossing, 1),
-        }
-        for tr, qm, crossing in frontier
+        {"tR (s)": tr, "min qm for 95% capture": round(qm, 4)}
+        for tr, qm in frontier
     ]
     print(ascii_table(rows, title="Feasibility frontier: longer tR needs higher qm"))
     print()
@@ -94,7 +89,7 @@ def test_tr_statistics_and_feasibility(benchmark):
     trs = [row["mean_sampled_time"] for row in report]
     assert 3.0 < summary["flow_median_sampled_time"] < 8.0
     assert 0.3 <= summary["fraction_at_least_10s"] <= 0.9
-    qms = [qm for _, qm, _ in frontier]
+    qms = [qm for _, qm in frontier]
     assert qms == sorted(qms)  # monotone in tR
     reset_qms = [resets[b] for b in sorted(resets, reverse=True)]
     assert reset_qms == sorted(reset_qms)  # monotone in shrinking budget
@@ -105,7 +100,7 @@ def test_tr_statistics_and_feasibility(benchmark):
             "median_tr_s": summary["median_tr"],
             "fraction_tr_ge_10s": summary["fraction_at_least_10s"],
             "min_qm_at_paper_tr": dict(
-                (str(tr), qm) for tr, qm, _ in frontier
+                (str(tr), qm) for tr, qm in frontier
             )["8.37"],
         }
     )

@@ -144,16 +144,6 @@ class SyntheticCaidaTrace:
 
     # -- the statistics the paper reports ------------------------------------
 
-    def mean_sampled_time(self, prefix: str) -> float:
-        """Mean time a flow of ``prefix`` would stay in a Blink cell.
-
-        A sampled flow stays until 2 s of inactivity (or FIN, which in
-        this model coincides with its last packet), so its sampled time
-        is its observed active span plus the eviction timeout — the
-        same estimator the authors applied to CAIDA traces.
-        """
-        return mean_sampled_time(self.spans_for(prefix)[0])
-
     def top_prefix_report(self) -> List[dict]:
         """Per-prefix tR table: the paper's top-20 analysis (E3)."""
         report = []
@@ -200,8 +190,11 @@ class SyntheticCaidaTrace:
 def mean_sampled_time(spans: FlowSpans, eviction_timeout: float = EVICTION_TIMEOUT) -> float:
     """Mean per-flow sampled time: active span + eviction timeout.
 
-    This is the ``tR`` the Blink analysis (and Fig. 2) consumes, over
-    the spans of :func:`~repro.flows.generators.flow_spans`.
+    A sampled flow stays in its Blink cell until 2 s of inactivity (or
+    FIN, which in this model coincides with its last packet) — the
+    estimator the authors applied to CAIDA traces.  This is the ``tR``
+    the Blink analysis (and Fig. 2) consumes, over the spans of
+    :func:`~repro.flows.generators.flow_spans`.
     """
     if not spans:
         raise ConfigurationError("no flow, so no sampled-time statistic")

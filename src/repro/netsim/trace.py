@@ -1,11 +1,10 @@
 """Trace records: a pcap-lite for simulated traffic.
 
 A :class:`TraceRecord` is one observed packet with its observation time
-and point; a :class:`Trace` is an append-only sequence with the handful
-of query helpers the analyses need (per-flow grouping, time slicing,
-inter-arrival statistics).  :func:`~repro.flows.generators.emit_trace`
-renders these from flow schedules, and Blink's offline analysis
-consumes them.
+and point; a :class:`Trace` is an append-only sequence with the one
+query the analyses need (per-flow activity spans).
+:func:`~repro.flows.generators.emit_trace` renders these from flow
+schedules, and Blink's offline analysis consumes them.
 
 For experiments too large to hold a full trace in memory,
 :class:`StreamingTraceAggregator` keeps the same aggregate statistics
@@ -15,7 +14,6 @@ sink (e.g. a Blink switch) as it is observed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -51,7 +49,7 @@ class Trace:
     """Time-ordered sequence of :class:`TraceRecord`.
 
     Records must be appended in non-decreasing time order (generators
-    guarantee this; merging multiple traces uses :meth:`merge`).
+    guarantee this).
     """
 
     def __init__(self, name: str = "trace"):
@@ -79,17 +77,6 @@ class Trace:
         for record in records:
             self.append(record)
 
-    @classmethod
-    def merge(cls, traces: Iterable["Trace"], name: str = "merged") -> "Trace":
-        """Merge several traces into one time-ordered trace."""
-        merged = cls(name)
-        all_records: List[TraceRecord] = []
-        for trace in traces:
-            all_records.extend(trace._records)
-        all_records.sort(key=lambda r: r.time)
-        merged._records = all_records
-        return merged
-
     # -- queries ----------------------------------------------------------
 
     @property
@@ -106,24 +93,6 @@ class Trace:
     def end_time(self) -> float:
         return self._records[-1].time if self._records else 0.0
 
-    def flows(self) -> Dict[FiveTuple, List[TraceRecord]]:
-        grouped: Dict[FiveTuple, List[TraceRecord]] = {}
-        for record in self._records:
-            grouped.setdefault(record.flow, []).append(record)
-        return grouped
-
-    def flow_count(self) -> int:
-        return len({record.flow for record in self._records})
-
-    def slice(self, start: float, end: float) -> "Trace":
-        """Records with ``start <= time < end`` as a new trace."""
-        times = [r.time for r in self._records]
-        lo = bisect_left(times, start)
-        hi = bisect_left(times, end)
-        sliced = Trace(f"{self.name}[{start},{end})")
-        sliced._records = self._records[lo:hi]
-        return sliced
-
     def flow_activity_spans(self) -> Dict[FiveTuple, Tuple[float, float]]:
         """First/last observation time per flow."""
         spans: Dict[FiveTuple, Tuple[float, float]] = {}
@@ -134,17 +103,6 @@ class Trace:
             else:
                 spans[record.flow] = (record.time, record.time)
         return spans
-
-    def inter_arrival_gaps(self, flow: FiveTuple) -> List[float]:
-        times = [r.time for r in self._records if r.flow == flow]
-        return [b - a for a, b in zip(times, times[1:])]
-
-    def malicious_fraction(self) -> float:
-        """Ground-truth fraction of records that are attack traffic."""
-        if not self._records:
-            return 0.0
-        bad = sum(1 for r in self._records if r.malicious_ground_truth)
-        return bad / len(self._records)
 
 
 class StreamingTraceAggregator:

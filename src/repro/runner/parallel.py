@@ -36,6 +36,25 @@ instance/factory — live unpicklable state never crosses the process
 boundary.  Worker count comes from the ``jobs`` argument, the
 ``REPRO_JOBS`` environment variable, or ``os.cpu_count()``, in that
 order; ``jobs=1`` (or a single pending cell) runs inline with no pool.
+
+**One pool per process.**  The first pooled run forks a
+``ProcessPoolExecutor`` (emitting one ``runner.pool_started`` event with
+the worker count and pids) and later runs reuse it while its key — the
+process id, the worker count and whether tracing and metrics are
+active — still matches; a run under another key shuts it down and
+forks afresh.  The pool is also retired when a worker dies, when any
+exception leaves :meth:`ParallelSweepExecutor.run`, and after a run in
+which a cell attempt timed out (the abandoned attempt thread must not
+run beside the next sweep's cells); otherwise it lives until the
+interpreter exits.  So a worker may carry imports and pure memoisation
+(``functools.lru_cache``) from one sweep to the next, and it sees the
+parent as it was when the pool forked, not as it is now: a cell must
+depend only on its pickled arguments.  A process that runs one sweep
+(``repro run --seeds``, ``repro scenarios run``) forks once either way;
+a process that runs many (a scenario suite, a benchmark loop) stops
+paying the fork and the workers' cold imports and caches per sweep.
+Sweeps under different keys must not run concurrently from threads of
+one process: each would retire the other's pool.
 """
 
 from __future__ import annotations
@@ -44,10 +63,10 @@ import os
 import signal
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attack import Attack
-from repro.core.errors import ConfigurationError, WorkerCrashError
+from repro.core.errors import ConfigurationError, ExperimentTimeout, WorkerCrashError
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 from repro.runner.cache import ResultCache, cache_key
@@ -95,6 +114,36 @@ def _init_pool_worker() -> None:  # pragma: no cover - runs in pool workers
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+#: The process-wide pool and the key it was forked under.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_key: Optional[tuple] = None
+
+
+def _pool_for(workers: int, traced: bool, metered: bool) -> Tuple[ProcessPoolExecutor, bool]:
+    """The shared pool for this key, and whether it was just created.
+
+    Workers see the parent as it was at fork time, so instrumentation
+    is part of the key: hooks installed after the fork would miss them.
+    """
+    global _pool, _pool_key
+    key = (os.getpid(), workers, traced, metered)
+    if _pool is not None and _pool_key == key:
+        return _pool, False
+    _retire_pool()
+    _pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_pool_worker)
+    _pool_key = key
+    return _pool, True
+
+
+def _retire_pool() -> None:
+    """Shut the shared pool down; a forked child only forgets its parent's."""
+    global _pool, _pool_key
+    pool, key = _pool, _pool_key
+    _pool = _pool_key = None
+    if pool is not None and key[0] == os.getpid():
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class RegistryAttackFactory:
@@ -165,6 +214,11 @@ def _execute_cell(
         "attempts": len(outcome.attempts),
         "shard": shard,
         "pid": os.getpid(),
+        # A timed-out attempt leaves its thread running in this worker.
+        "abandoned": any(
+            attempt.error_type == ExperimentTimeout.__name__
+            for attempt in outcome.attempts
+        ),
     }
     if registry is not None:
         record["metrics"] = registry.to_dict()
@@ -347,11 +401,12 @@ class ParallelSweepExecutor:
                 )
         else:
             cell_of = {cell.index: cell for cell in pending}
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_pool_worker
-            ) as pool:
-                try:
-                    futures = {
+            pool, started = _pool_for(workers, traced, metered)
+            futures: set = set()
+            abandoned = False
+            try:
+                for cell in pending:
+                    futures.add(
                         pool.submit(
                             _execute_cell,
                             worker_source,
@@ -362,26 +417,34 @@ class ParallelSweepExecutor:
                             traced,
                             metered,
                         )
-                        for cell in pending
-                    }
-                    while futures:
-                        done, futures = wait(futures, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            outcome = future.result()
-                            finish(cell_of[outcome["index"]], outcome)
-                except BrokenProcessPool as exc:
-                    for future in futures:
-                        future.cancel()
-                    obs.emit("runner.worker_crash", attack=attack.name)
-                    obs_metrics.inc("runner.worker_crashes")
-                    raise WorkerCrashError(
-                        f"sweep worker process died mid-sweep ({exc}); "
-                        "completed cells are checkpointed — re-run to resume"
-                    ) from exc
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
+                    )
+                if started:
+                    # Every worker is forked once all cells are submitted.
+                    obs.emit(
+                        "runner.pool_started",
+                        workers=workers,
+                        pids=sorted(pool._processes),
+                    )
+                while futures:
+                    done, futures = wait(futures, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        outcome = future.result()
+                        abandoned = abandoned or outcome["abandoned"]
+                        finish(cell_of[outcome["index"]], outcome)
+            except BaseException as exc:
+                for future in futures:
+                    future.cancel()
+                _retire_pool()
+                if not isinstance(exc, BrokenProcessPool):
                     raise
+                obs.emit("runner.worker_crash", attack=attack.name)
+                obs_metrics.inc("runner.worker_crashes")
+                raise WorkerCrashError(
+                    f"sweep worker process died mid-sweep ({exc}); "
+                    "completed cells are checkpointed — re-run to resume"
+                ) from exc
+            if abandoned:
+                _retire_pool()
 
         # Deterministic merge: submission (seed) order, not completion.
         report.cells = [

@@ -36,17 +36,6 @@ class TestLinkIntrospection:
         assert link.stats()["link.a->b.delivered"] == 1.0
 
 
-class TestTraceMergeEdge:
-    def test_merge_with_empty_trace(self):
-        from repro.netsim.trace import Trace, TraceRecord
-        from repro.flows.flow import FiveTuple
-
-        a = Trace("a")
-        a.append(TraceRecord(1.0, FiveTuple("x", "y", 1, 2), 100))
-        merged = Trace.merge([a, Trace("empty")])
-        assert len(merged) == 1
-
-
 class TestWorkloadSummary:
     def test_qm_property(self):
         from repro.flows.generators import WorkloadSummary

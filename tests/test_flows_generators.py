@@ -108,7 +108,8 @@ class TestEmitTrace:
         flow = FiveTuple("a", "198.51.100.1", 1, 2)
         spec = FlowSpec(flow, 0.0, 10.0, packet_rate=2.0, constant_rate=True, sends_fin=False)
         trace = emit_trace([spec], seed=0)
-        gaps = trace.inter_arrival_gaps(flow)
+        times = [r.time for r in trace if r.flow == flow]
+        gaps = [b - a for a, b in zip(times, times[1:])]
         assert all(g == pytest.approx(0.5) for g in gaps)
 
     def test_fin_emitted_when_requested(self):

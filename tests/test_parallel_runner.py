@@ -1,8 +1,13 @@
 """Tests for the parallel sweep executor and the result cache."""
 
 import json
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 from test_determinism import serial_report
@@ -16,10 +21,13 @@ from repro.core.errors import (
     WorkerCrashError,
 )
 from repro.obs import Tracer, activate
+from repro.obs.metrics import MetricRegistry
+from repro.runner import parallel
 from repro.runner import (
     ParallelSweepExecutor,
     RegistryAttackFactory,
     ResultCache,
+    RetryPolicy,
     cache_key,
     code_version,
     resolve_jobs,
@@ -86,6 +94,33 @@ class SignalProbeAttack(ToyAttack):
         result.details["sigterm"] = str(signal.getsignal(signal.SIGTERM))
         result.details["sigint"] = str(signal.getsignal(signal.SIGINT))
         return result
+
+
+class PidProbeAttack(ToyAttack):
+    """Reports the pid of the process its cell runs in."""
+
+    name = "toy-pid-probe"
+
+    def execute(self, privilege: Privilege, **params: object) -> AttackResult:
+        result = super().execute(privilege, **params)
+        result.details["pid"] = os.getpid()
+        return result
+
+
+class FirstAttemptHangsAttack(PidProbeAttack):
+    """Outlives the per-attempt timeout once per cell, then succeeds."""
+
+    name = "toy-first-attempt-hangs"
+
+    def __init__(self):
+        super().__init__()
+        self.attempts = 0
+
+    def execute(self, privilege: Privilege, **params: object) -> AttackResult:
+        self.attempts += 1
+        if self.attempts == 1:
+            time.sleep(1.0)
+        return super().execute(privilege, **params)
 
 
 class TestResolveJobs:
@@ -182,6 +217,8 @@ class TestPoolWorkerSafety:
         def parent_handler(signum, frame):  # pragma: no cover - never fires
             pass
 
+        # Workers must fork after the handler is installed.
+        parallel._retire_pool()
         previous = signal.signal(signal.SIGTERM, parent_handler)
         try:
             report = ParallelSweepExecutor(jobs=2).run(
@@ -194,6 +231,134 @@ class TestPoolWorkerSafety:
             details = cell["result"]["details"]
             assert details["sigterm"] == str(signal.SIG_DFL)
             assert details["sigint"] == str(signal.SIG_IGN)
+
+
+def _probe_sweep(attack=None, jobs=2, seeds=(0, 1, 2, 3), **executor_args):
+    """(pool pids forked by this run or None, pids the cells ran in)."""
+    tracer = Tracer()
+    with activate(tracer):
+        report = ParallelSweepExecutor(jobs=jobs, **executor_args).run(
+            attack or PidProbeAttack(), seed_cells({}, list(seeds))
+        )
+    started = tracer.events_of("runner.pool_started")
+    assert len(started) <= 1
+    forked = set(started[0].fields["pids"]) if started else None
+    if started:
+        assert started[0].fields["workers"] == len(forked)
+    ran = {cell["result"]["details"]["pid"] for cell in report.cells}
+    return forked, ran
+
+
+class TestSharedPool:
+    """One pool per process, reused until its key changes or it is retired."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        parallel._retire_pool()
+        yield
+        parallel._retire_pool()
+
+    def test_consecutive_runs_reuse_workers(self):
+        forked, ran = _probe_sweep()
+        assert len(forked) == 2 and ran <= forked
+        again, ran_again = _probe_sweep()
+        assert again is None and ran_again <= forked
+
+    def test_other_worker_count_forks_new_pool(self):
+        forked, _ = _probe_sweep()
+        other, ran = _probe_sweep(jobs=3)
+        assert len(other) == 3 and ran <= other and not other & forked
+
+    def test_crash_forks_new_pool(self):
+        forked, _ = _probe_sweep()
+        with activate(Tracer()), pytest.raises(WorkerCrashError):  # same key
+            ParallelSweepExecutor(jobs=2).run(CrashingAttack(), seed_cells({}, [0, 1]))
+        after, ran = _probe_sweep()
+        assert after is not None and ran <= after and not after & forked
+
+    def test_error_leaving_run_retires_pool(self):
+        forked, _ = _probe_sweep()
+        with activate(Tracer()), pytest.raises(ConfigurationError):  # same key
+            ParallelSweepExecutor(jobs=2).run(BrokenAttack(), seed_cells({}, [0, 1]))
+        after, ran = _probe_sweep()
+        assert after is not None and ran <= after and not after & forked
+
+    def test_timed_out_attempt_retires_pool(self):
+        retry = RetryPolicy(max_retries=1, backoff_base_s=0.0)
+        forked, ran = _probe_sweep(
+            FirstAttemptHangsAttack(), seeds=(0, 1), retry=retry, timeout_s=0.2
+        )
+        assert ran <= forked
+        after, ran_after = _probe_sweep()
+        assert after is not None and ran_after <= after and not after & forked
+
+    def test_metrics_activation_forks_new_pool(self):
+        forked, _ = _probe_sweep()
+        with activate(metrics=MetricRegistry()):
+            metered, ran = _probe_sweep()
+        assert metered is not None and ran <= metered and not metered & forked
+
+    def test_forked_child_forks_its_own_pool(self):
+        forked, _ = _probe_sweep()
+        reader, writer = multiprocessing.Pipe(duplex=False)
+
+        def child():
+            child_forked, child_ran = _probe_sweep()
+            parallel._retire_pool()
+            writer.send((sorted(child_forked), sorted(child_ran)))
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        try:
+            assert reader.poll(60), "the child's sweep never finished"
+            child_forked, child_ran = reader.recv()
+            process.join(30)
+        finally:
+            process.kill()
+        assert process.exitcode == 0
+        assert set(child_ran) <= set(child_forked)
+        assert not set(child_forked) & forked
+        # The parent's pool survives the child untouched.
+        again, ran = _probe_sweep()
+        assert again is None and ran <= forked
+
+    def test_exit_leaves_no_worker_alive(self):
+        script = textwrap.dedent(
+            """
+            import json
+            from repro.obs import Tracer, activate
+            from repro.runner import ParallelSweepExecutor, RegistryAttackFactory, seed_cells
+
+            tracer = Tracer()
+            with activate(tracer):
+                ParallelSweepExecutor(jobs=2).run(
+                    RegistryAttackFactory("blink-capture-analytical"),
+                    seed_cells({"runs": 2}, [0, 1]),
+                )
+            (event,) = tracer.events_of("runner.pool_started")
+            print(json.dumps(event.fields["pids"]))
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        pids = json.loads(done.stdout.strip().splitlines()[-1])
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except (ProcessLookupError, PermissionError):
+                return False  # gone, or the pid now names another user's process
+            return True
+
+        assert not [pid for pid in pids if alive(pid)]
 
 
 class TestCheckpointInterop:
